@@ -416,7 +416,7 @@ def evaluate_corpus(
     return summary
 
 
-# -- serialization helpers (shared by the CLI and the report module) -----------
+# -- serialization helpers: EvalSummary as JSON, rows and pairs as JSONL -------
 
 
 def write_eval_json(summary: EvalSummary, path: Path | str) -> None:

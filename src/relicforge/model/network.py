@@ -7,11 +7,30 @@ split-offset head (sigmoid) read the top layer's state at every step.
 Everything is float64 numpy; the backward pass is hand-rolled
 backpropagation through time, held to a finite-difference oracle by the
 test suite.
+
+The parameter table and checkpoint format v1 keep one matrix and one
+bias per gate (`layer0.W_i`, ...); the kernel stacks them at call time
+into one (4H, H + width) matrix ordered o, i, f, c, as in cuDNN's fused
+LSTM (Appleyard et al. 2016, arXiv:1604.01946). It computes every step's
+input projection before the time loop, then runs one (B, H) @ (H, 4H)
+product and one tanh per step over a right-padded batch, the sigmoid
+being 0.5 * (1 + tanh(x / 2)). `forward` is the kernel at B = 1.
+
+Training runs samples CHUNK at a time, sorted by length so that chunks
+need little padding; padded steps carry zero weight and move no loss or
+gradient. The forward-only metrics pass keeps no traces and takes twice
+as many. Both limits below were measured on a 2-vCPU VM with OpenBLAS
+0.3.31. A chunk's traces and gradients cost about 4 KB of peak memory per
+sample-step: on the acceptance benchmark, peak RSS rose 2% over
+per-sample code at CHUNK = 4, 4.3% at 8 and 0.9% at 2 (at 10% more wall
+time). OpenBLAS threads large products, so none spans more than a step
+or a sample: dW as one GEMM over the 3,328 rows of a 64-sample batch
+took 5.2 ms, against 1.4 ms as per-step products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,13 +39,8 @@ from relicforge.errors import ShapeError
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
 
-GATE_WEIGHTS = ("W_i", "W_f", "W_o", "W_c")
-GATE_BIASES = ("b_i", "b_f", "b_o", "b_c")
-
-_CONFIG_FIELDS = (
-    "layers", "hidden", "dropout", "lr", "epochs", "batch",
-    "input_dim", "classes", "seed",
-)
+# Samples per padded kernel call; see the module docstring.
+CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -53,36 +67,29 @@ class ModelConfig:
             raise ValueError("seed must be non-negative")
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
-        return cls(**{name: data[name] for name in _CONFIG_FIELDS})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def layer_dims(config: ModelConfig) -> list[tuple[int, int]]:
     """(input width, hidden) per layer, bottom to top."""
-    dims = []
-    width = config.input_dim
-    for _ in range(config.layers):
-        dims.append((width, config.hidden))
-        width = config.hidden
-    return dims
+    widths = [config.input_dim] + [config.hidden] * (config.layers - 1)
+    return [(width, config.hidden) for width in widths]
 
 
 def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """The parameter table. Its order is the serialization and update order."""
     out: list[tuple[str, tuple[int, ...]]] = []
     for li, (width, hidden) in enumerate(layer_dims(config)):
-        for gate in GATE_WEIGHTS:
-            out.append((f"layer{li}.{gate}", (hidden, hidden + width)))
-        for gate in GATE_BIASES:
-            out.append((f"layer{li}.{gate}", (hidden,)))
-    out.append(("W_y", (config.classes, config.hidden)))
-    out.append(("b_y", (config.classes,)))
-    out.append(("W_s", (config.hidden,)))
-    out.append(("b_s", (1,)))
-    return out
+        for kind, shape in (("W", (hidden, hidden + width)), ("b", (hidden,))):
+            out += [(f"layer{li}.{kind}_{gate}", shape) for gate in "ifoc"]
+    return out + [
+        ("W_y", (config.classes, config.hidden)), ("b_y", (config.classes,)),
+        ("W_s", (config.hidden,)), ("b_s", (1,)),
+    ]
 
 
 @dataclass(eq=False)
@@ -133,12 +140,8 @@ def init_checkpoint(config: ModelConfig, rng: np.random.Generator | None = None)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Branch-free logistic: exactly 0 and 1 in the far tails."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -154,7 +157,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LayerTrace:
-    z: np.ndarray        # (T, hidden + width), [h_prev, x_t] per step
+    z: np.ndarray        # (T, [B,] hidden + width), [h_prev, x_t] per step
     i: np.ndarray
     f: np.ndarray
     o: np.ndarray
@@ -166,179 +169,195 @@ class _LayerTrace:
 
 @dataclass
 class ForwardPass:
-    logits: np.ndarray       # (T, classes)
-    offsets: np.ndarray      # (T,) sigmoid split positions in (0, 1)
-    offset_pre: np.ndarray   # (T,) pre-sigmoid activations
-    top: np.ndarray          # (T, hidden) input to both heads
+    logits: np.ndarray       # (T, [B,] classes)
+    offsets: np.ndarray      # (T, [B]) sigmoid split positions in (0, 1)
+    offset_pre: np.ndarray   # (T, [B]) pre-sigmoid activations
+    top: np.ndarray          # (T, [B,] hidden) input to both heads
     layers: list[_LayerTrace]
 
 
+def _stacked(params: dict, li: int, kind: str = "W") -> np.ndarray:
+    """Layer li's gate weights or biases stacked in kernel order o, i, f, c."""
+    return np.concatenate([params[f"layer{li}.{kind}_{gate}"] for gate in "oifc"])
+
+
+def _layer(x, W, b, mask, trace):
+    """One layer over right-padded (T, B, width) inputs: the (T, B, hidden)
+    outputs and, with `trace`, what the backward pass needs."""
+    steps, size, _ = x.shape
+    hidden = W.shape[0] // 4
+    # Sigmoid rows halved (exact in binary): one tanh per step gives all gates.
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], hidden)
+    Ws = W * scale[:, None]
+    gates = x @ Ws[:, hidden:].T  # the input projection of every step
+    gates += b * scale
+    Wh = np.ascontiguousarray(Ws[:, :hidden].T)
+    z = np.zeros((steps + 1, size, W.shape[1]))  # z[t] = [h_prev, x_t]
+    z[:steps, :, hidden:] = x
+    h = z[:, :, :hidden]
+    c = np.zeros((steps + 1, size, hidden))
+    tanh_c = np.empty((steps, size, hidden))
+    o, i, f, g = (gates[:, :, k * hidden:(k + 1) * hidden] for k in range(4))
+    for a, sig, o_t, i_t, f_t, g_t, h_prev, h_t, c_prev, c_t, tanh_t in zip(
+        gates, gates[:, :, :3 * hidden], o, i, f, g, h[:-1], h[1:], c[:-1], c[1:], tanh_c
+    ):
+        a += h_prev @ Wh
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += i_t * g_t
+        np.tanh(c_t, out=tanh_t)
+        np.multiply(o_t, tanh_t, out=h_t)
+    out = h[1:] if mask is None else h[1:] * mask
+    return out, _LayerTrace(z[:steps], i, f, o, g, c[1:], tanh_c, mask) if trace else None
+
+
+def _layer_backward(tr: _LayerTrace, W, dh_seq):
+    """Backpropagation through time for one traced layer: the gradients of
+    its (T, B, width) inputs, its stacked W and its stacked b."""
+    steps, size, hidden = tr.c.shape
+    # Each gate's gradient is dh (o) or dc (i, f, c) times a factor the
+    # forward pass already fixed; da holds the factors, then the gradients.
+    da = np.empty((steps, size, 4, hidden))
+    da[:, :, 0] = tr.tanh_c * tr.o * (1.0 - tr.o)
+    da[:, :, 1] = tr.g * tr.i * (1.0 - tr.i)
+    da[0, :, 2] = 0.0  # c_prev is zero at the first step
+    da[1:, :, 2] = tr.c[:-1] * tr.f[1:] * (1.0 - tr.f[1:])
+    da[:, :, 3] = tr.i * (1.0 - tr.g * tr.g)
+    dc_dh = tr.o * (1.0 - tr.tanh_c * tr.tanh_c)
+    Wh = np.ascontiguousarray(W[:, :hidden])
+    dh_next = carry = np.zeros((size, hidden))
+    for dh_out, dc_factor, a, f in zip(dh_seq[::-1], dc_dh[::-1], da[::-1], tr.f[::-1]):
+        dh = dh_out + dh_next
+        dc = dh * dc_factor
+        dc += carry
+        a[:, 0] *= dh
+        a[:, 1:] *= dc[:, None]
+        dh_next = a.reshape(size, 4 * hidden) @ Wh
+        carry = dc * f
+    da = da.reshape(steps, size, 4 * hidden)
+    dW = sum(da[:, k].T @ tr.z[:, k] for k in range(size))  # one GEMM per sample
+    return da @ W[:, hidden:], dW, da.sum(axis=(0, 1))
+
+
+def _run(x, params, masks, trace=True) -> ForwardPass:
+    """The stack and both heads over a right-padded (T, B, input_dim) batch."""
+    layers = []
+    for li, mask in enumerate(masks):
+        x, tr = _layer(x, _stacked(params, li), _stacked(params, li, "b"), mask, trace)
+        layers.append(tr)
+    logits = x @ params["W_y"].T + params["b_y"]
+    offset_pre = x @ params["W_s"] + params["b_s"][0]
+    return ForwardPass(logits, sigmoid(offset_pre), offset_pre, x, layers)
+
+
+def _matrix(features, config: ModelConfig) -> np.ndarray:
+    mat = np.asarray(getattr(features, "matrix", features), dtype=float)
+    if mat.ndim != 2 or mat.shape[1] != config.input_dim:
+        raise ShapeError(f"expected (steps, {config.input_dim}) features, got {mat.shape}")
+    return mat
+
+
+def _dropout_masks(steps: int, config: ModelConfig, rng) -> list:
+    """Inverted-dropout masks for each layer's output, bottom up, or None."""
+    on = rng is not None and config.dropout > 0
+    return [
+        (rng.random((steps, config.hidden)) >= config.dropout) / (1.0 - config.dropout)
+        if on and li < config.layers - 1 else None
+        for li in range(config.layers)
+    ]
+
+
 def forward(features, ckpt: ModelCheckpoint, rng: np.random.Generator | None = None) -> ForwardPass:
-    """Run the stack over one feature sequence.
+    """Run the stack over one feature sequence: the kernel at batch size 1.
 
     `rng` turns on training mode: inverted dropout on each non-final
     layer's output. Without it the pass is deterministic, and dropout=0
     with an rng is bitwise-identical to running without one.
     """
-    config = ckpt.config
-    mat = np.asarray(getattr(features, "matrix", features), dtype=float)
-    if mat.ndim != 2 or mat.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"expected (steps, {config.input_dim}) features, got {mat.shape}"
+    mat = _matrix(features, ckpt.config)
+    masks = _dropout_masks(len(mat), ckpt.config, rng)
+    fp = _run(mat[:, None], ckpt.params, [m if m is None else m[:, None] for m in masks])
+    top, *layers = [
+        {k: v if v is None else v[:, 0] for k, v in vars(part).items() if k != "layers"}
+        for part in (fp, *fp.layers)
+    ]
+    return ForwardPass(**top, layers=[_LayerTrace(**layer) for layer in layers])
+
+
+def _pad(rows: list[np.ndarray], steps: int) -> np.ndarray:
+    """Per-sample arrays stacked on a batch axis, zero past each end."""
+    out = np.zeros((steps, len(rows)) + rows[0].shape[1:], dtype=rows[0].dtype)
+    for k, row in enumerate(rows):
+        out[:len(row), k] = row
+    return out
+
+
+def chunked_loss(samples, ckpt: ModelCheckpoint, rng=None, grads=None) -> tuple[float, float]:
+    """The loss over `samples` and their statement-level label accuracy, a
+    chunk of samples at a time, shortest first, each chunk padded to its
+    longest member. With `grads`, each chunk keeps its traces and adds its
+    gradients there; without, the pass is forward-only. Dropout masks are
+    drawn per sample in `samples` order, as `forward` draws them."""
+    total_w = sum(float(s.weight.sum()) for s in samples)
+    total_ext = sum(float(s.offset_mask.sum()) for s in samples)
+    masks = [_dropout_masks(len(s.steps), ckpt.config, rng) for s in samples]
+    order = sorted(range(len(samples)), key=lambda k: len(samples[k].steps))
+    loss = hits = 0.0
+    size = CHUNK if grads is not None else 2 * CHUNK  # no traces: twice the samples fit
+    for start in range(0, len(order), size):
+        chunk = order[start:start + size]
+        steps = len(samples[chunk[-1]].steps)
+        w, ids, targets, m = (
+            _pad([getattr(samples[k], name) for k in chunk], steps)
+            for name in ("weight", "class_ids", "offsets", "offset_mask")
         )
-    steps = mat.shape[0]
-    params = ckpt.params
-    dims = layer_dims(config)
+        x = _pad([_matrix(samples[k].steps, ckpt.config) for k in chunk], steps)
+        layer_masks = [
+            None if mask is None else _pad([masks[k][li] for k in chunk], steps)
+            for li, mask in enumerate(masks[chunk[0]])
+        ]
+        fp = _run(x, ckpt.params, layer_masks, trace=grads is not None)
+        onehot = np.eye(ckpt.config.classes)[ids]
+        m = m / total_ext if total_ext > 0 else m
+        diff = fp.offsets - targets
+        loss += float(np.sum(w / total_w * -np.sum(onehot * log_softmax(fp.logits), axis=-1)))
+        loss += float(np.sum(m * diff * diff))
+        hits += float(np.sum(w * (np.argmax(fp.logits, axis=-1) == ids)))
+        if grads is not None:
+            dlogits = (softmax(fp.logits) - onehot) * (w / total_w)[..., None]
+            _backward(fp, dlogits, 2.0 * m * diff * fp.offsets * (1.0 - fp.offsets),
+                      ckpt.params, grads)
+        del fp  # free this chunk's traces before the next chunk runs
+    return loss, hits / total_w
 
-    x = mat
-    traces: list[_LayerTrace] = []
-    for li, (width, hidden) in enumerate(dims):
-        if x.shape[1] != width:
-            raise ShapeError(f"layer {li} expected width {width}, got {x.shape[1]}")
-        W_i = params[f"layer{li}.W_i"]
-        W_f = params[f"layer{li}.W_f"]
-        W_o = params[f"layer{li}.W_o"]
-        W_c = params[f"layer{li}.W_c"]
-        b_i = params[f"layer{li}.b_i"]
-        b_f = params[f"layer{li}.b_f"]
-        b_o = params[f"layer{li}.b_o"]
-        b_c = params[f"layer{li}.b_c"]
 
-        z = np.zeros((steps, hidden + width))
-        gi = np.zeros((steps, hidden))
-        gf = np.zeros((steps, hidden))
-        go = np.zeros((steps, hidden))
-        gg = np.zeros((steps, hidden))
-        cs = np.zeros((steps, hidden))
-        hs = np.zeros((steps, hidden))
-        h_prev = np.zeros(hidden)
-        c_prev = np.zeros(hidden)
-        for t in range(steps):
-            z_t = np.concatenate([h_prev, x[t]])
-            i_t = sigmoid(W_i @ z_t + b_i)
-            f_t = sigmoid(W_f @ z_t + b_f)
-            o_t = sigmoid(W_o @ z_t + b_o)
-            g_t = np.tanh(W_c @ z_t + b_c)
-            c_t = f_t * c_prev + i_t * g_t
-            h_t = o_t * np.tanh(c_t)
-            z[t], gi[t], gf[t], go[t], gg[t], cs[t], hs[t] = (
-                z_t, i_t, f_t, o_t, g_t, c_t, h_t,
-            )
-            h_prev, c_prev = h_t, c_t
-
-        mask = None
-        out = hs
-        if rng is not None and config.dropout > 0 and li < config.layers - 1:
-            keep = rng.random((steps, hidden)) >= config.dropout
-            mask = keep / (1.0 - config.dropout)
-            out = hs * mask
-        traces.append(
-            _LayerTrace(z=z, i=gi, f=gf, o=go, g=gg, c=cs, tanh_c=np.tanh(cs), mask=mask)
-        )
-        x = out
-
-    logits = x @ params["W_y"].T + params["b_y"]
-    offset_pre = x @ params["W_s"] + params["b_s"][0]
-    return ForwardPass(
-        logits=logits,
-        offsets=sigmoid(offset_pre),
-        offset_pre=offset_pre,
-        top=x,
-        layers=traces,
-    )
+def _backward(fp: ForwardPass, dlogits, doffset_pre, params: dict, grads: dict) -> None:
+    """Add one chunk's gradients to the per-gate table."""
+    grads["W_y"] += np.einsum("tbc,tbh->ch", dlogits, fp.top)
+    grads["b_y"] += dlogits.sum(axis=(0, 1))
+    grads["W_s"] += np.einsum("tb,tbh->h", doffset_pre, fp.top)
+    grads["b_s"][0] += doffset_pre.sum()
+    dout = dlogits @ params["W_y"] + doffset_pre[..., None] * params["W_s"]
+    for li in reversed(range(len(fp.layers))):
+        tr = fp.layers[li]
+        dh = dout if tr.mask is None else dout * tr.mask
+        dout, dW, db = _layer_backward(tr, _stacked(params, li), dh)
+        for gate, dW_gate, db_gate in zip("oifc", np.split(dW, 4), np.split(db, 4)):
+            grads[f"layer{li}.W_{gate}"] += dW_gate
+            grads[f"layer{li}.b_{gate}"] += db_gate
 
 
 def loss_and_grads(batch, ckpt: ModelCheckpoint, rng: np.random.Generator | None = None):
     """Weighted cross-entropy over class steps plus squared error on split
-    offsets, with exact gradients for every parameter.
-
-    Both terms are means over the batch's total step weight (class term)
-    and total offset weight (split term), so a zero-weight step can never
-    move a parameter.
-    """
+    offsets, with exact gradients for every parameter. Both terms are means
+    over the batch's total step weight (class term) and total offset weight
+    (split term), so a zero-weight step, padding included, can never move a
+    parameter."""
     if not batch:
         raise ValueError("empty batch")
-    config = ckpt.config
-    params = ckpt.params
-    total_w = sum(float(s.weight.sum()) for s in batch)
-    total_ext = sum(float(s.offset_mask.sum()) for s in batch)
-    if total_w <= 0:
+    if sum(float(s.weight.sum()) for s in batch) <= 0:
         raise ValueError("batch carries no step weight")
-
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    dims = layer_dims(config)
-    loss = 0.0
-
-    for sample in batch:
-        fp = forward(sample.steps, ckpt, rng)
-        steps = fp.logits.shape[0]
-        ids = sample.class_ids
-        w = sample.weight / total_w
-
-        logp = log_softmax(fp.logits)
-        loss += float(np.sum(w * -logp[np.arange(steps), ids]))
-        dlogits = softmax(fp.logits)
-        dlogits[np.arange(steps), ids] -= 1.0
-        dlogits *= w[:, None]
-
-        if total_ext > 0:
-            m = sample.offset_mask / total_ext
-            diff = fp.offsets - sample.offsets
-            loss += float(np.sum(m * diff * diff))
-            doffset_pre = 2.0 * m * diff * fp.offsets * (1.0 - fp.offsets)
-        else:
-            doffset_pre = np.zeros(steps)
-
-        grads["W_y"] += dlogits.T @ fp.top
-        grads["b_y"] += dlogits.sum(axis=0)
-        grads["W_s"] += fp.top.T @ doffset_pre
-        grads["b_s"][0] += doffset_pre.sum()
-        dout = dlogits @ params["W_y"] + np.outer(doffset_pre, params["W_s"])
-
-        for li in reversed(range(config.layers)):
-            tr = fp.layers[li]
-            width, hidden = dims[li]
-            dh_seq = dout * tr.mask if tr.mask is not None else dout
-            W_i = params[f"layer{li}.W_i"]
-            W_f = params[f"layer{li}.W_f"]
-            W_o = params[f"layer{li}.W_o"]
-            W_c = params[f"layer{li}.W_c"]
-            dW_i = grads[f"layer{li}.W_i"]
-            dW_f = grads[f"layer{li}.W_f"]
-            dW_o = grads[f"layer{li}.W_o"]
-            dW_c = grads[f"layer{li}.W_c"]
-            db_i = grads[f"layer{li}.b_i"]
-            db_f = grads[f"layer{li}.b_f"]
-            db_o = grads[f"layer{li}.b_o"]
-            db_c = grads[f"layer{li}.b_c"]
-
-            dh_next = np.zeros(hidden)
-            dc_next = np.zeros(hidden)
-            dx_seq = np.zeros((steps, width))
-            for t in reversed(range(steps)):
-                dh = dh_seq[t] + dh_next
-                i_t, f_t, o_t, g_t = tr.i[t], tr.f[t], tr.o[t], tr.g[t]
-                da_o = dh * tr.tanh_c[t] * o_t * (1.0 - o_t)
-                dc = dc_next + dh * o_t * (1.0 - tr.tanh_c[t] ** 2)
-                c_prev = tr.c[t - 1] if t > 0 else np.zeros(hidden)
-                da_f = dc * c_prev * f_t * (1.0 - f_t)
-                da_i = dc * g_t * i_t * (1.0 - i_t)
-                da_c = dc * i_t * (1.0 - g_t**2)
-
-                z_t = tr.z[t]
-                dW_i += np.outer(da_i, z_t)
-                dW_f += np.outer(da_f, z_t)
-                dW_o += np.outer(da_o, z_t)
-                dW_c += np.outer(da_c, z_t)
-                db_i += da_i
-                db_f += da_f
-                db_o += da_o
-                db_c += da_c
-
-                dz = W_i.T @ da_i + W_f.T @ da_f + W_o.T @ da_o + W_c.T @ da_c
-                dh_next = dz[:hidden]
-                dx_seq[t] = dz[hidden:]
-                dc_next = dc * f_t
-            dout = dx_seq
-
-    return loss, grads
+    grads = {name: np.zeros_like(p) for name, p in ckpt.params.items()}
+    return chunked_loss(batch, ckpt, rng, grads)[0], grads

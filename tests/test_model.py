@@ -36,6 +36,7 @@ from relicforge.model import (
     tensor_shapes,
     train,
 )
+from relicforge.model.network import CHUNK
 from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
 
 # Pre-order refs: 0 Program, 1-2 DataItem, 3 Paragraph, 4 Move,
@@ -465,6 +466,113 @@ def test_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+def synthetic_samples(lengths, classes, input_dim, seed=0):
+    """Random features and labels; every third sample carries split targets."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for k, steps in enumerate(lengths):
+        feats = StepFeatures(
+            rng.normal(size=(steps, input_dim - 2)), rng.normal(size=(steps, 2))
+        )
+        ids = rng.integers(0, classes, size=steps)
+        weight = np.ones(steps)
+        weight[0] = 0.0
+        offsets = np.zeros(steps)
+        offset_mask = np.zeros(steps)
+        if k % 3 == 0:
+            offsets[steps - 1] = rng.uniform()
+            offset_mask[steps - 1] = 1.0
+        actions = [Action(CLASS_ORDER[i]) for i in ids]
+        samples.append(TrainSample(feats, actions, weight, ids, offsets, offset_mask))
+    return samples
+
+
+def scrambled(config, seed=9):
+    """A checkpoint with O(1) parameters, so every gradient is well above noise."""
+    ckpt = init_checkpoint(config)
+    prng = np.random.default_rng(seed)
+    for name in ckpt.params:
+        ckpt.params[name] = prng.uniform(-0.6, 0.6, size=ckpt.params[name].shape)
+    return ckpt
+
+
+def test_batching_cannot_leak_between_samples():
+    config = ModelConfig(
+        layers=2, hidden=5, dropout=0.0, lr=0.01, epochs=1, batch=16,
+        classes=6, input_dim=7, seed=1,
+    )
+    ckpt = scrambled(config)
+    # More than two chunks, lengths mixed, the longest neither first nor last.
+    lengths = ([5, 9, 3, 14, 7, 4, 10, 6, 8, 11, 2, 13, 6] * CHUNK)[:2 * CHUNK + 1]
+    assert lengths.index(max(lengths)) not in (0, len(lengths) - 1)
+    batch = synthetic_samples(lengths, config.classes, config.input_dim)
+    loss, grads = loss_and_grads(batch, ckpt)
+
+    total_w = sum(float(s.weight.sum()) for s in batch)
+    total_ext = sum(float(s.offset_mask.sum()) for s in batch)
+    expected_loss = 0.0
+    expected = {name: np.zeros_like(p) for name, p in ckpt.params.items()}
+    for s in batch:
+        # Alone, a sample's class term is a mean over its own weight and its
+        # split term over its own offset weight; rescale both to the batch's.
+        bare = TrainSample(s.steps, s.actions, s.weight, s.class_ids, s.offsets,
+                           np.zeros_like(s.offset_mask))
+        ce, ce_grads = loss_and_grads([bare], ckpt)
+        both, both_grads = loss_and_grads([s], ckpt)
+        w_scale = float(s.weight.sum()) / total_w
+        e_scale = float(s.offset_mask.sum()) / total_ext
+        expected_loss += w_scale * ce + e_scale * (both - ce)
+        for name in expected:
+            expected[name] += (
+                w_scale * ce_grads[name] + e_scale * (both_grads[name] - ce_grads[name])
+            )
+    assert abs(loss - expected_loss) <= 1e-12
+    for name in grads:
+        assert np.max(np.abs(grads[name] - expected[name])) <= 1e-12, name
+
+    order = np.random.default_rng(3).permutation(len(batch))
+    assert list(order) != list(range(len(batch)))
+    p_loss, p_grads = loss_and_grads([batch[k] for k in order], ckpt)
+    assert abs(p_loss - loss) <= 1e-12
+    for name in grads:
+        assert np.max(np.abs(p_grads[name] - grads[name])) <= 1e-12, name
+
+
+def test_gradients_match_finite_differences_with_dropout():
+    # Every evaluation gets a fresh generator with the same seed, so each
+    # draws the same masks and the loss is a smooth function of the weights.
+    config = ModelConfig(
+        layers=2, hidden=4, dropout=0.3, lr=0.01, epochs=1, batch=3,
+        classes=5, input_dim=6, seed=3,
+    )
+    ckpt = scrambled(config)
+    samples = synthetic_samples([6, 9, 4], config.classes, config.input_dim, seed=2)
+
+    def evaluate():
+        return loss_and_grads(samples, ckpt, np.random.default_rng(4))
+
+    loss, grads = evaluate()
+    assert loss == evaluate()[0]
+    assert loss != loss_and_grads(samples, ckpt)[0]  # the masks are in force
+
+    eps = 1e-5
+    worst = 0.0
+    for name in ckpt.params:
+        flat = ckpt.params[name].reshape(-1)
+        analytic = grads[name].reshape(-1)
+        for k in range(flat.size):
+            original = flat[k]
+            flat[k] = original + eps
+            plus, _ = evaluate()
+            flat[k] = original - eps
+            minus, _ = evaluate()
+            flat[k] = original
+            fd = (plus - minus) / (2 * eps)
+            rel = abs(fd - analytic[k]) / max(abs(fd) + abs(analytic[k]), 1e-8)
+            worst = max(worst, rel)
+    assert worst < 1e-4
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -498,6 +606,35 @@ def test_training_is_reproducible():
     first = train(dataset, config)
     second = train(dataset, config)
     assert first == second
+
+
+def test_training_with_dropout_between_layers_is_reproducible():
+    dataset = random_dataset(6)
+    config = small_config(layers=2, dropout=0.3, epochs=3, batch=2)
+    first = train(dataset, config)
+    assert first == train(dataset, config)
+    assert first != train(dataset, small_config(layers=2, dropout=0.0, epochs=3, batch=2))
+
+
+def test_batched_metrics_match_per_sample_forward():
+    dataset = random_dataset(12)
+    ckpt = train(dataset, small_config(layers=2, epochs=6))
+    total_w = sum(float(s.weight.sum()) for s in dataset)
+    total_ext = sum(float(s.offset_mask.sum()) for s in dataset)
+    loss = 0.0
+    hits = 0.0
+    for s in dataset:
+        fp = forward(s.steps, ckpt)
+        steps = np.arange(len(s.steps))
+        loss += float(np.sum(s.weight / total_w * -log_softmax(fp.logits)[steps, s.class_ids]))
+        if total_ext > 0:
+            diff = fp.offsets - s.offsets
+            loss += float(np.sum(s.offset_mask / total_ext * diff * diff))
+        hits += float(np.sum(s.weight * (np.argmax(fp.logits, axis=1) == s.class_ids)))
+    metrics = dataset_metrics(dataset, ckpt)
+    assert abs(metrics["loss"] - loss) <= 1e-12
+    assert metrics["accuracy"] == hits / total_w
+    assert 0.0 < metrics["accuracy"] < 1.0
 
 
 def test_training_rejects_empty_dataset():
