@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from relicforge.analysis.cfg import Cfg, CfgNodeKind, build_cfg, cyclomatic
@@ -39,6 +40,8 @@ FEATURE_NAMES = (
     "literal_count",
     "string_literal_count",
 )
+
+_CALLS_DISTINCT = FEATURE_NAMES.index("calls_distinct")
 
 _STRUCTURAL = (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
 
@@ -90,113 +93,75 @@ def decision_complexity(ast: n.CobolAst) -> int:
     return total
 
 
-def _string_literal_count(ast: n.CobolAst) -> int:
-    count = 0
+def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
+    """Every node in pre-order with its statement nesting level (top-level
+    statement = 0; None for Program, DataItem and Paragraph nodes)."""
+    out: list[tuple[n.Node, int | None]] = []
 
-    def visit_expr(e) -> None:
-        nonlocal count
-        if isinstance(e, n.StrLit):
-            count += 1
-        elif isinstance(e, n.BinOp):
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, n.Comparison):
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, n.NotCond):
-            visit_expr(e.inner)
-        elif isinstance(e, (n.AndCond, n.OrCond)):
-            visit_expr(e.left)
-            visit_expr(e.right)
+    def walk(node: n.Node, level: int) -> None:
+        if node.kind in _STRUCTURAL:
+            out.append((node, None))
+            level = 0
+        else:
+            out.append((node, level))
+            level += 1
+        for child in n.child_nodes(node):
+            walk(child, level)
 
-    for node in n.iter_preorder(ast.program):
-        kind = node.kind
-        if kind is n.NodeKind.MOVE:
-            visit_expr(node.src)
-        elif kind is n.NodeKind.COMPUTE:
-            visit_expr(node.expr)
-        elif kind is n.NodeKind.ARITH:
-            visit_expr(node.a)
-            visit_expr(node.b)
-        elif kind is n.NodeKind.IF:
-            visit_expr(node.cond)
-        elif kind is n.NodeKind.EVALUATE:
-            visit_expr(node.subject)
-            count += sum(1 for arm in node.arms if isinstance(arm.value, n.StrLit))
-        elif kind is n.NodeKind.PERFORM_TIMES:
-            visit_expr(node.count)
-        elif kind is n.NodeKind.PERFORM_UNTIL:
-            visit_expr(node.cond)
-        elif kind is n.NodeKind.PERFORM_VARYING:
-            visit_expr(node.from_)
-            visit_expr(node.by)
-            visit_expr(node.until)
-        elif kind is n.NodeKind.DISPLAY:
-            for a in node.args:
-                visit_expr(a)
-        elif kind is n.NodeKind.CALL:
-            count += 1  # the program-name literal
-        elif kind is n.NodeKind.DATA_ITEM and isinstance(node.value, str):
-            count += 1
-    return count
+    walk(program, 0)
+    return out
 
 
 def nesting_levels(ast: n.CobolAst) -> dict[int, int]:
     """Pre-order index -> statement nesting level (top-level stmt = 0)."""
-    levels: dict[int, int] = {}
-    index = {id(v): i for i, v in enumerate(n.iter_preorder(ast.program))}
-
-    def walk(node: n.Node, level: int) -> None:
-        if is_statement(node):
-            levels[index[id(node)]] = level
-            child_level = level + 1
-        else:
-            child_level = 0
-        for child in n.child_nodes(node):
-            walk(child, child_level)
-
-    walk(ast.program, 0)
-    return levels
+    walked = _preorder_levels(ast.program)
+    return {i: level for i, (_, level) in enumerate(walked) if level is not None}
 
 
 def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
+    """The FEATURE_NAMES values, counted off one pre-order walk and the CFG."""
     program = ast.program
-    all_nodes = list(n.iter_preorder(program))
-    stmts = [v for v in all_nodes if is_statement(v)]
-    data = [v for v in all_nodes if v.kind is n.NodeKind.DATA_ITEM]
-    kinds = [v.kind for v in stmts]
+    walked = _preorder_levels(program)
+    stmts = [v for v, level in walked if level is not None]
+    levels = [level for _, level in walked if level is not None]
+    data = [v for v, _ in walked if v.kind is n.NodeKind.DATA_ITEM]
+    kinds = Counter(v.kind for v in stmts)
+    # Paragraphs follow the data items, so each statement counts toward the
+    # last Paragraph entry before it.
+    para_lens: list[int] = []
+    for v, level in walked:
+        if v.kind is n.NodeKind.PARAGRAPH:
+            para_lens.append(0)
+        elif level is not None:
+            para_lens[-1] += 1
 
     def ratio(a: float, b: float) -> float:
         return a / b if b else 0.0
 
-    calls = [v for v in stmts if v.kind is n.NodeKind.CALL]
-    levels = list(nesting_levels(ast).values())
-    para_lens = [
-        sum(1 for v in n.iter_preorder(p) if is_statement(v))
-        for p in program.paragraphs
-    ]
+    calls = [v.program for v in stmts if v.kind is n.NodeKind.CALL]
     branches = sum(1 for v in cfg.nodes if v.kind is CfgNodeKind.BRANCH)
-    literals = sum(n.node_literal_count(v) for v in all_nodes)
+    literals = sum(n.node_literal_count(v) for v, _ in walked)
+    strings = sum(n.node_literal_count(v, (n.StrLit,)) for v, _ in walked)
 
     features = [
         float(ast.source_lines),
         float(ast.token_count),
-        float(len(all_nodes)),
+        float(len(walked)),
         float(len(cfg.edges)),
         float(cfg.loop_back_count()),
         float(len(program.paragraphs)),
         float(len(stmts)),
         float(len(calls)),
-        float(coupling(ast)),
-        float(sum(1 for k in kinds if k in _PERFORM_KINDS)),
-        float(kinds.count(n.NodeKind.IF)),
-        float(kinds.count(n.NodeKind.EVALUATE)),
-        float(kinds.count(n.NodeKind.GOTO)),
-        float(kinds.count(n.NodeKind.MOVE)),
-        float(kinds.count(n.NodeKind.COMPUTE)),
-        float(kinds.count(n.NodeKind.ARITH)),
-        float(kinds.count(n.NodeKind.DISPLAY)),
-        float(kinds.count(n.NodeKind.ACCEPT)),
+        float(len(set(calls))),
+        float(sum(kinds[k] for k in _PERFORM_KINDS)),
+        float(kinds[n.NodeKind.IF]),
+        float(kinds[n.NodeKind.EVALUATE]),
+        float(kinds[n.NodeKind.GOTO]),
+        float(kinds[n.NodeKind.MOVE]),
+        float(kinds[n.NodeKind.COMPUTE]),
+        float(kinds[n.NodeKind.ARITH]),
+        float(kinds[n.NodeKind.DISPLAY]),
+        float(kinds[n.NodeKind.ACCEPT]),
         float(max(levels, default=0)),
         ratio(sum(levels), len(levels)),
         float(len(data)),
@@ -208,7 +173,7 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         ratio(sum(para_lens), len(para_lens)),
         ratio(branches, len(stmts)),
         float(literals),
-        float(_string_literal_count(ast)),
+        float(strings),
     ]
     assert len(features) == 30
     return features
@@ -241,9 +206,10 @@ class MetricsRecord:
 
 def measure(ast: n.CobolAst) -> MetricsRecord:
     cfg = build_cfg(ast)
+    features = file_features(ast, cfg)
     return MetricsRecord(
         cyclomatic=cyclomatic(cfg),
-        coupling=coupling(ast),
+        coupling=int(features[_CALLS_DISTINCT]),
         lines=ast.source_lines,
-        features=file_features(ast, cfg),
+        features=features,
     )

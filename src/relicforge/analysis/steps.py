@@ -4,7 +4,10 @@ One step per AST node in pre-order. The edge vector describes how the
 node is entered from its structural context: then/else bodies get
 True/False, evaluate arms get Case, loop bodies get LoopBack, a statement
 following its sibling gets Seq, and everything else (root included, by
-convention) gets TreeChild.
+convention) gets TreeChild. One recursive walk computes every column:
+what a node inherits (depth, nesting level, paragraph, arrival edge) is
+passed down, and what it synthesizes (subtree size and literal count) is
+summed on the way back up.
 """
 
 from __future__ import annotations
@@ -14,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from relicforge.analysis.cfg import Cfg
-from relicforge.analysis.metrics import is_statement, nesting_levels
+from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
 
 NODE_FEATURE_COUNT = 12
 EDGE_FEATURE_COUNT = 6
 
 EDGE_ORDER = ("Seq", "True", "False", "LoopBack", "Case", "TreeChild")
-_EDGE_INDEX = {name: i for i, name in enumerate(EDGE_ORDER)}
+_SEQ, _TRUE, _FALSE, _LOOP_BACK, _CASE, _TREE_CHILD = range(len(EDGE_ORDER))
 
 _CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
+_KIND_COUNT = len(n.NodeKind)
 
 
 @dataclass
@@ -39,125 +43,74 @@ class StepFeatures:
         return np.concatenate([self.node_feats, self.edge_feats], axis=1)
 
 
-def _arrival_kinds(program: n.Program) -> dict[int, str]:
-    """id(node) -> incoming edge label."""
-    kinds: dict[int, str] = {id(program): "TreeChild"}
+def _entries(node: n.Node) -> list[tuple[n.Node, int]]:
+    """child_nodes(node), each with the edge it is entered by."""
+    kind = node.kind
+    if kind is n.NodeKind.PROGRAM:
+        return _body(node.data_items, _TREE_CHILD) + _body(node.paragraphs, _TREE_CHILD)
+    if kind is n.NodeKind.DATA_ITEM:
+        return _body(node.children, _TREE_CHILD)
+    if kind is n.NodeKind.PARAGRAPH:
+        return _body(node.body, _TREE_CHILD)
+    if kind is n.NodeKind.IF:
+        return _body(node.then_body, _TRUE) + _body(node.else_body, _FALSE)
+    if kind is n.NodeKind.EVALUATE:
+        arms = [arm.body for arm in node.arms] + [node.other or ()]
+        return [entry for body in arms for entry in _body(body, _CASE)]
+    if kind in n.LOOP_KINDS:
+        return _body(node.body or (), _LOOP_BACK)
+    return []
 
-    def mark_body(body, kind: str) -> None:
-        prev_stmt = None
-        for stmt in body:
-            if prev_stmt is None:
-                kinds[id(stmt)] = kind
-            else:
-                kinds[id(stmt)] = "Seq"
-            prev_stmt = stmt
 
-    def walk(node: n.Node) -> None:
-        kind = node.kind
-        if kind is n.NodeKind.PROGRAM:
-            for child in n.child_nodes(node):
-                kinds.setdefault(id(child), "TreeChild")
-            _mark_siblings(node.data_items)
-            _mark_siblings(node.paragraphs)
-        elif kind is n.NodeKind.DATA_ITEM:
-            for child in node.children:
-                kinds.setdefault(id(child), "TreeChild")
-            _mark_siblings(node.children)
-        elif kind is n.NodeKind.PARAGRAPH:
-            mark_body(node.body, "TreeChild")
-        elif kind is n.NodeKind.IF:
-            mark_body(node.then_body, "True")
-            mark_body(node.else_body, "False")
-        elif kind is n.NodeKind.EVALUATE:
-            for arm in node.arms:
-                mark_body(arm.body, "Case")
-            if node.other:
-                mark_body(node.other, "Case")
-        elif kind in (
-            n.NodeKind.PERFORM_UNTIL,
-            n.NodeKind.PERFORM_VARYING,
-        ) or (kind is n.NodeKind.PERFORM_TIMES and node.body is not None):
-            mark_body(node.body, "LoopBack")
-        for child in n.child_nodes(node):
-            walk(child)
-
-    def _mark_siblings(children) -> None:
-        prev = None
-        for child in children:
-            if prev is not None:
-                kinds[id(child)] = "Seq"
-            prev = child
-
-    walk(program)
-    return kinds
+def _body(nodes, first: int) -> list[tuple[n.Node, int]]:
+    """A sibling run: the first entered by `first`, the rest by Seq."""
+    return [(node, first if k == 0 else _SEQ) for k, node in enumerate(nodes)]
 
 
 def step_features(ast: n.CobolAst, cfg: Cfg) -> StepFeatures:
     program = ast.program
-    order = list(n.iter_preorder(program))
-    total = len(order)
-    node_feats = np.zeros((total, NODE_FEATURE_COUNT))
-    edge_feats = np.zeros((total, EDGE_FEATURE_COUNT))
+    data_count = len(program.data_items)
+    rows: list[list[float]] = []
+    arrivals: list[int] = []
+    statements = 0
 
-    parents: dict[int, n.Node] = {}
-    depths: dict[int, int] = {id(program): 0}
-    sizes: dict[int, int] = {}
-    siblings: dict[int, int] = {id(program): 0}
-
-    def measure_subtree(node: n.Node) -> int:
-        size = 1
-        for i, child in enumerate(n.child_nodes(node)):
-            parents[id(child)] = node
-            depths[id(child)] = depths[id(node)] + 1
-            siblings[id(child)] = i
-            size += measure_subtree(child)
-        sizes[id(node)] = size
-        return size
-
-    measure_subtree(program)
-    nesting = nesting_levels(ast)
-    arrivals = _arrival_kinds(program)
-
-    para_of: dict[int, int] = {}
-    for pi, para in enumerate(program.paragraphs):
-        for node in n.iter_preorder(para):
-            para_of[id(node)] = pi
-    para_count = len(program.paragraphs)
-
-    stmt_order = [i for i, node in enumerate(order) if is_statement(node)]
-    stmt_pos = {i: k for k, i in enumerate(stmt_order)}
-    stmt_count = len(stmt_order)
-
-    lit_cache: dict[int, int] = {}
-
-    def subtree_literals(node: n.Node) -> int:
-        key = id(node)
-        if key not in lit_cache:
-            lit_cache[key] = n.node_literal_count(node) + sum(
-                subtree_literals(c) for c in n.child_nodes(node)
-            )
-        return lit_cache[key]
-
-    kind_count = len(n.NodeKind)
-    for i, node in enumerate(order):
-        key = id(node)
+    def visit(node: n.Node, depth: int, sibling: int, level: int, para: int,
+              arrival: int) -> tuple[int, int]:
+        nonlocal statements
         kind = node.kind
-        node_feats[i, 0] = n.KIND_IDS[kind] / kind_count
-        node_feats[i, 1] = depths[key]
-        node_feats[i, 2] = len(n.child_nodes(node))
-        node_feats[i, 3] = siblings[key]
-        node_feats[i, 4] = sizes[key]
-        node_feats[i, 5] = nesting.get(i, 0)
-        node_feats[i, 6] = 1.0 if kind in n.LOOP_KINDS else 0.0
-        node_feats[i, 7] = 1.0 if kind in n.BRANCH_KINDS else 0.0
-        node_feats[i, 8] = 1.0 if kind in _CALL_KINDS else 0.0
-        node_feats[i, 9] = subtree_literals(node)
-        if key in para_of and para_count:
-            node_feats[i, 10] = para_of[key] / para_count
-        if i in stmt_pos and stmt_count:
-            node_feats[i, 11] = stmt_pos[i] / stmt_count
-        edge_feats[i, _EDGE_INDEX[arrivals.get(key, "TreeChild")]] = 1.0
+        if kind is n.NodeKind.PARAGRAPH:
+            para = sibling - data_count
+        # Columns 10 and 11 hold the paragraph and statement ranks until
+        # the walk has counted both.
+        row = [n.KIND_IDS[kind] / _KIND_COUNT, depth, 0, sibling, 0, 0,
+               kind in n.LOOP_KINDS, kind in n.BRANCH_KINDS, kind in _CALL_KINDS,
+               0, para, 0]
+        if is_statement(node):
+            row[5] = level
+            row[11] = statements
+            statements += 1
+            level += 1
+        else:
+            level = 0
+        rows.append(row)
+        arrivals.append(arrival)
+        size, literals = 1, n.node_literal_count(node)
+        entries = _entries(node)
+        for k, (child, edge) in enumerate(entries):
+            child_size, child_literals = visit(child, depth + 1, k, level, para, edge)
+            size += child_size
+            literals += child_literals
+        row[2], row[4], row[9] = len(entries), size, literals
+        return size, literals
 
+    visit(program, 0, 0, 0, 0, _TREE_CHILD)
+    node_feats = np.array(rows, dtype=float)
+    if program.paragraphs:
+        node_feats[:, 10] /= len(program.paragraphs)
+    if statements:
+        node_feats[:, 11] /= statements
+    edge_feats = np.zeros((len(rows), EDGE_FEATURE_COUNT))
+    edge_feats[np.arange(len(rows)), arrivals] = 1.0
     return StepFeatures(node_feats=node_feats, edge_feats=edge_feats)
 
 

@@ -414,51 +414,49 @@ def cond_text(c: Cond) -> str:
     return f"{cond_text(c.left)} OR {cond_text(c.right)}"
 
 
-def count_literals(e: Expr | Cond | None) -> int:
-    if e is None:
-        return 0
+def count_literals(e: Expr | Cond | None, kinds: tuple = (NumLit, StrLit)) -> int:
+    """Literals of the classes in `kinds` within an expression or condition."""
     if isinstance(e, (NumLit, StrLit)):
-        return 1
-    if isinstance(e, VarRef):
+        return int(isinstance(e, kinds))
+    if e is None or isinstance(e, VarRef):
         return 0
-    if isinstance(e, BinOp):
-        return count_literals(e.left) + count_literals(e.right)
-    if isinstance(e, Comparison):
-        return count_literals(e.left) + count_literals(e.right)
     if isinstance(e, NotCond):
-        return count_literals(e.inner)
-    return count_literals(e.left) + count_literals(e.right)
+        return count_literals(e.inner, kinds)
+    return count_literals(e.left, kinds) + count_literals(e.right, kinds)
 
 
-def node_literal_count(node: Node) -> int:
-    """Literals in this node's own attributes (not descendants)."""
+def node_literal_count(node: Node, kinds: tuple = (NumLit, StrLit)) -> int:
+    """Literals of the classes in `kinds` in this node's own attributes (not
+    descendants). A CALL's program name is a string literal, and a data
+    item's VALUE the literal it spells."""
     kind = node.kind
     if kind is NodeKind.MOVE:
-        return count_literals(node.src)
+        return count_literals(node.src, kinds)
     if kind is NodeKind.COMPUTE:
-        return count_literals(node.expr)
+        return count_literals(node.expr, kinds)
     if kind is NodeKind.ARITH:
-        return count_literals(node.a) + count_literals(node.b)
+        return count_literals(node.a, kinds) + count_literals(node.b, kinds)
     if kind is NodeKind.IF:
-        return count_literals(node.cond)
+        return count_literals(node.cond, kinds)
     if kind is NodeKind.EVALUATE:
-        return count_literals(node.subject) + len(node.arms)
+        arms = sum(count_literals(arm.value, kinds) for arm in node.arms)
+        return count_literals(node.subject, kinds) + arms
     if kind is NodeKind.PERFORM_TIMES:
-        return count_literals(node.count)
+        return count_literals(node.count, kinds)
     if kind is NodeKind.PERFORM_UNTIL:
-        return count_literals(node.cond)
+        return count_literals(node.cond, kinds)
     if kind is NodeKind.PERFORM_VARYING:
         return (
-            count_literals(node.from_)
-            + count_literals(node.by)
-            + count_literals(node.until)
+            count_literals(node.from_, kinds)
+            + count_literals(node.by, kinds)
+            + count_literals(node.until, kinds)
         )
     if kind is NodeKind.DISPLAY:
-        return sum(count_literals(a) for a in node.args)
+        return sum(count_literals(a, kinds) for a in node.args)
     if kind is NodeKind.CALL:
-        return 1  # the program-name literal
-    if kind is NodeKind.DATA_ITEM:
-        return 0 if node.value is None else 1
+        return int(StrLit in kinds)
+    if kind is NodeKind.DATA_ITEM and node.value is not None:
+        return int((StrLit if isinstance(node.value, str) else NumLit) in kinds)
     return 0
 
 

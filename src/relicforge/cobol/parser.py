@@ -581,10 +581,14 @@ def parse(tokens: list[Token]) -> n.CobolAst:
     return n.CobolAst(program, source_lines=source_lines, token_count=len(tokens))
 
 
+def source_line_count(file: SourceFile) -> int:
+    """Lines of the format-normalized text, the `source_lines` of its tree."""
+    text = normalize_source(file.text, file.format)
+    return len(text.split("\n")) if text else 0
+
+
 def parse_source(file: SourceFile) -> n.CobolAst:
     """Tokenize and parse a source file; raises LexError or ParseFailure."""
-    toks = tokenize(file)
-    ast = parse(toks)
-    text = normalize_source(file.text, file.format)
-    ast.source_lines = len(text.split("\n")) if text else 0
+    ast = parse(tokenize(file))
+    ast.source_lines = source_line_count(file)
     return ast

@@ -3,7 +3,9 @@
 One rule application per iteration, innermost failure first, capped at
 max_repairs. A file that never reaches a clean parse is Rejected with its
 original text untouched. Fixed-format files that needed repairs come back
-free-format, since the splices are made in the normalized text.
+free-format, since the splices are made in the normalized text. The log
+carries the tree of the attempt that parsed, so a caller need not parse
+the returned file again.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from relicforge.cobol.parser import parse
+from relicforge.cobol.nodes import CobolAst
+from relicforge.cobol.parser import parse, source_line_count
 from relicforge.cobol.tokens import SourceFile, SourceFormat, normalize_source, tokenize
 from relicforge.errors import LexError, ParseError, ParseFailure
 
@@ -42,6 +45,8 @@ class RepairEntry:
 class RepairLog:
     entries: list[RepairEntry] = field(default_factory=list)
     verdict: Verdict = Verdict.CLEAN
+    # parse_source's tree of the returned file; None when Rejected.
+    ast: CobolAst | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -57,17 +62,18 @@ _TERMINATORS = {
 }
 
 
-def _attempt(text: str, fmt: SourceFormat):
-    """Returns None on success, a LexError, or a list of ParseError."""
+def _attempt(file: SourceFile):
+    """(tree, None) on a clean parse, else (None, a LexError or a list of ParseError)."""
     try:
-        tokens = tokenize(SourceFile("probe", text, fmt))
+        tokens = tokenize(file)
     except LexError as e:
-        return e
+        return None, e
     try:
-        parse(tokens)
+        ast = parse(tokens)
     except ParseFailure as pf:
-        return pf.errors
-    return None
+        return None, pf.errors
+    ast.source_lines = source_line_count(file)
+    return ast, None
 
 
 def _pick(problem) -> tuple[RepairRule, ParseError | LexError] | None:
@@ -109,9 +115,9 @@ def _apply(rule: RepairRule, issue, text: str) -> tuple[str, int]:
 
 
 def repair(file: SourceFile, max_repairs: int = MAX_REPAIRS) -> tuple[SourceFile, RepairLog]:
-    problem = _attempt(file.text, file.format)
-    if problem is None:
-        return file, RepairLog([], Verdict.CLEAN)
+    ast, problem = _attempt(file)
+    if ast is not None:
+        return file, RepairLog([], Verdict.CLEAN, ast)
 
     text = normalize_source(file.text, file.format)
     entries: list[RepairEntry] = []
@@ -122,8 +128,8 @@ def repair(file: SourceFile, max_repairs: int = MAX_REPAIRS) -> tuple[SourceFile
         rule, issue = choice
         text, line = _apply(rule, issue, text)
         entries.append(RepairEntry(rule, line))
-        problem = _attempt(text, SourceFormat.FREE)
-        if problem is None:
-            fixed = SourceFile(file.id, text, SourceFormat.FREE)
-            return fixed, RepairLog(entries, Verdict.REPAIRED)
+        fixed = SourceFile(file.id, text, SourceFormat.FREE)
+        ast, problem = _attempt(fixed)
+        if ast is not None:
+            return fixed, RepairLog(entries, Verdict.REPAIRED, ast)
     return file, RepairLog(entries, Verdict.REJECTED)

@@ -8,6 +8,7 @@ as a single PictureClause token.
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from relicforge.errors import LexError
 
@@ -36,8 +37,7 @@ class TokenKind(enum.Enum):
     PICTURE_CLAUSE = "PictureClause"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int  # 1-based, into the format-normalized source

@@ -1,7 +1,7 @@
 """Corpus pipeline: ingest, repair, parse, dedup, trivial filter, split.
 
-Pipeline order is fixed: repair -> parse -> dedup -> filter_trivial ->
-metrics labeling. Statuses are recomputed from the files on disk on every
+Pipeline order is fixed: repair (whose clean parse is the file's tree) ->
+dedup -> filter_trivial -> metrics labeling. Statuses are recomputed from the files on disk on every
 curate call, so curate is idempotent on its own output. Per-file work can
 fan out over a process pool; results are merged in record order so worker
 count never changes the output.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from relicforge.analysis.metrics import FEATURE_NAMES, MetricsRecord, measure
-from relicforge.cobol import SourceFile, SourceFormat, Verdict, parse_source, repair
+from relicforge.cobol import SourceFile, SourceFormat, Verdict, repair
 from relicforge.corpus.manifest import CorpusManifest, Record, Split, Status
 from relicforge.errors import SplitError
 
@@ -88,17 +88,17 @@ def read_normalized(root: Path | str, record: Record) -> str:
 
 
 def load_ast(root: Path | str, record: Record, config: CorpusConfig = CorpusConfig()):
-    """Re-run repair+parse for a curated record; returns (ast, verdict).
+    """Rebuild a curated record's tree; returns (ast, verdict).
 
-    The manifest stores no repaired text, so downstream consumers rebuild
-    the tree on demand; repair is deterministic, so this always reproduces
-    the curate-time result. Returns (None, Rejected) for unrepairable files.
+    The manifest stores no repaired text or tree, so downstream consumers
+    rebuild the tree on demand with one repair call, which parses the file
+    once and hands back the tree of its clean parse; repair is
+    deterministic, so this always reproduces the curate-time result.
+    Returns (None, Rejected) for unrepairable files.
     """
     source = SourceFile(record.id, read_normalized(root, record), config.format)
-    fixed, log = repair(source)
-    if log.verdict is Verdict.REJECTED:
-        return None, log.verdict
-    return parse_source(fixed), log.verdict
+    _fixed, log = repair(source)
+    return log.ast, log.verdict
 
 
 @dataclass
@@ -109,10 +109,8 @@ class _FileResult:
 
 def _curate_one(args: tuple[str, str, SourceFormat]) -> _FileResult:
     file_id, text, fmt = args
-    fixed, log = repair(SourceFile(file_id, text, fmt))
-    if log.verdict is Verdict.REJECTED:
-        return _FileResult(log.verdict)
-    return _FileResult(log.verdict, measure(parse_source(fixed)))
+    _fixed, log = repair(SourceFile(file_id, text, fmt))
+    return _FileResult(log.verdict, None if log.ast is None else measure(log.ast))
 
 
 def dedup(manifest: CorpusManifest) -> CorpusManifest:

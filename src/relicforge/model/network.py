@@ -23,9 +23,11 @@ as many. Both limits below were measured on a 2-vCPU VM with OpenBLAS
 0.3.31. A chunk's traces and gradients cost about 4 KB of peak memory per
 sample-step: on the acceptance benchmark, peak RSS rose 2% over
 per-sample code at CHUNK = 4, 4.3% at 8 and 0.9% at 2 (at 10% more wall
-time). OpenBLAS threads large products, so none spans more than a step
-or a sample: dW as one GEMM over the 3,328 rows of a 64-sample batch
-took 5.2 ms, against 1.4 ms as per-step products.
+time), figures taken before the backward pass wrote its gradients into
+the trace's gate array, which cut the tracemalloc peak of a 64-sample
+batch from 1.09 to 0.88 MB. OpenBLAS threads large products, so none
+spans more than a step or a sample: dW as one GEMM over the 3,328 rows
+of a 64-sample batch took 5.2 ms, against 1.4 ms as per-step products.
 """
 
 from __future__ import annotations
@@ -158,10 +160,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 @dataclass
 class _LayerTrace:
     z: np.ndarray        # (T, [B,] hidden + width), [h_prev, x_t] per step
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray        # candidate, tanh
+    gates: np.ndarray    # (T, [B,] 4 * hidden): o, i, f and candidate c, activated
     c: np.ndarray
     tanh_c: np.ndarray
     mask: np.ndarray | None  # inverted-dropout mask applied on the way up
@@ -210,33 +209,51 @@ def _layer(x, W, b, mask, trace):
         np.tanh(c_t, out=tanh_t)
         np.multiply(o_t, tanh_t, out=h_t)
     out = h[1:] if mask is None else h[1:] * mask
-    return out, _LayerTrace(z[:steps], i, f, o, g, c[1:], tanh_c, mask) if trace else None
+    return out, _LayerTrace(z[:steps], gates, c[1:], tanh_c, mask) if trace else None
 
 
 def _layer_backward(tr: _LayerTrace, W, dh_seq):
     """Backpropagation through time for one traced layer: the gradients of
-    its (T, B, width) inputs, its stacked W and its stacked b."""
+    its (T, B, width) inputs, its stacked W and its stacked b. It consumes
+    the trace: each gate's gradient is dh (o) or dc (i, f, c) times a factor
+    the forward pass already fixed, and the factors, then the gradients,
+    overwrite the gates in place. Every factor multiplies the same terms as
+    tanh_c * o * (1 - o), g * i * (1 - i), c_prev * f * (1 - f) and
+    i * (1 - g * g) do, so the results match those expressions bit for bit."""
     steps, size, hidden = tr.c.shape
-    # Each gate's gradient is dh (o) or dc (i, f, c) times a factor the
-    # forward pass already fixed; da holds the factors, then the gradients.
-    da = np.empty((steps, size, 4, hidden))
-    da[:, :, 0] = tr.tanh_c * tr.o * (1.0 - tr.o)
-    da[:, :, 1] = tr.g * tr.i * (1.0 - tr.i)
-    da[0, :, 2] = 0.0  # c_prev is zero at the first step
-    da[1:, :, 2] = tr.c[:-1] * tr.f[1:] * (1.0 - tr.f[1:])
-    da[:, :, 3] = tr.i * (1.0 - tr.g * tr.g)
-    dc_dh = tr.o * (1.0 - tr.tanh_c * tr.tanh_c)
+    gates = tr.gates.reshape(steps, size, 4, hidden)
+    o, i, f, g = (gates[:, :, k] for k in range(4))
+    tmp = tr.tanh_c * o  # the one temporary
+    dc_dh = tr.tanh_c  # becomes o * (1 - tanh_c * tanh_c)
+    np.multiply(dc_dh, dc_dh, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    np.subtract(1.0, o, out=o)
+    o *= tmp
+    np.multiply(g, i, out=tmp)
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= tmp
+    forget = tmp  # the carry below needs f itself
+    forget[...] = f
+    c_prev = tr.c[:-1]
+    c_prev *= forget[1:]
+    np.subtract(1.0, f, out=f)
+    f[1:] *= c_prev
+    f[0] = 0.0  # c_prev is zero at the first step
     Wh = np.ascontiguousarray(W[:, :hidden])
     dh_next = carry = np.zeros((size, hidden))
-    for dh_out, dc_factor, a, f in zip(dh_seq[::-1], dc_dh[::-1], da[::-1], tr.f[::-1]):
+    for dh_out, dc_factor, a, f_t in zip(dh_seq[::-1], dc_dh[::-1], gates[::-1], forget[::-1]):
         dh = dh_out + dh_next
         dc = dh * dc_factor
         dc += carry
         a[:, 0] *= dh
         a[:, 1:] *= dc[:, None]
         dh_next = a.reshape(size, 4 * hidden) @ Wh
-        carry = dc * f
-    da = da.reshape(steps, size, 4 * hidden)
+        carry = dc * f_t
+    da = tr.gates
     dW = sum(da[:, k].T @ tr.z[:, k] for k in range(size))  # one GEMM per sample
     return da @ W[:, hidden:], dW, da.sum(axis=(0, 1))
 

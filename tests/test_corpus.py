@@ -1,11 +1,13 @@
 """Corpus pipeline tests: ingest, curate, dedup, trivial filter, split."""
 
+import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from relicforge.cobol import SourceFormat
+from relicforge.cobol import SourceFormat, pretty_print
 from relicforge.corpus import (
     CorpusConfig,
     CorpusManifest,
@@ -18,6 +20,7 @@ from relicforge.corpus import (
     normalize_text,
     split,
 )
+from relicforge.datagen import random_program
 from relicforge.errors import SplitError
 
 
@@ -292,3 +295,25 @@ def test_fixed_format_corpus(tmp_path):
     assert manifest.by_id()["a.cbl"].status is Status.KEPT
     ast, _ = load_ast(tmp_path, manifest.by_id()["a.cbl"], config)
     assert ast.program_id == "FX"
+
+
+def test_curate_and_load_ast_parse_each_clean_file_once(tmp_path, monkeypatch):
+    for seed in range(6):
+        text = pretty_print(random_program(random.Random(seed), program_id=f"P{seed}"))
+        (tmp_path / f"p{seed}.cbl").write_text(text)
+    calls = []
+    # The package re-exports a function named `repair`, so look the modules up by name.
+    for name in ("relicforge.cobol.parser", "relicforge.cobol.repair"):
+        module = importlib.import_module(name)
+        real = module.parse
+        monkeypatch.setattr(
+            module, "parse", lambda tokens, real=real: calls.append(1) or real(tokens)
+        )
+    manifest = curate(ingest(tmp_path), tmp_path)
+    assert manifest.counts()["clean"] == 6
+    assert len(calls) == 6
+    calls.clear()
+    for record in manifest.records:
+        ast, _verdict = load_ast(tmp_path, record)
+        assert ast is not None
+    assert len(calls) == 6

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from relicforge.cobol import (
+    RepairLog,
     RepairRule,
     SourceFile,
     SourceFormat,
@@ -11,6 +12,7 @@ from relicforge.cobol import (
     pretty_print,
     repair,
 )
+from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
 
 CLEAN = "IDENTIFICATION DIVISION. PROGRAM-ID. C. PROCEDURE DIVISION. MAIN. MOVE 1 TO A. STOP RUN."
@@ -161,3 +163,63 @@ def test_repair_terminates_on_arbitrary_bytes():
         junk = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
         _, log = repair(SourceFile("junk", junk))
         assert log.verdict in (Verdict.CLEAN, Verdict.REPAIRED, Verdict.REJECTED)
+
+
+FIXED_CLEAN = "\n".join([
+    "000100 IDENTIFICATION DIVISION.",
+    "000200 PROGRAM-ID. F.",
+    "000300 PROCEDURE DIVISION.",
+    "000400 MAIN.",
+    "000500     MOVE 1 TO A.",
+    "000600     STOP RUN.",
+    "",
+    "",
+])
+
+# (source, rules repair must fire); the trailing blank lines make the
+# normalized text longer than the last token's line.
+TREE_CASES = {
+    "clean_free": (SourceFile("c", CLEAN + "\n\n\n"), []),
+    "clean_fixed": (SourceFile("f", FIXED_CLEAN, SourceFormat.FIXED), []),
+    "end_if": (SourceFile("r", wrap("IF A > 1 DISPLAY 'X'. STOP RUN.\n\n")),
+               [RepairRule.INSERT_END_IF]),
+    "end_evaluate": (SourceFile("r", wrap("EVALUATE X WHEN 1 DISPLAY 'A'. STOP RUN.")),
+                     [RepairRule.INSERT_END_EVALUATE]),
+    "end_perform": (SourceFile("r", wrap("PERFORM UNTIL A > 1 ADD 1 TO A. STOP RUN.")),
+                    [RepairRule.INSERT_END_PERFORM]),
+    "close_string": (SourceFile("r", wrap("DISPLAY 'OPEN.\nSTOP RUN.\n")),
+                     [RepairRule.CLOSE_STRING_LITERAL]),
+    "final_period": (SourceFile("r", wrap("MOVE 1 TO A. STOP RUN\n\n")),
+                     [RepairRule.APPEND_FINAL_PERIOD]),
+    "two_faults": (SourceFile("r", wrap("MOVE 1 TO A. PERFORM UNTIL A > 1 ADD 1 TO A\n")),
+                   [RepairRule.INSERT_END_PERFORM, RepairRule.APPEND_FINAL_PERIOD]),
+    "fixed_repaired": (
+        SourceFile("f", FIXED_CLEAN.replace("MOVE 1", "IF A > 1 MOVE 1"), SourceFormat.FIXED),
+        [RepairRule.INSERT_END_IF],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CASES))
+def test_repair_returns_parse_source_tree(case):
+    source, rules = TREE_CASES[case]
+    fixed, log = repair(source)
+    assert [e.rule for e in log.entries] == rules
+    assert log.verdict is (Verdict.REPAIRED if rules else Verdict.CLEAN)
+    expected = parse_source(fixed)
+    assert n.to_json(log.ast.program) == n.to_json(expected.program)
+    assert log.ast.source_lines == expected.source_lines
+    assert log.ast.token_count == expected.token_count
+
+
+def test_rejected_file_returns_no_tree():
+    _fixed, log = repair(SourceFile("u", wrap("PERFORM NOPARA. STOP RUN.")))
+    assert log.verdict is Verdict.REJECTED
+    assert log.ast is None
+
+
+def test_tree_stays_out_of_log_json_and_equality():
+    _fixed, log = repair(SourceFile("c", CLEAN))
+    assert log.ast is not None
+    assert log.to_json() == {"verdict": "Clean", "entries": []}
+    assert log == RepairLog([], Verdict.CLEAN)
