@@ -1,22 +1,26 @@
-"""Whole-program control-flow graph construction.
+"""Control-flow graphs, and the one builder both languages' graphs use.
 
-One CFG per program (P=1). Paragraphs chain by fall-through; plain PERFORM
-of a paragraph is an opaque statement node so the E-N+2 identity with
-decision counting stays exact, while every loop form (UNTIL, VARYING, and
-both TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
+CfgBuilder holds the shapes (fork, loop, plain statement); build_cfg maps
+COBOL onto them here and jmetrics.build_java_cfg maps the emitted Java, so
+V(G) before and after translation follows the same rules. One CFG per
+program (P=1). Paragraphs chain by fall-through; plain PERFORM of a
+paragraph is an opaque statement node so the E-N+2 identity with decision
+counting stays exact, while every loop form (UNTIL, VARYING, and both
+TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
 perform keeps its callee opaque but its loop test explicit, matching the
-loop its translation unrolls into. GO TO adds a Seq edge to the target paragraph's
-first statement; code left unreachable that way is pruned and counted.
-STOP RUN is a plain statement node: halting is interpreter semantics, and
-modeling it as fall-through keeps paragraphs after a mid-program stop
-connected. Only Branch nodes fan out. An Evaluate branch carries one Case
-edge per arm plus a False default edge.
+loop its translation unrolls into. GO TO adds a Seq edge to the target
+paragraph's first statement; code left unreachable that way is pruned and
+counted. STOP RUN is a plain statement node: halting is interpreter
+semantics, and modeling it as fall-through keeps paragraphs after a
+mid-program stop connected. Only Branch nodes fan out. An Evaluate branch
+carries one Case edge per arm plus a False default edge.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from relicforge.cobol import nodes as n
 
@@ -59,9 +63,6 @@ class Cfg:
     exit: int
     pruned: int = 0
 
-    def successors(self, node_id: int) -> list[int]:
-        return [e.dst for e in self.edges if e.src == node_id]
-
     def branch_count(self) -> int:
         return sum(1 for node in self.nodes if node.kind is CfgNodeKind.BRANCH)
 
@@ -83,35 +84,40 @@ class Cfg:
 
 # A dangling chain exit waiting to be wired to whatever comes next.
 @dataclass(frozen=True)
-class _Out:
+class Out:
     node: int
     kind: EdgeKind
 
 
-class _Builder:
-    def __init__(self, refs: dict[int, int]):
-        self.refs = refs  # id(ast node) -> pre-order index
+class CfgBuilder:
+    """The shape rules both languages' graphs are built from.
+
+    A subclass supplies build_stmt, mapping each statement kind onto fork,
+    loop or plain; every shape returns (head id, dangling outs). Nodes
+    carry the pre-order index `refs` gives their statement, if any.
+    """
+
+    def __init__(self, refs: dict[int, int] | None = None):
+        self.refs = refs or {}  # id(ast node) -> pre-order index
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
-        self.goto_fixups: list[tuple[int, str]] = []
 
-    def add(self, kind: CfgNodeKind, stmt: n.Stmt | None = None) -> int:
-        ref = self.refs[id(stmt)] if stmt is not None else None
+    def add(self, kind: CfgNodeKind, stmt=None) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, ref))
+        self.nodes.append(CfgNode(node_id, kind, self.refs.get(id(stmt))))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
         self.edges.append(CfgEdge(src, dst, kind))
 
-    def connect(self, outs: list[_Out], dst: int, kind: EdgeKind | None = None) -> None:
+    def connect(self, outs: list[Out], dst: int, kind: EdgeKind | None = None) -> None:
         for out in outs:
             self.edge(out.node, dst, kind if kind is not None else out.kind)
 
-    def build_seq(self, stmts) -> tuple[int | None, list[_Out]]:
+    def build_seq(self, stmts) -> tuple[int | None, list[Out]]:
         """Build a chain for a statement list: (head id, dangling outs)."""
         head: int | None = None
-        outs: list[_Out] = []
+        outs: list[Out] = []
         for stmt in stmts:
             s_head, s_outs = self.build_stmt(stmt)
             if head is None:
@@ -121,60 +127,67 @@ class _Builder:
             outs = s_outs
         return head, outs
 
-    def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[_Out]]:
+    def fork(self, stmt, arms) -> tuple[int, list[Out]]:
+        """A Branch with one edge per (body, edge kind) arm into a Join; an
+        empty arm's edge goes straight to the Join."""
+        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        join = self.add(CfgNodeKind.JOIN)
+        for body, kind in arms:
+            head, outs = self.build_seq(body)
+            self.edge(branch, head if head is not None else join, kind)
+            self.connect(outs, join)
+        return branch, [Out(join, EdgeKind.SEQ)]
+
+    def loop(self, stmt, body) -> tuple[int, list[Out]]:
+        """A pre-test loop: the Branch enters the body on True, the body
+        loops back to it, and False leaves."""
+        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        head, outs = self.build_seq(body)
+        self.edge(branch, head if head is not None else branch, EdgeKind.TRUE)
+        self.connect(outs, branch, EdgeKind.LOOP_BACK)
+        return branch, [Out(branch, EdgeKind.FALSE)]
+
+    def plain(self, stmt) -> tuple[int, list[Out]]:
+        node = self.add(CfgNodeKind.STMT, stmt)
+        return node, [Out(node, EdgeKind.SEQ)]
+
+
+class _CobolBuilder(CfgBuilder):
+    def __init__(self, refs: dict[int, int]):
+        super().__init__(refs)
+        self.goto_fixups: list[tuple[int, str]] = []
+
+    def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
         kind = stmt.kind
         if kind is n.NodeKind.IF:
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
-            join = self.add(CfgNodeKind.JOIN)
-            then_head, then_outs = self.build_seq(stmt.then_body)
-            self.edge(branch, then_head if then_head is not None else join, EdgeKind.TRUE)
-            self.connect(then_outs, join)
-            else_head, else_outs = self.build_seq(stmt.else_body)
-            self.edge(branch, else_head if else_head is not None else join, EdgeKind.FALSE)
-            self.connect(else_outs, join)
-            return branch, [_Out(join, EdgeKind.SEQ)]
+            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
+                                    (stmt.else_body, EdgeKind.FALSE)))
         if kind is n.NodeKind.EVALUATE:
+            arms = [(arm.body, EdgeKind.CASE) for arm in stmt.arms]
+            return self.fork(stmt, arms + [(stmt.other or [], EdgeKind.FALSE)])
+        if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
+            # Counted paragraph perform: the loop test is explicit but
+            # the callee stays one opaque call node, never inlined.
             branch = self.add(CfgNodeKind.BRANCH, stmt)
-            join = self.add(CfgNodeKind.JOIN)
-            for arm in stmt.arms:
-                arm_head, arm_outs = self.build_seq(arm.body)
-                self.edge(branch, arm_head if arm_head is not None else join, EdgeKind.CASE)
-                self.connect(arm_outs, join)
-            other_head, other_outs = self.build_seq(stmt.other or [])
-            self.edge(branch, other_head if other_head is not None else join, EdgeKind.FALSE)
-            self.connect(other_outs, join)
-            return branch, [_Out(join, EdgeKind.SEQ)]
-        if kind in (
-            n.NodeKind.PERFORM_UNTIL,
-            n.NodeKind.PERFORM_VARYING,
-            n.NodeKind.PERFORM_TIMES,
-        ):
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
-            if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
-                # Counted paragraph perform: the loop test is explicit but
-                # the callee stays one opaque call node, never inlined.
-                call = self.add(CfgNodeKind.STMT)
-                self.edge(branch, call, EdgeKind.TRUE)
-                self.edge(call, branch, EdgeKind.LOOP_BACK)
-                return branch, [_Out(branch, EdgeKind.FALSE)]
-            body_head, body_outs = self.build_seq(stmt.body)
-            self.edge(branch, body_head if body_head is not None else branch, EdgeKind.TRUE)
-            self.connect(body_outs, branch, EdgeKind.LOOP_BACK)
-            return branch, [_Out(branch, EdgeKind.FALSE)]
+            call = self.add(CfgNodeKind.STMT)
+            self.edge(branch, call, EdgeKind.TRUE)
+            self.edge(call, branch, EdgeKind.LOOP_BACK)
+            return branch, [Out(branch, EdgeKind.FALSE)]
+        if kind in n.LOOP_KINDS:
+            return self.loop(stmt, stmt.body)
         if kind is n.NodeKind.GOTO:
             node = self.add(CfgNodeKind.STMT, stmt)
             self.goto_fixups.append((node, stmt.target))
             return node, []  # no fall-through
-        node = self.add(CfgNodeKind.STMT, stmt)
-        return node, [_Out(node, EdgeKind.SEQ)]
+        return self.plain(stmt)
 
 
 def build_cfg(ast: n.CobolAst) -> Cfg:
     refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
-    b = _Builder(refs)
+    b = _CobolBuilder(refs)
     entry = b.add(CfgNodeKind.ENTRY)
 
-    chains: list[tuple[str, int | None, list[_Out]]] = []
+    chains: list[tuple[str, int | None, list[Out]]] = []
     for para in ast.program.paragraphs:
         head, outs = b.build_seq(para.body)
         chains.append((para.name, head, outs))
@@ -198,25 +211,27 @@ def build_cfg(ast: n.CobolAst) -> Cfg:
     for node_id, target in b.goto_fixups:
         b.edge(node_id, anchors[target], EdgeKind.SEQ)
 
-    return _prune(b, entry, exit_id)
-
-
-def _prune(b: _Builder, entry: int, exit_id: int) -> Cfg:
-    adj: dict[int, list[int]] = {}
-    for e in b.edges:
-        adj.setdefault(e.src, []).append(e.dst)
-    seen = {entry}
-    stack = [entry]
-    while stack:
-        for dst in adj.get(stack.pop(), []):
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    seen.add(exit_id)  # the Exit node survives even in pathological graphs
-    pruned = len(b.nodes) - len(seen)
+    # Prune what GO TO left unreachable; Exit survives even so.
+    seen = _reach(entry, [(e.src, e.dst) for e in b.edges]) | {exit_id}
     nodes = [v for v in b.nodes if v.id in seen]
     edges = [e for e in b.edges if e.src in seen and e.dst in seen]
-    return Cfg(nodes=nodes, edges=edges, entry=entry, exit=exit_id, pruned=pruned)
+    return Cfg(nodes=nodes, edges=edges, entry=entry, exit=exit_id,
+               pruned=len(b.nodes) - len(seen))
+
+
+def _reach(start: int, pairs: list[tuple[int, int]]) -> set[int]:
+    """Every node reachable from start along the (src, dst) pairs."""
+    adj: dict[int, list[int]] = {}
+    for src, dst in pairs:
+        adj.setdefault(src, []).append(dst)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj.get(stack.pop(), []):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def validate(cfg: Cfg) -> list[str]:
@@ -226,30 +241,15 @@ def validate(cfg: Cfg) -> list[str]:
     if kinds.count(CfgNodeKind.ENTRY) != 1 or kinds.count(CfgNodeKind.EXIT) != 1:
         problems.append("must have exactly one Entry and one Exit")
     ids = {v.id for v in cfg.nodes}
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for e in cfg.edges:
-        forward.setdefault(e.src, []).append(e.dst)
-        backward.setdefault(e.dst, []).append(e.src)
-
-    def reach(start: int, adj: dict[int, list[int]]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj.get(stack.pop(), []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    from_entry = reach(cfg.entry, forward)
+    from_entry = _reach(cfg.entry, [(e.src, e.dst) for e in cfg.edges])
     if ids - from_entry:
         problems.append(f"{len(ids - from_entry)} nodes unreachable from Entry")
-    to_exit = reach(cfg.exit, backward)
+    to_exit = _reach(cfg.exit, [(e.dst, e.src) for e in cfg.edges])
     if ids - to_exit:
         problems.append(f"{len(ids - to_exit)} nodes cannot reach Exit")
+    fan_out = Counter(e.src for e in cfg.edges)
     for v in cfg.nodes:
-        out = len(forward.get(v.id, []))
+        out = fan_out[v.id]
         if v.kind is CfgNodeKind.EXIT:
             if out != 0:
                 problems.append("Exit must have no successors")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from relicforge.analysis.cfg import Cfg, CfgNodeKind, build_cfg, cyclomatic
+from relicforge.analysis.cfg import Cfg, build_cfg, cyclomatic
 from relicforge.cobol import nodes as n
 
 FEATURE_NAMES = (
@@ -139,7 +139,6 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         return a / b if b else 0.0
 
     calls = [v.program for v in stmts if v.kind is n.NodeKind.CALL]
-    branches = sum(1 for v in cfg.nodes if v.kind is CfgNodeKind.BRANCH)
     literals = sum(n.node_literal_count(v) for v, _ in walked)
     strings = sum(n.node_literal_count(v, (n.StrLit,)) for v, _ in walked)
 
@@ -171,7 +170,7 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         float(cyclomatic(cfg)),
         float(max(para_lens, default=0)),
         ratio(sum(para_lens), len(para_lens)),
-        ratio(branches, len(stmts)),
+        ratio(cfg.branch_count(), len(stmts)),
         float(literals),
         float(strings),
     ]

@@ -7,7 +7,8 @@ following its sibling gets Seq, and everything else (root included, by
 convention) gets TreeChild. One recursive walk computes every column:
 what a node inherits (depth, nesting level, paragraph, arrival edge) is
 passed down, and what it synthesizes (subtree size and literal count) is
-summed on the way back up.
+summed on the way back up. The features read the tree alone, not a
+control-flow graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relicforge.analysis.cfg import Cfg
 from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
 
@@ -67,7 +67,7 @@ def _body(nodes, first: int) -> list[tuple[n.Node, int]]:
     return [(node, first if k == 0 else _SEQ) for k, node in enumerate(nodes)]
 
 
-def step_features(ast: n.CobolAst, cfg: Cfg) -> StepFeatures:
+def step_features(ast: n.CobolAst) -> StepFeatures:
     program = ast.program
     data_count = len(program.data_items)
     rows: list[list[float]] = []

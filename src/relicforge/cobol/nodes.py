@@ -374,10 +374,6 @@ def iter_preorder(root: Node):
         yield from iter_preorder(child)
 
 
-def preorder_nodes(ast: CobolAst) -> list[Node]:
-    return list(iter_preorder(ast.program))
-
-
 def node_index(ast: CobolAst) -> dict[int, Node]:
     """Map pre-order position -> node. Position 0 is the Program node."""
     return dict(enumerate(iter_preorder(ast.program)))

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from relicforge.analysis import build_cfg, step_features
+from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark wraps it here
+    build_cfg, step_features,
+)
 from relicforge.cobol import nodes as n
 from relicforge.model.network import ModelCheckpoint, forward, softmax
 from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
@@ -38,7 +40,7 @@ def predict(
 
     tau >= 1.0 suppresses every prediction, leaving pure rule defaults.
     """
-    feats = step_features(ast, build_cfg(ast))
+    feats = step_features(ast)
     fp = forward(feats, ckpt)
     probs = softmax(fp.logits)
     tops_for = _top_level_refs(ast)

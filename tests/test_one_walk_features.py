@@ -332,7 +332,7 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
 def assert_same_features(ast: n.CobolAst) -> None:
     cfg = build_cfg(ast)
     ref_node, ref_edge = ref_step_features(ast, cfg)
-    sf = step_features(ast, cfg)
+    sf = step_features(ast)
     assert sf.node_feats.dtype == ref_node.dtype and sf.edge_feats.dtype == ref_edge.dtype
     assert np.array_equal(sf.node_feats, ref_node)
     assert np.array_equal(sf.edge_feats, ref_edge)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from relicforge.analysis import EDGE_ORDER, build_cfg, statement_mask, step_features
+from relicforge.analysis import EDGE_ORDER, statement_mask, step_features
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
@@ -11,7 +11,7 @@ from relicforge.datagen import random_program
 
 def steps_of(src):
     ast = parse_source(SourceFile("s", src))
-    return ast, step_features(ast, build_cfg(ast))
+    return ast, step_features(ast)
 
 
 BRANCHY = (
@@ -111,7 +111,7 @@ def test_subtree_size_and_depth():
 @pytest.mark.parametrize("seed", range(20))
 def test_generated_programs_finite_and_sized(seed):
     ast = random_program(random.Random(seed), allow_goto=(seed % 4 == 0))
-    sf = step_features(ast, build_cfg(ast))
+    sf = step_features(ast)
     assert len(sf) == len(list(n.iter_preorder(ast.program)))
     assert np.all(np.isfinite(sf.node_feats))
     assert np.all(np.isfinite(sf.edge_feats))
