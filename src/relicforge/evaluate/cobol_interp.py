@@ -1,4 +1,11 @@
-"""Reference interpreter for the COBOL subset.
+"""Reference interpreter for the COBOL subset, compiled to closures.
+
+`compile_cobol` turns a program into Python closures once (closure
+compilation, Feeley & Lapalme 1987): each statement, expression and
+condition picks its dispatch at compile time, and each data name resolves
+to its cell. The compiled program then runs once per input vector, and
+every run starts from a fresh state: initial cell values, a full step
+budget, call depth 0, a new input queue and a new trace.
 
 Paragraphs run in declaration order starting from the first; GO TO resets
 the sequential cursor (abandoning any in-flight PERFORM frames, which is
@@ -9,17 +16,28 @@ CALL records an event without executing the callee, and STOP RUN halts.
 Step accounting mirrors the statement structure a rule translation emits
 (one step per statement, per loop test, per implicit follow-on call), so
 a jump-free program and its translation exhaust the budget at the same
-point and their truncated traces still compare equal.
+point and their truncated traces still compare equal. The closure that
+runs a statement list ticks before each statement, and each loop ticks
+before its test.
+
+Errors stay lazy: an undefined name or unknown paragraph compiles to a
+closure that ends the run when it is reached, so a branch never taken
+never fails.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable
 
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
+    COMPARE_OPS,
+    COMPLEMENT,
+    I64_MAX,
+    I64_MIN,
     MAX_CALL_DEPTH,
+    MAX_STEPS,
     Budget,
     Cell,
     ExecError,
@@ -41,9 +59,11 @@ from relicforge.evaluate.values import (
 
 _ARITH_SYMBOL = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}
 
+Thunk = Callable[[], object]
+
 
 class _Goto(Exception):
-    def __init__(self, target: str):
+    def __init__(self, target: int):
         super().__init__(target)
         self.target = target
 
@@ -52,16 +72,19 @@ class _Stop(Exception):
     pass
 
 
+def _leaves(items: Iterable[n.DataItem]) -> Iterable[n.DataItem]:
+    for item in items:
+        if item.is_group:
+            yield from _leaves(item.children)
+        else:
+            yield item
+
+
 def build_environment(items: Iterable[n.DataItem]) -> dict[str, Cell]:
     """Elementary items become cells; groups only contribute their leaves.
     The first declaration of a name wins, matching bare-name resolution."""
     env: dict[str, Cell] = {}
-
-    def walk(item: n.DataItem) -> None:
-        if item.is_group:
-            for child in item.children:
-                walk(child)
-            return
+    for item in _leaves(items):
         width = n.picture_width(item.picture)
         if item.is_numeric:
             cell = num_cell(item.value if isinstance(item.value, int) else 0)
@@ -69,163 +92,372 @@ def build_environment(items: Iterable[n.DataItem]) -> dict[str, Cell]:
             raw = item.value if isinstance(item.value, str) else ""
             cell = str_cell(width, fit(raw, width))
         env.setdefault(item.name, cell)
-
-    for item in items:
-        walk(item)
     return env
 
 
-class _Machine:
-    def __init__(self, ast: n.CobolAst, inputs):
-        self.env = build_environment(ast.data_items)
-        self.paragraphs = ast.paragraphs
-        self.para_index = {p.name: i for i, p in enumerate(self.paragraphs)}
-        self.inputs = deque(inputs)
+def _fail(reason: str) -> Thunk:
+    def fail():
+        raise ExecError(reason)
+
+    return fail
+
+
+def _nothing() -> None:
+    pass
+
+
+def _binop(op: str, left: Thunk, right: Thunk) -> Thunk:
+    """`arith` on the operands, with int + int in range done inline."""
+    if op != "+":
+        return lambda: arith(op, left(), right())
+
+    def add():
+        a = left()
+        b = right()
+        if type(a) is int and type(b) is int:
+            total = a + b
+            if I64_MIN <= total <= I64_MAX:
+                return total
+        return arith("+", a, b)
+
+    return add
+
+
+def _comparison(op: str, left: Thunk, right: Thunk) -> Thunk:
+    """`compare` on the operands, with int against int done inline."""
+    test = COMPARE_OPS[op]
+
+    def comparison():
+        a = left()
+        b = right()
+        if type(a) is int and type(b) is int:
+            return test(a, b)
+        return compare(op, a, b)
+
+    return comparison
+
+
+def _against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
+    """`_comparison` with an int literal on the right; a variable on the
+    left comes as its cell."""
+    test = COMPARE_OPS[op]
+    if isinstance(left, Cell):
+        def cell_against_int():
+            a = left.value
+            if type(a) is int:
+                return test(a, right)
+            return compare(op, a, right)
+
+        return cell_against_int
+
+    def against_int():
+        a = left()
+        if type(a) is int:
+            return test(a, right)
+        return compare(op, a, right)
+
+    return against_int
+
+
+class _State:
+    """What the closures change during a run. The paragraph table is set
+    only while a run is in progress, so a program at rest holds no
+    reference cycle and is freed as soon as its last reference goes."""
+
+    __slots__ = ("depth", "trace", "paragraphs")
+
+
+class CobolProgram:
+    """A COBOL program compiled once; `run` executes it on one input vector."""
+
+    def __init__(self, ast: n.CobolAst):
+        self.cells = build_environment(ast.data_items)
+        self._initial = [(cell, cell.value) for cell in self.cells.values()]
         self.budget = Budget()
-        self.trace = Trace()
-        self.depth = 0
+        self.inputs: deque = deque()
+        self._state = _State()
+        self._index = {p.name: i for i, p in enumerate(ast.paragraphs)}
+        self._paragraphs = [self._block(p.body) for p in ast.paragraphs]
+
+    def run(self, inputs) -> Trace:
+        """One run from a fresh state; never raises."""
+        for cell, value in self._initial:
+            cell.value = value
+        self.budget.left = MAX_STEPS
+        self.inputs.clear()
+        self.inputs.extend(inputs)
+        state = self._state
+        state.depth = 0
+        trace = state.trace = Trace()
+        paragraphs = state.paragraphs = self._paragraphs
+        try:
+            cursor = 0
+            while cursor < len(paragraphs):
+                try:
+                    paragraphs[cursor]()
+                except _Goto as jump:
+                    cursor = jump.target
+                    continue
+                cursor += 1
+                if cursor < len(paragraphs):
+                    # Falling through to the next paragraph costs one step, the
+                    # same as the explicit follow-on call a translation makes.
+                    self.budget.tick()
+            trace.outcome = HALTED
+        except _Stop:
+            trace.outcome = HALTED
+        except StepLimitExceeded:
+            trace.outcome = STEP_LIMIT
+        except ExecError as exc:
+            trace.outcome = runtime_error(exc.reason)
+        finally:
+            state.paragraphs = state.trace = None
+        return trace
 
     # -- values --------------------------------------------------------------
 
-    def read(self, name: str):
-        cell = self.env.get(name)
-        if cell is None:
-            raise ExecError(f"undefined variable {name}")
-        return cell.value
-
-    def assign(self, name: str, value) -> None:
-        cell = self.env.get(name)
-        if cell is None:
-            raise ExecError(f"undefined variable {name}")
-        store(cell, value)
-
-    def expr(self, e: n.Expr):
+    def _expr(self, e: n.Expr) -> Thunk:
         if isinstance(e, (n.NumLit, n.StrLit)):
-            return e.value
+            value = e.value
+            return lambda: value
         if isinstance(e, n.VarRef):
-            return self.read(e.name)
-        return arith(e.op, self.expr(e.left), self.expr(e.right))
+            cell = self.cells.get(e.name)
+            if cell is None:
+                return _fail(f"undefined variable {e.name}")
+            return lambda: cell.value
+        return _binop(e.op, self._expr(e.left), self._expr(e.right))
 
-    def cond(self, c: n.Cond) -> bool:
+    def _cond(self, c: n.Cond) -> Thunk:
+        if isinstance(c, n.NotCond) and isinstance(c.inner, n.Comparison):
+            c = n.Comparison(COMPLEMENT[c.inner.op], c.inner.left, c.inner.right)
         if isinstance(c, n.Comparison):
-            return compare(c.op, self.expr(c.left), self.expr(c.right))
+            if isinstance(c.right, n.NumLit):
+                cell = self.cells.get(c.left.name) if isinstance(c.left, n.VarRef) else None
+                return _against_int(c.op, cell or self._expr(c.left), c.right.value)
+            return _comparison(c.op, self._expr(c.left), self._expr(c.right))
         if isinstance(c, n.NotCond):
-            return not self.cond(c.inner)
+            inner = self._cond(c.inner)
+            return lambda: not inner()
+        left, right = self._cond(c.left), self._cond(c.right)
         if isinstance(c, n.AndCond):
-            return self.cond(c.left) and self.cond(c.right)
-        return self.cond(c.left) or self.cond(c.right)
+            return lambda: left() and right()
+        return lambda: left() or right()
+
+    def _assign(self, name: str, value: Thunk) -> Thunk:
+        """Store into `name`; the value is computed before the name is
+        looked up, so its own errors come first."""
+        cell = self.cells.get(name)
+        if cell is None:
+            fail = _fail(f"undefined variable {name}")
+
+            def undefined():
+                value()
+                fail()
+
+            return undefined
+        if not cell.numeric:
+            return lambda: store(cell, value())
+
+        def assign():
+            got = value()
+            cell.value = got if type(got) is int else to_num(got)
+
+        return assign
+
+    def _assign_expr(self, name: str, e: n.Expr) -> Thunk:
+        """Store the value of `e` into `name`. A literal goes through the
+        store rule once, here, unless that fails: then the error waits
+        until the statement runs."""
+        cell = self.cells.get(name)
+        if cell is not None and isinstance(e, (n.NumLit, n.StrLit)):
+            probe = Cell(cell.numeric, cell.width, cell.value)
+            try:
+                store(probe, e.value)
+            except ExecError:
+                pass
+            else:
+                stored = probe.value
+
+                def assign_literal():
+                    cell.value = stored
+
+                return assign_literal
+        return self._assign(name, self._expr(e))
 
     # -- control -------------------------------------------------------------
 
-    def perform(self, target: str) -> None:
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            raise ExecError("call depth exceeded")
-        try:
-            self.body(self.paragraphs[self.para_index[target]].body)
-        finally:
-            self.depth -= 1
+    def _block(self, stmts: Iterable[n.Stmt]) -> Thunk:
+        return self._sequence([self._stmt(s) for s in stmts])
 
-    def body(self, stmts: list[n.Stmt]) -> None:
-        for stmt in stmts:
-            self.stmt(stmt)
+    def _sequence(self, steps: list[Thunk]) -> Thunk:
+        """Run the statements in order, one step each."""
+        if not steps:
+            return _nothing
+        budget = self.budget
+        steps = tuple(steps)
 
-    def stmt(self, s: n.Stmt) -> None:
-        self.budget.tick()
-        kind = s.kind
-        if kind is n.NodeKind.MOVE:
-            self.assign(s.dst, self.expr(s.src))
-        elif kind is n.NodeKind.COMPUTE:
-            self.assign(s.dst, self.expr(s.expr))
-        elif kind is n.NodeKind.ARITH:
-            value = arith(_ARITH_SYMBOL[s.op], self.expr(s.b), self.expr(s.a))
-            self.assign(s.giving if s.giving else s.b.name, value)
-        elif kind is n.NodeKind.IF:
-            self.body(s.then_body if self.cond(s.cond) else s.else_body)
-        elif kind is n.NodeKind.EVALUATE:
-            self.evaluate(s)
-        elif kind is n.NodeKind.PERFORM_PARA:
-            self.perform(s.target)
-        elif kind is n.NodeKind.PERFORM_TIMES:
-            # Counted loops behave like a countdown for-loop, so the exit
-            # test that fails on the way out costs a step too (checks run
-            # count + 1 times, not count times).
-            remaining = max(to_num(self.expr(s.count)), 0)
-            while True:
-                self.budget.tick()
-                if remaining == 0:
-                    break
-                remaining -= 1
-                if s.target is not None:
-                    # A counted paragraph perform costs one extra step per
-                    # pass: the call itself, same as a loop around a call.
-                    self.budget.tick()
-                    self.perform(s.target)
-                else:
-                    self.body(s.body)
-        elif kind is n.NodeKind.PERFORM_UNTIL:
-            while True:
-                self.budget.tick()
-                if self.cond(s.cond):
-                    break
-                self.body(s.body)
-        elif kind is n.NodeKind.PERFORM_VARYING:
-            self.assign(s.var, self.expr(s.from_))
-            while True:
-                self.budget.tick()
-                if self.cond(s.until):
-                    break
-                self.body(s.body)
-                self.assign(s.var, arith("+", self.read(s.var), self.expr(s.by)))
-        elif kind is n.NodeKind.DISPLAY:
-            line = "".join(to_str(self.expr(a)) for a in s.args)
-            self.trace.display_lines.append(line)
-        elif kind is n.NodeKind.ACCEPT:
-            self.assign(s.target, pop_input(self.inputs))
-        elif kind is n.NodeKind.CALL:
-            values = tuple(self.read(name) for name in s.using)
-            self.trace.call_events.append((s.program, values))
-        elif kind is n.NodeKind.GOTO:
-            if s.target not in self.para_index:
-                raise ExecError(f"unknown paragraph {s.target}")
-            raise _Goto(s.target)
-        elif kind is n.NodeKind.STOP_RUN:
-            raise _Stop()
-        else:
-            raise TypeError(f"unknown statement {s!r}")
+        def sequence():
+            for step in steps:
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                step()
 
-    def evaluate(self, s: n.Evaluate) -> None:
-        subject = self.expr(s.subject)
-        for arm in s.arms:
-            if compare("=", subject, arm.value.value):
-                self.body(list(arm.body))
-                return
-        if s.other is not None:
-            self.body(s.other)
+        return sequence
 
+    def _perform(self, target: str) -> Thunk:
+        index = self._index.get(target)
+        if index is None:
+            return _fail(f"unknown paragraph {target}")
+        state = self._state
 
-def interpret_cobol(ast: n.CobolAst, inputs) -> Trace:
-    """Run the program against an input queue; never raises."""
-    machine = _Machine(ast, inputs)
-    trace = machine.trace
-    try:
-        cursor = 0
-        while cursor < len(machine.paragraphs):
+        def perform():
+            state.depth += 1
+            if state.depth > MAX_CALL_DEPTH:
+                raise ExecError("call depth exceeded")
             try:
-                machine.body(machine.paragraphs[cursor].body)
-            except _Goto as jump:
-                cursor = machine.para_index[jump.target]
-                continue
-            cursor += 1
-            if cursor < len(machine.paragraphs):
-                # Falling through to the next paragraph costs one step, the
-                # same as the explicit follow-on call a translation makes.
-                machine.budget.tick()
-        trace.outcome = HALTED
-    except _Stop:
-        trace.outcome = HALTED
-    except StepLimitExceeded:
-        trace.outcome = STEP_LIMIT
-    except ExecError as exc:
-        trace.outcome = runtime_error(exc.reason)
-    return trace
+                state.paragraphs[index]()
+            finally:
+                state.depth -= 1
+
+        return perform
+
+    def _stmt(self, s: n.Stmt) -> Thunk:
+        kind = s.kind
+        budget = self.budget
+        state = self._state
+        if kind is n.NodeKind.MOVE:
+            return self._assign_expr(s.dst, s.src)
+        if kind is n.NodeKind.COMPUTE:
+            return self._assign_expr(s.dst, s.expr)
+        if kind is n.NodeKind.ARITH:
+            value = _binop(_ARITH_SYMBOL[s.op], self._expr(s.b), self._expr(s.a))
+            return self._assign(s.giving if s.giving else s.b.name, value)
+        if kind is n.NodeKind.IF:
+            test = self._cond(s.cond)
+            then_body, else_body = self._block(s.then_body), self._block(s.else_body)
+
+            def if_():
+                if test():
+                    then_body()
+                else:
+                    else_body()
+
+            return if_
+        if kind is n.NodeKind.EVALUATE:
+            subject = self._expr(s.subject)
+            arms = tuple((arm.value.value, self._block(arm.body)) for arm in s.arms)
+            other = self._block(s.other or ())
+
+            def evaluate():
+                value = subject()
+                for match, body in arms:
+                    if compare("=", value, match):
+                        body()
+                        return
+                other()
+
+            return evaluate
+        if kind is n.NodeKind.PERFORM_PARA:
+            return self._perform(s.target)
+        if kind is n.NodeKind.PERFORM_TIMES:
+            count = self._expr(s.count)
+            # A counted paragraph perform costs one extra step per pass: the
+            # call itself, same as a loop around a call.
+            body = (self._sequence([self._perform(s.target)]) if s.target is not None
+                    else self._block(s.body))
+
+            def times():
+                # Counted loops behave like a countdown for-loop, so the exit
+                # test that fails on the way out costs a step too (checks run
+                # count + 1 times, not count times).
+                remaining = max(to_num(count()), 0)
+                while True:
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if remaining == 0:
+                        break
+                    remaining -= 1
+                    body()
+
+            return times
+        if kind is n.NodeKind.PERFORM_UNTIL:
+            test, body = self._cond(s.cond), self._block(s.body)
+
+            def until():
+                while True:
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if test():
+                        break
+                    body()
+
+            return until
+        if kind is n.NodeKind.PERFORM_VARYING:
+            start = self._assign_expr(s.var, s.from_)
+            step = self._assign(s.var, _binop("+", self._expr(n.VarRef(s.var)),
+                                              self._expr(s.by)))
+            test, body = self._cond(s.until), self._block(s.body)
+
+            def varying():
+                start()
+                while True:
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if test():
+                        break
+                    body()
+                    step()
+
+            return varying
+        if kind is n.NodeKind.DISPLAY:
+            args = tuple(self._expr(a) for a in s.args)
+
+            def display():
+                line = "".join([to_str(arg()) for arg in args])
+                state.trace.display_lines.append(line)
+
+            return display
+        if kind is n.NodeKind.ACCEPT:
+            inputs = self.inputs
+            return self._assign(s.target, lambda: pop_input(inputs))
+        if kind is n.NodeKind.CALL:
+            program = s.program
+            using = tuple(self._expr(n.VarRef(name)) for name in s.using)
+
+            def call():
+                values = tuple([read() for read in using])
+                state.trace.call_events.append((program, values))
+
+            return call
+        if kind is n.NodeKind.GOTO:
+            index = self._index.get(s.target)
+            if index is None:
+                return _fail(f"unknown paragraph {s.target}")
+
+            def goto():
+                raise _Goto(index)
+
+            return goto
+        if kind is n.NodeKind.STOP_RUN:
+            def stop():
+                raise _Stop()
+
+            return stop
+        raise TypeError(f"unknown statement {s!r}")
+
+
+def compile_cobol(ast: n.CobolAst) -> CobolProgram:
+    """Compile once; run the result on as many input vectors as needed."""
+    return CobolProgram(ast)
+
+
+def interpret_cobol(program: CobolProgram | n.CobolAst, inputs) -> Trace:
+    """Run a compiled program, or an AST compiled on the spot, against an
+    input queue; never raises."""
+    if not isinstance(program, CobolProgram):
+        program = compile_cobol(program)
+    return program.run(inputs)

@@ -1,4 +1,13 @@
-"""Interpreter for the emitted Java subset.
+"""Interpreter for the emitted Java subset, compiled to closures.
+
+`compile_java` turns a class into Python closures once (closure
+compilation, Feeley & Lapalme 1987): each statement, expression and
+condition picks its dispatch at compile time, each name resolves to a
+field cell or to a parameter's slot in the method's frame, and each call
+to a method of the class resolves to that method. The compiled class then
+runs once per input vector, and every run starts from a fresh state:
+initial field values, a full step budget, call depth 0, a new input queue
+and a new trace.
 
 Executes run() with the same value semantics as the COBOL interpreter.
 `return` halts the whole program (it stands for STOP RUN in translated
@@ -6,15 +15,25 @@ code; paragraph fall-through is modeled by explicit calls, so a plain
 method-end return never appears). External stub calls are recorded as
 events under their original program names; builtins in/num/fit/str carry
 the width and parse rules that the emitter baked into the source.
+
+Errors stay lazy: an undefined name, an unknown method or a builtin call
+with the wrong number of arguments compiles to a closure that ends the
+run when it is reached, so a branch never taken never fails.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable, Iterable
 
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
+    COMPARE_OPS,
+    COMPLEMENT,
+    I64_MAX,
+    I64_MIN,
     MAX_CALL_DEPTH,
+    MAX_STEPS,
     Budget,
     Cell,
     ExecError,
@@ -35,6 +54,13 @@ from relicforge.evaluate.values import (
 )
 from relicforge.transpile import jnodes as j
 
+# A compiled expression or statement takes the running method's frame: one
+# cell per parameter, in declaration order.
+Frame = list[Cell]
+Code = Callable[[Frame], object]
+
+_ARITY = {"in": 0, "num": 1, "fit": 2, "str": 1}
+
 
 class _Stop(Exception):
     pass
@@ -51,176 +77,408 @@ def _field_cell(field: j.JField) -> Cell:
     return str_cell(field.width, raw)
 
 
-class _Machine:
-    def __init__(self, jast: j.JavaAst, inputs):
+def _fail(reason: str, args: tuple[Code, ...] = ()) -> Code:
+    """End the run with `reason`, after evaluating `args` as a call would."""
+
+    def fail(frame):
+        for arg in args:
+            arg(frame)
+        raise ExecError(reason)
+
+    return fail
+
+
+def _nothing(frame) -> None:
+    pass
+
+
+def _always(frame) -> bool:
+    return True
+
+
+def _binop(op: str, left: Code, right: Code) -> Code:
+    """`arith` on the operands, with int + int in range done inline."""
+    if op != "+":
+        return lambda frame: arith(op, left(frame), right(frame))
+
+    def add(frame):
+        a = left(frame)
+        b = right(frame)
+        if type(a) is int and type(b) is int:
+            total = a + b
+            if I64_MIN <= total <= I64_MAX:
+                return total
+        return arith("+", a, b)
+
+    return add
+
+
+def _comparison(op: str, left: Code, right: Code) -> Code:
+    """`compare` on the operands, with int against int done inline."""
+    test = COMPARE_OPS[op]
+
+    def comparison(frame):
+        a = left(frame)
+        b = right(frame)
+        if type(a) is int and type(b) is int:
+            return test(a, b)
+        return compare(op, a, b)
+
+    return comparison
+
+
+def _against_int(op: str, left: Code | Cell, right: int) -> Code:
+    """`_comparison` with an int literal on the right; a field on the
+    left comes as its cell."""
+    test = COMPARE_OPS[op]
+    if isinstance(left, Cell):
+        def cell_against_int(frame):
+            a = left.value
+            if type(a) is int:
+                return test(a, right)
+            return compare(op, a, right)
+
+        return cell_against_int
+
+    def against_int(frame):
+        a = left(frame)
+        if type(a) is int:
+            return test(a, right)
+        return compare(op, a, right)
+
+    return against_int
+
+
+class _State:
+    """What the closures change during a run. The method table is set only
+    while a run is in progress, so a program at rest holds no reference
+    cycle and is freed as soon as its last reference goes."""
+
+    __slots__ = ("depth", "trace", "methods")
+
+
+class JavaProgram:
+    """A Java class compiled once; `run` executes its run() on one input vector."""
+
+    def __init__(self, jast: j.JavaAst):
         self.fields = {f.name: _field_cell(f) for f in jast.fields}
-        self.methods = {m.name: m for m in jast.methods}
-        self.inputs = deque(inputs)
+        self._initial = [(cell, cell.value) for cell in self.fields.values()]
         self.budget = Budget()
-        self.trace = Trace()
-        self.depth = 0
+        self.inputs: deque = deque()
+        self._state = _State()
+        declared = {m.name: m for m in jast.methods}
+        self._declared = set(declared)
+        self._methods = {name: self._method(m) for name, m in declared.items()}
+
+    def run(self, inputs) -> Trace:
+        """One run from a fresh state; never raises."""
+        for cell, value in self._initial:
+            cell.value = value
+        self.budget.left = MAX_STEPS
+        self.inputs.clear()
+        self.inputs.extend(inputs)
+        state = self._state
+        state.depth = 0
+        trace = state.trace = Trace()
+        state.methods = self._methods
+        try:
+            entry = self._methods.get("run")
+            if entry is None:
+                raise ExecError("no run method")
+            entry([])
+            trace.outcome = HALTED
+        except _Stop:
+            trace.outcome = HALTED
+        except StepLimitExceeded:
+            trace.outcome = STEP_LIMIT
+        except ExecError as exc:
+            trace.outcome = runtime_error(exc.reason)
+        finally:
+            state.methods = state.trace = None
+        return trace
 
     # -- values --------------------------------------------------------------
 
-    def _cell(self, name: str, frame: dict[str, Cell]) -> Cell:
-        cell = frame.get(name) or self.fields.get(name)
-        if cell is None:
-            raise ExecError(f"undefined variable {name}")
-        return cell
+    def _cell(self, name: str, slots: dict[str, int]) -> int | Cell | None:
+        """A parameter's frame slot, else a field's cell, else None."""
+        slot = slots.get(name)
+        return slot if slot is not None else self.fields.get(name)
 
-    def expr(self, e, frame: dict[str, Cell]):
+    def _expr(self, e, slots: dict[str, int]) -> Code:
         if isinstance(e, (n.NumLit, n.StrLit)):
-            return e.value
+            value = e.value
+            return lambda frame: value
         if isinstance(e, n.VarRef):
-            return self._cell(e.name, frame).value
+            where = self._cell(e.name, slots)
+            if where is None:
+                return _fail(f"undefined variable {e.name}")
+            if isinstance(where, int):
+                return lambda frame: frame[where].value
+            return lambda frame: where.value
         if isinstance(e, n.BinOp):
-            return arith(e.op, self.expr(e.left, frame), self.expr(e.right, frame))
+            return _binop(e.op, self._expr(e.left, slots), self._expr(e.right, slots))
         if isinstance(e, j.JCall):
-            return self.builtin(e.name, [self.expr(a, frame) for a in e.args])
+            return self._builtin(e.name, tuple(self._expr(a, slots) for a in e.args))
         raise TypeError(f"unknown expression {e!r}")
 
-    def builtin(self, name: str, args: list):
-        arity = {"in": 0, "num": 1, "fit": 2, "str": 1}.get(name)
+    def _builtin(self, name: str, args: tuple[Code, ...]) -> Code:
+        arity = _ARITY.get(name)
         if arity is None:
-            raise ExecError(f"{name} is not a value function")
+            return _fail(f"{name} is not a value function", args)
         if len(args) != arity:
-            raise ExecError(f"wrong number of arguments to {name}")
+            return _fail(f"wrong number of arguments to {name}", args)
         if name == "in":
-            return pop_input(self.inputs)
+            inputs = self.inputs
+            return lambda frame: pop_input(inputs)
         if name == "num":
-            return to_num(args[0])
+            (value,) = args
+            return lambda frame: to_num(value(frame))
         if name == "fit":
-            return fit(to_str(args[0]), to_num(args[1]))
-        return to_str(args[0])
+            value, width = args
+            return lambda frame: fit(to_str(value(frame)), to_num(width(frame)))
+        (value,) = args
+        return lambda frame: to_str(value(frame))
 
-    def cond(self, c: n.Cond, frame: dict[str, Cell]) -> bool:
+    def _cond(self, c: n.Cond, slots: dict[str, int]) -> Code:
+        if isinstance(c, n.NotCond) and isinstance(c.inner, n.Comparison):
+            c = n.Comparison(COMPLEMENT[c.inner.op], c.inner.left, c.inner.right)
         if isinstance(c, n.Comparison):
-            return compare(c.op, self.expr(c.left, frame), self.expr(c.right, frame))
+            if isinstance(c.right, n.NumLit):
+                where = self._cell(c.left.name, slots) if isinstance(c.left, n.VarRef) else None
+                left = where if isinstance(where, Cell) else self._expr(c.left, slots)
+                return _against_int(c.op, left, c.right.value)
+            return _comparison(c.op, self._expr(c.left, slots), self._expr(c.right, slots))
         if isinstance(c, n.NotCond):
-            return not self.cond(c.inner, frame)
+            inner = self._cond(c.inner, slots)
+            return lambda frame: not inner(frame)
+        left, right = self._cond(c.left, slots), self._cond(c.right, slots)
         if isinstance(c, n.AndCond):
-            return self.cond(c.left, frame) and self.cond(c.right, frame)
-        return self.cond(c.left, frame) or self.cond(c.right, frame)
+            return lambda frame: left(frame) and right(frame)
+        return lambda frame: left(frame) or right(frame)
 
     # -- control -------------------------------------------------------------
 
-    def call(self, method: j.JMethod, args: list) -> None:
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            raise ExecError("call depth exceeded")
-        if len(args) != len(method.params):
-            raise ExecError(f"wrong number of arguments to {method.name}")
-        frame: dict[str, Cell] = {}
-        for param, value in zip(method.params, args):
-            cell = num_cell()
-            store(cell, value)
-            frame[param] = cell
-        try:
-            self.body(method.body, frame)
-        except _Break:
-            raise ExecError("break outside loop or switch") from None
-        finally:
-            self.depth -= 1
+    def _method(self, method: j.JMethod) -> Callable[[list], None]:
+        """Call with argument values: a new frame, the body, depth +1."""
+        name, count = method.name, len(method.params)
+        # A repeated parameter name reads the last slot, as a dict would.
+        body = self._block(method.body, {p: i for i, p in enumerate(method.params)})
+        state = self._state
 
-    def body(self, stmts, frame: dict[str, Cell]) -> None:
-        for stmt in stmts:
-            self.stmt(stmt, frame)
+        def call(args):
+            state.depth += 1
+            if state.depth > MAX_CALL_DEPTH:
+                raise ExecError("call depth exceeded")
+            if len(args) != count:
+                raise ExecError(f"wrong number of arguments to {name}")
+            frame = []
+            for value in args:
+                cell = num_cell()
+                store(cell, value)
+                frame.append(cell)
+            try:
+                body(frame)
+            except _Break:
+                raise ExecError("break outside loop or switch") from None
+            finally:
+                state.depth -= 1
 
-    def run_assign(self, a: j.Assign, frame: dict[str, Cell]) -> None:
-        store(self._cell(a.target, frame), self.expr(a.expr, frame))
+        return call
 
-    def stmt(self, s, frame: dict[str, Cell]) -> None:
-        self.budget.tick()
+    def _block(self, stmts: Iterable, slots: dict[str, int]) -> Code:
+        """Run the statements in order, one step each."""
+        steps = tuple(self._stmt(s, slots) for s in stmts)
+        if not steps:
+            return _nothing
+        budget = self.budget
+
+        def block(frame):
+            for step in steps:
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                step(frame)
+
+        return block
+
+    def _assign(self, a: j.Assign, slots: dict[str, int]) -> Code:
+        """The target is looked up before the value is computed, so an
+        undefined target fails first."""
+        where = self._cell(a.target, slots)
+        if where is None:
+            return _fail(f"undefined variable {a.target}")
+        if isinstance(where, Cell) and isinstance(a.expr, (n.NumLit, n.StrLit)):
+            # A literal goes through the store rule once, here, unless that
+            # fails: then the error waits until the statement runs.
+            probe = Cell(where.numeric, where.width, where.value)
+            try:
+                store(probe, a.expr.value)
+            except ExecError:
+                pass
+            else:
+                stored = probe.value
+
+                def assign_literal(frame):
+                    where.value = stored
+
+                return assign_literal
+        value = self._expr(a.expr, slots)
+        if isinstance(where, int):
+            return lambda frame: store(frame[where], value(frame))
+        if not where.numeric:
+            return lambda frame: store(where, value(frame))
+
+        def assign(frame):
+            got = value(frame)
+            where.value = got if type(got) is int else to_num(got)
+
+        return assign
+
+    def _stmt(self, s, slots: dict[str, int]) -> Code:
         kind = s.kind
+        budget = self.budget
+        state = self._state
         if kind is j.JKind.ASSIGN:
-            self.run_assign(s, frame)
-        elif kind is j.JKind.EXPR_STMT:
-            self.expr(s.expr, frame)
-        elif kind is j.JKind.IF_ELSE:
-            self.body(s.then_body if self.cond(s.cond, frame) else s.else_body, frame)
-        elif kind is j.JKind.WHILE:
-            while True:
-                self.budget.tick()
-                if not self.cond(s.cond, frame):
-                    break
-                try:
-                    self.body(s.body, frame)
-                except _Break:
-                    break
-        elif kind is j.JKind.DO_WHILE:
-            while True:
-                try:
-                    self.body(s.body, frame)
-                except _Break:
-                    break
-                self.budget.tick()
-                if not self.cond(s.cond, frame):
-                    break
-        elif kind is j.JKind.FOR:
-            if s.init is not None:
-                self.run_assign(s.init, frame)
-            while True:
-                self.budget.tick()
-                if s.cond is not None and not self.cond(s.cond, frame):
-                    break
-                try:
-                    self.body(s.body, frame)
-                except _Break:
-                    break
-                if s.update is not None:
-                    self.run_assign(s.update, frame)
-        elif kind is j.JKind.SWITCH:
-            self.switch(s, frame)
-        elif kind is j.JKind.METHOD_CALL:
-            self.method_call(s, frame)
-        elif kind is j.JKind.PRINT:
-            line = "".join(to_str(self.expr(a, frame)) for a in s.args)
-            self.trace.display_lines.append(line)
-        elif kind is j.JKind.RETURN:
-            raise _Stop()
-        elif kind is j.JKind.BREAK:
-            raise _Break()
-        else:
-            raise TypeError(f"unknown statement {s!r}")
+            return self._assign(s, slots)
+        if kind is j.JKind.EXPR_STMT:
+            return self._expr(s.expr, slots)
+        if kind is j.JKind.IF_ELSE:
+            test = self._cond(s.cond, slots)
+            then_body = self._block(s.then_body, slots)
+            else_body = self._block(s.else_body, slots)
 
-    def switch(self, s: j.Switch, frame: dict[str, Cell]) -> None:
-        subject = self.expr(s.subject, frame)
-        body = list(s.default) if s.default is not None else []
-        for case in s.cases:
-            if compare("=", subject, case.value.value):
-                body = list(case.body)
-                break
-        try:
-            self.body(body, frame)
-        except _Break:
-            pass
+            def if_else(frame):
+                if test(frame):
+                    then_body(frame)
+                else:
+                    else_body(frame)
 
-    def method_call(self, s: j.MethodCall, frame: dict[str, Cell]) -> None:
-        args = [self.expr(a, frame) for a in s.args]
+            return if_else
+        if kind is j.JKind.WHILE:
+            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
+
+            def while_(frame):
+                while True:
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if not test(frame):
+                        break
+                    try:
+                        body(frame)
+                    except _Break:
+                        break
+
+            return while_
+        if kind is j.JKind.DO_WHILE:
+            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
+
+            def do_while(frame):
+                while True:
+                    try:
+                        body(frame)
+                    except _Break:
+                        break
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if not test(frame):
+                        break
+
+            return do_while
+        if kind is j.JKind.FOR:
+            init = self._assign(s.init, slots) if s.init is not None else _nothing
+            test = self._cond(s.cond, slots) if s.cond is not None else _always
+            update = self._assign(s.update, slots) if s.update is not None else _nothing
+            body = self._block(s.body, slots)
+
+            def for_(frame):
+                init(frame)
+                while True:
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise StepLimitExceeded()
+                    if not test(frame):
+                        break
+                    try:
+                        body(frame)
+                    except _Break:
+                        break
+                    update(frame)
+
+            return for_
+        if kind is j.JKind.SWITCH:
+            subject = self._expr(s.subject, slots)
+            cases = tuple((case.value.value, self._block(case.body, slots)) for case in s.cases)
+            default = self._block(s.default or (), slots)
+
+            def switch(frame):
+                value = subject(frame)
+                body = default
+                for match, case_body in cases:
+                    if compare("=", value, match):
+                        body = case_body
+                        break
+                try:
+                    body(frame)
+                except _Break:
+                    pass
+
+            return switch
+        if kind is j.JKind.METHOD_CALL:
+            return self._method_call(s, slots)
+        if kind is j.JKind.PRINT:
+            args = tuple(self._expr(a, slots) for a in s.args)
+
+            def print_(frame):
+                line = "".join([to_str(arg(frame)) for arg in args])
+                state.trace.display_lines.append(line)
+
+            return print_
+        if kind is j.JKind.RETURN:
+            def return_(frame):
+                raise _Stop()
+
+            return return_
+        if kind is j.JKind.BREAK:
+            def break_(frame):
+                raise _Break()
+
+            return break_
+        raise TypeError(f"unknown statement {s!r}")
+
+    def _method_call(self, s: j.MethodCall, slots: dict[str, int]) -> Code:
+        """Arguments are evaluated first, whatever the call turns out to be."""
+        args = tuple(self._expr(a, slots) for a in s.args)
+        state = self._state
         if s.external_name is not None:
-            self.trace.call_events.append((s.external_name, tuple(args)))
-        elif s.name in self.methods:
-            self.call(self.methods[s.name], args)
-        elif s.name in j.BUILTINS:
-            self.builtin(s.name, args)
-        else:
-            raise ExecError(f"unknown method {s.name}")
+            program = s.external_name
+
+            def external(frame):
+                values = tuple([arg(frame) for arg in args])
+                state.trace.call_events.append((program, values))
+
+            return external
+        if s.name in self._declared:
+            name = s.name
+
+            def call(frame):
+                state.methods[name]([arg(frame) for arg in args])
+
+            return call
+        if s.name in j.BUILTINS:
+            return self._builtin(s.name, args)
+        return _fail(f"unknown method {s.name}", args)
 
 
-def interpret_java(jast: j.JavaAst, inputs) -> Trace:
-    """Run the class's run() against an input queue; never raises."""
-    machine = _Machine(jast, inputs)
-    trace = machine.trace
-    try:
-        entry = machine.methods.get("run")
-        if entry is None:
-            raise ExecError("no run method")
-        machine.call(entry, [])
-        trace.outcome = HALTED
-    except _Stop:
-        trace.outcome = HALTED
-    except StepLimitExceeded:
-        trace.outcome = STEP_LIMIT
-    except ExecError as exc:
-        trace.outcome = runtime_error(exc.reason)
-    return trace
+def compile_java(jast: j.JavaAst) -> JavaProgram:
+    """Compile once; run the result on as many input vectors as needed."""
+    return JavaProgram(jast)
+
+
+def interpret_java(program: JavaProgram | j.JavaAst, inputs) -> Trace:
+    """Run a compiled class's run(), or an AST compiled on the spot, against
+    an input queue; never raises."""
+    if not isinstance(program, JavaProgram):
+        program = compile_java(program)
+    return program.run(inputs)

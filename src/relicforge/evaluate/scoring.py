@@ -16,10 +16,10 @@ from pathlib import Path
 
 from relicforge.analysis import measure
 from relicforge.cobol import nodes as n
-from relicforge.corpus import CorpusManifest, Record, Split, load_ast
+from relicforge.corpus import CorpusConfig, CorpusManifest, Record, Split, load_ast
 from relicforge.errors import EvalError, ParseFailure
-from relicforge.evaluate.cobol_interp import interpret_cobol
-from relicforge.evaluate.java_interp import interpret_java
+from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
+from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.values import Trace
 from relicforge.transpile import (
     Action,
@@ -102,14 +102,17 @@ def score_file(
 ) -> dict:
     """{correct, reason} for one source/translation pair.
 
+    Each side is compiled once and then run on every vector of the input
+    battery; the compiled programs are dropped when this call returns.
     Files containing GO TO are judged on behavior alone: the structure
     already diverged by construction, so label agreement is waived when
     the traces still line up.
     """
     fid = file_id if file_id is not None else ast.program_id
+    cobol, java = compile_cobol(ast), compile_java(jast)
     for vector in input_battery(fid, seed):
         ok, reason = traces_match(
-            interpret_cobol(ast, vector), interpret_java(jast, vector)
+            interpret_cobol(cobol, vector), interpret_java(java, vector)
         )
         if not ok:
             return {"correct": False, "reason": reason}
@@ -262,12 +265,13 @@ def _external_translator(root: Path):
     return run
 
 
-def _score_records(records, translate, root: Path, seed: int, approach: str):
+def _score_records(records, translate, root: Path, seed: int, approach: str,
+                   config: CorpusConfig):
     rows: list[FileScore] = []
     pairs: list[dict] = []
     fallback_count = 0
     for record in records:
-        ast, _verdict = load_ast(root, record)
+        ast, _verdict = load_ast(root, record, config)
         if ast is None:
             rows.append(FileScore(record.id, False, "source failed to parse",
                                   None, None, None, None))
@@ -309,15 +313,17 @@ def _resolve_manifest(manifest, root) -> tuple[CorpusManifest, Path]:
     return manifest, Path(root) if root is not None else Path(".")
 
 
-def build_training_set(root: Path | str, records) -> list:
+def build_training_set(root: Path | str, records,
+                       config: CorpusConfig = CorpusConfig()) -> list:
     """TrainSamples for the given records: oracle labels where sidecars
-    exist, default rule labels otherwise."""
+    exist, default rule labels otherwise. `config` must be the one the
+    corpus was curated with, so each file is read in its source format."""
     from relicforge.model import sample_from_ast
 
     root = Path(root)
     samples = []
     for record in records:
-        ast, _verdict = load_ast(root, record)
+        ast, _verdict = load_ast(root, record, config)
         if ast is None:
             continue
         labels = None
@@ -337,8 +343,11 @@ def run_evaluation(
     tau: float = DEFAULT_TAU,
     per_fold: bool = False,
     external_name: str = "manual",
+    config: CorpusConfig = CorpusConfig(),
 ) -> tuple[EvalSummary, list[FileScore], list[dict]]:
-    """Full evaluation: summary plus per-file rows and AST pairs for reports."""
+    """Full evaluation: summary plus per-file rows and AST pairs for reports.
+    `config` must be the one the corpus was curated with, so each source is
+    read in its format."""
     manifest, root = _resolve_manifest(manifest, root)
     kind = str(approach).strip().lower()
     if kind not in ("rules", "ai", "external"):
@@ -372,15 +381,16 @@ def run_evaluation(
     if not test:
         raise EvalError("Test split is empty")
 
-    summary, rows, pairs = _score_records(test, translator_for(), root, seed, label)
+    summary, rows, pairs = _score_records(test, translator_for(), root, seed, label, config)
     if per_fold:
         summary.per_fold = _fold_summaries(
-            manifest, kind, root, seed, tau, ckpt, label, translator_for
+            manifest, kind, root, seed, tau, ckpt, label, translator_for, config
         )
     return summary, rows, pairs
 
 
-def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for):
+def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for,
+                    config: CorpusConfig):
     """Cross-validation view over the Train split's round-robin folds. The
     Ai approach retrains per fold on the other folds with the checkpoint's
     own config; the other approaches just score each fold."""
@@ -398,9 +408,9 @@ def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for
             from relicforge.model import train as train_model
 
             rest = [r for r in train if r.fold != fold]
-            dataset = build_training_set(root, rest)
+            dataset = build_training_set(root, rest, config)
             translate = translator_for(train_model(dataset, ckpt.config))
-        sub, _, _ = _score_records(records, translate, root, seed, label)
+        sub, _, _ = _score_records(records, translate, root, seed, label, config)
         subs.append(sub)
     return subs
 

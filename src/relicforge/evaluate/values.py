@@ -36,7 +36,8 @@ class StepLimitExceeded(Exception):
 
 
 class Budget:
-    """Step allowance shared by one whole run, calls included."""
+    """Step allowance shared by one whole run, calls included. The
+    interpreters' hot closures do what `tick` does inline on `left`."""
 
     def __init__(self, limit: int = MAX_STEPS):
         self.left = limit
@@ -74,7 +75,9 @@ def fit(value: str, width: int) -> str:
     return value[:width] if len(value) >= width else value + " " * (width - len(value))
 
 
-_COMPARE_OPS = {
+# The operators of `compare`; the interpreters apply them directly when
+# both sides are ints.
+COMPARE_OPS = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -82,6 +85,11 @@ _COMPARE_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+
+# NOT (a op b) is (a COMPLEMENT[op] b): ints and equal-width strings are
+# totally ordered, and a mixed comparison fails whatever the operator.
+COMPLEMENT = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 def compare(op: str, a: Value, b: Value) -> bool:
@@ -94,7 +102,7 @@ def compare(op: str, a: Value, b: Value) -> bool:
         b = fit(b, width)
     else:
         raise ExecError("comparison between numeric and string values")
-    return _COMPARE_OPS[op](a, b)
+    return COMPARE_OPS[op](a, b)
 
 
 def arith(op: str, a: Value, b: Value) -> int:

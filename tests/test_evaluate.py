@@ -7,7 +7,16 @@ import pytest
 
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
-from relicforge.corpus import MANIFEST_NAME, CorpusManifest, Split, curate, ingest
+from relicforge.cobol.tokens import SourceFormat
+from relicforge.corpus import (
+    MANIFEST_NAME,
+    CorpusConfig,
+    CorpusManifest,
+    Split,
+    Status,
+    curate,
+    ingest,
+)
 from relicforge.corpus import split as split_corpus
 from relicforge.datagen import random_program
 from relicforge.errors import EvalError
@@ -19,6 +28,7 @@ from relicforge.evaluate import (
     FileScore,
     OutcomeKind,
     Trace,
+    build_training_set,
     drop_pct,
     evaluate_corpus,
     has_goto,
@@ -35,6 +45,7 @@ from relicforge.evaluate import (
     write_pairs,
 )
 from relicforge.evaluate.values import (
+    COMPLEMENT,
     HALTED,
     I64_MAX,
     I64_MIN,
@@ -137,6 +148,20 @@ def test_compare_mixed_types_is_an_error():
     with pytest.raises(ExecError) as err:
         compare("=", 1, "1")
     assert "numeric and string" in err.value.reason
+
+
+def test_complement_negates_every_comparison():
+    values = [I64_MIN, -1, 0, 7, I64_MAX, "", "A", "A ", "AB", "B", " A"]
+    for op, other in COMPLEMENT.items():
+        assert COMPLEMENT[other] == op
+        for a in values:
+            for b in values:
+                if type(a) is type(b):
+                    assert compare(other, a, b) is (not compare(op, a, b))
+                else:
+                    for either in (op, other):
+                        with pytest.raises(ExecError):
+                            compare(either, a, b)
 
 
 def test_arith_wraps_and_truncates_toward_zero():
@@ -306,6 +331,19 @@ def test_undefined_variable_is_a_runtime_error():
     trace = run_c("MOVE 1 TO NOPE. STOP RUN.")
     assert trace.outcome.kind is OutcomeKind.RUNTIME_ERROR
     assert "undefined variable" in trace.outcome.reason
+
+
+@pytest.mark.parametrize("stmt", [
+    n.PerformPara(1, "GHOST"),
+    n.PerformTimes(1, n.NumLit(2), None, "GHOST"),
+], ids=["perform", "perform_times"])
+def test_perform_of_an_unknown_paragraph_is_a_runtime_error(stmt):
+    # The parser rejects such a target, so only a hand-built tree has one.
+    ast = program('DISPLAY "BEFORE". STOP RUN.')
+    ast.paragraphs[0].body.insert(1, stmt)
+    trace = interpret_cobol(ast, [])
+    assert trace.display_lines == ["BEFORE"]
+    assert trace.outcome == runtime_error("unknown paragraph GHOST")
 
 
 def test_division_by_zero_is_a_runtime_error():
@@ -759,6 +797,31 @@ def test_per_fold_summaries_cover_the_train_split(tmp_path):
     assert len(summary.per_fold) == len(folds)
     assert sum(s.n for s in summary.per_fold) == len(train)
     assert all(s.accuracy == 1.0 for s in summary.per_fold)
+
+
+def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
+    config = CorpusConfig(format=SourceFormat.FIXED)
+    for k in range(6):
+        lines = [
+            "IDENTIFICATION DIVISION.", f"PROGRAM-ID. FX{k}.", "DATA DIVISION.",
+            "WORKING-STORAGE SECTION.", "01 N PIC 9(4).", "PROCEDURE DIVISION.", "MAIN.",
+            f"    MOVE {k} TO N.", "    ADD 1 TO N.", "    DISPLAY N.", "    STOP RUN.",
+        ]
+        numbered = [f"{100 * (i + 1):06d} {line}" for i, line in enumerate(lines)]
+        (tmp_path / f"fx{k}.cbl").write_text("\n".join(numbered) + "\n", encoding="utf-8")
+    manifest = curate(ingest(tmp_path, config), tmp_path, config=config)
+    assert [r.status for r in manifest.records] == [Status.KEPT] * 6
+    split_corpus(manifest, seed=1)
+
+    summary, rows, _ = run_evaluation(manifest, "rules", root=tmp_path, per_fold=True,
+                                      config=config)
+    assert [(r.correct, r.reason) for r in rows] == [(True, "")] * 2
+    assert all(r.cx_after is not None for r in rows)
+    assert sum(fold.n for fold in summary.per_fold) == 4
+    assert all(fold.mean_cx_before > 0 for fold in summary.per_fold)
+    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    assert len(build_training_set(tmp_path, train, config)) == 4
+    assert evaluate_corpus(manifest, "rules", root=tmp_path, config=config).accuracy == 1.0
 
 
 def test_unknown_approach_and_missing_checkpoint(tmp_path):
