@@ -369,9 +369,11 @@ def child_nodes(node: Node) -> list[Node]:
 
 def iter_preorder(root: Node):
     """Yield root and all descendants, depth-first, children in source order."""
-    yield root
-    for child in child_nodes(root):
-        yield from iter_preorder(child)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(child_nodes(node)))
 
 
 def node_index(ast: CobolAst) -> dict[int, Node]:

@@ -1,12 +1,18 @@
 """Tokenizer for the supported COBOL subset.
 
 Free format by default; fixed format strips columns 1-6 and 73+ before
-scanning. Keywords are matched case-insensitively against KEYWORDS and
-emitted uppercase. After a PIC/PICTURE keyword the next token is scanned
-as a single PictureClause token.
+scanning. Each line is scanned by one anchored pattern, matched at the
+current position: it skips blanks and reads one token, so a token never
+spans lines. The lexicon is ASCII: words are `[A-Za-z][A-Za-z0-9-]*`,
+integers `[0-9]+`, and any other character outside a string literal is
+an illegal character, a non-ASCII letter or digit included. Keywords are
+matched case-insensitively against KEYWORDS and emitted uppercase. After
+a PIC/PICTURE keyword the next token, if it starts with 9, X or x, is
+scanned as a single PictureClause token.
 """
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,10 +99,37 @@ KEYWORDS = frozenset(
     }
 )
 
-OPERATORS = ("<=", ">=", "<>", "=", "<", ">", "+", "-", "*", "/")
-
-_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-")
-_PICTURE_CHARS = frozenset("9Xx()0123456789")
+# One alternative per token kind after the leading blanks. A string closes
+# at the first quote that is not doubled: `(?!')` keeps backtracking from
+# closing it on the first half of a doubled quote (a possessive `*+` would
+# too, but needs Python 3.11). A string that never closes falls to group
+# 9, which reports it at its opening quote.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+        ([A-Za-z][A-Za-z0-9-]*)     # 1 keyword or identifier
+      | (\.)                        # 2 period
+      | ([0-9]+)                    # 3 integer literal
+      | ('(?:[^']|'')*'(?!'))       # 4 single-quoted string
+      | ("(?:[^"]|"")*"(?!"))       # 5 double-quoted string
+      | (<=|>=|<>|[=<>+\-*/])       # 6 operator
+      | (\()                        # 7 left parenthesis
+      | (\))                        # 8 right parenthesis
+      | (['"])                      # 9 unterminated string literal
+      | (.)                         # 10 illegal character
+    )?""",
+    re.VERBOSE,
+)
+# Token kind by group number, for the groups whose text is the token text.
+_KIND_OF_GROUP = {
+    2: TokenKind.PERIOD,
+    3: TokenKind.INT_LITERAL,
+    6: TokenKind.OPERATOR,
+    7: TokenKind.LPAREN,
+    8: TokenKind.RPAREN,
+}
+# After PIC/PICTURE, a token starting with 9, X or x is a picture string.
+_PICTURE = re.compile(r"[ \t\r]*([9Xx][9Xx()0-9]*)")
+_PICTURE_WORDS = frozenset({"PIC", "PICTURE"})
 
 
 def normalize_source(text: str, format: SourceFormat) -> str:
@@ -116,87 +149,46 @@ def tokenize(file: SourceFile) -> list[Token]:
     """
     text = normalize_source(file.text, file.format)
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # skips the Python-level __new__ of the NamedTuple
+    match = _TOKEN.match
+    keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
     after_pic = False
     for line_no, line in enumerate(text.split("\n"), start=1):
         i = 0
         n = len(line)
         while i < n:
-            ch = line[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            col = i + 1
-            if after_pic and ch in "9Xx":
-                j = i
-                while j < n and line[j] in _PICTURE_CHARS:
-                    j += 1
-                tokens.append(Token(TokenKind.PICTURE_CLAUSE, line[i:j].upper(), line_no, col))
-                i = j
-                after_pic = False
-                continue
+            if after_pic:
+                m = _PICTURE.match(line, i)
+                if m is not None:
+                    append(new(Token, (TokenKind.PICTURE_CLAUSE, m.group(1).upper(),
+                                       line_no, m.start(1) + 1)))
+                    i = m.end()
+                    after_pic = False
+                    continue
+            m = match(line, i)
+            group = m.lastindex
+            if group is None:
+                break  # only blanks left; a pending PIC carries to the next line
             after_pic = False
-            if ch in "'\"":
-                quote = ch
-                j = i + 1
-                buf = []
-                closed = False
-                while j < n:
-                    if line[j] == quote:
-                        if j + 1 < n and line[j + 1] == quote:  # doubled quote escape
-                            buf.append(quote)
-                            j += 2
-                            continue
-                        closed = True
-                        j += 1
-                        break
-                    buf.append(line[j])
-                    j += 1
-                if not closed:
-                    raise LexError(line_no, col, "unterminated string literal")
-                tokens.append(Token(TokenKind.STRING_LITERAL, "".join(buf), line_no, col))
-                i = j
-                continue
-            if ch == ".":
-                tokens.append(Token(TokenKind.PERIOD, ".", line_no, col))
-                i += 1
-                continue
-            if ch == "(":
-                tokens.append(Token(TokenKind.LPAREN, "(", line_no, col))
-                i += 1
-                continue
-            if ch == ")":
-                tokens.append(Token(TokenKind.RPAREN, ")", line_no, col))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and line[j].isdigit():
-                    j += 1
-                tokens.append(Token(TokenKind.INT_LITERAL, line[i:j], line_no, col))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and line[j] in _WORD_CHARS:
-                    j += 1
-                word = line[i:j]
-                upper = word.upper()
-                if upper in KEYWORDS:
-                    tokens.append(Token(TokenKind.KEYWORD, upper, line_no, col))
-                    if upper in ("PIC", "PICTURE"):
-                        after_pic = True
+            i = m.end()
+            col = m.start(group) + 1
+            if group == 1:
+                word = m.group(1).upper()
+                if word in KEYWORDS:
+                    append(new(Token, (keyword, word, line_no, col)))
+                    after_pic = word in _PICTURE_WORDS
                 else:
-                    tokens.append(Token(TokenKind.IDENTIFIER, upper, line_no, col))
-                i = j
-                continue
-            matched = False
-            for op in OPERATORS:
-                if line.startswith(op, i):
-                    tokens.append(Token(TokenKind.OPERATOR, op, line_no, col))
-                    i += len(op)
-                    matched = True
-                    break
-            if matched:
-                continue
-            raise LexError(line_no, col, f"illegal character {ch!r}")
+                    append(new(Token, (identifier, word, line_no, col)))
+            elif group in _KIND_OF_GROUP:
+                append(new(Token, (_KIND_OF_GROUP[group], m.group(group), line_no, col)))
+            elif group <= 5:  # a string literal: drop the quotes, undouble the inner ones
+                literal = m.group(group)
+                quote = literal[0]
+                value = literal[1:-1].replace(quote + quote, quote)
+                append(new(Token, (TokenKind.STRING_LITERAL, value, line_no, col)))
+            elif group == 9:
+                raise LexError(line_no, col, "unterminated string literal")
+            else:
+                raise LexError(line_no, col, f"illegal character {m.group(group)!r}")
     return tokens

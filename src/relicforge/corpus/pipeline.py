@@ -2,9 +2,11 @@
 
 Pipeline order is fixed: repair (whose clean parse is the file's tree) ->
 dedup -> filter_trivial -> metrics labeling. Statuses are recomputed from the files on disk on every
-curate call, so curate is idempotent on its own output. Per-file work can
-fan out over a process pool; results are merged in record order so worker
-count never changes the output.
+curate call, so curate is idempotent on its own output. Repair and
+metrics run once per distinct normalized text: files with the same text
+share that one result, and dedup then marks every copy after the first.
+The per-text work can fan out over a process pool; results are merged in
+record order so worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -153,7 +155,9 @@ def curate(
     Returns the manifest; read summary counts via manifest.counts().
     """
     candidates: list[Record] = []
+    slots: list[int] = []  # per candidate, the task that curates its text
     tasks: list[tuple[str, str, SourceFormat]] = []
+    task_of_text: dict[str, int] = {}
     for record in manifest.records:
         if record.status is Status.REJECTED and not record.md5:
             continue  # unreadable at ingest; terminal
@@ -167,8 +171,11 @@ def curate(
             record.status = Status.REJECTED
             record.reason = f"unreadable: {exc.__class__.__name__}"
             continue
+        if text not in task_of_text:
+            task_of_text[text] = len(tasks)
+            tasks.append((record.id, text, config.format))
         candidates.append(record)
-        tasks.append((record.id, text, config.format))
+        slots.append(task_of_text[text])
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -176,7 +183,8 @@ def curate(
     else:
         results = [_curate_one(task) for task in tasks]
 
-    for record, result in zip(candidates, results):
+    for record, slot in zip(candidates, slots):
+        result = results[slot]
         if result.verdict is Verdict.REJECTED:
             record.status = Status.REJECTED
             record.reason = "unrepairable syntax"

@@ -266,9 +266,9 @@ def _external_translator(root: Path):
 
 
 def _score_records(records, translate, root: Path, seed: int, approach: str,
-                   config: CorpusConfig):
+                   config: CorpusConfig, pairs: list[dict] | None = None):
+    """Score each record; appends its report pair to `pairs` when given."""
     rows: list[FileScore] = []
-    pairs: list[dict] = []
     fallback_count = 0
     for record in records:
         ast, _verdict = load_ast(root, record, config)
@@ -292,14 +292,15 @@ def _score_records(records, translate, root: Path, seed: int, approach: str,
         rows.append(FileScore(record.id, got["correct"], got["reason"],
                               before.cyclomatic, after.cyclomatic,
                               before.coupling, after.coupling))
-        pairs.append({
-            "id": record.id,
-            "cx_before": before.cyclomatic,
-            "cx_after": after.cyclomatic,
-            "cobol_ast": n.to_json(ast.program),
-            "java_ast": j.to_json(jast),
-        })
-    return _summarize(approach, rows, fallback_count), rows, pairs
+        if pairs is not None:
+            pairs.append({
+                "id": record.id,
+                "cx_before": before.cyclomatic,
+                "cx_after": after.cyclomatic,
+                "cobol_ast": n.to_json(ast.program),
+                "java_ast": j.to_json(jast),
+            })
+    return _summarize(approach, rows, fallback_count), rows
 
 
 # -- entry points ------------------------------------------------------------------
@@ -381,7 +382,8 @@ def run_evaluation(
     if not test:
         raise EvalError("Test split is empty")
 
-    summary, rows, pairs = _score_records(test, translator_for(), root, seed, label, config)
+    pairs: list[dict] = []
+    summary, rows = _score_records(test, translator_for(), root, seed, label, config, pairs)
     if per_fold:
         summary.per_fold = _fold_summaries(
             manifest, kind, root, seed, tau, ckpt, label, translator_for, config
@@ -410,7 +412,7 @@ def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for
             rest = [r for r in train if r.fold != fold]
             dataset = build_training_set(root, rest, config)
             translate = translator_for(train_model(dataset, ckpt.config))
-        sub, _, _ = _score_records(records, translate, root, seed, label, config)
+        sub, _ = _score_records(records, translate, root, seed, label, config)
         subs.append(sub)
     return subs
 

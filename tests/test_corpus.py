@@ -3,11 +3,12 @@
 import importlib
 import json
 import random
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from relicforge.cobol import SourceFormat, pretty_print
+from relicforge.cobol import SourceFormat, Verdict, pretty_print
 from relicforge.corpus import (
     CorpusConfig,
     CorpusManifest,
@@ -20,6 +21,7 @@ from relicforge.corpus import (
     normalize_text,
     split,
 )
+from relicforge.corpus.pipeline import _curate_one, dedup, filter_trivial, read_normalized
 from relicforge.datagen import random_program
 from relicforge.errors import SplitError
 
@@ -317,3 +319,99 @@ def test_curate_and_load_ast_parse_each_clean_file_once(tmp_path, monkeypatch):
         ast, _verdict = load_ast(tmp_path, record)
         assert ast is not None
     assert len(calls) == 6
+
+
+# --- one repair per distinct text ---------------------------------------------
+
+# The reference: curate as it was before it shared one result between
+# files of the same text, renamed `ref_curate`; `_curate_one` runs once per
+# readable record there.
+def ref_curate(
+    manifest: CorpusManifest,
+    root: Path | str,
+    config: CorpusConfig = CorpusConfig(),
+    jobs: int = 1,
+) -> CorpusManifest:
+    """Assign every record a terminal status and attach metrics.
+
+    Returns the manifest; read summary counts via manifest.counts().
+    """
+    candidates: list[Record] = []
+    tasks: list[tuple[str, str, SourceFormat]] = []
+    for record in manifest.records:
+        if record.status is Status.REJECTED and not record.md5:
+            continue  # unreadable at ingest; terminal
+        record.status = None
+        record.duplicate_of = None
+        record.reason = None
+        record.metrics = None
+        try:
+            text = read_normalized(root, record)
+        except (OSError, UnicodeDecodeError) as exc:
+            record.status = Status.REJECTED
+            record.reason = f"unreadable: {exc.__class__.__name__}"
+            continue
+        candidates.append(record)
+        tasks.append((record.id, text, config.format))
+
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_curate_one, tasks, chunksize=16))
+    else:
+        results = [_curate_one(task) for task in tasks]
+
+    for record, result in zip(candidates, results):
+        if result.verdict is Verdict.REJECTED:
+            record.status = Status.REJECTED
+            record.reason = "unrepairable syntax"
+        elif result.verdict is Verdict.REPAIRED:
+            record.status = Status.REPAIRED
+        else:
+            record.status = Status.KEPT
+        record.metrics = result.metrics
+
+    dedup(manifest)
+    filter_trivial(manifest, config.min_statements)
+    return manifest
+
+
+def add_copies(root: Path) -> None:
+    """To the fixture corpus (two exact copies and a CRLF copy of clean
+    files) add an exact copy of a Rejected file, a CRLF copy of a Repaired
+    one and an exact copy of a Trivial one: 23 files, 16 distinct texts."""
+    (root / "zdup5.cbl").write_bytes((root / "bad2.cbl").read_bytes())
+    (root / "zdup6.cbl").write_bytes((root / "fix1.cbl").read_bytes().replace(b"\n", b"\r\n"))
+    (root / "zdup7.cbl").write_bytes((root / "triv1.cbl").read_bytes())
+
+
+def manifest_bytes(manifest: CorpusManifest, path: Path) -> bytes:
+    manifest.write_jsonl(path)
+    return path.read_bytes()
+
+
+def test_curate_repairs_each_distinct_text_once(fixture_corpus, monkeypatch):
+    root, _ = fixture_corpus
+    add_copies(root)
+    pipeline = importlib.import_module("relicforge.corpus.pipeline")
+    texts = []
+    real = pipeline.repair
+    monkeypatch.setattr(
+        pipeline, "repair", lambda file: texts.append(file.text) or real(file)
+    )
+    manifest = build(root)
+    assert len(texts) == len(set(texts)) == 16
+    assert manifest.counts()["duplicate"] == 6
+    by_id = manifest.by_id()
+    assert by_id["zdup5.cbl"].status is Status.REJECTED
+    assert by_id["zdup6.cbl"].duplicate_of == "fix1.cbl"
+    assert by_id["zdup7.cbl"].duplicate_of == "triv1.cbl"
+    assert by_id["triv1.cbl"].status is Status.TRIVIAL
+
+
+def test_shared_results_match_one_repair_per_file(fixture_corpus, tmp_path_factory):
+    root, _ = fixture_corpus
+    add_copies(root)
+    out = tmp_path_factory.mktemp("out")
+    want = manifest_bytes(ref_curate(ingest(root), root), out / "ref.jsonl")
+    assert manifest_bytes(build(root), out / "one.jsonl") == want
+    assert manifest_bytes(build(root, jobs=2), out / "two.jsonl") == want

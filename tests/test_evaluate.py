@@ -799,6 +799,18 @@ def test_per_fold_summaries_cover_the_train_split(tmp_path):
     assert all(s.accuracy == 1.0 for s in summary.per_fold)
 
 
+def test_per_fold_scoring_builds_report_pairs_for_the_test_split_only(tmp_path, monkeypatch):
+    manifest = _build_corpus(tmp_path)
+    serialized = []
+    real = j.to_json
+    monkeypatch.setattr(j, "to_json", lambda jast: serialized.append(jast) or real(jast))
+    summary, rows, pairs = run_evaluation(tmp_path / MANIFEST_NAME, "rules", per_fold=True)
+    test = [r.id for r in manifest.records if r.split is Split.TEST]
+    assert [pair["id"] for pair in pairs] == [row.id for row in rows] == test
+    assert sum(fold.n for fold in summary.per_fold) > 0
+    assert len(serialized) == len(test)
+
+
 def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
     config = CorpusConfig(format=SourceFormat.FIXED)
     for k in range(6):
