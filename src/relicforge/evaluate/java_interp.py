@@ -171,7 +171,13 @@ class JavaProgram:
         self._methods = {name: self._method(m) for name, m in declared.items()}
 
     def run(self, inputs) -> Trace:
-        """One run from a fresh state; never raises."""
+        """One run from a fresh state; never raises.
+
+        Every run resets the fields, the step budget, the call depth and the
+        input queue, so its trace depends only on the inputs it reads. The
+        values it did not read stay in `self.inputs` until the next run:
+        `len(inputs) - len(self.inputs)` is how many it read.
+        """
         for cell, value in self._initial:
             cell.value = value
         self.budget.left = MAX_STEPS

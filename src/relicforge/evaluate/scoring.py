@@ -91,6 +91,24 @@ def label_agreement(actions_used: dict[int, Action], oracle: dict[int, Action]) 
     return hits / len(oracle)
 
 
+def _run_once(run, program, vector: list[str],
+              seen: list[tuple[list[str], int, Trace]]) -> Trace:
+    """`run(program, vector)`, or the trace of an earlier run in `seen`
+    whose vector shares the prefix that run read.
+
+    A run starts from a fully reset state and leaves the values it did not
+    read in `program.inputs`, so its trace depends only on the `read`
+    values it popped. A run that read every value may have ended on
+    `input exhausted`, so it stands only for an identical vector.
+    """
+    for prior, read, trace in seen:
+        if vector[:read] == prior[:read] and (read < len(prior) or vector == prior):
+            return trace
+    trace = run(program, vector)
+    seen.append((vector, len(vector) - len(program.inputs), trace))
+    return trace
+
+
 def score_file(
     ast: n.CobolAst,
     jast: j.JavaAst,
@@ -102,17 +120,22 @@ def score_file(
 ) -> dict:
     """{correct, reason} for one source/translation pair.
 
-    Each side is compiled once and then run on every vector of the input
-    battery; the compiled programs are dropped when this call returns.
-    Files containing GO TO are judged on behavior alone: the structure
-    already diverged by construction, so label agreement is waived when
-    the traces still line up.
+    Each side is compiled once and checked on every vector of the input
+    battery, but runs only once per distinct input prefix it reads: a
+    vector that starts with the values an earlier run of the same side
+    read reuses that run's trace (see `_run_once`). The compiled programs
+    and the traces are dropped when this call returns. Files containing
+    GO TO are judged on behavior alone: the structure already diverged by
+    construction, so label agreement is waived when the traces still line
+    up.
     """
     fid = file_id if file_id is not None else ast.program_id
     cobol, java = compile_cobol(ast), compile_java(jast)
+    cobol_runs, java_runs = [], []
     for vector in input_battery(fid, seed):
         ok, reason = traces_match(
-            interpret_cobol(cobol, vector), interpret_java(java, vector)
+            _run_once(interpret_cobol, cobol, vector, cobol_runs),
+            _run_once(interpret_java, java, vector, java_runs),
         )
         if not ok:
             return {"correct": False, "reason": reason}
@@ -319,19 +342,22 @@ def build_training_set(root: Path | str, records,
     """TrainSamples for the given records: oracle labels where sidecars
     exist, default rule labels otherwise. `config` must be the one the
     corpus was curated with, so each file is read in its source format."""
+    root = Path(root)
+    samples = (_train_sample(root, record, config) for record in records)
+    return [sample for sample in samples if sample is not None]
+
+
+def _train_sample(root: Path, record: Record, config: CorpusConfig):
+    """One record's TrainSample, or None when its source does not parse."""
     from relicforge.model import sample_from_ast
 
-    root = Path(root)
-    samples = []
-    for record in records:
-        ast, _verdict = load_ast(root, record, config)
-        if ast is None:
-            continue
-        labels = None
-        if record.oracle_labels:
-            labels = load_oracle_labels(root / record.oracle_labels)
-        samples.append(sample_from_ast(ast, labels))
-    return samples
+    ast, _verdict = load_ast(root, record, config)
+    if ast is None:
+        return None
+    labels = None
+    if record.oracle_labels:
+        labels = load_oracle_labels(root / record.oracle_labels)
+    return sample_from_ast(ast, labels)
 
 
 def run_evaluation(
@@ -395,9 +421,12 @@ def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for
                     config: CorpusConfig):
     """Cross-validation view over the Train split's round-robin folds. The
     Ai approach retrains per fold on the other folds with the checkpoint's
-    own config; the other approaches just score each fold."""
+    own config, featurizing each Train record once for all folds; the other
+    approaches just score each fold."""
     train = [r for r in manifest.records if r.split is Split.TRAIN]
     folds = sorted({r.fold for r in train if r.fold is not None})
+    if kind == "ai":
+        featurized = [(r.fold, _train_sample(root, r, config)) for r in train]
     subs: list[EvalSummary] = []
     for fold in folds:
         records = [r for r in train if r.fold == fold]
@@ -409,8 +438,8 @@ def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for
         if kind == "ai":
             from relicforge.model import train as train_model
 
-            rest = [r for r in train if r.fold != fold]
-            dataset = build_training_set(root, rest, config)
+            dataset = [sample for f, sample in featurized
+                       if f != fold and sample is not None]
             translate = translator_for(train_model(dataset, ckpt.config))
         sub, _ = _score_records(records, translate, root, seed, label, config)
         subs.append(sub)

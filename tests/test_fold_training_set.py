@@ -1,0 +1,94 @@
+"""The Ai per-fold view featurizes each Train record once per evaluation.
+
+`ref_fold_summaries` is `_fold_summaries` as it was when it called
+`build_training_set` once per fold. Both must give the same per-fold
+summaries, while the new one loads each Train record at most twice: once
+to featurize it, once to score it in its own fold.
+"""
+
+from collections import Counter
+
+import pytest
+
+from relicforge.corpus import Split, curate, ingest
+from relicforge.corpus import split as split_corpus
+from relicforge.datagen import acceptance_corpus
+from relicforge.evaluate import build_training_set, run_evaluation, scoring
+from relicforge.evaluate.scoring import EvalSummary, _score_records
+from relicforge.model import ModelConfig, train
+
+# --- the reference: one training set per fold ---------------------------------
+
+
+def ref_fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for,
+                       config):
+    """Cross-validation view over the Train split's round-robin folds. The
+    Ai approach retrains per fold on the other folds with the checkpoint's
+    own config; the other approaches just score each fold."""
+    train_records = [r for r in manifest.records if r.split is Split.TRAIN]
+    folds = sorted({r.fold for r in train_records if r.fold is not None})
+    subs: list[EvalSummary] = []
+    for fold in folds:
+        records = [r for r in train_records if r.fold == fold]
+        if kind == "external":
+            records = [r for r in records if r.oracle_java]
+        if not records:
+            continue
+        translate = translator_for()
+        if kind == "ai":
+            from relicforge.model import train as train_model
+
+            rest = [r for r in train_records if r.fold != fold]
+            dataset = build_training_set(root, rest, config)
+            translate = translator_for(train_model(dataset, ckpt.config))
+        sub, _ = _score_records(records, translate, root, seed, label, config)
+        subs.append(sub)
+    return subs
+
+
+CONFIG = ModelConfig(hidden=16, epochs=8, batch=8, lr=0.02, seed=5)
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """A 30-file labeled corpus, split into Train folds and Test, and a
+    checkpoint trained on its Train split. One Train file is overwritten
+    with text that no longer parses, so featurizing it gives no sample."""
+    acceptance_corpus(tmp_path, count=30, seed=11)
+    manifest = curate(ingest(tmp_path), tmp_path)
+    split_corpus(manifest, seed=4)
+    train_records = [r for r in manifest.records if r.split is Split.TRAIN]
+    ckpt = train(build_training_set(tmp_path, train_records), CONFIG)
+    (tmp_path / train_records[3].relative_path).write_text("MOVE TO TO.\n", encoding="utf-8")
+    return tmp_path, manifest, ckpt
+
+
+def test_ai_fold_summaries_match_one_training_set_per_fold(corpus):
+    root, manifest, ckpt = corpus
+    summary, _rows, _pairs = run_evaluation(manifest, "ai", ckpt, root=root, per_fold=True)
+
+    def translator_for(fold_ckpt=None):
+        return scoring._ai_translator(fold_ckpt if fold_ckpt is not None else ckpt,
+                                      scoring.DEFAULT_TAU)
+
+    want = ref_fold_summaries(manifest, "ai", root, scoring.DEFAULT_SEED, scoring.DEFAULT_TAU,
+                              ckpt, scoring.APPROACH_AI, translator_for, scoring.CorpusConfig())
+    assert len(want) == 5
+    assert [s.to_json() for s in summary.per_fold] == [s.to_json() for s in want]
+
+
+def test_each_train_record_is_loaded_at_most_twice(corpus, monkeypatch):
+    root, manifest, ckpt = corpus
+    loads = Counter()
+    real = scoring.load_ast
+
+    def counting(root_, record, config):
+        loads[record.id] += 1
+        return real(root_, record, config)
+
+    monkeypatch.setattr(scoring, "load_ast", counting)
+    run_evaluation(manifest, "ai", ckpt, root=root, per_fold=True)
+    train_ids = {r.id for r in manifest.records if r.split is Split.TRAIN}
+    test_ids = {r.id for r in manifest.records if r.split is Split.TEST}
+    assert {loads[i] for i in train_ids} == {2}
+    assert {loads[i] for i in test_ids} == {1}
