@@ -44,6 +44,11 @@ _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 # every later stage (measure, features, translation, both interpreters)
 # recurse once or a few times per level, so a deeper file is rejected with
 # a ParseError instead of exhausting Python's recursion limit downstream.
+# A chain of `+ -`, `* /`, AND or OR operators is parsed in a loop but
+# builds a left-deep tree, one level per operator, so every operator of a
+# chain after its first opens one level too, closed where the chain ends.
+# The first is left free so that one binary operation inside each of
+# MAX_NESTING parentheses still parses.
 MAX_NESTING = 100
 
 
@@ -534,16 +539,32 @@ class _Parser:
 
     def parse_expr(self) -> n.Expr:
         left = self.parse_term()
-        while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "+-":
-            op = self.advance().text
-            left = n.BinOp(op, left, self.parse_term())
+        operators = 0
+        try:
+            while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "+-":
+                operators += 1
+                if operators > 1:
+                    self.nest()
+                op = self.advance().text
+                left = n.BinOp(op, left, self.parse_term())
+        finally:
+            if operators > 1:
+                self.depth -= operators - 1
         return left
 
     def parse_term(self) -> n.Expr:
         left = self.parse_factor()
-        while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "*/":
-            op = self.advance().text
-            left = n.BinOp(op, left, self.parse_factor())
+        operators = 0
+        try:
+            while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "*/":
+                operators += 1
+                if operators > 1:
+                    self.nest()
+                op = self.advance().text
+                left = n.BinOp(op, left, self.parse_factor())
+        finally:
+            if operators > 1:
+                self.depth -= operators - 1
         return left
 
     def parse_factor(self) -> n.Expr:
@@ -561,16 +582,32 @@ class _Parser:
 
     def parse_cond(self) -> n.Cond:
         left = self.parse_and_cond()
-        while self.at_kw("OR"):
-            self.advance()
-            left = n.OrCond(left, self.parse_and_cond())
+        operators = 0
+        try:
+            while self.at_kw("OR"):
+                operators += 1
+                if operators > 1:
+                    self.nest()
+                self.advance()
+                left = n.OrCond(left, self.parse_and_cond())
+        finally:
+            if operators > 1:
+                self.depth -= operators - 1
         return left
 
     def parse_and_cond(self) -> n.Cond:
         left = self.parse_not_cond()
-        while self.at_kw("AND"):
-            self.advance()
-            left = n.AndCond(left, self.parse_not_cond())
+        operators = 0
+        try:
+            while self.at_kw("AND"):
+                operators += 1
+                if operators > 1:
+                    self.nest()
+                self.advance()
+                left = n.AndCond(left, self.parse_not_cond())
+        finally:
+            if operators > 1:
+                self.depth -= operators - 1
         return left
 
     def parse_not_cond(self) -> n.Cond:

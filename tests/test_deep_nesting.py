@@ -1,7 +1,7 @@
 """Nesting deeper than `MAX_NESTING` is a parse error, not a RecursionError.
 
 Every stage after the parser walks the tree recursively, so the parser
-bounds how deep a tree may be. A file at the bound goes through every
+bounds how deep a tree may be, flat operator chains included. A file at the bound goes through every
 stage; a file past it is Rejected by `repair` and so by `curate`.
 """
 
@@ -24,6 +24,10 @@ HEADER = (
 )
 
 
+CHAIN_OPERATORS = {"plus": "+", "minus": "-", "times": "*", "divide": "/", "and": "AND",
+                   "or": "OR"}
+
+
 def nested(kind: str, depth: int) -> str:
     """A program whose one sentence nests `depth` levels of `kind`."""
     if kind == "parentheses":
@@ -38,6 +42,14 @@ def nested(kind: str, depth: int) -> str:
         body = "EVALUATE X WHEN 1 " * depth + "DISPLAY X" + " END-EVALUATE" * depth + "."
     elif kind == "unary_minus":
         body = "COMPUTE X = " + "- " * depth + "X."
+    elif kind in CHAIN_OPERATORS:
+        # A flat chain of depth + 2 operands: every operator after the first
+        # opens one level.
+        op = CHAIN_OPERATORS[kind]
+        if op in ("AND", "OR"):
+            body = "IF " + f" {op} ".join(["X = 1"] * (depth + 2)) + " DISPLAY X END-IF."
+        else:
+            body = "COMPUTE X = " + f" {op} ".join(["X"] + ["1"] * (depth + 1)) + "."
     else:  # mixed: statement bodies around an expression in parentheses
         half = depth // 2
         inner = "COMPUTE X = " + "(1 + " * (depth - half) + "X" + ")" * (depth - half)
@@ -45,7 +57,8 @@ def nested(kind: str, depth: int) -> str:
     return HEADER + body + "\nDISPLAY X.\nSTOP RUN.\n"
 
 
-KINDS = ["parentheses", "not", "if", "perform_until", "evaluate", "unary_minus", "mixed"]
+KINDS = ["parentheses", "not", "if", "perform_until", "evaluate", "unary_minus", "mixed",
+         *CHAIN_OPERATORS]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -75,6 +88,14 @@ def test_the_bound_is_reported_where_it_is_crossed():
     assert (error.line, error.found) == (8, "NOT")
 
 
+def test_a_chain_past_the_bound_is_reported_at_its_operator():
+    with pytest.raises(ParseFailure) as caught:
+        parse(tokenize(SourceFile("deep", nested("and", MAX_NESTING + 1))))
+    [error] = caught.value.errors
+    assert error.expected == f"nesting depth at most {MAX_NESTING}"
+    assert (error.line, error.found) == (8, "AND")
+
+
 def test_a_recovered_error_leaves_the_depth_count_right():
     # Sentences after one that broke off deep inside still parse, at any depth
     # up to the bound.
@@ -86,15 +107,11 @@ def test_a_recovered_error_leaves_the_depth_count_right():
 
 
 def test_curate_rejects_deep_files_and_keeps_the_rest(tmp_path):
-    for kind in ("parentheses", "not", "if", "perform_until"):
+    deep = ("parentheses", "not", "if", "perform_until", *CHAIN_OPERATORS)
+    for kind in deep:
         (tmp_path / f"{kind}.cbl").write_text(nested(kind, 10_000), encoding="utf-8")
     (tmp_path / "shallow.cbl").write_text(nested("if", 3), encoding="utf-8")
     manifest = curate(ingest(tmp_path), tmp_path)
     status = {r.relative_path: r.status for r in manifest.records}
-    assert status == {
-        "if.cbl": Status.REJECTED,
-        "not.cbl": Status.REJECTED,
-        "parentheses.cbl": Status.REJECTED,
-        "perform_until.cbl": Status.REJECTED,
-        "shallow.cbl": Status.KEPT,
-    }
+    assert status == {**{f"{kind}.cbl": Status.REJECTED for kind in deep},
+                      "shallow.cbl": Status.KEPT}
