@@ -112,12 +112,6 @@ def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
     return out
 
 
-def nesting_levels(ast: n.CobolAst) -> dict[int, int]:
-    """Pre-order index -> statement nesting level (top-level stmt = 0)."""
-    walked = _preorder_levels(ast.program)
-    return {i: level for i, (_, level) in enumerate(walked) if level is not None}
-
-
 def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
     """The FEATURE_NAMES values, counted off one pre-order walk and the CFG."""
     program = ast.program

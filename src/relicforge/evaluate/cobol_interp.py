@@ -24,30 +24,21 @@ Errors stay lazy: an undefined name or unknown paragraph compiles to a
 closure that ends the run when it is reached, so a branch never taken
 never fails.
 
-A PERFORM UNTIL or PERFORM VARYING that runs past `CYCLE_WARMUP` passes
-is watched for a repeating state with Brent's cycle detection (Brent,
-BIT 20, 1980). The state at a loop head is the value of every cell and
-the number of inputs left; the queue is always a suffix of the vector,
-the call depth is constant at one activation of a head, and the trace is
-only written. A run is deterministic, so once that state comes back the
-loop repeats the same passes forever and can never exit. The whole
-cycles that fit in the remaining budget are then replayed at once: their
-display lines and call events are appended and their steps are taken
-from the budget. The loop runs on from there and stops at the same
-statement as it would have, so a truncated trace is unchanged. PERFORM
-TIMES counts down and can never repeat, so it is not watched.
+A PERFORM UNTIL or PERFORM VARYING is watched for a repeating state by
+`values.LoopWatch`; the state at its head is the value of every cell.
+PERFORM TIMES counts down and can never repeat, so it is not watched.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
     COMPARE_OPS,
     COMPLEMENT,
+    CYCLE_WARMUP,
     I64_MAX,
     I64_MIN,
     MAX_CALL_DEPTH,
@@ -55,6 +46,7 @@ from relicforge.evaluate.values import (
     Budget,
     Cell,
     ExecError,
+    LoopWatch,
     StepLimitExceeded,
     Trace,
     arith,
@@ -74,15 +66,6 @@ from relicforge.evaluate.values import (
 _ARITH_SYMBOL = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}
 
 Thunk = Callable[[], object]
-
-# Passes a loop makes before it is watched for a repeating state, so that
-# loops which exit early never pay for a snapshot. Over random_program
-# seeds 0-299 (with and without GO TO, rules translation, every battery
-# vector), 99.9% of the loop runs in halting programs ended within 9
-# passes on either side, and the longest took 68.
-CYCLE_WARMUP = 32
-
-_value = attrgetter("value")
 
 
 class _Goto(Exception):
@@ -182,54 +165,6 @@ def _against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
     return against_int
 
 
-def _fast_forward(budget: Budget, trace: Trace, left: int, lines: int, calls: int) -> None:
-    """Replay at once the whole cycles of a loop that fit in the budget.
-
-    The loop state is back to the one saved when `left` steps remained and
-    the trace held `lines` display lines and `calls` call events, so every
-    later cycle costs `left - budget.left` steps and appends what the last
-    one did. Fewer steps than one cycle remain afterwards: the loop runs on
-    and stops at the same statement as it would have.
-    """
-    per = left - budget.left
-    cycles = budget.left // per
-    trace.display_lines.extend(trace.display_lines[lines:] * cycles)
-    trace.call_events.extend(trace.call_events[calls:] * cycles)
-    budget.left -= cycles * per
-
-
-class _Watch:
-    """Brent's cycle detection at one activation of a loop head.
-
-    `passed` is called at the head once per watched pass. It saves the
-    state (inputs left, then every cell's value) at watched pass 2^k and
-    compares every later pass with it; a match proves the loop repeats,
-    and `_fast_forward` skips to the end of the budget.
-    """
-
-    __slots__ = ("cells", "inputs", "budget", "trace", "passes", "mark", "left",
-                 "lines", "calls")
-
-    def __init__(self, cells: tuple[Cell, ...], inputs: deque, budget: Budget,
-                 trace: Trace):
-        self.cells, self.inputs, self.budget, self.trace = cells, inputs, budget, trace
-        self.passes = 0
-        self.mark = None
-
-    def passed(self) -> None:
-        now = [len(self.inputs), *map(_value, self.cells)]
-        trace = self.trace
-        if now == self.mark:
-            _fast_forward(self.budget, trace, self.left, self.lines, self.calls)
-            return
-        self.passes += 1
-        if self.passes & (self.passes - 1) == 0:
-            self.mark = now
-            self.left = self.budget.left
-            self.lines = len(trace.display_lines)
-            self.calls = len(trace.call_events)
-
-
 class _State:
     """What the closures change during a run. The paragraph table is set
     only while a run is in progress, so a program at rest holds no
@@ -259,11 +194,8 @@ class CobolProgram:
         values it did not read stay in `self.inputs` until the next run:
         `len(inputs) - len(self.inputs)` is how many it read.
 
-        A PERFORM UNTIL or VARYING whose state at its head (every cell's
-        value and the number of inputs left) comes back to an earlier value
-        can never exit; its whole cycles up to the step limit are replayed
-        at once, and the run ends at the same statement with the same
-        trace as when every step is taken.
+        A PERFORM UNTIL or VARYING watches every cell at its head for a
+        repeating state (see `values.LoopWatch`).
         """
         for cell, value in self._initial:
             cell.value = value
@@ -406,11 +338,32 @@ class CobolProgram:
 
         return perform
 
+    def _until(self, test: Thunk, body: Thunk) -> Thunk:
+        """Run `body` until `test` holds, one step per test. Past
+        `CYCLE_WARMUP` passes, every cell is watched at the head."""
+        budget, state, cells, inputs = self.budget, self._state, self._cells, self.inputs
+
+        def until():
+            passes, watch = 0, None
+            while True:
+                passes += 1
+                if passes > CYCLE_WARMUP:
+                    watch = watch or LoopWatch(cells, inputs, budget, state.trace)
+                    watch.passed()
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                if test():
+                    break
+                body()
+
+        return until
+
     def _stmt(self, s: n.Stmt) -> Thunk:
         kind = s.kind
         budget = self.budget
         state = self._state
-        cells, inputs = self._cells, self.inputs
+        inputs = self.inputs
         if kind is n.NodeKind.MOVE:
             return self._assign_expr(s.dst, s.src)
         if kind is n.NodeKind.COMPUTE:
@@ -468,44 +421,22 @@ class CobolProgram:
 
             return times
         if kind is n.NodeKind.PERFORM_UNTIL:
-            test, body = self._cond(s.cond), self._block(s.body)
-
-            def until():
-                passes, watch = 0, None
-                while True:
-                    passes += 1
-                    if passes > CYCLE_WARMUP:
-                        watch = watch or _Watch(cells, inputs, budget, state.trace)
-                        watch.passed()
-                    budget.left -= 1
-                    if budget.left < 0:
-                        raise StepLimitExceeded()
-                    if test():
-                        break
-                    body()
-
-            return until
+            return self._until(self._cond(s.cond), self._block(s.body))
         if kind is n.NodeKind.PERFORM_VARYING:
             start = self._assign_expr(s.var, s.from_)
             step = self._assign(s.var, _binop("+", self._expr(n.VarRef(s.var)),
                                               self._expr(s.by)))
-            test, body = self._cond(s.until), self._block(s.body)
+            body = self._block(s.body)
+
+            def body_then_step():
+                body()
+                step()
+
+            loop = self._until(self._cond(s.until), body_then_step)
 
             def varying():
                 start()
-                passes, watch = 0, None
-                while True:
-                    passes += 1
-                    if passes > CYCLE_WARMUP:
-                        watch = watch or _Watch(cells, inputs, budget, state.trace)
-                        watch.passed()
-                    budget.left -= 1
-                    if budget.left < 0:
-                        raise StepLimitExceeded()
-                    if test():
-                        break
-                    body()
-                    step()
+                loop()
 
             return varying
         if kind is n.NodeKind.DISPLAY:

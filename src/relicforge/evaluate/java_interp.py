@@ -20,31 +20,22 @@ Errors stay lazy: an undefined name, an unknown method or a builtin call
 with the wrong number of arguments compiles to a closure that ends the
 run when it is reached, so a branch never taken never fails.
 
-A `while`, `do`-`while` or `for` loop that runs past `CYCLE_WARMUP`
-passes is watched for a repeating state with Brent's cycle detection
-(Brent, BIT 20, 1980). The state at a loop head is the value of every
-field, the running method's parameter cells and the number of inputs
-left; the queue is always a suffix of the vector, a callee gets fresh
-parameter cells and cannot change the caller's, the call depth is
-constant at one activation of a head, and the trace is only written. A
-run is deterministic, so once that state comes back the loop repeats the
-same passes forever and can never exit. The whole cycles that fit in the
-remaining budget are then replayed at once: their printed lines and call
-events are appended and their steps are taken from the budget. The loop
-runs on from there and stops at the same statement as it would have, so
-a truncated trace is unchanged.
+A `while`, `do`-`while` or `for` loop is watched for a repeating state by
+`values.LoopWatch`; the state at its head is the value of every field and
+of the running method's parameter cells. A callee gets fresh parameter
+cells and cannot change the caller's.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
     COMPARE_OPS,
     COMPLEMENT,
+    CYCLE_WARMUP,
     I64_MAX,
     I64_MIN,
     MAX_CALL_DEPTH,
@@ -52,6 +43,7 @@ from relicforge.evaluate.values import (
     Budget,
     Cell,
     ExecError,
+    LoopWatch,
     StepLimitExceeded,
     Trace,
     arith,
@@ -75,15 +67,6 @@ Frame = list[Cell]
 Code = Callable[[Frame], object]
 
 _ARITY = {"in": 0, "num": 1, "fit": 2, "str": 1}
-
-# Passes a loop makes before it is watched for a repeating state, so that
-# loops which exit early never pay for a snapshot. Over random_program
-# seeds 0-299 (with and without GO TO, rules translation, every battery
-# vector), 99.9% of the loop runs in halting programs ended within 9
-# passes on either side, and the longest took 68.
-CYCLE_WARMUP = 32
-
-_value = attrgetter("value")
 
 
 class _Stop(Exception):
@@ -173,55 +156,6 @@ def _against_int(op: str, left: Code | Cell, right: int) -> Code:
     return against_int
 
 
-def _fast_forward(budget: Budget, trace: Trace, left: int, lines: int, calls: int) -> None:
-    """Replay at once the whole cycles of a loop that fit in the budget.
-
-    The loop state is back to the one saved when `left` steps remained and
-    the trace held `lines` printed lines and `calls` call events, so every
-    later cycle costs `left - budget.left` steps and appends what the last
-    one did. Fewer steps than one cycle remain afterwards: the loop runs on
-    and stops at the same statement as it would have.
-    """
-    per = left - budget.left
-    cycles = budget.left // per
-    trace.display_lines.extend(trace.display_lines[lines:] * cycles)
-    trace.call_events.extend(trace.call_events[calls:] * cycles)
-    budget.left -= cycles * per
-
-
-class _Watch:
-    """Brent's cycle detection at one activation of a loop head.
-
-    `passed` is called at the head once per watched pass. It saves the
-    state (inputs left, then the value of every field and of the running
-    method's parameter cells) at watched pass 2^k and compares every later
-    pass with it; a match proves the loop repeats, and `_fast_forward`
-    skips to the end of the budget.
-    """
-
-    __slots__ = ("cells", "inputs", "budget", "trace", "passes", "mark", "left",
-                 "lines", "calls")
-
-    def __init__(self, cells: tuple[Cell, ...], inputs: deque, budget: Budget,
-                 trace: Trace):
-        self.cells, self.inputs, self.budget, self.trace = cells, inputs, budget, trace
-        self.passes = 0
-        self.mark = None
-
-    def passed(self) -> None:
-        now = [len(self.inputs), *map(_value, self.cells)]
-        trace = self.trace
-        if now == self.mark:
-            _fast_forward(self.budget, trace, self.left, self.lines, self.calls)
-            return
-        self.passes += 1
-        if self.passes & (self.passes - 1) == 0:
-            self.mark = now
-            self.left = self.budget.left
-            self.lines = len(trace.display_lines)
-            self.calls = len(trace.call_events)
-
-
 class _State:
     """What the closures change during a run. The method table is set only
     while a run is in progress, so a program at rest holds no reference
@@ -252,12 +186,9 @@ class JavaProgram:
         values it did not read stay in `self.inputs` until the next run:
         `len(inputs) - len(self.inputs)` is how many it read.
 
-        A `while`, `do`-`while` or `for` loop whose state at its head (every
-        field's value, the running method's parameter cells and the number
-        of inputs left) comes back to an earlier value can never exit; its
-        whole cycles up to the step limit are replayed at once, and the run
-        ends at the same statement with the same trace as when every step
-        is taken.
+        A `while`, `do`-`while` or `for` loop watches every field and the
+        running method's parameter cells at its head for a repeating state
+        (see `values.LoopWatch`).
         """
         for cell, value in self._initial:
             cell.value = value
@@ -421,6 +352,31 @@ class JavaProgram:
 
         return assign
 
+    def _while(self, test: Code, body: Code) -> Code:
+        """Run `body` while `test` holds, one step per test; a `break` in
+        it ends the loop. Past `CYCLE_WARMUP` passes, every field and the
+        running frame are watched at the head."""
+        budget, state, fields, inputs = self.budget, self._state, self._fields, self.inputs
+
+        def while_(frame):
+            passes, watch = 0, None
+            while True:
+                passes += 1
+                if passes > CYCLE_WARMUP:
+                    watch = watch or LoopWatch((*fields, *frame), inputs, budget, state.trace)
+                    watch.passed()
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                if not test(frame):
+                    break
+                try:
+                    body(frame)
+                except _Break:
+                    break
+
+        return while_
+
     def _stmt(self, s, slots: dict[str, int]) -> Code:
         kind = s.kind
         budget = self.budget
@@ -443,26 +399,7 @@ class JavaProgram:
 
             return if_else
         if kind is j.JKind.WHILE:
-            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
-
-            def while_(frame):
-                passes, watch = 0, None
-                while True:
-                    passes += 1
-                    if passes > CYCLE_WARMUP:
-                        watch = watch or _Watch((*fields, *frame), inputs, budget, state.trace)
-                        watch.passed()
-                    budget.left -= 1
-                    if budget.left < 0:
-                        raise StepLimitExceeded()
-                    if not test(frame):
-                        break
-                    try:
-                        body(frame)
-                    except _Break:
-                        break
-
-            return while_
+            return self._while(self._cond(s.cond, slots), self._block(s.body, slots))
         if kind is j.JKind.DO_WHILE:
             test, body = self._cond(s.cond, slots), self._block(s.body, slots)
 
@@ -471,7 +408,7 @@ class JavaProgram:
                 while True:
                     passes += 1
                     if passes > CYCLE_WARMUP:
-                        watch = watch or _Watch((*fields, *frame), inputs, budget, state.trace)
+                        watch = watch or LoopWatch((*fields, *frame), inputs, budget, state.trace)
                         watch.passed()
                     try:
                         body(frame)
@@ -485,29 +422,24 @@ class JavaProgram:
 
             return do_while
         if kind is j.JKind.FOR:
-            init = self._assign(s.init, slots) if s.init is not None else _nothing
             test = self._cond(s.cond, slots) if s.cond is not None else _always
-            update = self._assign(s.update, slots) if s.update is not None else _nothing
             body = self._block(s.body, slots)
+            if s.update is not None:
+                update, block = self._assign(s.update, slots), body
+
+                def body(frame):
+                    # A `break` in the block skips the update.
+                    block(frame)
+                    update(frame)
+
+            loop = self._while(test, body)
+            if s.init is None:
+                return loop
+            init = self._assign(s.init, slots)
 
             def for_(frame):
                 init(frame)
-                passes, watch = 0, None
-                while True:
-                    passes += 1
-                    if passes > CYCLE_WARMUP:
-                        watch = watch or _Watch((*fields, *frame), inputs, budget, state.trace)
-                        watch.passed()
-                    budget.left -= 1
-                    if budget.left < 0:
-                        raise StepLimitExceeded()
-                    if not test(frame):
-                        break
-                    try:
-                        body(frame)
-                    except _Break:
-                        break
-                    update(frame)
+                loop(frame)
 
             return for_
         if kind is j.JKind.SWITCH:

@@ -2,7 +2,6 @@
 Java-side parsing and metrics."""
 
 from relicforge.transpile.actions import (
-    CLASS_IDS,
     CLASS_ORDER,
     NUM_CLASSES,
     Action,
@@ -37,7 +36,6 @@ from relicforge.transpile.jnodes import (
 from relicforge.transpile.jparser import parse_java
 
 __all__ = [
-    "CLASS_IDS",
     "CLASS_ORDER",
     "NUM_CLASSES",
     "Action",

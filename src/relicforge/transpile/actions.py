@@ -4,7 +4,8 @@ An action tells the rule engine how to render one COBOL statement in Java.
 Every statement kind has a fixed default; a model (or an oracle label file)
 may override defaults with any *applicable* alternative. PassThrough means
 "no choice to make": the engine's fixed structural mapping applies, which
-for GO TO is omission (flagging the file as unstructured).
+for GO TO is omission (scoring judges a file with a GO TO on behavior
+alone).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ CLASS_ORDER: tuple[ActionKind, ...] = (
     ActionKind.EXTRACT_METHOD,
 )
 
-CLASS_IDS = {kind: i for i, kind in enumerate(CLASS_ORDER)}
 NUM_CLASSES = len(CLASS_ORDER)
 
 

@@ -61,7 +61,6 @@ class TranspileResult:
     jast: j.JavaAst
     actions_used: dict[int, Action] = field(default_factory=dict)
     fallbacks: list[Fallback] = field(default_factory=list)
-    unstructured: bool = False  # at least one GO TO was dropped
 
 
 def _sanitize(name: str, taken: set[str]) -> str:
@@ -271,7 +270,6 @@ class _Translator:
             args = [n.VarRef(self._var(name).jname) for name in stmt.using]
             return [j.MethodCall(external_method_name(stmt.program), args, stmt.program)]
         if kind is n.NodeKind.GOTO:
-            self.result.unstructured = True
             return []
         if kind is n.NodeKind.STOP_RUN:
             return [j.Return()]

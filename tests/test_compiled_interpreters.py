@@ -655,6 +655,54 @@ def test_java_parameters_shadow_fields_and_take_their_own_slots():
     assert trace == ref_interpret_java(jast, [])
 
 
+# --- break and update in loop bodies -----------------------------------------
+
+
+def _i(op: str, value: int) -> n.Comparison:
+    return n.Comparison(op, n.VarRef("i"), n.NumLit(value))
+
+
+def _bump(by: int) -> j.Assign:
+    return j.Assign("i", n.BinOp("+", n.VarRef("i"), n.NumLit(by)))
+
+
+# name -> (loop, the value of the field i after it). Each runs past
+# CYCLE_WARMUP passes, so the compiled loop is watched when it ends.
+JAVA_LOOPS = {
+    # The update must not run after the break.
+    "for_body_breaks": (j.For(j.Assign("i", n.NumLit(0)), _i("<", 100), _bump(1), [
+        j.Print([n.VarRef("i")]),
+        j.IfElse(_i("=", 40), [j.Break()], []),
+    ]), "40"),
+    # The loop starts from the field's initial value.
+    "for_update_without_init": (j.For(None, _i("<", 80), _bump(2), [
+        j.Print([n.VarRef("i")]),
+    ]), "81"),
+    "do_while_body_breaks": (j.DoWhile([
+        _bump(1),
+        j.IfElse(_i(">", 40), [j.Break()], []),
+        j.Print([n.VarRef("i")]),
+    ], _i("<", 100)), "41"),
+}
+
+
+@pytest.mark.parametrize("name", list(JAVA_LOOPS))
+def test_java_loop_bodies_break_and_update_as_the_walker_did(name):
+    loop, after = JAVA_LOOPS[name]
+    run = j.JMethod("run", [], [loop, j.Print([n.VarRef("i")])])
+    jast = j.JavaAst("T", [j.JField("i", "long", 1)], [run])
+    java = compile_java(jast)
+    trace = java.run([])
+    assert trace == ref_interpret_java(jast, [])
+    assert trace.outcome == HALTED
+    assert len(trace.display_lines) > 32
+    assert trace.display_lines[-1] == after
+    # Both sides take the same number of steps.
+    machine = _JavaMachine(jast, [])
+    machine.call(machine.methods["run"], [])
+    assert java.budget.left == machine.budget.left
+
+
 # --- a compiled program is freed by reference counting -----------------------
 
 

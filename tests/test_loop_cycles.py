@@ -6,9 +6,9 @@ statement compiles as in the interpreters under test. Every run must give
 an equal `Trace`: the same display lines, the same call events, and the
 same outcome kind and reason. The step limit is lowered to 10,000 steps
 and to 9,973, so that it falls at many points inside a cycle. A spy on
-each interpreter's `_fast_forward` checks that a repeating loop is
-fast-forwarded once per run and a loop that exits, or whose state never
-repeats, never is.
+`values.fast_forward`, which both interpreters call, checks that a
+repeating loop is fast-forwarded once per run and a loop that exits, or
+whose state never repeats, never is.
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
-from relicforge.evaluate import cobol_interp, input_battery, java_interp
+from relicforge.evaluate import cobol_interp, input_battery, java_interp, values
 from relicforge.evaluate.cobol_interp import CobolProgram
 from relicforge.evaluate.java_interp import JavaProgram, _Break
 from relicforge.evaluate.values import OutcomeKind, StepLimitExceeded
@@ -141,37 +141,56 @@ def step_limit(request, monkeypatch):
     return request.param
 
 
+class FastForwards(dict):
+    """Calls of `values.fast_forward` per side. Both interpreters call that
+    one helper, so `run` credits the calls made while one program runs to
+    that program's side: only one side runs between its two readings."""
+
+    def __init__(self):
+        super().__init__(cobol=0, java=0)
+        self.calls = 0
+
+    def run(self, program, vector):
+        before = self.calls
+        trace = program.run(vector)
+        self["cobol" if isinstance(program, CobolProgram) else "java"] += self.calls - before
+        return trace
+
+
 @pytest.fixture
 def fast_forwards(monkeypatch):
-    """Counts the calls of each interpreter's `_fast_forward`, which still
-    does its work, and checks that it leaves fewer steps than one cycle
-    and none overdrawn."""
-    counts = {"cobol": 0, "java": 0}
-    for module, side in ((cobol_interp, "cobol"), (java_interp, "java")):
-        helper = module._fast_forward
+    """Counts the calls of `values.fast_forward`, which still does its
+    work, and checks that it leaves fewer steps than one cycle and none
+    overdrawn."""
+    counts = FastForwards()
+    helper = values.fast_forward
 
-        def spy(budget, trace, left, lines, calls, _helper=helper, _side=side):
-            counts[_side] += 1
-            per = left - budget.left
-            _helper(budget, trace, left, lines, calls)
-            assert 0 <= budget.left < per
+    def spy(budget, trace, left, lines, calls):
+        counts.calls += 1
+        per = left - budget.left
+        helper(budget, trace, left, lines, calls)
+        assert 0 <= budget.left < per
 
-        monkeypatch.setattr(module, "_fast_forward", spy)
+    monkeypatch.setattr(values, "fast_forward", spy)
     return counts
 
 
-def assert_same_traces(ast: n.CobolAst, jasts: list[j.JavaAst], vectors) -> list:
-    """Runs both sides and their references on every vector; returns the
-    COBOL traces."""
+def _run(program, vector):
+    return program.run(vector)
+
+
+def assert_same_traces(ast: n.CobolAst, jasts: list[j.JavaAst], vectors, run=_run) -> list:
+    """Runs both sides and their references on every vector through `run`;
+    returns the COBOL traces."""
     cobol, ref_cobol = CobolProgram(ast), RefCobolProgram(ast)
     javas = [(JavaProgram(jast), RefJavaProgram(jast)) for jast in jasts]
     traces = []
     for vector in vectors:
-        trace = cobol.run(vector)
-        assert trace == ref_cobol.run(vector), vector
+        trace = run(cobol, vector)
+        assert trace == run(ref_cobol, vector), vector
         traces.append(trace)
         for java, ref_java in javas:
-            assert java.run(vector) == ref_java.run(vector), vector
+            assert run(java, vector) == run(ref_java, vector), vector
     return traces
 
 
@@ -195,13 +214,13 @@ def test_a_looping_file_fast_forwards_once_per_run(seed, fast_forwards):
     cobol = CobolProgram(ast)
     for vector in vectors:
         before = dict(fast_forwards)
-        assert cobol.run(vector).outcome.kind is OutcomeKind.STEP_LIMIT
+        assert fast_forwards.run(cobol, vector).outcome.kind is OutcomeKind.STEP_LIMIT
         assert fast_forwards == {"cobol": before["cobol"] + 1, "java": before["java"]}
     for jast in translations(ast):
         java = JavaProgram(jast)
         for vector in vectors:
             before = dict(fast_forwards)
-            assert java.run(vector).outcome.kind is OutcomeKind.STEP_LIMIT
+            assert fast_forwards.run(java, vector).outcome.kind is OutcomeKind.STEP_LIMIT
             assert fast_forwards == {"cobol": before["cobol"], "java": before["java"] + 1}
 
 
@@ -353,14 +372,14 @@ def test_hand_written_loops(name, fast_forwards):
     ast = cobol_ast(procedure)
     jasts = translations(ast)
     vectors = input_battery(f"loops:{name}")
-    for trace in assert_same_traces(ast, jasts, vectors):
+    for trace in assert_same_traces(ast, jasts, vectors, fast_forwards.run):
         assert trace.outcome.kind is ends
         if ends is OutcomeKind.RUNTIME_ERROR:
             assert trace.outcome.reason == "input exhausted"
             assert len(trace.display_lines) == len(vectors[0])
     # A repeating loop is fast-forwarded once per run, on either side.
-    runs = len(vectors) * (1 + len(jasts))
-    assert fast_forwards["cobol"] + fast_forwards["java"] == (runs if repeats else 0)
+    assert fast_forwards == {"cobol": len(vectors) if repeats else 0,
+                             "java": len(vectors) * len(jasts) if repeats else 0}
 
 
 JAVA_PROGRAMS = {
@@ -433,7 +452,7 @@ def test_hand_written_java_loops(name, fast_forwards):
     source, ends, repeats = JAVA_PROGRAMS[name]
     jast = parse_java(source)
     java, ref_java = JavaProgram(jast), RefJavaProgram(jast)
-    trace = java.run([])
-    assert trace == ref_java.run([])
+    trace = fast_forwards.run(java, [])
+    assert trace == fast_forwards.run(ref_java, [])
     assert trace.outcome.kind is ends
-    assert fast_forwards["java"] == int(repeats)
+    assert fast_forwards == {"cobol": 0, "java": int(repeats)}

@@ -1,8 +1,8 @@
 """The one-walk analysis features against the multi-pass code they replaced.
 
-step_features, file_features and nesting_levels each used to walk a tree
-several times; the references below are those versions, with the literal
-counters they read, kept as they were. Every array and list must come out
+step_features and file_features each used to walk a tree several times;
+the references below are those versions, with the literal counters they
+read, kept as they were. Every array and list must come out
 exactly equal, not merely close.
 """
 
@@ -18,7 +18,6 @@ from relicforge.analysis.metrics import (
     coupling,
     is_statement,
     measure,
-    nesting_levels,
 )
 from relicforge.analysis.steps import EDGE_ORDER
 from relicforge.cobol import SourceFile, parse_source
@@ -337,7 +336,6 @@ def assert_same_features(ast: n.CobolAst) -> None:
     assert np.array_equal(sf.node_feats, ref_node)
     assert np.array_equal(sf.edge_feats, ref_edge)
     assert file_features(ast, cfg) == ref_file_features(ast, cfg)
-    assert nesting_levels(ast) == ref_nesting_levels(ast)
     record = measure(ast)
     assert record.coupling == coupling(ast)
     assert record.cyclomatic == cyclomatic(cfg)
