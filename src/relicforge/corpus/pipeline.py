@@ -94,8 +94,10 @@ def load_ast(root: Path | str, record: Record, config: CorpusConfig = CorpusConf
 
     The manifest stores no repaired text or tree, so downstream consumers
     rebuild the tree on demand with one repair call, which parses the file
-    once and hands back the tree of its clean parse; repair is
-    deterministic, so this always reproduces the curate-time result.
+    once and hands back the tree of its clean parse. Repair is
+    deterministic, so for a file left unchanged since curate, read under
+    the config it was curated with, this reproduces the curate-time tree
+    and verdict; an edited file or another config can give another result.
     Returns (None, Rejected) for unrepairable files.
     """
     source = SourceFile(record.id, read_normalized(root, record), config.format)

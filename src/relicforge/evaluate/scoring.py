@@ -4,7 +4,10 @@ A translation is correct when it reproduces the source's observable
 behavior on a deterministic input battery and, where oracle labels exist,
 agrees with at least 90% of them. Corpus evaluation translates every Test
 record under one approach and aggregates accuracy plus before/after
-complexity and coupling into an EvalSummary.
+complexity and coupling into an EvalSummary. The "before" figures are the
+ones curate stored in each record's manifest metrics; a source edited
+after curate must be curated again, since its md5, lines and status are
+stale as well.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from relicforge.analysis import measure
 from relicforge.cobol import nodes as n
 from relicforge.corpus import CorpusConfig, CorpusManifest, Record, Split, load_ast
-from relicforge.errors import EvalError, ParseFailure
+from relicforge.errors import EvalError, FormatError, ParseFailure
 from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
 from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.values import Trace
@@ -74,8 +77,15 @@ def has_goto(ast: n.CobolAst) -> bool:
 
 
 def load_oracle_labels(path: Path | str) -> dict[int, Action]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {int(item["stmt_ref"]): Action.from_json(item) for item in data["labels"]}
+    """Oracle actions by statement ref from a `<stem>.labels.json` sidecar.
+    Raises FormatError naming the file when it is unreadable or malformed."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return {int(item["stmt_ref"]): Action.from_json(item) for item in data["labels"]}
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise FormatError(
+            f"{path}: unreadable oracle labels ({exc.__class__.__name__}: {exc})"
+        ) from exc
 
 
 def label_agreement(actions_used: dict[int, Action], oracle: dict[int, Action]) -> float:
@@ -299,7 +309,9 @@ def _score_records(records, translate, root: Path, seed: int, approach: str,
             rows.append(FileScore(record.id, False, "source failed to parse",
                                   None, None, None, None))
             continue
-        before = measure(ast)
+        # Curate measured this same tree; only a manifest without metrics
+        # (one written by hand, say) needs it measured here.
+        before = record.metrics or measure(ast)
         jast, actions_used, fallbacks, failure = translate(ast, record)
         fallback_count += fallbacks
         if jast is None:
@@ -308,10 +320,14 @@ def _score_records(records, translate, root: Path, seed: int, approach: str,
             continue
         after = java_metrics(jast)
         oracle = None
-        if record.oracle_labels:
-            oracle = load_oracle_labels(root / record.oracle_labels)
-        got = score_file(ast, jast, oracle, file_id=record.id, seed=seed,
-                         actions_used=actions_used)
+        try:
+            if record.oracle_labels:
+                oracle = load_oracle_labels(root / record.oracle_labels)
+        except FormatError:
+            got = {"correct": False, "reason": "oracle labels unreadable"}
+        else:
+            got = score_file(ast, jast, oracle, file_id=record.id, seed=seed,
+                             actions_used=actions_used)
         rows.append(FileScore(record.id, got["correct"], got["reason"],
                               before.cyclomatic, after.cyclomatic,
                               before.coupling, after.coupling))
@@ -340,15 +356,18 @@ def _resolve_manifest(manifest, root) -> tuple[CorpusManifest, Path]:
 def build_training_set(root: Path | str, records,
                        config: CorpusConfig = CorpusConfig()) -> list:
     """TrainSamples for the given records: oracle labels where sidecars
-    exist, default rule labels otherwise. `config` must be the one the
-    corpus was curated with, so each file is read in its source format."""
+    exist, default rule labels otherwise. A record whose source does not
+    parse or whose sidecar is unreadable gives no sample. `config` must be
+    the one the corpus was curated with, so each file is read in its
+    source format."""
     root = Path(root)
     samples = (_train_sample(root, record, config) for record in records)
     return [sample for sample in samples if sample is not None]
 
 
 def _train_sample(root: Path, record: Record, config: CorpusConfig):
-    """One record's TrainSample, or None when its source does not parse."""
+    """One record's TrainSample, or None when its source does not parse or
+    its labels sidecar is unreadable."""
     from relicforge.model import sample_from_ast
 
     ast, _verdict = load_ast(root, record, config)
@@ -356,7 +375,10 @@ def _train_sample(root: Path, record: Record, config: CorpusConfig):
         return None
     labels = None
     if record.oracle_labels:
-        labels = load_oracle_labels(root / record.oracle_labels)
+        try:
+            labels = load_oracle_labels(root / record.oracle_labels)
+        except FormatError:
+            return None
     return sample_from_ast(ast, labels)
 
 
@@ -374,7 +396,10 @@ def run_evaluation(
 ) -> tuple[EvalSummary, list[FileScore], list[dict]]:
     """Full evaluation: summary plus per-file rows and AST pairs for reports.
     `config` must be the one the corpus was curated with, so each source is
-    read in its format."""
+    read in its format. Complexity and coupling "before" come from the
+    manifest's metrics, curate's measurement of the same tree, so a source
+    edited after curate must be curated again. A labels sidecar that cannot
+    be read scores its file incorrect instead of aborting the run."""
     manifest, root = _resolve_manifest(manifest, root)
     kind = str(approach).strip().lower()
     if kind not in ("rules", "ai", "external"):

@@ -1,11 +1,13 @@
 """Value semantics, both interpreters, trace scoring, and corpus evaluation."""
 
+import copy
 import json
 import random
 
 import pytest
 
-from relicforge.cobol import SourceFile, parse_source
+from relicforge.analysis import measure
+from relicforge.cobol import SourceFile, parse_source, pretty_print
 from relicforge.cobol import nodes as n
 from relicforge.cobol.tokens import SourceFormat
 from relicforge.corpus import (
@@ -16,10 +18,11 @@ from relicforge.corpus import (
     Status,
     curate,
     ingest,
+    load_ast,
 )
 from relicforge.corpus import split as split_corpus
-from relicforge.datagen import random_program
-from relicforge.errors import EvalError
+from relicforge.datagen import acceptance_corpus, random_program
+from relicforge.errors import EvalError, FormatError
 from relicforge.evaluate import (
     INPUT_LENGTH,
     INPUT_VECTORS,
@@ -44,6 +47,7 @@ from relicforge.evaluate import (
     write_file_scores,
     write_pairs,
 )
+from relicforge.evaluate import scoring
 from relicforge.evaluate.values import (
     COMPLEMENT,
     HALTED,
@@ -73,6 +77,8 @@ from relicforge.transpile import (
     translate_with_fallbacks,
 )
 from relicforge.transpile import jnodes as j
+
+from tests.conftest import write_fixture_corpus
 
 
 def program(body, data="", pid="T-PROG", extra_paras=""):
@@ -810,8 +816,8 @@ def test_per_fold_scoring_builds_report_pairs_for_the_test_split_only(tmp_path, 
     assert len(serialized) == len(test)
 
 
-def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
-    config = CorpusConfig(format=SourceFormat.FIXED)
+def _write_fixed_corpus(root):
+    """Six sequence-numbered fixed-format programs that free format rejects."""
     for k in range(6):
         lines = [
             "IDENTIFICATION DIVISION.", f"PROGRAM-ID. FX{k}.", "DATA DIVISION.",
@@ -819,7 +825,12 @@ def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
             f"    MOVE {k} TO N.", "    ADD 1 TO N.", "    DISPLAY N.", "    STOP RUN.",
         ]
         numbered = [f"{100 * (i + 1):06d} {line}" for i, line in enumerate(lines)]
-        (tmp_path / f"fx{k}.cbl").write_text("\n".join(numbered) + "\n", encoding="utf-8")
+        (root / f"fx{k}.cbl").write_text("\n".join(numbered) + "\n", encoding="utf-8")
+
+
+def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
+    config = CorpusConfig(format=SourceFormat.FIXED)
+    _write_fixed_corpus(tmp_path)
     manifest = curate(ingest(tmp_path, config), tmp_path, config=config)
     assert [r.status for r in manifest.records] == [Status.KEPT] * 6
     split_corpus(manifest, seed=1)
@@ -895,6 +906,120 @@ def test_stale_source_is_scored_not_raised(tmp_path):
     assert stale.reason == "source failed to parse"
     assert stale.cx_before is None and stale.cx_after is None
     assert summary.accuracy < 1.0
+
+
+# -- "before" figures: curate's measurement, not a second one -------------------
+
+
+def _write_random_corpus(root, allow_goto):
+    for seed in range(30):
+        ast = random_program(random.Random(seed), allow_goto=allow_goto, program_id=f"R{seed}")
+        (root / f"r{seed:02d}.cbl").write_text(pretty_print(ast), encoding="utf-8")
+
+
+EQUIVALENCE_CORPORA = {
+    "random": (lambda root: _write_random_corpus(root, False), CorpusConfig()),
+    "random-goto": (lambda root: _write_random_corpus(root, True), CorpusConfig()),
+    "acceptance": (lambda root: acceptance_corpus(root, count=20, seed=3), CorpusConfig()),
+    "repaired": (write_fixture_corpus, CorpusConfig()),
+    "fixed": (_write_fixed_corpus, CorpusConfig(format=SourceFormat.FIXED)),
+}
+
+
+def _scored_records(manifest):
+    return [r for r in manifest.records if r.split in (Split.TRAIN, Split.TEST)]
+
+
+@pytest.mark.parametrize("corpus", sorted(EQUIVALENCE_CORPORA))
+def test_before_figures_equal_a_fresh_measure_of_each_tree(tmp_path, corpus):
+    write, config = EQUIVALENCE_CORPORA[corpus]
+    write(tmp_path)
+    manifest = curate(ingest(tmp_path, config), tmp_path, config=config)
+    split_corpus(manifest, seed=1)
+    if corpus == "repaired":
+        assert any(r.status is Status.REPAIRED for r in _scored_records(manifest))
+    reference = copy.deepcopy(manifest)
+    for record in _scored_records(reference):
+        ast, _verdict = load_ast(tmp_path, record, config)
+        record.metrics = measure(ast)
+
+    got = run_evaluation(manifest, "rules", root=tmp_path, per_fold=True, config=config)
+    want = run_evaluation(reference, "rules", root=tmp_path, per_fold=True, config=config)
+    summary, rows, pairs = got
+    assert summary.per_fold
+    assert all(row.cx_before is not None for row in rows)
+    assert got == want
+
+
+def test_measure_runs_only_for_records_without_metrics(tmp_path, monkeypatch):
+    manifest = _build_corpus(tmp_path, with_labels=True)
+    calls = []
+    real = scoring.measure
+    monkeypatch.setattr(scoring, "measure", lambda ast: calls.append(ast) or real(ast))
+    curated = run_evaluation(tmp_path / MANIFEST_NAME, "rules", per_fold=True)
+    assert calls == []
+
+    bare = tmp_path / "bare.jsonl"
+    lines = []
+    for record in manifest.records:
+        data = record.to_json()
+        if record.split is not None:
+            data["metrics"] = None
+        lines.append(json.dumps(data))
+    bare.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    remeasured = run_evaluation(bare, "rules", per_fold=True)
+    assert len(calls) == len(_scored_records(manifest))
+    assert remeasured == curated
+
+
+# -- malformed labels sidecars ---------------------------------------------------
+
+BAD_LABEL_BODIES = {
+    "not-json": "{not json",
+    "no-labels-key": '{"x": 1}',
+    "unknown-action": '{"labels": [{"stmt_ref": 1, "action": "Teleport"}]}',
+}
+
+
+@pytest.mark.parametrize("body", sorted(BAD_LABEL_BODIES))
+def test_malformed_labels_raise_a_format_error_naming_the_file(tmp_path, body):
+    path = tmp_path / "x.labels.json"
+    path.write_text(BAD_LABEL_BODIES[body], encoding="utf-8")
+    with pytest.raises(FormatError, match="x.labels.json"):
+        load_oracle_labels(path)
+
+
+def test_unreadable_labels_raise_a_format_error_naming_the_file(tmp_path):
+    with pytest.raises(FormatError, match="gone.labels.json"):
+        load_oracle_labels(tmp_path / "gone.labels.json")
+
+
+def _spoil_one_sidecar(root, split, body):
+    manifest = _build_corpus(root, with_labels=True)
+    record = next(r for r in manifest.records if r.split is split)
+    (root / record.oracle_labels).write_text(BAD_LABEL_BODIES[body], encoding="utf-8")
+    return manifest, record
+
+
+@pytest.mark.parametrize("body", sorted(BAD_LABEL_BODIES))
+def test_malformed_labels_score_their_file_instead_of_aborting(tmp_path, body):
+    manifest, bad = _spoil_one_sidecar(tmp_path, Split.TEST, body)
+    summary, rows, pairs = run_evaluation(manifest, "rules", root=tmp_path, per_fold=True)
+    row = next(r for r in rows if r.id == bad.id)
+    assert (row.correct, row.reason) == (False, "oracle labels unreadable")
+    assert row.cx_before == bad.metrics.cyclomatic
+    assert row.cp_before == bad.metrics.coupling
+    assert row.cx_after is not None and row.cp_after is not None
+    assert all(r.correct for r in rows if r.id != bad.id)
+    assert summary.accuracy == 0.5
+    assert [pair["id"] for pair in pairs] == [r.id for r in rows]
+
+
+@pytest.mark.parametrize("body", sorted(BAD_LABEL_BODIES))
+def test_malformed_labels_leave_their_file_out_of_the_training_set(tmp_path, body):
+    manifest, _bad = _spoil_one_sidecar(tmp_path, Split.TRAIN, body)
+    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    assert len(build_training_set(tmp_path, train)) == len(train) - 1
 
 
 def test_evaluate_corpus_returns_the_summary_alone(tmp_path):
