@@ -20,7 +20,7 @@ from pathlib import Path
 from relicforge.analysis.metrics import FEATURE_NAMES, MetricsRecord, measure
 from relicforge.cobol import SourceFile, SourceFormat, Verdict, repair
 from relicforge.corpus.manifest import CorpusManifest, Record, Split, Status
-from relicforge.errors import SplitError
+from relicforge.errors import SourceError, SplitError
 
 DEFAULT_EXTENSIONS = (".cbl", ".cob", ".txt")
 TRAIN_FRACTION = 0.8
@@ -35,6 +35,11 @@ class CorpusConfig:
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
     format: SourceFormat = SourceFormat.FREE
     min_statements: int = 3
+
+
+def _md5(text: str) -> str:
+    """The md5 a record stores for its normalized text."""
+    return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
 def normalize_text(raw: str) -> str:
@@ -72,7 +77,7 @@ def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusMan
             records.append(record)
             continue
         text = normalize_text(raw)
-        record.md5 = hashlib.md5(text.encode("utf-8")).hexdigest()
+        record.md5 = _md5(text)
         record.lines = len(text.split("\n"))
         java = path.with_suffix(".java")
         labels = path.with_name(path.stem + ".labels.json")
@@ -97,11 +102,19 @@ def load_ast(root: Path | str, record: Record, config: CorpusConfig = CorpusConf
     once and hands back the tree of its clean parse. Repair is
     deterministic, so for a file left unchanged since curate, read under
     the config it was curated with, this reproduces the curate-time tree
-    and verdict; an edited file or another config can give another result.
-    Returns (None, Rejected) for unrepairable files.
+    and verdict. Raises SourceError, a FormatError naming the file, when
+    the file can no longer be read, or when its normalized text no longer
+    has the record's md5 (a record without an md5, as in a hand-written
+    manifest, is not checked). Returns (None, Rejected) for unrepairable
+    files.
     """
-    source = SourceFile(record.id, read_normalized(root, record), config.format)
-    _fixed, log = repair(source)
+    try:
+        text = read_normalized(root, record)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SourceError(record.relative_path, "source unreadable") from exc
+    if record.md5 and _md5(text) != record.md5:
+        raise SourceError(record.relative_path, "source changed since curate")
+    _fixed, log = repair(SourceFile(record.id, text, config.format))
     return log.ast, log.verdict
 
 

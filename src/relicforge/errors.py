@@ -59,6 +59,15 @@ class FormatError(RelicForgeError):
     pass
 
 
+class SourceError(FormatError):
+    """A curated source that can no longer be read as curate read it.
+    `reason` is "source unreadable" or "source changed since curate"."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.reason = reason
+
+
 class SplitError(RelicForgeError):
     pass
 

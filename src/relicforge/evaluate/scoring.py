@@ -5,9 +5,10 @@ behavior on a deterministic input battery and, where oracle labels exist,
 agrees with at least 90% of them. Corpus evaluation translates every Test
 record under one approach and aggregates accuracy plus before/after
 complexity and coupling into an EvalSummary. The "before" figures are the
-ones curate stored in each record's manifest metrics; a source edited
-after curate must be curated again, since its md5, lines and status are
-stale as well.
+ones curate stored in each record's manifest metrics, so a source that
+no longer has the md5 curate recorded is not scored against them: it
+scores incorrect ("source changed since curate") until it is curated
+again.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from relicforge.analysis import measure
 from relicforge.cobol import nodes as n
 from relicforge.corpus import CorpusConfig, CorpusManifest, Record, Split, load_ast
-from relicforge.errors import EvalError, FormatError, ParseFailure
+from relicforge.errors import EvalError, FormatError, ParseFailure, SourceError
 from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
 from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.values import Trace
@@ -304,7 +305,11 @@ def _score_records(records, translate, root: Path, seed: int, approach: str,
     rows: list[FileScore] = []
     fallback_count = 0
     for record in records:
-        ast, _verdict = load_ast(root, record, config)
+        try:
+            ast, _verdict = load_ast(root, record, config)
+        except SourceError as exc:
+            rows.append(FileScore(record.id, False, exc.reason, None, None, None, None))
+            continue
         if ast is None:
             rows.append(FileScore(record.id, False, "source failed to parse",
                                   None, None, None, None))
@@ -356,8 +361,9 @@ def _resolve_manifest(manifest, root) -> tuple[CorpusManifest, Path]:
 def build_training_set(root: Path | str, records,
                        config: CorpusConfig = CorpusConfig()) -> list:
     """TrainSamples for the given records: oracle labels where sidecars
-    exist, default rule labels otherwise. A record whose source does not
-    parse or whose sidecar is unreadable gives no sample. `config` must be
+    exist, default rule labels otherwise. A record whose source is
+    unreadable, has changed since curate or does not parse, or whose
+    sidecar is unreadable, gives no sample. `config` must be
     the one the corpus was curated with, so each file is read in its
     source format."""
     root = Path(root)
@@ -366,11 +372,15 @@ def build_training_set(root: Path | str, records,
 
 
 def _train_sample(root: Path, record: Record, config: CorpusConfig):
-    """One record's TrainSample, or None when its source does not parse or
-    its labels sidecar is unreadable."""
+    """One record's TrainSample, or None when its source is unreadable, has
+    changed since curate or does not parse, or its labels sidecar is
+    unreadable."""
     from relicforge.model import sample_from_ast
 
-    ast, _verdict = load_ast(root, record, config)
+    try:
+        ast, _verdict = load_ast(root, record, config)
+    except SourceError:
+        return None
     if ast is None:
         return None
     labels = None
@@ -397,9 +407,10 @@ def run_evaluation(
     """Full evaluation: summary plus per-file rows and AST pairs for reports.
     `config` must be the one the corpus was curated with, so each source is
     read in its format. Complexity and coupling "before" come from the
-    manifest's metrics, curate's measurement of the same tree, so a source
-    edited after curate must be curated again. A labels sidecar that cannot
-    be read scores its file incorrect instead of aborting the run."""
+    manifest's metrics, curate's measurement of the same tree. A source
+    that can no longer be read, or whose text has changed since curate,
+    and a labels sidecar that cannot be read, each score their file
+    incorrect instead of aborting the run."""
     manifest, root = _resolve_manifest(manifest, root)
     kind = str(approach).strip().lower()
     if kind not in ("rules", "ai", "external"):

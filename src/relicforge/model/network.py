@@ -9,25 +9,36 @@ backpropagation through time, held to a finite-difference oracle by the
 test suite.
 
 The parameter table and checkpoint format v1 keep one matrix and one
-bias per gate (`layer0.W_i`, ...); the kernel stacks them at call time
+bias per gate (`layer0.W_i`, ...); the kernels stack them at call time
 into one (4H, H + width) matrix ordered o, i, f, c, as in cuDNN's fused
-LSTM (Appleyard et al. 2016, arXiv:1604.01946). It computes every step's
-input projection before the time loop, then runs one (B, H) @ (H, 4H)
-product and one tanh per step over a right-padded batch, the sigmoid
-being 0.5 * (1 + tanh(x / 2)). `forward` is the kernel at B = 1.
+LSTM (Appleyard et al. 2016, arXiv:1604.01946), with the sigmoid gates'
+rows halved so that one tanh gives all four gates, the sigmoid being
+0.5 * (1 + tanh(x / 2)). Each step runs one (B, H) @ (H, 4H) product over
+a batch sorted by length and right-padded; padded steps carry zero
+weight and move no loss or gradient. There are two kernels:
 
-Training runs samples CHUNK at a time, sorted by length so that chunks
-need little padding; padded steps carry zero weight and move no loss or
-gradient. The forward-only metrics pass keeps no traces and takes twice
-as many. Both limits below were measured on a 2-vCPU VM with OpenBLAS
-0.3.31. A chunk's traces and gradients cost about 4 KB of peak memory per
-sample-step: on the acceptance benchmark, peak RSS rose 2% over
-per-sample code at CHUNK = 4, 4.3% at 8 and 0.9% at 2 (at 10% more wall
-time), figures taken before the backward pass wrote its gradients into
-the trace's gate array, which cut the tracemalloc peak of a 64-sample
-batch from 1.09 to 0.88 MB. OpenBLAS threads large products, so none
-spans more than a step or a sample: dW as one GEMM over the 3,328 rows
-of a 64-sample batch took 5.2 ms, against 1.4 ms as per-step products.
+- The traced kernel computes every step's input projection before its
+  time loop and keeps what the backward pass needs. `forward` is this
+  kernel at B = 1, and training runs it CHUNK samples at a time.
+- The metrics kernel runs the forward-only loss pass WIDE samples per
+  time loop, longest first. Its time loop runs outside the layer loop,
+  so each layer keeps only h and c, and each step projects only its own
+  inputs and runs only the samples still going. Projecting all steps up
+  front holds a (T, B, 4H) array: at B = 64 that pass peaked at 7.2 MB.
+
+At B = 4 to 8 a step's cost is mostly numpy call overhead, so wider
+calls are cheaper per sample; the limit is memory. Measured on a 2-vCPU
+VM with OpenBLAS 0.3.31 over the acceptance benchmark's 96 training
+samples (24 to 52 steps), as tracemalloc peaks: the metrics pass 1.28 MB
+at WIDE = 64, against 1.10 MB for the traced kernel without traces at
+B = 8; a 64-sample training batch 0.85 / 1.45 / 2.01 / 2.57 / 3.14 MB at
+CHUNK = 4 / 8 / 12 / 16 / 20, about 3 KB per sample-step. Against the
+old kernels (CHUNK = 4 and an 8-sample metrics pass), the acceptance
+benchmark's peak RSS rose 0.4% / 1.8% / 2.6% and its wall time fell
+11% / 12% / 13% at CHUNK = 8 / 12 / 16 (medians of 3 runs). OpenBLAS
+threads large products, so none spans more than a step or a sample: dW
+as one GEMM over the 3,328 rows of a 64-sample batch took 5.2 ms,
+against 1.4 ms as per-step products.
 """
 
 from __future__ import annotations
@@ -41,8 +52,10 @@ from relicforge.errors import ShapeError
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
 
-# Samples per padded kernel call; see the module docstring.
-CHUNK = 4
+# Samples per traced training kernel call and per forward-only metrics
+# time loop; see the module docstring.
+CHUNK = 16
+WIDE = 64
 
 
 @dataclass(frozen=True)
@@ -180,17 +193,25 @@ def _stacked(params: dict, li: int, kind: str = "W") -> np.ndarray:
     return np.concatenate([params[f"layer{li}.{kind}_{gate}"] for gate in "oifc"])
 
 
-def _layer(x, W, b, mask, trace):
-    """One layer over right-padded (T, B, width) inputs: the (T, B, hidden)
-    outputs and, with `trace`, what the backward pass needs."""
-    steps, size, _ = x.shape
+def _halved(W, b):
+    """A layer's kernel weights with the sigmoid gates' rows halved (exact in
+    binary), so one tanh per step gives all four gates: the input part as a
+    (width, 4H) matrix, the recurrent part as a contiguous (H, 4H) one, and
+    the bias."""
     hidden = W.shape[0] // 4
-    # Sigmoid rows halved (exact in binary): one tanh per step gives all gates.
     scale = np.repeat([0.5, 0.5, 0.5, 1.0], hidden)
     Ws = W * scale[:, None]
-    gates = x @ Ws[:, hidden:].T  # the input projection of every step
-    gates += b * scale
-    Wh = np.ascontiguousarray(Ws[:, :hidden].T)
+    return Ws[:, hidden:].T, np.ascontiguousarray(Ws[:, :hidden].T), b * scale
+
+
+def _layer(x, W, b, mask):
+    """One layer over right-padded (T, B, width) inputs: the (T, B, hidden)
+    outputs and the trace the backward pass needs."""
+    steps, size, _ = x.shape
+    hidden = W.shape[0] // 4
+    Wx, Wh, bias = _halved(W, b)
+    gates = x @ Wx  # the input projection of every step
+    gates += bias
     z = np.zeros((steps + 1, size, W.shape[1]))  # z[t] = [h_prev, x_t]
     z[:steps, :, hidden:] = x
     h = z[:, :, :hidden]
@@ -209,7 +230,7 @@ def _layer(x, W, b, mask, trace):
         np.tanh(c_t, out=tanh_t)
         np.multiply(o_t, tanh_t, out=h_t)
     out = h[1:] if mask is None else h[1:] * mask
-    return out, _LayerTrace(z[:steps], gates, c[1:], tanh_c, mask) if trace else None
+    return out, _LayerTrace(z[:steps], gates, c[1:], tanh_c, mask)
 
 
 def _layer_backward(tr: _LayerTrace, W, dh_seq):
@@ -253,16 +274,17 @@ def _layer_backward(tr: _LayerTrace, W, dh_seq):
         a[:, 1:] *= dc[:, None]
         dh_next = a.reshape(size, 4 * hidden) @ Wh
         carry = dc * f_t
+    del tmp, forget, f_t  # free the temporary before the products below
     da = tr.gates
     dW = sum(da[:, k].T @ tr.z[:, k] for k in range(size))  # one GEMM per sample
     return da @ W[:, hidden:], dW, da.sum(axis=(0, 1))
 
 
-def _run(x, params, masks, trace=True) -> ForwardPass:
+def _run(x, params, masks) -> ForwardPass:
     """The stack and both heads over a right-padded (T, B, input_dim) batch."""
     layers = []
     for li, mask in enumerate(masks):
-        x, tr = _layer(x, _stacked(params, li), _stacked(params, li, "b"), mask, trace)
+        x, tr = _layer(x, _stacked(params, li), _stacked(params, li, "b"), mask)
         layers.append(tr)
     logits = x @ params["W_y"].T + params["b_y"]
     offset_pre = x @ params["W_s"] + params["b_s"][0]
@@ -311,42 +333,85 @@ def _pad(rows: list[np.ndarray], steps: int) -> np.ndarray:
     return out
 
 
-def chunked_loss(samples, ckpt: ModelCheckpoint, rng=None, grads=None) -> tuple[float, float]:
-    """The loss over `samples` and their statement-level label accuracy, a
-    chunk of samples at a time, shortest first, each chunk padded to its
-    longest member. With `grads`, each chunk keeps its traces and adds its
-    gradients there; without, the pass is forward-only. Dropout masks are
-    drawn per sample in `samples` order, as `forward` draws them."""
-    total_w = sum(float(s.weight.sum()) for s in samples)
-    total_ext = sum(float(s.offset_mask.sum()) for s in samples)
-    masks = [_dropout_masks(len(s.steps), ckpt.config, rng) for s in samples]
-    order = sorted(range(len(samples)), key=lambda k: len(samples[k].steps))
+def _objective(samples, group, logits, offsets, total_w, total_ext):
+    """One padded group's share of the loss and its weighted label hits,
+    plus what the gradient starts from: each step's share of the class
+    weight, a (T, B, classes) mask of the target classes, the scaled offset
+    weights and the offset errors."""
+    w, ids, targets, m = (
+        _pad([getattr(samples[k], name) for k in group], len(logits))
+        for name in ("weight", "class_ids", "offsets", "offset_mask")
+    )
+    target = ids[..., None] == np.arange(logits.shape[-1])
+    share = w / total_w
+    m = m / total_ext if total_ext > 0 else m
+    diff = offsets - targets
+    loss = float(np.sum(share * -np.sum(log_softmax(logits), axis=-1, where=target)))
+    loss += float(np.sum(m * diff * diff))
+    hits = float(np.sum(w * (np.argmax(logits, axis=-1) == ids)))
+    return loss, hits, (share, target, m, diff)
+
+
+def _totals(samples) -> tuple[float, float]:
+    """The total step weight and total offset weight of `samples`."""
+    return (sum(float(s.weight.sum()) for s in samples),
+            sum(float(s.offset_mask.sum()) for s in samples))
+
+
+def _stream(samples, group, ckpt: ModelCheckpoint):
+    """The stack and both heads, forward only, over one group sorted longest
+    first: (T, B, classes + 1) head outputs, the class logits then the
+    pre-sigmoid offset, without their biases and zero past each sample's
+    end. Each step runs only the samples still going, a prefix of the
+    group, and keeps only h and c per layer."""
+    params = ckpt.params
+    lengths = [len(samples[k].steps) for k in group]
+    x = _pad([_matrix(samples[k].steps, ckpt.config) for k in group], lengths[0])
+    kernels = [_halved(_stacked(params, li), _stacked(params, li, "b"))
+               for li in range(ckpt.config.layers)]
+    hidden = ckpt.config.hidden
+    states = [(np.zeros((len(group), hidden)), np.zeros((len(group), hidden))) for _ in kernels]
+    heads_W = np.concatenate([params["W_y"], params["W_s"][None]]).T
+    heads = np.zeros(x.shape[:2] + (ckpt.config.classes + 1,))
+    going = np.count_nonzero(np.asarray(lengths)[:, None] > np.arange(lengths[0]), axis=0)
+    for t, live in enumerate(going.tolist()):
+        out = x[t, :live]
+        for (Wx, Wh, bias), (h, c) in zip(kernels, states):
+            h, c = h[:live], c[:live]
+            a = out @ Wx
+            a += bias
+            a += h @ Wh
+            np.tanh(a, out=a)
+            sig = a[:, :3 * hidden]
+            sig += 1.0
+            sig *= 0.5
+            o, i, f, g = (a[:, k * hidden:(k + 1) * hidden] for k in range(4))
+            c *= f
+            g *= i
+            c += g
+            np.tanh(c, out=h)
+            h *= o
+            out = h
+        np.matmul(out, heads_W, out=heads[t, :live])
+    return heads
+
+
+def forward_metrics(samples, ckpt: ModelCheckpoint) -> tuple[float, float]:
+    """The loss over `samples` and their statement-level label accuracy,
+    forward only and without dropout: WIDE samples per time loop, longest
+    first, each group padded to its longest member."""
+    total_w, total_ext = _totals(samples)
+    order = sorted(range(len(samples)), key=lambda k: len(samples[k].steps), reverse=True)
     loss = hits = 0.0
-    size = CHUNK if grads is not None else 2 * CHUNK  # no traces: twice the samples fit
-    for start in range(0, len(order), size):
-        chunk = order[start:start + size]
-        steps = len(samples[chunk[-1]].steps)
-        w, ids, targets, m = (
-            _pad([getattr(samples[k], name) for k in chunk], steps)
-            for name in ("weight", "class_ids", "offsets", "offset_mask")
-        )
-        x = _pad([_matrix(samples[k].steps, ckpt.config) for k in chunk], steps)
-        layer_masks = [
-            None if mask is None else _pad([masks[k][li] for k in chunk], steps)
-            for li, mask in enumerate(masks[chunk[0]])
-        ]
-        fp = _run(x, ckpt.params, layer_masks, trace=grads is not None)
-        onehot = np.eye(ckpt.config.classes)[ids]
-        m = m / total_ext if total_ext > 0 else m
-        diff = fp.offsets - targets
-        loss += float(np.sum(w / total_w * -np.sum(onehot * log_softmax(fp.logits), axis=-1)))
-        loss += float(np.sum(m * diff * diff))
-        hits += float(np.sum(w * (np.argmax(fp.logits, axis=-1) == ids)))
-        if grads is not None:
-            dlogits = (softmax(fp.logits) - onehot) * (w / total_w)[..., None]
-            _backward(fp, dlogits, 2.0 * m * diff * fp.offsets * (1.0 - fp.offsets),
-                      ckpt.params, grads)
-        del fp  # free this chunk's traces before the next chunk runs
+    for start in range(0, len(order), WIDE):
+        group = order[start:start + WIDE]
+        heads = _stream(samples, group, ckpt)
+        logits = heads[..., :-1] + ckpt.params["b_y"]
+        offsets = sigmoid(heads[..., -1] + ckpt.params["b_s"][0])
+        del heads
+        part, part_hits, _ = _objective(samples, group, logits, offsets, total_w, total_ext)
+        loss += part
+        hits += part_hits
     return loss, hits / total_w
 
 
@@ -356,7 +421,8 @@ def _backward(fp: ForwardPass, dlogits, doffset_pre, params: dict, grads: dict) 
     grads["b_y"] += dlogits.sum(axis=(0, 1))
     grads["W_s"] += np.einsum("tb,tbh->h", doffset_pre, fp.top)
     grads["b_s"][0] += doffset_pre.sum()
-    dout = dlogits @ params["W_y"] + doffset_pre[..., None] * params["W_s"]
+    dout = dlogits @ params["W_y"]
+    dout += doffset_pre[..., None] * params["W_s"]
     for li in reversed(range(len(fp.layers))):
         tr = fp.layers[li]
         dh = dout if tr.mask is None else dout * tr.mask
@@ -371,10 +437,36 @@ def loss_and_grads(batch, ckpt: ModelCheckpoint, rng: np.random.Generator | None
     offsets, with exact gradients for every parameter. Both terms are means
     over the batch's total step weight (class term) and total offset weight
     (split term), so a zero-weight step, padding included, can never move a
-    parameter."""
+    parameter. The batch runs CHUNK samples at a time, shortest first, each
+    chunk padded to its longest member and freed before the next runs.
+    Dropout masks are drawn per sample in `batch` order, as `forward` draws
+    them."""
     if not batch:
         raise ValueError("empty batch")
-    if sum(float(s.weight.sum()) for s in batch) <= 0:
+    total_w, total_ext = _totals(batch)
+    if total_w <= 0:
         raise ValueError("batch carries no step weight")
     grads = {name: np.zeros_like(p) for name, p in ckpt.params.items()}
-    return chunked_loss(batch, ckpt, rng, grads)[0], grads
+    masks = [_dropout_masks(len(s.steps), ckpt.config, rng) for s in batch]
+    order = sorted(range(len(batch)), key=lambda k: len(batch[k].steps))
+    loss = 0.0
+    for start in range(0, len(order), CHUNK):
+        chunk = order[start:start + CHUNK]
+        steps = len(batch[chunk[-1]].steps)
+        layer_masks = [
+            None if mask is None else _pad([masks[k][li] for k in chunk], steps)
+            for li, mask in enumerate(masks[chunk[0]])
+        ]
+        # The bottom trace keeps its own copy of the inputs.
+        fp = _run(_pad([_matrix(batch[k].steps, ckpt.config) for k in chunk], steps),
+                  ckpt.params, layer_masks)
+        part, _hits, (share, target, m, diff) = _objective(
+            batch, chunk, fp.logits, fp.offsets, total_w, total_ext)
+        loss += part
+        dlogits = softmax(fp.logits)
+        dlogits -= target
+        dlogits *= share[..., None]
+        _backward(fp, dlogits, 2.0 * m * diff * fp.offsets * (1.0 - fp.offsets),
+                  ckpt.params, grads)
+        del fp  # free this chunk's traces before the next chunk runs
+    return loss, grads

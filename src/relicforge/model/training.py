@@ -20,7 +20,7 @@ from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark
 from relicforge.cobol import nodes as n
 from relicforge.errors import DivergenceError, ShapeError
 from relicforge.model.network import (  # noqa: F401  forward: the traced benchmark wraps it here
-    ModelCheckpoint, ModelConfig, chunked_loss, forward, init_checkpoint, loss_and_grads,
+    ModelCheckpoint, ModelConfig, forward, forward_metrics, init_checkpoint, loss_and_grads,
 )
 from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
 
@@ -80,8 +80,12 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
 
 
 def dataset_metrics(dataset: list[TrainSample], ckpt: ModelCheckpoint) -> dict:
-    """Deterministic full-set loss and statement-level label accuracy."""
-    loss, accuracy = chunked_loss(dataset, ckpt)
+    """Deterministic full-set loss and statement-level label accuracy.
+
+    The forward-only metrics kernel computes both, WIDE samples per time
+    loop with no traces and no dropout; both match one `forward` per
+    sample to float rounding."""
+    loss, accuracy = forward_metrics(dataset, ckpt)
     return {"loss": loss, "accuracy": accuracy}
 
 

@@ -903,9 +903,80 @@ def test_stale_source_is_scored_not_raised(tmp_path):
     summary, rows, _ = run_evaluation(manifest, "rules", root=tmp_path)
     stale = next(r for r in rows if r.id == record.id)
     assert stale.correct is False
-    assert stale.reason == "source failed to parse"
+    assert stale.reason == "source changed since curate"
     assert stale.cx_before is None and stale.cx_after is None
     assert summary.accuracy < 1.0
+
+
+# -- sources that change or go missing after curate ------------------------------
+
+
+def _undecodable(path, _other):
+    path.write_bytes(b"\xff\xfe bad")
+
+
+def _deleted(path, _other):
+    path.unlink()
+
+
+def _replaced(path, other):
+    # Text that parses and translates correctly: only the md5 tells.
+    path.write_bytes(other.read_bytes())
+
+
+SPOILED_SOURCES = {
+    "undecodable": (_undecodable, "source unreadable"),
+    "deleted": (_deleted, "source unreadable"),
+    "replaced": (_replaced, "source changed since curate"),
+}
+
+
+def _spoil_one_source(root, split, kind):
+    manifest = _build_corpus(root)
+    record = next(r for r in manifest.records if r.split is split)
+    other = next(r for r in manifest.records
+                 if r.split is not None and r.md5 != record.md5)
+    spoil, reason = SPOILED_SOURCES[kind]
+    spoil(root / record.relative_path, root / other.relative_path)
+    return manifest, record, reason
+
+
+@pytest.mark.parametrize("kind", sorted(SPOILED_SOURCES))
+def test_load_ast_names_a_spoiled_source(tmp_path, kind):
+    manifest, record, reason = _spoil_one_source(tmp_path, Split.TEST, kind)
+    with pytest.raises(FormatError, match=f"{record.relative_path}: {reason}"):
+        load_ast(tmp_path, record)
+
+
+@pytest.mark.parametrize("kind", sorted(SPOILED_SOURCES))
+def test_spoiled_source_scores_its_file_instead_of_aborting(tmp_path, kind):
+    manifest, bad, reason = _spoil_one_source(tmp_path, Split.TEST, kind)
+    summary, rows, pairs = run_evaluation(manifest, "rules", root=tmp_path, per_fold=True)
+    row = next(r for r in rows if r.id == bad.id)
+    assert (row.correct, row.reason) == (False, reason)
+    assert (row.cx_before, row.cx_after, row.cp_before, row.cp_after) == (None,) * 4
+    assert all(r.correct for r in rows if r.id != bad.id)
+    assert summary.accuracy == 0.5
+    assert bad.id not in [pair["id"] for pair in pairs]
+
+
+@pytest.mark.parametrize("kind", sorted(SPOILED_SOURCES))
+def test_spoiled_source_is_left_out_of_the_training_set(tmp_path, kind):
+    manifest, _bad, _reason = _spoil_one_source(tmp_path, Split.TRAIN, kind)
+    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    assert len(build_training_set(tmp_path, train)) == len(train) - 1
+
+
+def test_a_record_without_md5_is_read_as_it_is(tmp_path):
+    manifest = _build_corpus(tmp_path)
+    test_record = next(r for r in manifest.records if r.split is Split.TEST)
+    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    for record in (test_record, train[0]):
+        record.md5 = ""  # as in a hand-written manifest
+        (tmp_path / record.relative_path).write_text("GARBAGE\n", encoding="utf-8")
+    _summary, rows, _pairs = run_evaluation(manifest, "rules", root=tmp_path)
+    assert next(r.reason for r in rows if r.id == test_record.id) == "source failed to parse"
+    assert len(build_training_set(tmp_path, train)) == len(train) - 1
 
 
 # -- "before" figures: curate's measurement, not a second one -------------------

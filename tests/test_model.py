@@ -2,8 +2,12 @@
 training, checkpoint serialization, and prediction."""
 
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +40,8 @@ from relicforge.model import (
     tensor_shapes,
     train,
 )
-from relicforge.model.network import CHUNK
+from relicforge.model import network
+from relicforge.model.network import CHUNK, WIDE
 from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
 
 # Pre-order refs: 0 Program, 1-2 DataItem, 3 Paragraph, 4 Move,
@@ -616,14 +621,13 @@ def test_training_with_dropout_between_layers_is_reproducible():
     assert first != train(dataset, small_config(layers=2, dropout=0.0, epochs=3, batch=2))
 
 
-def test_batched_metrics_match_per_sample_forward():
-    dataset = random_dataset(12)
-    ckpt = train(dataset, small_config(layers=2, epochs=6))
-    total_w = sum(float(s.weight.sum()) for s in dataset)
-    total_ext = sum(float(s.offset_mask.sum()) for s in dataset)
+def per_sample_metrics(samples, ckpt):
+    """The metrics pass's loss and accuracy, one `forward` per sample."""
+    total_w = sum(float(s.weight.sum()) for s in samples)
+    total_ext = sum(float(s.offset_mask.sum()) for s in samples)
     loss = 0.0
     hits = 0.0
-    for s in dataset:
+    for s in samples:
         fp = forward(s.steps, ckpt)
         steps = np.arange(len(s.steps))
         loss += float(np.sum(s.weight / total_w * -log_softmax(fp.logits)[steps, s.class_ids]))
@@ -631,10 +635,93 @@ def test_batched_metrics_match_per_sample_forward():
             diff = fp.offsets - s.offsets
             loss += float(np.sum(s.offset_mask / total_ext * diff * diff))
         hits += float(np.sum(s.weight * (np.argmax(fp.logits, axis=1) == s.class_ids)))
+    return loss, hits / total_w
+
+
+def wide_samples(config, seed):
+    """2 * WIDE + 1 samples of mixed lengths, one in nine a single step;
+    every third carries split targets."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 40, size=2 * WIDE + 1)
+    lengths[::9] = 1
+    samples = []
+    for k, steps in enumerate(lengths):
+        feats = StepFeatures(
+            rng.normal(size=(steps, config.input_dim - 2)), rng.normal(size=(steps, 2))
+        )
+        ids = rng.integers(0, config.classes, size=steps)
+        weight = (rng.random(steps) < 0.7).astype(float)
+        weight[-1] = 1.0
+        offsets = np.zeros(steps)
+        offset_mask = np.zeros(steps)
+        if k % 3 == 0:
+            offsets[-1] = rng.uniform()
+            offset_mask[-1] = 1.0
+        actions = [Action(CLASS_ORDER[i]) for i in ids]
+        samples.append(TrainSample(feats, actions, weight, ids, offsets, offset_mask))
+    return samples
+
+
+def test_batched_metrics_match_per_sample_forward():
+    dataset = random_dataset(12)
+    ckpt = train(dataset, small_config(layers=2, epochs=6))
+    loss, accuracy = per_sample_metrics(dataset, ckpt)
     metrics = dataset_metrics(dataset, ckpt)
     assert abs(metrics["loss"] - loss) <= 1e-12
-    assert metrics["accuracy"] == hits / total_w
+    assert metrics["accuracy"] == accuracy
     assert 0.0 < metrics["accuracy"] < 1.0
+
+    # More than two wide groups, with and without offset weight.
+    for layers in (1, 2):
+        config = ModelConfig(layers=layers, hidden=6, dropout=0.3, classes=5,
+                             input_dim=7, seed=layers)
+        ckpt = scrambled(config, seed=layers)
+        samples = wide_samples(config, seed=layers)
+        unsplit = [s for s in samples if not s.offset_mask.any()]
+        assert len(samples) > 2 * WIDE and len(unsplit) < len(samples)
+        for subset in (samples, unsplit):
+            loss, accuracy = per_sample_metrics(subset, ckpt)
+            metrics = dataset_metrics(subset, ckpt)
+            assert abs(metrics["loss"] - loss) <= 1e-12, layers
+            assert metrics["accuracy"] == accuracy, layers
+
+
+def test_gradients_do_not_depend_on_chunk_width(monkeypatch):
+    config = ModelConfig(layers=2, hidden=6, dropout=0.3, classes=5, input_dim=7, seed=4)
+    ckpt = scrambled(config)
+    batch = wide_samples(config, seed=4)[:3 * CHUNK + 1]
+    loss, grads = loss_and_grads(batch, ckpt, np.random.default_rng(2))
+    monkeypatch.setattr(network, "CHUNK", 1)
+    one_loss, one_grads = loss_and_grads(batch, ckpt, np.random.default_rng(2))
+    assert abs(one_loss - loss) <= 1e-12
+    for name in grads:
+        assert np.max(np.abs(one_grads[name] - grads[name])) <= 1e-12, name
+
+
+TRAIN_DIGEST = """
+import hashlib, random
+from relicforge.datagen import random_program
+from relicforge.model import ModelConfig, sample_from_ast, train
+dataset = [sample_from_ast(random_program(random.Random(300 + i))) for i in range(80)]
+ckpt = train(dataset, ModelConfig(layers=2, epochs=2, batch=64, seed=3))
+digest = hashlib.sha256(repr(ckpt.history).encode())
+for name, value in ckpt.params.items():
+    digest.update(name.encode() + value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_does_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", TRAIN_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_training_rejects_empty_dataset():
