@@ -10,10 +10,20 @@ TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
 perform keeps its callee opaque but its loop test explicit, matching the
 loop its translation unrolls into. GO TO adds a Seq edge to the target
 paragraph's first statement; code left unreachable that way is pruned and
-counted. STOP RUN is a plain statement node: halting is interpreter
-semantics, and modeling it as fall-through keeps paragraphs after a
-mid-program stop connected. Only Branch nodes fan out. An Evaluate branch
-carries one Case edge per arm plus a False default edge.
+counted. Pruning runs only when a GO TO was placed: without one every
+node is reachable and `pruned` is 0. STOP RUN is a plain statement node:
+halting is interpreter semantics, and modeling it as fall-through keeps
+paragraphs after a mid-program stop connected. Only Branch nodes fan out.
+An Evaluate branch carries one Case edge per arm plus a False default
+edge.
+
+A statement's node carries the statement's pre-order index as its
+stmt_ref (the index `nodes.iter_preorder` gives it). The COBOL builder
+counts these as it places statements, which it does in pre-order: the
+Program node is 0 and every data item, nested ones too, comes next, so
+the first statement's ref is 1 plus the number of data items plus 1 for
+its Paragraph, and each later Paragraph adds 1. No tree walk is needed.
+Java graph nodes carry no ref.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from relicforge.cobol import nodes as n
 
@@ -41,15 +52,13 @@ class EdgeKind(enum.Enum):
     CASE = "Case"
 
 
-@dataclass(frozen=True)
-class CfgNode:
+class CfgNode(NamedTuple):
     id: int
     kind: CfgNodeKind
     stmt_ref: int | None = None
 
 
-@dataclass(frozen=True)
-class CfgEdge:
+class CfgEdge(NamedTuple):
     src: int
     dst: int
     kind: EdgeKind
@@ -83,36 +92,39 @@ class Cfg:
 
 
 # A dangling chain exit waiting to be wired to whatever comes next.
-@dataclass(frozen=True)
-class Out:
+class Out(NamedTuple):
     node: int
     kind: EdgeKind
+
+
+_new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
 
 
 class CfgBuilder:
     """The shape rules both languages' graphs are built from.
 
     A subclass supplies build_stmt, mapping each statement kind onto fork,
-    loop or plain; every shape returns (head id, dangling outs). Nodes
-    carry the pre-order index `refs` gives their statement, if any.
+    loop or plain; every shape returns (head id, dangling outs). A shape
+    given a `ref` stores it as its first node's stmt_ref.
     """
 
-    def __init__(self, refs: dict[int, int] | None = None):
-        self.refs = refs or {}  # id(ast node) -> pre-order index
+    def __init__(self):
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
 
-    def add(self, kind: CfgNodeKind, stmt=None) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, self.refs.get(id(stmt))))
+    def add(self, kind: CfgNodeKind, ref: int | None = None) -> int:
+        nodes = self.nodes
+        node_id = len(nodes)
+        nodes.append(_new(CfgNode, (node_id, kind, ref)))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
-        self.edges.append(CfgEdge(src, dst, kind))
+        self.edges.append(_new(CfgEdge, (src, dst, kind)))
 
     def connect(self, outs: list[Out], dst: int, kind: EdgeKind | None = None) -> None:
-        for out in outs:
-            self.edge(out.node, dst, kind if kind is not None else out.kind)
+        append = self.edges.append
+        for node, out_kind in outs:
+            append(_new(CfgEdge, (node, dst, kind if kind is not None else out_kind)))
 
     def build_seq(self, stmts) -> tuple[int | None, list[Out]]:
         """Build a chain for a statement list: (head id, dangling outs)."""
@@ -127,87 +139,106 @@ class CfgBuilder:
             outs = s_outs
         return head, outs
 
-    def fork(self, stmt, arms) -> tuple[int, list[Out]]:
+    def fork(self, arms, ref: int | None = None) -> tuple[int, list[Out]]:
         """A Branch with one edge per (body, edge kind) arm into a Join; an
         empty arm's edge goes straight to the Join."""
-        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        branch = self.add(CfgNodeKind.BRANCH, ref)
         join = self.add(CfgNodeKind.JOIN)
         for body, kind in arms:
             head, outs = self.build_seq(body)
             self.edge(branch, head if head is not None else join, kind)
             self.connect(outs, join)
-        return branch, [Out(join, EdgeKind.SEQ)]
+        return branch, [_new(Out, (join, EdgeKind.SEQ))]
 
-    def loop(self, stmt, body) -> tuple[int, list[Out]]:
+    def loop(self, body, ref: int | None = None) -> tuple[int, list[Out]]:
         """A pre-test loop: the Branch enters the body on True, the body
         loops back to it, and False leaves."""
-        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        branch = self.add(CfgNodeKind.BRANCH, ref)
         head, outs = self.build_seq(body)
         self.edge(branch, head if head is not None else branch, EdgeKind.TRUE)
         self.connect(outs, branch, EdgeKind.LOOP_BACK)
-        return branch, [Out(branch, EdgeKind.FALSE)]
+        return branch, [_new(Out, (branch, EdgeKind.FALSE))]
 
-    def plain(self, stmt) -> tuple[int, list[Out]]:
-        node = self.add(CfgNodeKind.STMT, stmt)
-        return node, [Out(node, EdgeKind.SEQ)]
+    def plain(self, ref: int | None = None) -> tuple[int, list[Out]]:
+        node = self.add(CfgNodeKind.STMT, ref)
+        return node, [_new(Out, (node, EdgeKind.SEQ))]
 
 
 class _CobolBuilder(CfgBuilder):
-    def __init__(self, refs: dict[int, int]):
-        super().__init__(refs)
+    """Numbers each statement as it places it. Statements are placed in
+    pre-order, so `next_ref` is the pre-order index of the next one once
+    the caller has counted the Program, DataItem and Paragraph nodes
+    before it."""
+
+    def __init__(self, next_ref: int):
+        super().__init__()
+        self.next_ref = next_ref
         self.goto_fixups: list[tuple[int, str]] = []
 
     def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
+        ref = self.next_ref
+        self.next_ref = ref + 1
         kind = stmt.kind
         if kind is n.NodeKind.IF:
-            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
-                                    (stmt.else_body, EdgeKind.FALSE)))
+            return self.fork(((stmt.then_body, EdgeKind.TRUE),
+                              (stmt.else_body, EdgeKind.FALSE)), ref)
         if kind is n.NodeKind.EVALUATE:
             arms = [(arm.body, EdgeKind.CASE) for arm in stmt.arms]
-            return self.fork(stmt, arms + [(stmt.other or [], EdgeKind.FALSE)])
+            return self.fork(arms + [(stmt.other or [], EdgeKind.FALSE)], ref)
         if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
             # Counted paragraph perform: the loop test is explicit but
             # the callee stays one opaque call node, never inlined.
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            branch = self.add(CfgNodeKind.BRANCH, ref)
             call = self.add(CfgNodeKind.STMT)
             self.edge(branch, call, EdgeKind.TRUE)
             self.edge(call, branch, EdgeKind.LOOP_BACK)
-            return branch, [Out(branch, EdgeKind.FALSE)]
+            return branch, [_new(Out, (branch, EdgeKind.FALSE))]
         if kind in n.LOOP_KINDS:
-            return self.loop(stmt, stmt.body)
+            return self.loop(stmt.body, ref)
         if kind is n.NodeKind.GOTO:
-            node = self.add(CfgNodeKind.STMT, stmt)
+            node = self.add(CfgNodeKind.STMT, ref)
             self.goto_fixups.append((node, stmt.target))
             return node, []  # no fall-through
-        return self.plain(stmt)
+        return self.plain(ref)
+
+
+def _data_item_count(items: list[n.DataItem]) -> int:
+    return sum(1 + _data_item_count(item.children) for item in items)
 
 
 def build_cfg(ast: n.CobolAst) -> Cfg:
-    refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
-    b = _CobolBuilder(refs)
+    program = ast.program
+    # Pre-order puts the Program node first, then every data item.
+    b = _CobolBuilder(1 + _data_item_count(program.data_items))
     entry = b.add(CfgNodeKind.ENTRY)
 
     chains: list[tuple[str, int | None, list[Out]]] = []
-    for para in ast.program.paragraphs:
+    for para in program.paragraphs:
+        b.next_ref += 1  # the Paragraph node precedes its statements
         head, outs = b.build_seq(para.body)
         chains.append((para.name, head, outs))
 
     exit_id = b.add(CfgNodeKind.EXIT)
 
-    # Fall-through anchor for each paragraph: its own first node, else the
-    # next nonempty paragraph's, else Exit.
+    # Each chain falls through to the next nonempty paragraph's first node,
+    # else Exit. A GO TO lands on its paragraph's anchor: the paragraph's
+    # own first node, else where the paragraph falls through to.
+    follows: list[int] = []
     anchors: dict[str, int] = {}
-    next_anchor = exit_id
+    follow = exit_id
     for name, head, _ in reversed(chains):
+        follows.append(follow)
         if head is not None:
-            next_anchor = head
-        anchors[name] = next_anchor
+            follow = head
+        anchors[name] = follow
+    follows.reverse()
 
-    heads = [head for _, head, _ in chains]
-    b.edge(entry, next((h for h in heads if h is not None), exit_id), EdgeKind.SEQ)
-    for i, (_, _, outs) in enumerate(chains):
-        following = next((h for h in heads[i + 1 :] if h is not None), exit_id)
-        b.connect(outs, following)
+    b.edge(entry, follow, EdgeKind.SEQ)
+    for (_, _, outs), dst in zip(chains, follows):
+        b.connect(outs, dst)
+    if not b.goto_fixups:
+        # Without a GO TO every node is reachable: nothing to prune.
+        return Cfg(nodes=b.nodes, edges=b.edges, entry=entry, exit=exit_id)
     for node_id, target in b.goto_fixups:
         b.edge(node_id, anchors[target], EdgeKind.SEQ)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from relicforge.analysis.cfg import Cfg, build_cfg, cyclomatic
@@ -93,70 +92,75 @@ def decision_complexity(ast: n.CobolAst) -> int:
     return total
 
 
-def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
-    """Every node in pre-order with its statement nesting level (top-level
-    statement = 0; None for Program, DataItem and Paragraph nodes)."""
-    out: list[tuple[n.Node, int | None]] = []
-
-    def walk(node: n.Node, level: int) -> None:
-        if node.kind in _STRUCTURAL:
-            out.append((node, None))
-            level = 0
-        else:
-            out.append((node, level))
-            level += 1
-        for child in n.child_nodes(node):
-            walk(child, level)
-
-    walk(program, 0)
-    return out
-
-
 def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
-    """The FEATURE_NAMES values, counted off one pre-order walk and the CFG."""
+    """The FEATURE_NAMES values, counted off one walk of the tree and the CFG."""
     program = ast.program
-    walked = _preorder_levels(program)
-    stmts = [v for v, level in walked if level is not None]
-    levels = [level for _, level in walked if level is not None]
-    data = [v for v, _ in walked if v.kind is n.NodeKind.DATA_ITEM]
-    kinds = Counter(v.kind for v in stmts)
-    # Paragraphs follow the data items, so each statement counts toward the
-    # last Paragraph entry before it.
-    para_lens: list[int] = []
-    for v, level in walked:
-        if v.kind is n.NodeKind.PARAGRAPH:
-            para_lens.append(0)
-        elif level is not None:
-            para_lens[-1] += 1
+    kind_ids = n.KIND_IDS
+    tally = [0] * len(kind_ids)  # statements of each kind, by KIND_IDS
+    levels: list[int] = []  # each statement's nesting level, top level 0
+    calls: list[str] = []
+    data: list[n.DataItem] = []
+    literals = strings = 0
+
+    def walk_data(items: list[n.DataItem]) -> None:
+        nonlocal literals, strings
+        for item in items:
+            data.append(item)
+            if item.value is not None:
+                literals += n.node_literal_count(item)
+                strings += n.node_literal_count(item, (n.StrLit,))
+            walk_data(item.children)
+
+    def walk_body(body, level: int) -> int:
+        """Statements in body, nested ones included."""
+        nonlocal literals, strings
+        count = len(body)
+        for stmt in body:
+            kind = stmt.kind
+            tally[kind_ids[kind]] += 1
+            levels.append(level)
+            if kind is n.NodeKind.CALL:
+                calls.append(stmt.program)
+            found = n.node_literal_count(stmt)
+            if found:
+                literals += found
+                strings += n.node_literal_count(stmt, (n.StrLit,))
+            children = n.child_nodes(stmt)
+            if children:
+                count += walk_body(children, level + 1)
+        return count
+
+    walk_data(program.data_items)
+    para_lens = [walk_body(para.body, 0) for para in program.paragraphs]
+    stmt_count = len(levels)
 
     def ratio(a: float, b: float) -> float:
         return a / b if b else 0.0
 
-    calls = [v.program for v in stmts if v.kind is n.NodeKind.CALL]
-    literals = sum(n.node_literal_count(v) for v, _ in walked)
-    strings = sum(n.node_literal_count(v, (n.StrLit,)) for v, _ in walked)
+    def kinds(*wanted: n.NodeKind) -> float:
+        return float(sum(tally[kind_ids[k]] for k in wanted))
 
     features = [
         float(ast.source_lines),
         float(ast.token_count),
-        float(len(walked)),
+        float(1 + len(data) + len(program.paragraphs) + stmt_count),
         float(len(cfg.edges)),
         float(cfg.loop_back_count()),
         float(len(program.paragraphs)),
-        float(len(stmts)),
+        float(stmt_count),
         float(len(calls)),
         float(len(set(calls))),
-        float(sum(kinds[k] for k in _PERFORM_KINDS)),
-        float(kinds[n.NodeKind.IF]),
-        float(kinds[n.NodeKind.EVALUATE]),
-        float(kinds[n.NodeKind.GOTO]),
-        float(kinds[n.NodeKind.MOVE]),
-        float(kinds[n.NodeKind.COMPUTE]),
-        float(kinds[n.NodeKind.ARITH]),
-        float(kinds[n.NodeKind.DISPLAY]),
-        float(kinds[n.NodeKind.ACCEPT]),
+        kinds(*_PERFORM_KINDS),
+        kinds(n.NodeKind.IF),
+        kinds(n.NodeKind.EVALUATE),
+        kinds(n.NodeKind.GOTO),
+        kinds(n.NodeKind.MOVE),
+        kinds(n.NodeKind.COMPUTE),
+        kinds(n.NodeKind.ARITH),
+        kinds(n.NodeKind.DISPLAY),
+        kinds(n.NodeKind.ACCEPT),
         float(max(levels, default=0)),
-        ratio(sum(levels), len(levels)),
+        ratio(sum(levels), stmt_count),
         float(len(data)),
         float(sum(1 for d in data if not d.is_group and d.is_numeric)),
         float(sum(1 for d in data if not d.is_group and not d.is_numeric)),
@@ -164,7 +168,7 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         float(cyclomatic(cfg)),
         float(max(para_lens, default=0)),
         ratio(sum(para_lens), len(para_lens)),
-        ratio(cfg.branch_count(), len(stmts)),
+        ratio(cfg.branch_count(), stmt_count),
         float(literals),
         float(strings),
     ]

@@ -4,7 +4,11 @@ Statement-level syntax errors are recovered at period boundaries so the
 rest of the file still parses; all collected diagnostics are raised
 together as a ParseFailure. Post-parse checks enforce the tree
 invariants: unique paragraph names, resolvable PERFORM/GO TO targets,
-and nonempty group items.
+and nonempty group items. The target check walks no tree: the parser
+lists each jump node (PERFORM of a paragraph, GO TO, and a counted
+paragraph PERFORM) as it builds it, drops the jumps of a statement that
+recovery discards, and validation reads that list. Jumps are leaves, so
+the order they are built in is their pre-order.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class _Parser:
     `tok` is the token under the cursor, or `_EOF` once the tokens run out;
     only `advance` moves it. Lookahead past it (`peek`) is needed only to
     tell `PERFORM P n TIMES` from `PERFORM P TIMES`. `depth` counts the
-    nesting levels open at the cursor; `nest` opens one.
+    nesting levels open at the cursor; `nest` opens one. `jumps` holds the
+    paragraph-targeting nodes of the statements kept so far, in pre-order.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -73,6 +78,7 @@ class _Parser:
         self.tok = tokens[0] if tokens else _EOF
         self.errors: list[ParseError] = []
         self.depth = 0
+        self.jumps: list[n.PerformPara | n.PerformTimes | n.GoTo] = []
 
     # --- token helpers ---
 
@@ -122,6 +128,11 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self._fail(f"nesting depth at most {MAX_NESTING}")
+
+    def jump(self, node):
+        """Record a node that names a paragraph, for `_validate`."""
+        self.jumps.append(node)
+        return node
 
     def _skip_past_period(self) -> None:
         while self.tok is not _EOF:
@@ -268,15 +279,19 @@ class _Parser:
             if tok.kind is TokenKind.PERIOD:  # stray period, tolerate
                 self.advance()
                 continue
+            # Jumps past the mark belong to a statement recovery discards.
+            mark = len(self.jumps)
             try:
                 stmt = self.parse_statement()
                 out.append(stmt)
+                mark = len(self.jumps)
                 # One or more statements may share a terminating period.
                 if self.tok.kind is TokenKind.PERIOD:
                     self.advance()
                 elif self.tok is _EOF or not self._at_stmt_start():
                     self._fail("'.'")
             except _Issue as e:
+                del self.jumps[mark:]
                 self.errors.append(e.error)
                 self._skip_past_period()
         return out
@@ -436,7 +451,7 @@ class _Parser:
             ).kind is TokenKind.KEYWORD and self.peek(1).text == "TIMES":
                 count = self.parse_atom()
                 self.eat_kw("TIMES")
-                return n.PerformTimes(line, count, None, target)
+                return self.jump(n.PerformTimes(line, count, None, target))
             if self.at_kw("TIMES"):
                 self.advance()
                 body = self.parse_body_until("END-PERFORM")
@@ -444,7 +459,7 @@ class _Parser:
                 if not body:
                     raise _Issue(line, "loop body statement", "END-PERFORM")
                 return n.PerformTimes(line, n.VarRef(target), body, None)
-            return n.PerformPara(line, target)
+            return self.jump(n.PerformPara(line, target))
         if tok.kind is TokenKind.INT_LITERAL:
             count = self.parse_atom()
             self.eat_kw("TIMES")
@@ -487,7 +502,7 @@ class _Parser:
         line = self.advance().line
         self.eat_kw("TO")
         target = self.eat(TokenKind.IDENTIFIER, "identifier").text
-        return n.GoTo(line, target)
+        return self.jump(n.GoTo(line, target))
 
     def parse_stop(self) -> n.StopRun:
         line = self.advance().line
@@ -627,29 +642,23 @@ class _Parser:
         return n.Comparison(op, left, right)
 
 
-def _validate(program: n.Program, errors: list[ParseError]) -> None:
+def _validate(program: n.Program, jumps: list, errors: list[ParseError]) -> None:
     seen: dict[str, int] = {}
     for para in program.paragraphs:
         if para.name in seen:
             errors.append(ParseError(para.line, "unique paragraph name", para.name))
         else:
             seen[para.name] = para.line
-    names = set(seen)
-    for node in n.iter_preorder(program):
-        kind = node.kind
-        if kind in (n.NodeKind.PERFORM_PARA, n.NodeKind.GOTO):
-            if node.target not in names:
-                errors.append(ParseError(node.line, "declared paragraph", node.target))
-        elif kind is n.NodeKind.PERFORM_TIMES and node.target is not None:
-            if node.target not in names:
-                errors.append(ParseError(node.line, "declared paragraph", node.target))
+    for jump in jumps:
+        if jump.target not in seen:
+            errors.append(ParseError(jump.line, "declared paragraph", jump.target))
 
 
 def parse(tokens: list[Token]) -> n.CobolAst:
     """Parse a token list. Raises ParseFailure carrying all diagnostics."""
     parser = _Parser(tokens)
     program = parser.parse_program()
-    _validate(program, parser.errors)
+    _validate(program, parser.jumps, parser.errors)
     if parser.errors:
         raise ParseFailure(parser.errors)
     source_lines = tokens[-1].line if tokens else 0  # lines only grow

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from relicforge.analysis.metrics import MetricsRecord
+from relicforge.errors import FormatError
 
 
 class Status(enum.Enum):
@@ -110,12 +111,22 @@ class CorpusManifest:
 
     @classmethod
     def read_jsonl(cls, path: Path | str) -> "CorpusManifest":
+        """Raises FormatError naming the file and the 1-based line of the
+        first record that is not valid JSON, lacks a key, or holds an
+        unknown status or split."""
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(Record.from_json(json.loads(line)))
+        # Bytes, decoded a line at a time, so a bad byte names its own line.
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if line:
+                        records.append(Record.from_json(json.loads(line)))
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise FormatError(
+                        f"{path}: line {line_no}: unreadable manifest record "
+                        f"({exc.__class__.__name__}: {exc})"
+                    ) from exc
         return cls(records)
 
 MANIFEST_NAME = "corpus.manifest.jsonl"

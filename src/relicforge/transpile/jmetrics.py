@@ -21,13 +21,13 @@ class _JavaBuilder(CfgBuilder):
     def build_stmt(self, stmt) -> tuple[int, list[Out]]:
         kind = stmt.kind
         if kind is j.JKind.IF_ELSE:
-            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
-                                    (stmt.else_body, EdgeKind.FALSE)))
+            return self.fork(((stmt.then_body, EdgeKind.TRUE),
+                              (stmt.else_body, EdgeKind.FALSE)))
         if kind is j.JKind.SWITCH:
             arms = [(case.body, EdgeKind.CASE) for case in stmt.cases]
-            return self.fork(stmt, arms + [(stmt.default or [], EdgeKind.FALSE)])
+            return self.fork(arms + [(stmt.default or [], EdgeKind.FALSE)])
         if kind in (j.JKind.WHILE, j.JKind.FOR):
-            return self.loop(stmt, stmt.body)
+            return self.loop(stmt.body)
         if kind is j.JKind.DO_WHILE:
             # Post-test loop, a shape the COBOL side has no statement for.
             body_head, body_outs = self.build_seq(stmt.body)
@@ -36,7 +36,7 @@ class _JavaBuilder(CfgBuilder):
             head = body_head if body_head is not None else branch
             self.edge(branch, head, EdgeKind.LOOP_BACK)
             return head, [Out(branch, EdgeKind.FALSE)]
-        return self.plain(stmt)
+        return self.plain()
 
 
 def build_java_cfg(jast: j.JavaAst) -> Cfg:

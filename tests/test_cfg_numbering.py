@@ -1,0 +1,379 @@
+"""build_cfg against the builder it replaced, which walked the tree for refs.
+
+The reference below is the COBOL graph builder as it was: frozen
+dataclass nodes and edges, statement refs looked up in a dict filled by a
+pre-order walk, and reachability pruning run on every graph. It is paired
+with the one-walk file_features of that time, so that `measure` can be
+checked end to end. The builder now numbers statements as it places them
+and prunes only after a GO TO; every graph must have the same node ids,
+kinds, statement refs, edges in the same order, entry, exit and pruned
+count, and every record from `measure` must be equal.
+"""
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+
+import pytest
+
+from relicforge.analysis import build_cfg, measure
+from relicforge.analysis.cfg import CfgNodeKind, EdgeKind, cyclomatic
+from relicforge.analysis.metrics import _PERFORM_KINDS, MetricsRecord
+from relicforge.cobol import SourceFile, parse_source
+from relicforge.cobol import nodes as n
+from relicforge.corpus import curate, ingest, load_ast
+from relicforge.datagen import random_program, sample_program
+
+# --- the reference: the builder and file_features as they were ----------------
+
+
+@dataclass(frozen=True)
+class _Node:
+    id: int
+    kind: CfgNodeKind
+    stmt_ref: int | None = None
+
+
+@dataclass(frozen=True)
+class _Edge:
+    src: int
+    dst: int
+    kind: EdgeKind
+
+
+@dataclass(frozen=True)
+class _Out:
+    node: int
+    kind: EdgeKind
+
+
+@dataclass
+class _Cfg:
+    nodes: list[_Node]
+    edges: list[_Edge]
+    entry: int
+    exit: int
+    pruned: int = 0
+
+
+class _Builder:
+    def __init__(self, refs: dict[int, int]):
+        self.refs = refs  # id(ast node) -> pre-order index
+        self.nodes: list[_Node] = []
+        self.edges: list[_Edge] = []
+        self.goto_fixups: list[tuple[int, str]] = []
+
+    def add(self, kind: CfgNodeKind, stmt=None) -> int:
+        node_id = len(self.nodes)
+        self.nodes.append(_Node(node_id, kind, self.refs.get(id(stmt))))
+        return node_id
+
+    def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
+        self.edges.append(_Edge(src, dst, kind))
+
+    def connect(self, outs: list[_Out], dst: int, kind: EdgeKind | None = None) -> None:
+        for out in outs:
+            self.edge(out.node, dst, kind if kind is not None else out.kind)
+
+    def build_seq(self, stmts) -> tuple[int | None, list[_Out]]:
+        head: int | None = None
+        outs: list[_Out] = []
+        for stmt in stmts:
+            s_head, s_outs = self.build_stmt(stmt)
+            if head is None:
+                head = s_head
+            else:
+                self.connect(outs, s_head)
+            outs = s_outs
+        return head, outs
+
+    def fork(self, stmt, arms) -> tuple[int, list[_Out]]:
+        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        join = self.add(CfgNodeKind.JOIN)
+        for body, kind in arms:
+            head, outs = self.build_seq(body)
+            self.edge(branch, head if head is not None else join, kind)
+            self.connect(outs, join)
+        return branch, [_Out(join, EdgeKind.SEQ)]
+
+    def loop(self, stmt, body) -> tuple[int, list[_Out]]:
+        branch = self.add(CfgNodeKind.BRANCH, stmt)
+        head, outs = self.build_seq(body)
+        self.edge(branch, head if head is not None else branch, EdgeKind.TRUE)
+        self.connect(outs, branch, EdgeKind.LOOP_BACK)
+        return branch, [_Out(branch, EdgeKind.FALSE)]
+
+    def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[_Out]]:
+        kind = stmt.kind
+        if kind is n.NodeKind.IF:
+            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
+                                    (stmt.else_body, EdgeKind.FALSE)))
+        if kind is n.NodeKind.EVALUATE:
+            arms = [(arm.body, EdgeKind.CASE) for arm in stmt.arms]
+            return self.fork(stmt, arms + [(stmt.other or [], EdgeKind.FALSE)])
+        if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
+            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            call = self.add(CfgNodeKind.STMT)
+            self.edge(branch, call, EdgeKind.TRUE)
+            self.edge(call, branch, EdgeKind.LOOP_BACK)
+            return branch, [_Out(branch, EdgeKind.FALSE)]
+        if kind in n.LOOP_KINDS:
+            return self.loop(stmt, stmt.body)
+        if kind is n.NodeKind.GOTO:
+            node = self.add(CfgNodeKind.STMT, stmt)
+            self.goto_fixups.append((node, stmt.target))
+            return node, []
+        node = self.add(CfgNodeKind.STMT, stmt)
+        return node, [_Out(node, EdgeKind.SEQ)]
+
+
+def _reach(start: int, pairs: list[tuple[int, int]]) -> set[int]:
+    adj: dict[int, list[int]] = {}
+    for src, dst in pairs:
+        adj.setdefault(src, []).append(dst)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj.get(stack.pop(), []):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def ref_build_cfg(ast: n.CobolAst) -> _Cfg:
+    refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
+    b = _Builder(refs)
+    entry = b.add(CfgNodeKind.ENTRY)
+
+    chains: list[tuple[str, int | None, list[_Out]]] = []
+    for para in ast.program.paragraphs:
+        head, outs = b.build_seq(para.body)
+        chains.append((para.name, head, outs))
+
+    exit_id = b.add(CfgNodeKind.EXIT)
+
+    anchors: dict[str, int] = {}
+    next_anchor = exit_id
+    for name, head, _ in reversed(chains):
+        if head is not None:
+            next_anchor = head
+        anchors[name] = next_anchor
+
+    heads = [head for _, head, _ in chains]
+    b.edge(entry, next((h for h in heads if h is not None), exit_id), EdgeKind.SEQ)
+    for i, (_, _, outs) in enumerate(chains):
+        following = next((h for h in heads[i + 1 :] if h is not None), exit_id)
+        b.connect(outs, following)
+    for node_id, target in b.goto_fixups:
+        b.edge(node_id, anchors[target], EdgeKind.SEQ)
+
+    seen = _reach(entry, [(e.src, e.dst) for e in b.edges]) | {exit_id}
+    nodes = [v for v in b.nodes if v.id in seen]
+    edges = [e for e in b.edges if e.src in seen and e.dst in seen]
+    return _Cfg(nodes=nodes, edges=edges, entry=entry, exit=exit_id,
+                pruned=len(b.nodes) - len(seen))
+
+
+_STRUCTURAL = (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
+
+
+def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
+    out: list[tuple[n.Node, int | None]] = []
+
+    def walk(node: n.Node, level: int) -> None:
+        if node.kind in _STRUCTURAL:
+            out.append((node, None))
+            level = 0
+        else:
+            out.append((node, level))
+            level += 1
+        for child in n.child_nodes(node):
+            walk(child, level)
+
+    walk(program, 0)
+    return out
+
+
+def ref_file_features(ast: n.CobolAst, cfg: _Cfg) -> list[float]:
+    program = ast.program
+    walked = _preorder_levels(program)
+    stmts = [v for v, level in walked if level is not None]
+    levels = [level for _, level in walked if level is not None]
+    data = [v for v, _ in walked if v.kind is n.NodeKind.DATA_ITEM]
+    kinds = Counter(v.kind for v in stmts)
+    para_lens: list[int] = []
+    for v, level in walked:
+        if v.kind is n.NodeKind.PARAGRAPH:
+            para_lens.append(0)
+        elif level is not None:
+            para_lens[-1] += 1
+
+    def ratio(a: float, b: float) -> float:
+        return a / b if b else 0.0
+
+    calls = [v.program for v in stmts if v.kind is n.NodeKind.CALL]
+    literals = sum(n.node_literal_count(v) for v, _ in walked)
+    strings = sum(n.node_literal_count(v, (n.StrLit,)) for v, _ in walked)
+    branches = sum(1 for v in cfg.nodes if v.kind is CfgNodeKind.BRANCH)
+    loop_backs = sum(1 for e in cfg.edges if e.kind is EdgeKind.LOOP_BACK)
+    return [
+        float(ast.source_lines),
+        float(ast.token_count),
+        float(len(walked)),
+        float(len(cfg.edges)),
+        float(loop_backs),
+        float(len(program.paragraphs)),
+        float(len(stmts)),
+        float(len(calls)),
+        float(len(set(calls))),
+        float(sum(kinds[k] for k in _PERFORM_KINDS)),
+        float(kinds[n.NodeKind.IF]),
+        float(kinds[n.NodeKind.EVALUATE]),
+        float(kinds[n.NodeKind.GOTO]),
+        float(kinds[n.NodeKind.MOVE]),
+        float(kinds[n.NodeKind.COMPUTE]),
+        float(kinds[n.NodeKind.ARITH]),
+        float(kinds[n.NodeKind.DISPLAY]),
+        float(kinds[n.NodeKind.ACCEPT]),
+        float(max(levels, default=0)),
+        ratio(sum(levels), len(levels)),
+        float(len(data)),
+        float(sum(1 for d in data if not d.is_group and d.is_numeric)),
+        float(sum(1 for d in data if not d.is_group and not d.is_numeric)),
+        float(sum(1 for d in data if d.is_group)),
+        float(len(cfg.edges) - len(cfg.nodes) + 2),
+        float(max(para_lens, default=0)),
+        ratio(sum(para_lens), len(para_lens)),
+        ratio(branches, len(stmts)),
+        float(literals),
+        float(strings),
+    ]
+
+
+def ref_measure(ast: n.CobolAst) -> MetricsRecord:
+    cfg = ref_build_cfg(ast)
+    features = ref_file_features(ast, cfg)
+    return MetricsRecord(
+        cyclomatic=len(cfg.edges) - len(cfg.nodes) + 2,
+        coupling=int(features[8]),
+        lines=ast.source_lines,
+        features=features,
+    )
+
+
+# --- the checks -------------------------------------------------------------
+
+
+def _graph(cfg) -> tuple:
+    return (
+        [(v.id, v.kind, v.stmt_ref) for v in cfg.nodes],
+        [(e.src, e.dst, e.kind) for e in cfg.edges],
+        cfg.entry,
+        cfg.exit,
+        cfg.pruned,
+    )
+
+
+def assert_same_cfg(ast: n.CobolAst) -> None:
+    cfg = build_cfg(ast)
+    assert _graph(cfg) == _graph(ref_build_cfg(ast))
+    order = list(n.iter_preorder(ast.program))
+    index = {id(v): i for i, v in enumerate(order)}
+    placed = [v.stmt_ref for v in cfg.nodes if v.stmt_ref is not None]
+    statements = [index[id(v)] for v in order if v.kind not in _STRUCTURAL]
+    if cfg.pruned == 0:
+        # Every statement is placed once, and its ref is its pre-order index.
+        assert placed == statements
+    else:
+        assert placed == sorted(set(placed)) and set(placed) <= set(statements)
+    assert measure(ast) == ref_measure(ast)
+    assert cyclomatic(cfg) == measure(ast).cyclomatic
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_random_programs(seed):
+    for allow_goto in (False, True):
+        assert_same_cfg(random_program(random.Random(seed), allow_goto=allow_goto))
+
+
+def test_goto_programs_leave_something_to_prune():
+    assert any(
+        build_cfg(random_program(random.Random(seed), allow_goto=True)).pruned
+        for seed in range(40)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_programs(seed):
+    assert_same_cfg(sample_program(random.Random(seed)))
+
+
+def test_fixture_corpus(fixture_corpus):
+    root, _ = fixture_corpus
+    eligible = curate(ingest(root), root).eligible()
+    assert len(eligible) == 12
+    for record in eligible:
+        ast, _ = load_ast(root, record)
+        assert_same_cfg(ast)
+
+
+NUMBERING_CASES = {
+    "nested_data_and_empty_paragraphs": """
+IDENTIFICATION DIVISION. PROGRAM-ID. P.
+DATA DIVISION. WORKING-STORAGE SECTION.
+01 REC.
+   05 A PIC 9(2) VALUE 1.
+   05 INNER.
+      10 B PIC X(3) VALUE 'AB'.
+      10 C PIC 9.
+77 D PIC 9(4) VALUE 0.
+01 E PIC 9.
+PROCEDURE DIVISION.
+FIRST-P.
+SECOND-P.
+    IF A = 1 PERFORM THIRD-P 2 TIMES ELSE CALL 'X' USING B END-IF.
+THIRD-P.
+FOURTH-P.
+    EVALUATE A WHEN 1 MOVE 2 TO A WHEN 2 DISPLAY A END-EVALUATE.
+""",
+    "implicit_main_and_goto_into_empty_paragraphs": """
+IDENTIFICATION DIVISION. PROGRAM-ID. Q.
+DATA DIVISION. WORKING-STORAGE SECTION.
+01 N PIC 9(2) VALUE 0.
+PROCEDURE DIVISION.
+    MOVE 1 TO N.
+    GO TO EMPTY-P.
+    DISPLAY 'DEAD'.
+HIDDEN-P.
+    PERFORM UNTIL N > 3 ADD 1 TO N END-PERFORM.
+EMPTY-P.
+LAST-P.
+    PERFORM 2 TIMES DISPLAY N END-PERFORM.
+    STOP RUN.
+""",
+    "no_data_division": """
+IDENTIFICATION DIVISION. PROGRAM-ID. R.
+PROCEDURE DIVISION.
+MAIN.
+    PERFORM VARYING I FROM 1 BY 1 UNTIL I > 2 DISPLAY I END-PERFORM.
+    STOP RUN.
+""",
+}
+
+
+def _case(name: str) -> n.CobolAst:
+    return parse_source(SourceFile("t", NUMBERING_CASES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_CASES))
+def test_numbering_cases(name):
+    assert_same_cfg(_case(name))
+
+
+def test_numbering_cases_cover_nesting_and_pruning():
+    nested = _case("nested_data_and_empty_paragraphs")
+    assert [len(d.children) for d in nested.data_items] == [2, 0, 0]
+    assert [len(d.children) for d in nested.data_items[0].children] == [0, 2]
+    assert build_cfg(nested).pruned == 0
+    assert build_cfg(_case("implicit_main_and_goto_into_empty_paragraphs")).pruned > 0

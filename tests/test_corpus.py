@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from relicforge.corpus import (
 )
 from relicforge.corpus.pipeline import _curate_one, dedup, filter_trivial, read_normalized
 from relicforge.datagen import random_program
-from relicforge.errors import SplitError
+from relicforge.errors import FormatError, SplitError
+from relicforge.evaluate import run_evaluation
 
 
 def build(root: Path, jobs: int = 1) -> CorpusManifest:
@@ -177,6 +179,55 @@ def test_manifest_round_trip(fixture_corpus, tmp_path_factory):
         "id", "relative_path", "md5", "lines", "status", "duplicate_of",
         "reason", "metrics", "split", "fold", "oracle_java", "oracle_labels",
     ]
+
+
+def _broken_manifest(tmp_path: Path, bad_line: str) -> Path:
+    """A manifest whose third line is `bad_line`, after a good record and
+    a blank line."""
+    good = Record(id="a.cbl", relative_path="a.cbl", md5="0" * 32, lines=3,
+                  status=Status.KEPT, split=Split.TRAIN)
+    path = tmp_path / "corpus.manifest.jsonl"
+    path.write_text(json.dumps(good.to_json()) + "\n\n" + bad_line + "\n", encoding="utf-8")
+    return path
+
+
+def _record_json(**changes) -> str:
+    data = Record(id="b.cbl", relative_path="b.cbl", md5="1" * 32, lines=4).to_json()
+    data.update(changes)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "bad_line, cause",
+    [
+        ('{"id": "b.cbl", "relative_pa', "JSONDecodeError"),
+        ('{"id": "b.cbl", "md5": "x", "lines": 1}', "KeyError: 'relative_path'"),
+        (_record_json(status="Kept-ish"), "ValueError: 'Kept-ish' is not a valid Status"),
+        (_record_json(split="Validation"), "ValueError: 'Validation' is not a valid Split"),
+        ('["b.cbl"]', "TypeError"),
+    ],
+    ids=["bad_json", "missing_key", "unknown_status", "unknown_split", "not_an_object"],
+)
+def test_read_jsonl_names_file_and_line(tmp_path, bad_line, cause):
+    path = _broken_manifest(tmp_path, bad_line)
+    with pytest.raises(FormatError) as info:
+        CorpusManifest.read_jsonl(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: line 3: ")
+    assert cause in message
+
+
+def test_read_jsonl_names_the_line_of_an_undecodable_byte(tmp_path):
+    path = _broken_manifest(tmp_path, "")
+    path.write_bytes(path.read_bytes() + b'{"id": "\xff"}\n')
+    with pytest.raises(FormatError, match=r": line 4: .*UnicodeDecodeError"):
+        CorpusManifest.read_jsonl(path)
+
+
+def test_run_evaluation_reports_a_broken_manifest(tmp_path):
+    path = _broken_manifest(tmp_path, '{"id": "b.cbl"')
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: ")):
+        run_evaluation(path, "rules")
 
 
 def test_load_ast_reproduces_curate_verdicts(fixture_corpus):

@@ -872,3 +872,71 @@ def test_fuzz_reaches_every_outcome():
     assert any(outcome[0] != "ParseFailure" for outcome in parsed)
     verdicts = {repair_outcome(file)[1]["verdict"] for file in files}
     assert verdicts == {"Clean", "Repaired", "Rejected"}
+
+
+# --- the jump nodes validation reads -------------------------------------------
+
+_HEAD = "IDENTIFICATION DIVISION. PROGRAM-ID. P. PROCEDURE DIVISION.\n"
+
+
+def _parse_errors(text: str) -> list[ParseError]:
+    """The ParseFailure errors of both parsers, asserted equal; [] if the
+    text parses."""
+    tokens = tokenize(SourceFile("t", text))
+    got = parse_outcome(parse, tokens)
+    assert got == parse_outcome(ref_parse, tokens)
+    return got[1] if got[0] == "ParseFailure" else []
+
+
+def _undeclared(errors: list[ParseError]) -> list[str]:
+    return [e.found for e in errors if e.expected == "declared paragraph"]
+
+
+def test_jumps_of_a_discarded_statement_are_dropped():
+    # The IF builds PERFORM NOPE, then fails inside its body: recovery
+    # skips the whole IF, so its PERFORM is never checked.
+    errors = _parse_errors(_HEAD + "MAIN.\n    IF A = 1 PERFORM NOPE MOVE TO TO END-IF.\n"
+                                   "    STOP RUN.\n")
+    assert errors and _undeclared(errors) == []
+
+
+def test_jumps_of_a_kept_statement_missing_its_period_are_checked():
+    # The PERFORM parses and is kept in the body; only its period is missing.
+    errors = _parse_errors(_HEAD + "MAIN.\n    DISPLAY 'A'.\n    PERFORM NOPE")
+    assert [e.expected for e in errors] == ["'.'", "declared paragraph"]
+    assert _undeclared(errors) == ["NOPE"]
+
+
+def test_counted_paragraph_perform_target_is_checked():
+    errors = _parse_errors(_HEAD + "MAIN.\n    PERFORM NOPE 3 TIMES.\n    PERFORM MAIN 2 TIMES.\n"
+                                   "    STOP RUN.\n")
+    assert errors == [ParseError(3, "declared paragraph", "NOPE")]
+
+
+def test_duplicate_paragraph_beside_an_undeclared_target():
+    errors = _parse_errors(_HEAD + "A.\n    GO TO B.\nB.\n    PERFORM NOPE.\nA.\n    GO TO GONE.\n")
+    assert errors == [
+        ParseError(6, "unique paragraph name", "A"),
+        ParseError(5, "declared paragraph", "NOPE"),
+        ParseError(7, "declared paragraph", "GONE"),
+    ]
+
+
+def _ref_jumps(program: n.Program) -> list[n.Node]:
+    jump_kinds = (n.NodeKind.PERFORM_PARA, n.NodeKind.GOTO)
+    return [
+        v for v in ref_iter_preorder(program)
+        if v.kind in jump_kinds or (v.kind is n.NodeKind.PERFORM_TIMES and v.target is not None)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_jump_list_is_the_preorder_jump_nodes(seed):
+    from relicforge.cobol.parser import _Parser
+
+    rng = random.Random(f"jumps:{seed}")
+    text = pretty_print(random_program(rng, allow_goto=seed % 2 == 1))
+    parser = _Parser(tokenize(SourceFile("t", text)))
+    program = parser.parse_program()
+    assert parser.errors == []
+    assert [id(v) for v in parser.jumps] == [id(v) for v in _ref_jumps(program)]
