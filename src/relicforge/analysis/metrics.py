@@ -62,7 +62,7 @@ def statement_nodes(ast: n.CobolAst) -> list[n.Stmt]:
 
 def coupling(ast: n.CobolAst) -> int:
     """Distinct CALL target program names (fan-out)."""
-    return len({v.program for v in statement_nodes(ast) if v.kind is n.NodeKind.CALL})
+    return len({v.program for v in statement_nodes(ast) if v.kind is n.CALL})
 
 
 def decision_complexity(ast: n.CobolAst) -> int:
@@ -80,14 +80,9 @@ def decision_complexity(ast: n.CobolAst) -> int:
     total = 1
     for node in statement_nodes(ast):
         kind = node.kind
-        if kind in (
-            n.NodeKind.IF,
-            n.NodeKind.PERFORM_UNTIL,
-            n.NodeKind.PERFORM_VARYING,
-            n.NodeKind.PERFORM_TIMES,
-        ):
+        if kind in (n.IF, n.PERFORM_UNTIL, n.PERFORM_VARYING, n.PERFORM_TIMES):
             total += 1
-        elif kind is n.NodeKind.EVALUATE:
+        elif kind is n.EVALUATE:
             total += len(node.arms)
     return total
 
@@ -107,8 +102,9 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         for item in items:
             data.append(item)
             if item.value is not None:
-                literals += n.node_literal_count(item)
-                strings += n.node_literal_count(item, (n.StrLit,))
+                found, found_strings = n.node_literal_counts(item)
+                literals += found
+                strings += found_strings
             walk_data(item.children)
 
     def walk_body(body, level: int) -> int:
@@ -119,12 +115,11 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
             kind = stmt.kind
             tally[kind_ids[kind]] += 1
             levels.append(level)
-            if kind is n.NodeKind.CALL:
+            if kind is n.CALL:
                 calls.append(stmt.program)
-            found = n.node_literal_count(stmt)
-            if found:
-                literals += found
-                strings += n.node_literal_count(stmt, (n.StrLit,))
+            found, found_strings = n.node_literal_counts(stmt)
+            literals += found
+            strings += found_strings
             children = n.child_nodes(stmt)
             if children:
                 count += walk_body(children, level + 1)
@@ -151,14 +146,14 @@ def file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
         float(len(calls)),
         float(len(set(calls))),
         kinds(*_PERFORM_KINDS),
-        kinds(n.NodeKind.IF),
-        kinds(n.NodeKind.EVALUATE),
-        kinds(n.NodeKind.GOTO),
-        kinds(n.NodeKind.MOVE),
-        kinds(n.NodeKind.COMPUTE),
-        kinds(n.NodeKind.ARITH),
-        kinds(n.NodeKind.DISPLAY),
-        kinds(n.NodeKind.ACCEPT),
+        kinds(n.IF),
+        kinds(n.EVALUATE),
+        kinds(n.GOTO),
+        kinds(n.MOVE),
+        kinds(n.COMPUTE),
+        kinds(n.ARITH),
+        kinds(n.DISPLAY),
+        kinds(n.ACCEPT),
         float(max(levels, default=0)),
         ratio(sum(levels), stmt_count),
         float(len(data)),

@@ -46,15 +46,15 @@ class StepFeatures:
 def _entries(node: n.Node) -> list[tuple[n.Node, int]]:
     """child_nodes(node), each with the edge it is entered by."""
     kind = node.kind
-    if kind is n.NodeKind.PROGRAM:
+    if kind is n.PROGRAM:
         return _body(node.data_items, _TREE_CHILD) + _body(node.paragraphs, _TREE_CHILD)
-    if kind is n.NodeKind.DATA_ITEM:
+    if kind is n.DATA_ITEM:
         return _body(node.children, _TREE_CHILD)
-    if kind is n.NodeKind.PARAGRAPH:
+    if kind is n.PARAGRAPH:
         return _body(node.body, _TREE_CHILD)
-    if kind is n.NodeKind.IF:
+    if kind is n.IF:
         return _body(node.then_body, _TRUE) + _body(node.else_body, _FALSE)
-    if kind is n.NodeKind.EVALUATE:
+    if kind is n.EVALUATE:
         arms = [arm.body for arm in node.arms] + [node.other or ()]
         return [entry for body in arms for entry in _body(body, _CASE)]
     if kind in n.LOOP_KINDS:
@@ -78,7 +78,7 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
               arrival: int) -> tuple[int, int]:
         nonlocal statements
         kind = node.kind
-        if kind is n.NodeKind.PARAGRAPH:
+        if kind is n.PARAGRAPH:
             para = sibling - data_count
         # Columns 10 and 11 hold the paragraph and statement ranks until
         # the walk has counted both.
@@ -94,7 +94,7 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
             level = 0
         rows.append(row)
         arrivals.append(arrival)
-        size, literals = 1, n.node_literal_count(node)
+        size, literals = 1, n.node_literal_counts(node)[0]
         entries = _entries(node)
         for k, (child, edge) in enumerate(entries):
             child_size, child_literals = visit(child, depth + 1, k, level, para, edge)

@@ -32,6 +32,29 @@ class NodeKind(enum.Enum):
     STOP_RUN = "StopRun"
 
 
+# NodeKind's members as module constants, for function bodies (`n.MOVE`).
+# On Python 3.10 and 3.11 every `NodeKind.MOVE` read goes through EnumType's
+# Python-level `__getattr__` hook: about 140-230 ns a read against 15-50 ns
+# for a global, and the tree walks read several per node.
+PROGRAM = NodeKind.PROGRAM
+DATA_ITEM = NodeKind.DATA_ITEM
+PARAGRAPH = NodeKind.PARAGRAPH
+MOVE = NodeKind.MOVE
+COMPUTE = NodeKind.COMPUTE
+ARITH = NodeKind.ARITH
+IF = NodeKind.IF
+EVALUATE = NodeKind.EVALUATE
+PERFORM_PARA = NodeKind.PERFORM_PARA
+PERFORM_TIMES = NodeKind.PERFORM_TIMES
+PERFORM_UNTIL = NodeKind.PERFORM_UNTIL
+PERFORM_VARYING = NodeKind.PERFORM_VARYING
+DISPLAY = NodeKind.DISPLAY
+ACCEPT = NodeKind.ACCEPT
+CALL = NodeKind.CALL
+GOTO = NodeKind.GOTO
+STOP_RUN = NodeKind.STOP_RUN
+
+
 KIND_IDS = {kind: i for i, kind in enumerate(NodeKind)}
 
 
@@ -345,24 +368,24 @@ Node = Program | DataItem | Paragraph | Stmt
 def child_nodes(node: Node) -> list[Node]:
     """Structural children of a node, in source order."""
     kind = node.kind
-    if kind is NodeKind.PROGRAM:
+    if kind is PROGRAM:
         return [*node.data_items, *node.paragraphs]
-    if kind is NodeKind.DATA_ITEM:
+    if kind is DATA_ITEM:
         return list(node.children)
-    if kind is NodeKind.PARAGRAPH:
+    if kind is PARAGRAPH:
         return list(node.body)
-    if kind is NodeKind.IF:
+    if kind is IF:
         return [*node.then_body, *node.else_body]
-    if kind is NodeKind.EVALUATE:
+    if kind is EVALUATE:
         out: list[Node] = []
         for arm in node.arms:
             out.extend(arm.body)
         if node.other:
             out.extend(node.other)
         return out
-    if kind is NodeKind.PERFORM_TIMES:
+    if kind is PERFORM_TIMES:
         return list(node.body) if node.body else []
-    if kind in (NodeKind.PERFORM_UNTIL, NodeKind.PERFORM_VARYING):
+    if kind in (PERFORM_UNTIL, PERFORM_VARYING):
         return list(node.body)
     return []
 
@@ -412,50 +435,68 @@ def cond_text(c: Cond) -> str:
     return f"{cond_text(c.left)} OR {cond_text(c.right)}"
 
 
-def count_literals(e: Expr | Cond | None, kinds: tuple = (NumLit, StrLit)) -> int:
-    """Literals of the classes in `kinds` within an expression or condition."""
-    if isinstance(e, (NumLit, StrLit)):
-        return int(isinstance(e, kinds))
+# (literals, string literals) of a leaf; shared, so that counting builds
+# no tuple per leaf.
+_NO_LITERALS = (0, 0)
+_NUM_LITERAL = (1, 0)
+_STR_LITERAL = (1, 1)
+
+
+def literal_counts(e: Expr | Cond | None) -> tuple[int, int]:
+    """(literals, string literals) within an expression or condition."""
+    if isinstance(e, NumLit):
+        return _NUM_LITERAL
+    if isinstance(e, StrLit):
+        return _STR_LITERAL
     if e is None or isinstance(e, VarRef):
-        return 0
+        return _NO_LITERALS
     if isinstance(e, NotCond):
-        return count_literals(e.inner, kinds)
-    return count_literals(e.left, kinds) + count_literals(e.right, kinds)
+        return literal_counts(e.inner)
+    left = literal_counts(e.left)
+    right = literal_counts(e.right)
+    return left[0] + right[0], left[1] + right[1]
 
 
-def node_literal_count(node: Node, kinds: tuple = (NumLit, StrLit)) -> int:
-    """Literals of the classes in `kinds` in this node's own attributes (not
+def _sum_counts(counts) -> tuple[int, int]:
+    literals = strings = 0
+    for found, found_strings in counts:
+        literals += found
+        strings += found_strings
+    return literals, strings
+
+
+def node_literal_counts(node: Node) -> tuple[int, int]:
+    """(literals, string literals) in this node's own attributes (not
     descendants). A CALL's program name is a string literal, and a data
     item's VALUE the literal it spells."""
     kind = node.kind
-    if kind is NodeKind.MOVE:
-        return count_literals(node.src, kinds)
-    if kind is NodeKind.COMPUTE:
-        return count_literals(node.expr, kinds)
-    if kind is NodeKind.ARITH:
-        return count_literals(node.a, kinds) + count_literals(node.b, kinds)
-    if kind is NodeKind.IF:
-        return count_literals(node.cond, kinds)
-    if kind is NodeKind.EVALUATE:
-        arms = sum(count_literals(arm.value, kinds) for arm in node.arms)
-        return count_literals(node.subject, kinds) + arms
-    if kind is NodeKind.PERFORM_TIMES:
-        return count_literals(node.count, kinds)
-    if kind is NodeKind.PERFORM_UNTIL:
-        return count_literals(node.cond, kinds)
-    if kind is NodeKind.PERFORM_VARYING:
-        return (
-            count_literals(node.from_, kinds)
-            + count_literals(node.by, kinds)
-            + count_literals(node.until, kinds)
+    if kind is MOVE:
+        return literal_counts(node.src)
+    if kind is COMPUTE:
+        return literal_counts(node.expr)
+    if kind is ARITH:
+        return _sum_counts((literal_counts(node.a), literal_counts(node.b)))
+    if kind is IF:
+        return literal_counts(node.cond)
+    if kind is EVALUATE:
+        return _sum_counts(
+            [literal_counts(node.subject)] + [literal_counts(arm.value) for arm in node.arms]
         )
-    if kind is NodeKind.DISPLAY:
-        return sum(count_literals(a, kinds) for a in node.args)
-    if kind is NodeKind.CALL:
-        return int(StrLit in kinds)
-    if kind is NodeKind.DATA_ITEM and node.value is not None:
-        return int((StrLit if isinstance(node.value, str) else NumLit) in kinds)
-    return 0
+    if kind is PERFORM_TIMES:
+        return literal_counts(node.count)
+    if kind is PERFORM_UNTIL:
+        return literal_counts(node.cond)
+    if kind is PERFORM_VARYING:
+        return _sum_counts(
+            (literal_counts(node.from_), literal_counts(node.by), literal_counts(node.until))
+        )
+    if kind is DISPLAY:
+        return _sum_counts(map(literal_counts, node.args))
+    if kind is CALL:
+        return _STR_LITERAL
+    if kind is DATA_ITEM and node.value is not None:
+        return _STR_LITERAL if isinstance(node.value, str) else _NUM_LITERAL
+    return _NO_LITERALS
 
 
 # --- JSON form ---
@@ -463,29 +504,29 @@ def node_literal_count(node: Node, kinds: tuple = (NumLit, StrLit)) -> int:
 
 def _attrs(node: Node) -> dict:
     kind = node.kind
-    if kind is NodeKind.PROGRAM:
+    if kind is PROGRAM:
         return {"program_id": node.program_id}
-    if kind is NodeKind.DATA_ITEM:
+    if kind is DATA_ITEM:
         a = {"level": node.level, "name": node.name}
         if node.picture is not None:
             a["picture"] = node.picture
         if node.value is not None:
             a["value"] = node.value
         return a
-    if kind is NodeKind.PARAGRAPH:
+    if kind is PARAGRAPH:
         return {"name": node.name}
-    if kind is NodeKind.MOVE:
+    if kind is MOVE:
         return {"src": expr_text(node.src), "dst": node.dst}
-    if kind is NodeKind.COMPUTE:
+    if kind is COMPUTE:
         return {"dst": node.dst, "expr": expr_text(node.expr)}
-    if kind is NodeKind.ARITH:
+    if kind is ARITH:
         a = {"op": node.op, "a": expr_text(node.a), "b": expr_text(node.b)}
         if node.giving is not None:
             a["giving"] = node.giving
         return a
-    if kind is NodeKind.IF:
+    if kind is IF:
         return {"cond": cond_text(node.cond), "then_len": len(node.then_body)}
-    if kind is NodeKind.EVALUATE:
+    if kind is EVALUATE:
         return {
             "subject": expr_text(node.subject),
             "arms": [
@@ -494,29 +535,29 @@ def _attrs(node: Node) -> dict:
             ],
             "has_other": node.other is not None,
         }
-    if kind is NodeKind.PERFORM_PARA:
+    if kind is PERFORM_PARA:
         return {"target": node.target}
-    if kind is NodeKind.PERFORM_TIMES:
+    if kind is PERFORM_TIMES:
         a = {"count": expr_text(node.count)}
         if node.target is not None:
             a["target"] = node.target
         return a
-    if kind is NodeKind.PERFORM_UNTIL:
+    if kind is PERFORM_UNTIL:
         return {"cond": cond_text(node.cond)}
-    if kind is NodeKind.PERFORM_VARYING:
+    if kind is PERFORM_VARYING:
         return {
             "var": node.var,
             "from": expr_text(node.from_),
             "by": expr_text(node.by),
             "until": cond_text(node.until),
         }
-    if kind is NodeKind.DISPLAY:
+    if kind is DISPLAY:
         return {"args": [expr_text(a) for a in node.args]}
-    if kind is NodeKind.ACCEPT:
+    if kind is ACCEPT:
         return {"target": node.target}
-    if kind is NodeKind.CALL:
+    if kind is CALL:
         return {"program": node.program, "using": list(node.using)}
-    if kind is NodeKind.GOTO:
+    if kind is GOTO:
         return {"target": node.target}
     return {}
 

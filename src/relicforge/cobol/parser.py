@@ -14,7 +14,22 @@ the order they are built in is their pre-order.
 from __future__ import annotations
 
 from relicforge.cobol import nodes as n
-from relicforge.cobol.tokens import SourceFile, Token, TokenKind, normalize_source, tokenize
+from relicforge.cobol.tokens import (
+    IDENTIFIER,
+    INT_LITERAL,
+    KEYWORD,
+    LPAREN,
+    OPERATOR,
+    PERIOD,
+    PICTURE_CLAUSE,
+    RPAREN,
+    STRING_LITERAL,
+    SourceFile,
+    Token,
+    TokenKind,
+    normalize_source,
+    tokenize,
+)
 from relicforge.errors import ParseError, ParseFailure
 
 # Sentinel returned past the last token; kind None matches no TokenKind.
@@ -54,6 +69,15 @@ _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 # The first is left free so that one binary operation inside each of
 # MAX_NESTING parentheses still parses.
 MAX_NESTING = 100
+
+# Widest pictures the parser accepts, bounded by the Java the translation
+# emits. A numeric field is declared `long`, which holds 18 decimal digits.
+# An alphanumeric field's initial value is written as one string literal,
+# and a Java class file holds a string constant of at most 65,535 bytes.
+# A wider picture is a ParseError, so the file is Rejected before the
+# translation and both interpreters build a field that wide.
+MAX_PIC_DIGITS = 18
+MAX_PIC_CHARS = 65_535
 
 
 class _Issue(Exception):
@@ -97,11 +121,11 @@ class _Parser:
 
     def at_kw(self, *words: str) -> bool:
         tok = self.tok
-        return tok.kind is TokenKind.KEYWORD and tok.text in words
+        return tok.kind is KEYWORD and tok.text in words
 
     def eat_kw(self, word: str) -> Token:
         tok = self.tok
-        if tok.kind is not TokenKind.KEYWORD or tok.text != word:
+        if tok.kind is not KEYWORD or tok.text != word:
             self._fail(word)
         return self.advance()
 
@@ -111,7 +135,7 @@ class _Parser:
         return self.advance()
 
     def eat_period(self) -> None:
-        if self.tok.kind is not TokenKind.PERIOD:
+        if self.tok.kind is not PERIOD:
             self._fail("'.'")
         self.advance()
 
@@ -136,7 +160,7 @@ class _Parser:
 
     def _skip_past_period(self) -> None:
         while self.tok is not _EOF:
-            if self.advance().kind is TokenKind.PERIOD:
+            if self.advance().kind is PERIOD:
                 return
 
     # --- divisions ---
@@ -149,7 +173,7 @@ class _Parser:
             self.eat_period()
             self.eat_kw("PROGRAM-ID")
             self.eat_period()
-            pid = self.eat(TokenKind.IDENTIFIER, "program name").text
+            pid = self.eat(IDENTIFIER, "program name").text
             self.eat_period()
         except _Issue as e:
             self.errors.append(e.error)
@@ -187,7 +211,7 @@ class _Parser:
         # Flat scan first, then nest by level number (child of the nearest
         # preceding item with a smaller level; 77 items never nest).
         flat: list[n.DataItem] = []
-        while self.tok.kind is TokenKind.INT_LITERAL:
+        while self.tok.kind is INT_LITERAL:
             try:
                 flat.append(self.parse_data_item())
             except _Issue as e:
@@ -196,26 +220,29 @@ class _Parser:
         return self._nest_items(flat)
 
     def parse_data_item(self) -> n.DataItem:
-        tok = self.eat(TokenKind.INT_LITERAL, "level number")
+        tok = self.eat(INT_LITERAL, "level number")
         level = int(tok.text)
         if not (1 <= level <= 49 or level == 77):
             raise _Issue(tok.line, "level in 01-49 or 77", tok.text)
-        name = self.eat(TokenKind.IDENTIFIER, "data item name").text
+        name = self.eat(IDENTIFIER, "data item name").text
         picture = None
         value: int | str | None = None
         if self.at_kw("PIC", "PICTURE"):
             self.advance()
-            picture = self.eat(TokenKind.PICTURE_CLAUSE, "picture clause").text
+            picture = self.eat(PICTURE_CLAUSE, "picture clause").text
             try:
-                n.picture_width(picture)
+                width = n.picture_width(picture)
             except ValueError:
                 raise _Issue(tok.line, "picture of 9s or Xs", picture) from None
+            limit = MAX_PIC_DIGITS if picture.startswith("9") else MAX_PIC_CHARS
+            if width > limit:
+                raise _Issue(tok.line, f"picture of at most {limit} characters", picture)
         if self.at_kw("VALUE"):
             self.advance()
             vt = self.tok
-            if vt.kind is TokenKind.INT_LITERAL:
+            if vt.kind is INT_LITERAL:
                 value = int(self.advance().text)
-            elif vt.kind is TokenKind.STRING_LITERAL:
+            elif vt.kind is STRING_LITERAL:
                 value = self.advance().text
             else:
                 self._fail("literal value")
@@ -249,12 +276,12 @@ class _Parser:
     def parse_paragraphs(self) -> list[n.Paragraph]:
         paragraphs: list[n.Paragraph] = []
         # Statements before any header go into an implicit MAIN paragraph.
-        if self.tok is not _EOF and self.tok.kind is not TokenKind.IDENTIFIER:
+        if self.tok is not _EOF and self.tok.kind is not IDENTIFIER:
             body = self.parse_sentences()
             if body:
                 paragraphs.append(n.Paragraph(body[0].line, "MAIN", body))
         while self.tok is not _EOF:
-            if self.tok.kind is TokenKind.IDENTIFIER:
+            if self.tok.kind is IDENTIFIER:
                 header = self.advance()
                 try:
                     self.eat_period()
@@ -274,9 +301,9 @@ class _Parser:
         out: list[n.Stmt] = []
         while self.tok is not _EOF:
             tok = self.tok
-            if tok.kind is TokenKind.IDENTIFIER:
+            if tok.kind is IDENTIFIER:
                 break  # next paragraph header
-            if tok.kind is TokenKind.PERIOD:  # stray period, tolerate
+            if tok.kind is PERIOD:  # stray period, tolerate
                 self.advance()
                 continue
             # Jumps past the mark belong to a statement recovery discards.
@@ -286,7 +313,7 @@ class _Parser:
                 out.append(stmt)
                 mark = len(self.jumps)
                 # One or more statements may share a terminating period.
-                if self.tok.kind is TokenKind.PERIOD:
+                if self.tok.kind is PERIOD:
                     self.advance()
                 elif self.tok is _EOF or not self._at_stmt_start():
                     self._fail("'.'")
@@ -298,13 +325,13 @@ class _Parser:
 
     def _at_stmt_start(self) -> bool:
         tok = self.tok
-        return tok.kind is TokenKind.KEYWORD and tok.text in _STMT_STARTERS
+        return tok.kind is KEYWORD and tok.text in _STMT_STARTERS
 
     # --- statements ---
 
     def parse_statement(self) -> n.Stmt:
         tok = self.tok
-        if tok.kind is not TokenKind.KEYWORD or tok.text not in _STMT_STARTERS:
+        if tok.kind is not KEYWORD or tok.text not in _STMT_STARTERS:
             self._fail("statement keyword")
         word = tok.text
         if word == "MOVE":
@@ -333,14 +360,14 @@ class _Parser:
         line = self.advance().line
         src = self.parse_atom()
         self.eat_kw("TO")
-        dst = self.eat(TokenKind.IDENTIFIER, "identifier").text
+        dst = self.eat(IDENTIFIER, "identifier").text
         return n.Move(line, src, dst)
 
     def parse_compute(self) -> n.Compute:
         line = self.advance().line
-        dst = self.eat(TokenKind.IDENTIFIER, "identifier").text
+        dst = self.eat(IDENTIFIER, "identifier").text
         tok = self.tok
-        if tok.kind is TokenKind.OPERATOR and tok.text == "=":
+        if tok.kind is OPERATOR and tok.text == "=":
             self.advance()
         else:
             self._fail("'='")
@@ -363,14 +390,14 @@ class _Parser:
                 self.advance()
                 divisor = self.parse_atom()
                 self.eat_kw("GIVING")
-                giving = self.eat(TokenKind.IDENTIFIER, "identifier").text
+                giving = self.eat(IDENTIFIER, "identifier").text
                 return n.Arith(line, "DIVIDE", divisor, a, giving)
             self.eat_kw("INTO")
         b = self.parse_atom()
         giving = None
         if self.at_kw("GIVING"):
             self.advance()
-            giving = self.eat(TokenKind.IDENTIFIER, "identifier").text
+            giving = self.eat(IDENTIFIER, "identifier").text
         elif not isinstance(b, n.VarRef):
             raise _Issue(line, "identifier target or GIVING", n.expr_text(b))
         return n.Arith(line, op, a, b, giving)
@@ -402,9 +429,9 @@ class _Parser:
                 other = self.parse_body_until("END-EVALUATE")
                 break
             vt = self.tok
-            if vt.kind is TokenKind.INT_LITERAL:
+            if vt.kind is INT_LITERAL:
                 value: n.NumLit | n.StrLit = n.NumLit(int(self.advance().text))
-            elif vt.kind is TokenKind.STRING_LITERAL:
+            elif vt.kind is STRING_LITERAL:
                 value = n.StrLit(self.advance().text)
             else:
                 self._fail("literal or OTHER")
@@ -427,7 +454,7 @@ class _Parser:
             return n.PerformUntil(line, cond, body)
         if self.at_kw("VARYING"):
             self.advance()
-            var = self.eat(TokenKind.IDENTIFIER, "identifier").text
+            var = self.eat(IDENTIFIER, "identifier").text
             self.eat_kw("FROM")
             from_ = self.parse_atom()
             self.eat_kw("BY")
@@ -440,15 +467,15 @@ class _Parser:
                 raise _Issue(line, "loop body statement", "END-PERFORM")
             return n.PerformVarying(line, var, from_, by, until, body)
         tok = self.tok
-        if tok.kind is TokenKind.IDENTIFIER:
+        if tok.kind is IDENTIFIER:
             target = self.advance().text
             # PERFORM P        -> plain paragraph perform
             # PERFORM P n TIMES -> paragraph perform, repeated
             # PERFORM P TIMES   -> inline loop, P is the count variable
             nxt = self.tok
-            if nxt.kind in (TokenKind.INT_LITERAL, TokenKind.IDENTIFIER) and self.peek(
+            if nxt.kind in (INT_LITERAL, IDENTIFIER) and self.peek(
                 1
-            ).kind is TokenKind.KEYWORD and self.peek(1).text == "TIMES":
+            ).kind is KEYWORD and self.peek(1).text == "TIMES":
                 count = self.parse_atom()
                 self.eat_kw("TIMES")
                 return self.jump(n.PerformTimes(line, count, None, target))
@@ -460,7 +487,7 @@ class _Parser:
                     raise _Issue(line, "loop body statement", "END-PERFORM")
                 return n.PerformTimes(line, n.VarRef(target), body, None)
             return self.jump(n.PerformPara(line, target))
-        if tok.kind is TokenKind.INT_LITERAL:
+        if tok.kind is INT_LITERAL:
             count = self.parse_atom()
             self.eat_kw("TIMES")
             body = self.parse_body_until("END-PERFORM")
@@ -475,33 +502,33 @@ class _Parser:
         line = self.advance().line
         args = [self.parse_atom()]
         while self.tok.kind in (
-            TokenKind.IDENTIFIER,
-            TokenKind.INT_LITERAL,
-            TokenKind.STRING_LITERAL,
+            IDENTIFIER,
+            INT_LITERAL,
+            STRING_LITERAL,
         ):
             args.append(self.parse_atom())
         return n.Display(line, args)
 
     def parse_accept(self) -> n.Accept:
         line = self.advance().line
-        target = self.eat(TokenKind.IDENTIFIER, "identifier").text
+        target = self.eat(IDENTIFIER, "identifier").text
         return n.Accept(line, target)
 
     def parse_call(self) -> n.Call:
         line = self.advance().line
-        program = self.eat(TokenKind.STRING_LITERAL, "program name literal").text
+        program = self.eat(STRING_LITERAL, "program name literal").text
         using: list[str] = []
         if self.at_kw("USING"):
             self.advance()
-            using.append(self.eat(TokenKind.IDENTIFIER, "identifier").text)
-            while self.tok.kind is TokenKind.IDENTIFIER:
+            using.append(self.eat(IDENTIFIER, "identifier").text)
+            while self.tok.kind is IDENTIFIER:
                 using.append(self.advance().text)
         return n.Call(line, program, using)
 
     def parse_goto(self) -> n.GoTo:
         line = self.advance().line
         self.eat_kw("TO")
-        target = self.eat(TokenKind.IDENTIFIER, "identifier").text
+        target = self.eat(IDENTIFIER, "identifier").text
         return self.jump(n.GoTo(line, target))
 
     def parse_stop(self) -> n.StopRun:
@@ -521,7 +548,7 @@ class _Parser:
             while True:
                 if self.at_kw(*terminators):
                     return body
-                if self.tok is _EOF or self.tok.kind is TokenKind.PERIOD:
+                if self.tok is _EOF or self.tok.kind is PERIOD:
                     self._fail(terminators[-1])
                 if not self._at_stmt_start():
                     self._fail(terminators[-1])
@@ -533,13 +560,13 @@ class _Parser:
 
     def parse_atom(self) -> n.Expr:
         tok = self.tok
-        if tok.kind is TokenKind.INT_LITERAL:
+        if tok.kind is INT_LITERAL:
             return n.NumLit(int(self.advance().text))
-        if tok.kind is TokenKind.STRING_LITERAL:
+        if tok.kind is STRING_LITERAL:
             return n.StrLit(self.advance().text)
-        if tok.kind is TokenKind.IDENTIFIER:
+        if tok.kind is IDENTIFIER:
             return n.VarRef(self.advance().text)
-        if tok.kind is TokenKind.OPERATOR and tok.text == "-":
+        if tok.kind is OPERATOR and tok.text == "-":
             self.nest()
             try:
                 self.advance()
@@ -556,7 +583,7 @@ class _Parser:
         left = self.parse_term()
         operators = 0
         try:
-            while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "+-":
+            while self.tok.kind is OPERATOR and self.tok.text in "+-":
                 operators += 1
                 if operators > 1:
                     self.nest()
@@ -571,7 +598,7 @@ class _Parser:
         left = self.parse_factor()
         operators = 0
         try:
-            while self.tok.kind is TokenKind.OPERATOR and self.tok.text in "*/":
+            while self.tok.kind is OPERATOR and self.tok.text in "*/":
                 operators += 1
                 if operators > 1:
                     self.nest()
@@ -584,12 +611,12 @@ class _Parser:
 
     def parse_factor(self) -> n.Expr:
         tok = self.tok
-        if tok.kind is TokenKind.LPAREN:
+        if tok.kind is LPAREN:
             self.nest()
             try:
                 self.advance()
                 inner = self.parse_expr()
-                self.eat(TokenKind.RPAREN, "')'")
+                self.eat(RPAREN, "')'")
             finally:
                 self.depth -= 1
             return inner
@@ -635,7 +662,7 @@ class _Parser:
                 self.depth -= 1
         left = self.parse_expr()
         tok = self.tok
-        if tok.kind is not TokenKind.OPERATOR or tok.text not in _COMPARISONS:
+        if tok.kind is not OPERATOR or tok.text not in _COMPARISONS:
             self._fail("comparison operator")
         op = self.advance().text
         right = self.parse_expr()

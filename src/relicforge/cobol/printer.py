@@ -34,11 +34,11 @@ def _data_item_lines(item: n.DataItem, depth: int, out: list[str]) -> None:
 def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
     pad = _INDENT * depth
     kind = stmt.kind
-    if kind is n.NodeKind.MOVE:
+    if kind is n.MOVE:
         out.append(f"{pad}MOVE {n.expr_text(stmt.src)} TO {stmt.dst}")
-    elif kind is n.NodeKind.COMPUTE:
+    elif kind is n.COMPUTE:
         out.append(f"{pad}COMPUTE {stmt.dst} = {n.expr_text(stmt.expr)}")
-    elif kind is n.NodeKind.ARITH:
+    elif kind is n.ARITH:
         a = n.expr_text(stmt.a)
         b = n.expr_text(stmt.b)
         joiner = {"ADD": "TO", "SUBTRACT": "FROM", "MULTIPLY": "BY", "DIVIDE": "INTO"}
@@ -46,7 +46,7 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
         if stmt.giving is not None:
             text += f" GIVING {stmt.giving}"
         out.append(text)
-    elif kind is n.NodeKind.IF:
+    elif kind is n.IF:
         out.append(f"{pad}IF {n.cond_text(stmt.cond)}")
         for s in stmt.then_body:
             _stmt_lines(s, depth + 1, out)
@@ -55,7 +55,7 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.else_body:
                 _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-IF")
-    elif kind is n.NodeKind.EVALUATE:
+    elif kind is n.EVALUATE:
         out.append(f"{pad}EVALUATE {n.expr_text(stmt.subject)}")
         for arm in stmt.arms:
             out.append(f"{pad}{_INDENT}WHEN {n.expr_text(arm.value)}")
@@ -66,9 +66,9 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.other:
                 _stmt_lines(s, depth + 2, out)
         out.append(f"{pad}END-EVALUATE")
-    elif kind is n.NodeKind.PERFORM_PARA:
+    elif kind is n.PERFORM_PARA:
         out.append(f"{pad}PERFORM {stmt.target}")
-    elif kind is n.NodeKind.PERFORM_TIMES:
+    elif kind is n.PERFORM_TIMES:
         if stmt.target is not None:
             out.append(f"{pad}PERFORM {stmt.target} {n.expr_text(stmt.count)} TIMES")
         else:
@@ -76,12 +76,12 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.body or []:
                 _stmt_lines(s, depth + 1, out)
             out.append(f"{pad}END-PERFORM")
-    elif kind is n.NodeKind.PERFORM_UNTIL:
+    elif kind is n.PERFORM_UNTIL:
         out.append(f"{pad}PERFORM UNTIL {n.cond_text(stmt.cond)}")
         for s in stmt.body:
             _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-PERFORM")
-    elif kind is n.NodeKind.PERFORM_VARYING:
+    elif kind is n.PERFORM_VARYING:
         out.append(
             f"{pad}PERFORM VARYING {stmt.var} FROM {n.expr_text(stmt.from_)}"
             f" BY {n.expr_text(stmt.by)} UNTIL {n.cond_text(stmt.until)}"
@@ -89,16 +89,16 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
         for s in stmt.body:
             _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-PERFORM")
-    elif kind is n.NodeKind.DISPLAY:
+    elif kind is n.DISPLAY:
         out.append(pad + "DISPLAY " + " ".join(n.expr_text(a) for a in stmt.args))
-    elif kind is n.NodeKind.ACCEPT:
+    elif kind is n.ACCEPT:
         out.append(f"{pad}ACCEPT {stmt.target}")
-    elif kind is n.NodeKind.CALL:
+    elif kind is n.CALL:
         text = f"{pad}CALL {_quote(stmt.program)}"
         if stmt.using:
             text += " USING " + " ".join(stmt.using)
         out.append(text)
-    elif kind is n.NodeKind.GOTO:
+    elif kind is n.GOTO:
         out.append(f"{pad}GO TO {stmt.target}")
     else:
         out.append(f"{pad}STOP RUN")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from relicforge.cobol.nodes import CobolAst
 from relicforge.cobol.parser import parse, source_line_count
-from relicforge.cobol.tokens import SourceFile, SourceFormat, normalize_source, tokenize
+from relicforge.cobol.tokens import FREE, SourceFile, normalize_source, tokenize
 from relicforge.errors import LexError, ParseError, ParseFailure
 
 MAX_REPAIRS = 10
@@ -29,10 +29,25 @@ class RepairRule(enum.Enum):
     APPEND_FINAL_PERIOD = "AppendFinalPeriod"
 
 
+# Module constants for function bodies: on Python 3.10 and 3.11 an enum
+# member read off its class costs about 140-230 ns, a global 15-50 ns.
+INSERT_END_IF = RepairRule.INSERT_END_IF
+INSERT_END_EVALUATE = RepairRule.INSERT_END_EVALUATE
+INSERT_END_PERFORM = RepairRule.INSERT_END_PERFORM
+CLOSE_STRING_LITERAL = RepairRule.CLOSE_STRING_LITERAL
+APPEND_FINAL_PERIOD = RepairRule.APPEND_FINAL_PERIOD
+
+
 class Verdict(enum.Enum):
     CLEAN = "Clean"
     REPAIRED = "Repaired"
     REJECTED = "Rejected"
+
+
+# Module constants for function bodies, as for RepairRule above.
+CLEAN = Verdict.CLEAN
+REPAIRED = Verdict.REPAIRED
+REJECTED = Verdict.REJECTED
 
 
 @dataclass(frozen=True)
@@ -79,31 +94,31 @@ def _attempt(file: SourceFile):
 def _pick(problem) -> tuple[RepairRule, ParseError | LexError] | None:
     if isinstance(problem, LexError):
         if problem.reason == "unterminated string literal":
-            return RepairRule.CLOSE_STRING_LITERAL, problem
+            return CLOSE_STRING_LITERAL, problem
         return None
     for err in problem:
         if err.expected in _TERMINATORS:
             return _TERMINATORS[err.expected], err
         if err.expected == "'.'" and err.found == "end of file":
-            return RepairRule.APPEND_FINAL_PERIOD, err
+            return APPEND_FINAL_PERIOD, err
     return None
 
 
 def _apply(rule: RepairRule, issue, text: str) -> tuple[str, int]:
     """Splice one repair into the text; returns (new text, log line)."""
     lines = text.split("\n")
-    if rule is RepairRule.CLOSE_STRING_LITERAL:
+    if rule is CLOSE_STRING_LITERAL:
         row = lines[issue.line - 1]
         quote = row[issue.col - 1]
         lines[issue.line - 1] = row.rstrip() + quote
         return "\n".join(lines), issue.line
-    if rule is RepairRule.APPEND_FINAL_PERIOD:
+    if rule is APPEND_FINAL_PERIOD:
         stripped = text.rstrip()
         return stripped + ".", stripped.count("\n") + 1
     term = {
-        RepairRule.INSERT_END_IF: "END-IF",
-        RepairRule.INSERT_END_EVALUATE: "END-EVALUATE",
-        RepairRule.INSERT_END_PERFORM: "END-PERFORM",
+        INSERT_END_IF: "END-IF",
+        INSERT_END_EVALUATE: "END-EVALUATE",
+        INSERT_END_PERFORM: "END-PERFORM",
     }[rule]
     if issue.found == "end of file":
         stripped = text.rstrip()
@@ -117,19 +132,19 @@ def _apply(rule: RepairRule, issue, text: str) -> tuple[str, int]:
 def repair(file: SourceFile, max_repairs: int = MAX_REPAIRS) -> tuple[SourceFile, RepairLog]:
     ast, problem = _attempt(file)
     if ast is not None:
-        return file, RepairLog([], Verdict.CLEAN, ast)
+        return file, RepairLog([], CLEAN, ast)
 
     text = normalize_source(file.text, file.format)
     entries: list[RepairEntry] = []
     while len(entries) < max_repairs:
         choice = _pick(problem)
         if choice is None:
-            return file, RepairLog(entries, Verdict.REJECTED)
+            return file, RepairLog(entries, REJECTED)
         rule, issue = choice
         text, line = _apply(rule, issue, text)
         entries.append(RepairEntry(rule, line))
-        fixed = SourceFile(file.id, text, SourceFormat.FREE)
+        fixed = SourceFile(file.id, text, FREE)
         ast, problem = _attempt(fixed)
         if ast is not None:
-            return fixed, RepairLog(entries, Verdict.REPAIRED, ast)
-    return file, RepairLog(entries, Verdict.REJECTED)
+            return fixed, RepairLog(entries, REPAIRED, ast)
+    return file, RepairLog(entries, REJECTED)

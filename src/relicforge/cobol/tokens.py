@@ -24,6 +24,12 @@ class SourceFormat(enum.Enum):
     FIXED = "fixed"
 
 
+# Module constants for function bodies: on Python 3.10 and 3.11 an enum
+# member read off its class costs about 140-230 ns, a global 15-50 ns.
+FREE = SourceFormat.FREE
+FIXED = SourceFormat.FIXED
+
+
 @dataclass(frozen=True)
 class SourceFile:
     id: str
@@ -41,6 +47,20 @@ class TokenKind(enum.Enum):
     RPAREN = "Rparen"
     OPERATOR = "Operator"
     PICTURE_CLAUSE = "PictureClause"
+
+
+# Module constants for function bodies: on Python 3.10 and 3.11 a
+# `TokenKind.KEYWORD` read goes through EnumType's `__getattr__` hook (about
+# 140-230 ns against 15-50 ns for a global), and the parser reads them per token.
+KEYWORD = TokenKind.KEYWORD
+IDENTIFIER = TokenKind.IDENTIFIER
+INT_LITERAL = TokenKind.INT_LITERAL
+STRING_LITERAL = TokenKind.STRING_LITERAL
+PERIOD = TokenKind.PERIOD
+LPAREN = TokenKind.LPAREN
+RPAREN = TokenKind.RPAREN
+OPERATOR = TokenKind.OPERATOR
+PICTURE_CLAUSE = TokenKind.PICTURE_CLAUSE
 
 
 class Token(NamedTuple):
@@ -134,7 +154,7 @@ _PICTURE_WORDS = frozenset({"PIC", "PICTURE"})
 
 def normalize_source(text: str, format: SourceFormat) -> str:
     """Apply format normalization: fixed format keeps only columns 7-72."""
-    if format is SourceFormat.FREE:
+    if format is FREE:
         return text
     out_lines = []
     for line in text.split("\n"):
@@ -152,7 +172,7 @@ def tokenize(file: SourceFile) -> list[Token]:
     append = tokens.append
     new = tuple.__new__  # skips the Python-level __new__ of the NamedTuple
     match = _TOKEN.match
-    keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+    keyword, identifier = KEYWORD, IDENTIFIER
     after_pic = False
     for line_no, line in enumerate(text.split("\n"), start=1):
         i = 0
@@ -161,7 +181,7 @@ def tokenize(file: SourceFile) -> list[Token]:
             if after_pic:
                 m = _PICTURE.match(line, i)
                 if m is not None:
-                    append(new(Token, (TokenKind.PICTURE_CLAUSE, m.group(1).upper(),
+                    append(new(Token, (PICTURE_CLAUSE, m.group(1).upper(),
                                        line_no, m.start(1) + 1)))
                     i = m.end()
                     after_pic = False
@@ -186,7 +206,7 @@ def tokenize(file: SourceFile) -> list[Token]:
                 literal = m.group(group)
                 quote = literal[0]
                 value = literal[1:-1].replace(quote + quote, quote)
-                append(new(Token, (TokenKind.STRING_LITERAL, value, line_no, col)))
+                append(new(Token, (STRING_LITERAL, value, line_no, col)))
             elif group == 9:
                 raise LexError(line_no, col, "unterminated string literal")
             else:

@@ -19,12 +19,29 @@ from pathlib import Path
 
 from relicforge.analysis.metrics import FEATURE_NAMES, MetricsRecord, measure
 from relicforge.cobol import SourceFile, SourceFormat, Verdict, repair
-from relicforge.corpus.manifest import CorpusManifest, Record, Split, Status
+from relicforge.corpus.manifest import (
+    DUPLICATE,
+    KEPT,
+    REJECTED,
+    REPAIRED,
+    TEST,
+    TRAIN,
+    TRIVIAL,
+    CorpusManifest,
+    Record,
+    Status,
+)
 from relicforge.errors import SourceError, SplitError
 
 DEFAULT_EXTENSIONS = (".cbl", ".cob", ".txt")
 TRAIN_FRACTION = 0.8
 FOLD_COUNT = 5
+
+_STATUS_OF_VERDICT = {
+    Verdict.CLEAN: Status.KEPT,
+    Verdict.REPAIRED: Status.REPAIRED,
+    Verdict.REJECTED: Status.REJECTED,
+}
 
 _STATEMENTS = FEATURE_NAMES.index("statements")
 _DISPLAYS = FEATURE_NAMES.index("displays")
@@ -67,12 +84,12 @@ def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusMan
         try:
             raw = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError:
-            record.status = Status.REJECTED
+            record.status = REJECTED
             record.reason = "not valid UTF-8"
             records.append(record)
             continue
         except OSError as exc:
-            record.status = Status.REJECTED
+            record.status = REJECTED
             record.reason = f"unreadable: {exc.__class__.__name__}"
             records.append(record)
             continue
@@ -134,13 +151,13 @@ def dedup(manifest: CorpusManifest) -> CorpusManifest:
     """First (lexicographic) path per md5 class stays; the rest point at it."""
     survivors: dict[str, Record] = {}
     for record in sorted(manifest.records, key=lambda r: r.relative_path):
-        if record.status is Status.REJECTED or not record.md5:
+        if record.status is REJECTED or not record.md5:
             continue
         keeper = survivors.get(record.md5)
         if keeper is None:
             survivors[record.md5] = record
         else:
-            record.status = Status.DUPLICATE
+            record.status = DUPLICATE
             record.duplicate_of = keeper.id
             record.metrics = None
     return manifest
@@ -149,12 +166,12 @@ def dedup(manifest: CorpusManifest) -> CorpusManifest:
 def filter_trivial(manifest: CorpusManifest, min_statements: int = 3) -> CorpusManifest:
     """Demote parsed records that are too small or pure Display noise."""
     for record in manifest.records:
-        if record.status not in (Status.KEPT, Status.REPAIRED) or record.metrics is None:
+        if record.status not in (KEPT, REPAIRED) or record.metrics is None:
             continue
         statements = int(record.metrics.features[_STATEMENTS])
         displays = int(record.metrics.features[_DISPLAYS])
         if statements < min_statements or (statements > 0 and displays == statements):
-            record.status = Status.TRIVIAL
+            record.status = TRIVIAL
             record.metrics = None
     return manifest
 
@@ -174,7 +191,7 @@ def curate(
     tasks: list[tuple[str, str, SourceFormat]] = []
     task_of_text: dict[str, int] = {}
     for record in manifest.records:
-        if record.status is Status.REJECTED and not record.md5:
+        if record.status is REJECTED and not record.md5:
             continue  # unreadable at ingest; terminal
         record.status = None
         record.duplicate_of = None
@@ -183,7 +200,7 @@ def curate(
         try:
             text = read_normalized(root, record)
         except (OSError, UnicodeDecodeError) as exc:
-            record.status = Status.REJECTED
+            record.status = REJECTED
             record.reason = f"unreadable: {exc.__class__.__name__}"
             continue
         if text not in task_of_text:
@@ -200,13 +217,9 @@ def curate(
 
     for record, slot in zip(candidates, slots):
         result = results[slot]
-        if result.verdict is Verdict.REJECTED:
-            record.status = Status.REJECTED
+        record.status = _STATUS_OF_VERDICT[result.verdict]
+        if record.status is REJECTED:
             record.reason = "unrepairable syntax"
-        elif result.verdict is Verdict.REPAIRED:
-            record.status = Status.REPAIRED
-        else:
-            record.status = Status.KEPT
         record.metrics = result.metrics
 
     dedup(manifest)
@@ -228,8 +241,8 @@ def split(manifest: CorpusManifest, seed: int) -> CorpusManifest:
     train_count = int(len(eligible) * TRAIN_FRACTION)
     for i, record in enumerate(eligible):
         if i < train_count:
-            record.split = Split.TRAIN
+            record.split = TRAIN
             record.fold = i % FOLD_COUNT
         else:
-            record.split = Split.TEST
+            record.split = TEST
     return manifest

@@ -21,7 +21,13 @@ import random
 from pathlib import Path
 
 from relicforge.cobol import SourceFile, nodes as n, parse_source, pretty_print
-from relicforge.transpile import Action, ActionKind, chain_shape, default_actions
+from relicforge.transpile import Action, chain_shape, default_actions
+from relicforge.transpile.actions import (
+    EXTRACT_METHOD,
+    IF_CHAIN_TO_SWITCH,
+    LOOP_TO_FOR,
+    LOOP_TO_WHILE,
+)
 
 _CALL_TARGETS = ("BILLING", "LEDGER", "AUDIT", "PAYROLL", "ARCHIVE")
 
@@ -224,19 +230,19 @@ def oracle_labels(ast: n.CobolAst) -> dict[int, Action]:
     labels = dict(default_actions(ast))
     for node in n.iter_preorder(ast.program):
         kind = getattr(node, "kind", None)
-        if kind is n.NodeKind.IF:
+        if kind is n.IF:
             shape = chain_shape(node)
             if shape is not None and len(shape.arms) >= 2:
                 for arm_if, _literal, _body in shape.arms:
-                    labels[refs[id(arm_if)]] = Action(ActionKind.IF_CHAIN_TO_SWITCH)
-        elif kind is n.NodeKind.PERFORM_UNTIL:
-            labels[refs[id(node)]] = Action(ActionKind.LOOP_TO_FOR)
-        elif kind is n.NodeKind.PERFORM_TIMES:
-            labels[refs[id(node)]] = Action(ActionKind.LOOP_TO_WHILE)
+                    labels[refs[id(arm_if)]] = Action(IF_CHAIN_TO_SWITCH)
+        elif kind is n.PERFORM_UNTIL:
+            labels[refs[id(node)]] = Action(LOOP_TO_FOR)
+        elif kind is n.PERFORM_TIMES:
+            labels[refs[id(node)]] = Action(LOOP_TO_WHILE)
     for para in ast.program.paragraphs:
         if len(para.body) == _SPLIT_PARA_LEN:
             ref = refs[id(para.body[_SPLIT_AT])]
-            labels[ref] = Action(ActionKind.EXTRACT_METHOD, ref)
+            labels[ref] = Action(EXTRACT_METHOD, ref)
     return labels
 
 

@@ -364,14 +364,14 @@ class CobolProgram:
         budget = self.budget
         state = self._state
         inputs = self.inputs
-        if kind is n.NodeKind.MOVE:
+        if kind is n.MOVE:
             return self._assign_expr(s.dst, s.src)
-        if kind is n.NodeKind.COMPUTE:
+        if kind is n.COMPUTE:
             return self._assign_expr(s.dst, s.expr)
-        if kind is n.NodeKind.ARITH:
+        if kind is n.ARITH:
             value = _binop(_ARITH_SYMBOL[s.op], self._expr(s.b), self._expr(s.a))
             return self._assign(s.giving if s.giving else s.b.name, value)
-        if kind is n.NodeKind.IF:
+        if kind is n.IF:
             test = self._cond(s.cond)
             then_body, else_body = self._block(s.then_body), self._block(s.else_body)
 
@@ -382,7 +382,7 @@ class CobolProgram:
                     else_body()
 
             return if_
-        if kind is n.NodeKind.EVALUATE:
+        if kind is n.EVALUATE:
             subject = self._expr(s.subject)
             arms = tuple((arm.value.value, self._block(arm.body)) for arm in s.arms)
             other = self._block(s.other or ())
@@ -396,9 +396,9 @@ class CobolProgram:
                 other()
 
             return evaluate
-        if kind is n.NodeKind.PERFORM_PARA:
+        if kind is n.PERFORM_PARA:
             return self._perform(s.target)
-        if kind is n.NodeKind.PERFORM_TIMES:
+        if kind is n.PERFORM_TIMES:
             count = self._expr(s.count)
             # A counted paragraph perform costs one extra step per pass: the
             # call itself, same as a loop around a call.
@@ -420,9 +420,9 @@ class CobolProgram:
                     body()
 
             return times
-        if kind is n.NodeKind.PERFORM_UNTIL:
+        if kind is n.PERFORM_UNTIL:
             return self._until(self._cond(s.cond), self._block(s.body))
-        if kind is n.NodeKind.PERFORM_VARYING:
+        if kind is n.PERFORM_VARYING:
             start = self._assign_expr(s.var, s.from_)
             step = self._assign(s.var, _binop("+", self._expr(n.VarRef(s.var)),
                                               self._expr(s.by)))
@@ -439,7 +439,7 @@ class CobolProgram:
                 loop()
 
             return varying
-        if kind is n.NodeKind.DISPLAY:
+        if kind is n.DISPLAY:
             args = tuple(self._expr(a) for a in s.args)
 
             def display():
@@ -447,9 +447,9 @@ class CobolProgram:
                 state.trace.display_lines.append(line)
 
             return display
-        if kind is n.NodeKind.ACCEPT:
+        if kind is n.ACCEPT:
             return self._assign(s.target, lambda: pop_input(inputs))
-        if kind is n.NodeKind.CALL:
+        if kind is n.CALL:
             program = s.program
             using = tuple(self._expr(n.VarRef(name)) for name in s.using)
 
@@ -458,7 +458,7 @@ class CobolProgram:
                 state.trace.call_events.append((program, values))
 
             return call
-        if kind is n.NodeKind.GOTO:
+        if kind is n.GOTO:
             index = self._index.get(s.target)
             if index is None:
                 return _fail(f"unknown paragraph {s.target}")
@@ -467,7 +467,7 @@ class CobolProgram:
                 raise _Goto(index)
 
             return goto
-        if kind is n.NodeKind.STOP_RUN:
+        if kind is n.STOP_RUN:
             def stop():
                 raise _Stop()
 

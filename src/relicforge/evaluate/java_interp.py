@@ -382,11 +382,11 @@ class JavaProgram:
         budget = self.budget
         state = self._state
         fields, inputs = self._fields, self.inputs
-        if kind is j.JKind.ASSIGN:
+        if kind is j.ASSIGN:
             return self._assign(s, slots)
-        if kind is j.JKind.EXPR_STMT:
+        if kind is j.EXPR_STMT:
             return self._expr(s.expr, slots)
-        if kind is j.JKind.IF_ELSE:
+        if kind is j.IF_ELSE:
             test = self._cond(s.cond, slots)
             then_body = self._block(s.then_body, slots)
             else_body = self._block(s.else_body, slots)
@@ -398,9 +398,9 @@ class JavaProgram:
                     else_body(frame)
 
             return if_else
-        if kind is j.JKind.WHILE:
+        if kind is j.WHILE:
             return self._while(self._cond(s.cond, slots), self._block(s.body, slots))
-        if kind is j.JKind.DO_WHILE:
+        if kind is j.DO_WHILE:
             test, body = self._cond(s.cond, slots), self._block(s.body, slots)
 
             def do_while(frame):
@@ -421,7 +421,7 @@ class JavaProgram:
                         break
 
             return do_while
-        if kind is j.JKind.FOR:
+        if kind is j.FOR:
             test = self._cond(s.cond, slots) if s.cond is not None else _always
             body = self._block(s.body, slots)
             if s.update is not None:
@@ -442,7 +442,7 @@ class JavaProgram:
                 loop(frame)
 
             return for_
-        if kind is j.JKind.SWITCH:
+        if kind is j.SWITCH:
             subject = self._expr(s.subject, slots)
             cases = tuple((case.value.value, self._block(case.body, slots)) for case in s.cases)
             default = self._block(s.default or (), slots)
@@ -460,9 +460,9 @@ class JavaProgram:
                     pass
 
             return switch
-        if kind is j.JKind.METHOD_CALL:
+        if kind is j.METHOD_CALL:
             return self._method_call(s, slots)
-        if kind is j.JKind.PRINT:
+        if kind is j.PRINT:
             args = tuple(self._expr(a, slots) for a in s.args)
 
             def print_(frame):
@@ -470,12 +470,12 @@ class JavaProgram:
                 state.trace.display_lines.append(line)
 
             return print_
-        if kind is j.JKind.RETURN:
+        if kind is j.RETURN:
             def return_(frame):
                 raise _Stop()
 
             return return_
-        if kind is j.JKind.BREAK:
+        if kind is j.BREAK:
             def break_(frame):
                 raise _Break()
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from relicforge.analysis import measure
 from relicforge.cobol import nodes as n
 from relicforge.corpus import CorpusConfig, CorpusManifest, Record, Split, load_ast
+from relicforge.corpus.manifest import TEST, TRAIN
 from relicforge.errors import EvalError, FormatError, ParseFailure, SourceError
 from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
 from relicforge.evaluate.java_interp import compile_java, interpret_java
@@ -74,7 +75,7 @@ def traces_match(a: Trace, b: Trace) -> tuple[bool, str]:
 
 
 def has_goto(ast: n.CobolAst) -> bool:
-    return any(node.kind is n.NodeKind.GOTO for node in n.iter_preorder(ast.program))
+    return any(node.kind is n.GOTO for node in n.iter_preorder(ast.program))
 
 
 def load_oracle_labels(path: Path | str) -> dict[int, Action]:
@@ -436,7 +437,7 @@ def run_evaluation(
             return _ai_translator(fold_ckpt if fold_ckpt is not None else ckpt, tau)
         return _external_translator(root)
 
-    test = [r for r in manifest.records if r.split is Split.TEST]
+    test = [r for r in manifest.records if r.split is TEST]
     if kind == "external":
         test = [r for r in test if r.oracle_java]
         if not test:
@@ -459,7 +460,7 @@ def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for
     Ai approach retrains per fold on the other folds with the checkpoint's
     own config, featurizing each Train record once for all folds; the other
     approaches just score each fold."""
-    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    train = [r for r in manifest.records if r.split is TRAIN]
     folds = sorted({r.fold for r in train if r.fold is not None})
     if kind == "ai":
         featurized = [(r.fold, _train_sample(root, r, config)) for r in train]

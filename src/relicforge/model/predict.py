@@ -17,7 +17,8 @@ from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark
 )
 from relicforge.cobol import nodes as n
 from relicforge.model.network import ModelCheckpoint, forward, softmax
-from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
+from relicforge.transpile import CLASS_ORDER, Action, default_actions
+from relicforge.transpile.actions import EXTRACT_METHOD
 
 DEFAULT_TAU = 0.6
 
@@ -55,7 +56,7 @@ def predict(
             out.append((ref, fallback, confidence))
             continue
         kind = CLASS_ORDER[cls]
-        if kind is ActionKind.EXTRACT_METHOD:
+        if kind is EXTRACT_METHOD:
             tops = tops_for.get(ref)
             if not tops:
                 # A nested statement cannot carry a split; keep the default.

@@ -22,7 +22,8 @@ from relicforge.errors import DivergenceError, ShapeError
 from relicforge.model.network import (  # noqa: F401  forward: the traced benchmark wraps it here
     ModelCheckpoint, ModelConfig, forward, forward_metrics, init_checkpoint, loss_and_grads,
 )
-from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
+from relicforge.transpile import CLASS_ORDER, Action, default_actions
+from relicforge.transpile.actions import EXTRACT_METHOD, PASS_THROUGH
 
 CLASS_INDEX = {kind: i for i, kind in enumerate(CLASS_ORDER)}
 
@@ -59,7 +60,7 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
     feats = step_features(ast)
     weight = statement_mask(ast)
     total = len(feats)
-    actions = [Action(ActionKind.PASS_THROUGH)] * total
+    actions = [Action(PASS_THROUGH)] * total
     for ref, action in default_actions(ast):
         actions[ref] = action
     if labels:
@@ -72,7 +73,7 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
     offset_mask = np.zeros(total)
     denom = max(total - 1, 1)
     for ref, action in enumerate(actions):
-        if action.kind is ActionKind.EXTRACT_METHOD and weight[ref] > 0:
+        if action.kind is EXTRACT_METHOD and weight[ref] > 0:
             target = action.node_index if action.node_index is not None else ref
             offsets[ref] = min(max(target / denom, 0.0), 1.0)
             offset_mask[ref] = 1.0

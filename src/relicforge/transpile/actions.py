@@ -32,6 +32,23 @@ class ActionKind(enum.Enum):
     EXTRACT_METHOD = "ExtractMethodAt"
 
 
+# Module constants for function bodies: on Python 3.10 and 3.11 an
+# `ActionKind.IF_TO_IF` read goes through EnumType's `__getattr__` hook (about
+# 140-230 ns against 15-50 ns for a global), and actions are read per statement.
+PASS_THROUGH = ActionKind.PASS_THROUGH
+LOOP_TO_FOR = ActionKind.LOOP_TO_FOR
+LOOP_TO_WHILE = ActionKind.LOOP_TO_WHILE
+LOOP_TO_DO_WHILE = ActionKind.LOOP_TO_DO_WHILE
+IF_TO_IF = ActionKind.IF_TO_IF
+IF_CHAIN_TO_SWITCH = ActionKind.IF_CHAIN_TO_SWITCH
+EVALUATE_TO_SWITCH = ActionKind.EVALUATE_TO_SWITCH
+MOVE_TO_ASSIGN = ActionKind.MOVE_TO_ASSIGN
+COMPUTE_TO_EXPR = ActionKind.COMPUTE_TO_EXPR
+CALL_TO_METHOD_CALL = ActionKind.CALL_TO_METHOD_CALL
+DISPLAY_TO_PRINT = ActionKind.DISPLAY_TO_PRINT
+EXTRACT_METHOD = ActionKind.EXTRACT_METHOD
+
+
 # Model output space: index in this tuple == class id.
 CLASS_ORDER: tuple[ActionKind, ...] = (
     ActionKind.PASS_THROUGH,
@@ -137,7 +154,7 @@ def chain_shape(stmt: n.If) -> ChainShape | None:
             return ChainShape(subject, tuple(arms), (node,))
         arms.append((node, step[1], tuple(node.then_body)))
         tail = node.else_body
-        if len(tail) == 1 and tail[0].kind is n.NodeKind.IF:
+        if len(tail) == 1 and tail[0].kind is n.IF:
             node = tail[0]
             continue
         return ChainShape(subject, tuple(arms), tuple(tail))
@@ -145,26 +162,26 @@ def chain_shape(stmt: n.If) -> ChainShape | None:
 
 def applicable(stmt: n.Stmt, action: Action) -> bool:
     kind = action.kind
-    if kind is ActionKind.EXTRACT_METHOD:
+    if kind is EXTRACT_METHOD:
         # Bounds and split-point checks need paragraph context; the engine
         # validates them. Any statement may carry the label.
         return action.node_index is not None
-    if kind is ActionKind.PASS_THROUGH:
-        return stmt.kind in (n.NodeKind.ACCEPT, n.NodeKind.GOTO, n.NodeKind.STOP_RUN)
+    if kind is PASS_THROUGH:
+        return stmt.kind in (n.ACCEPT, n.GOTO, n.STOP_RUN)
     if kind in _LOOP_ACTIONS:
         return stmt.kind in n.LOOP_KINDS
-    if kind is ActionKind.IF_TO_IF:
-        return stmt.kind is n.NodeKind.IF
-    if kind is ActionKind.IF_CHAIN_TO_SWITCH:
-        return stmt.kind is n.NodeKind.IF and chain_shape(stmt) is not None
-    if kind is ActionKind.EVALUATE_TO_SWITCH:
-        return stmt.kind is n.NodeKind.EVALUATE
-    if kind is ActionKind.MOVE_TO_ASSIGN:
-        return stmt.kind is n.NodeKind.MOVE
-    if kind is ActionKind.COMPUTE_TO_EXPR:
-        return stmt.kind in (n.NodeKind.COMPUTE, n.NodeKind.ARITH)
-    if kind is ActionKind.CALL_TO_METHOD_CALL:
-        return stmt.kind in (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
-    if kind is ActionKind.DISPLAY_TO_PRINT:
-        return stmt.kind is n.NodeKind.DISPLAY
+    if kind is IF_TO_IF:
+        return stmt.kind is n.IF
+    if kind is IF_CHAIN_TO_SWITCH:
+        return stmt.kind is n.IF and chain_shape(stmt) is not None
+    if kind is EVALUATE_TO_SWITCH:
+        return stmt.kind is n.EVALUATE
+    if kind is MOVE_TO_ASSIGN:
+        return stmt.kind is n.MOVE
+    if kind is COMPUTE_TO_EXPR:
+        return stmt.kind in (n.COMPUTE, n.ARITH)
+    if kind is CALL_TO_METHOD_CALL:
+        return stmt.kind in (n.CALL, n.PERFORM_PARA)
+    if kind is DISPLAY_TO_PRINT:
+        return stmt.kind is n.DISPLAY
     return False

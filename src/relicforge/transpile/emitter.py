@@ -55,32 +55,32 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
     pad = "    " * depth
     for stmt in body:
         kind = stmt.kind
-        if kind is j.JKind.ASSIGN:
+        if kind is j.ASSIGN:
             lines.append(f"{pad}{stmt.target} = {j.jexpr_text(stmt.expr)};")
-        elif kind is j.JKind.EXPR_STMT:
+        elif kind is j.EXPR_STMT:
             lines.append(f"{pad}{j.jexpr_text(stmt.expr)};")
-        elif kind is j.JKind.METHOD_CALL:
+        elif kind is j.METHOD_CALL:
             args = ", ".join(j.jexpr_text(a) for a in stmt.args)
             lines.append(f"{pad}{stmt.name}({args});")
-        elif kind is j.JKind.PRINT:
+        elif kind is j.PRINT:
             rendered = " + ".join(f"str({j.jexpr_text(a)})" for a in stmt.args)
             lines.append(f"{pad}System.out.println({rendered or j.java_quote('')});")
-        elif kind is j.JKind.IF_ELSE:
+        elif kind is j.IF_ELSE:
             lines.append(f"{pad}if ({j.jcond_text(stmt.cond)}) {{")
             _emit_body(lines, stmt.then_body, depth + 1)
             if stmt.else_body:
                 lines.append(f"{pad}}} else {{")
                 _emit_body(lines, stmt.else_body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.JKind.WHILE:
+        elif kind is j.WHILE:
             lines.append(f"{pad}while ({j.jcond_text(stmt.cond)}) {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.JKind.DO_WHILE:
+        elif kind is j.DO_WHILE:
             lines.append(f"{pad}do {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}} while ({j.jcond_text(stmt.cond)});")
-        elif kind is j.JKind.FOR:
+        elif kind is j.FOR:
             init = f"{stmt.init.target} = {j.jexpr_text(stmt.init.expr)}" if stmt.init else ""
             cond = j.jcond_text(stmt.cond) if stmt.cond else ""
             update = (
@@ -91,7 +91,7 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
             lines.append(f"{pad}for ({init}; {cond}; {update}) {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.JKind.SWITCH:
+        elif kind is j.SWITCH:
             lines.append(f"{pad}switch ({j.jexpr_text(stmt.subject)}) {{")
             for case in stmt.cases:
                 lines.append(f"{pad}    case {_case_value(case.value)}: {{")
@@ -104,9 +104,9 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
                 lines.append(f"{pad}        break;")
                 lines.append(f"{pad}    }}")
             lines.append(f"{pad}}}")
-        elif kind is j.JKind.RETURN:
+        elif kind is j.RETURN:
             lines.append(f"{pad}return;")
-        elif kind is j.JKind.BREAK:
+        elif kind is j.BREAK:
             lines.append(f"{pad}break;")
         else:
             raise TypeError(f"unknown statement {stmt!r}")

@@ -17,6 +17,12 @@ from relicforge.cobol import nodes as n
 from relicforge.errors import TranspileError
 from relicforge.transpile import jnodes as j
 from relicforge.transpile.actions import (
+    EXTRACT_METHOD,
+    IF_CHAIN_TO_SWITCH,
+    LOOP_TO_DO_WHILE,
+    LOOP_TO_FOR,
+    LOOP_TO_WHILE,
+    PASS_THROUGH,
     Action,
     ActionKind,
     applicable,
@@ -153,7 +159,7 @@ class _Translator:
         ref = self.refs[id(stmt)]
         fallback = default_action(stmt)
         requested = self.actions.get(ref, fallback)
-        if requested.kind is ActionKind.EXTRACT_METHOD:
+        if requested.kind is EXTRACT_METHOD:
             # The split itself was handled (or fell back) during method
             # assembly and actions_used already records the outcome; the
             # statement body renders by its default rule.
@@ -230,48 +236,48 @@ class _Translator:
     def stmt(self, stmt: n.Stmt) -> list:
         action = self._action_for(stmt)
         kind = stmt.kind
-        if kind is n.NodeKind.MOVE:
+        if kind is n.MOVE:
             return [self._store(stmt.dst, self.expr(stmt.src), self._is_stringy(stmt.src))]
-        if kind is n.NodeKind.COMPUTE:
+        if kind is n.COMPUTE:
             return [self._store(stmt.dst, self.expr(stmt.expr), False)]
-        if kind is n.NodeKind.ARITH:
+        if kind is n.ARITH:
             sym = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}[stmt.op]
             value = n.BinOp(sym, self.expr(stmt.b), self.expr(stmt.a))
             target = stmt.giving if stmt.giving else stmt.b.name
             return [self._store(target, value, False)]
-        if kind is n.NodeKind.IF:
-            if action.kind is ActionKind.IF_CHAIN_TO_SWITCH:
+        if kind is n.IF:
+            if action.kind is IF_CHAIN_TO_SWITCH:
                 return [self._chain_switch(stmt)]
             return [j.IfElse(self.cond(stmt.cond), self.stmts(stmt.then_body),
                              self.stmts(stmt.else_body))]
-        if kind is n.NodeKind.EVALUATE:
+        if kind is n.EVALUATE:
             return [self._switch(self.expr(stmt.subject),
                                  [(arm.value, list(arm.body)) for arm in stmt.arms],
                                  list(stmt.other) if stmt.other is not None else None)]
-        if kind is n.NodeKind.PERFORM_PARA:
+        if kind is n.PERFORM_PARA:
             return [j.MethodCall(self.para_methods[stmt.target], [])]
-        if kind is n.NodeKind.PERFORM_TIMES:
+        if kind is n.PERFORM_TIMES:
             if stmt.target is not None:
                 body = [j.MethodCall(self.para_methods[stmt.target], [])]
             else:
                 body = self.stmts(stmt.body)
             return self._counted_loop(action.kind, self.expr(stmt.count), body)
-        if kind is n.NodeKind.PERFORM_UNTIL:
+        if kind is n.PERFORM_UNTIL:
             return self._until_loop(action.kind, n.NotCond(self.cond(stmt.cond)),
                                     self.stmts(stmt.body))
-        if kind is n.NodeKind.PERFORM_VARYING:
+        if kind is n.PERFORM_VARYING:
             return self._varying_loop(action, stmt)
-        if kind is n.NodeKind.DISPLAY:
+        if kind is n.DISPLAY:
             return [j.Print([self.expr(a) for a in stmt.args])]
-        if kind is n.NodeKind.ACCEPT:
+        if kind is n.ACCEPT:
             read = j.JCall("in", ())
             return [self._store(stmt.target, read, True)]
-        if kind is n.NodeKind.CALL:
+        if kind is n.CALL:
             args = [n.VarRef(self._var(name).jname) for name in stmt.using]
             return [j.MethodCall(external_method_name(stmt.program), args, stmt.program)]
-        if kind is n.NodeKind.GOTO:
+        if kind is n.GOTO:
             return []
-        if kind is n.NodeKind.STOP_RUN:
+        if kind is n.STOP_RUN:
             return [j.Return()]
         raise TypeError(f"unknown statement {stmt!r}")
 
@@ -280,16 +286,16 @@ class _Translator:
         self.result.jast.fields.append(j.JField(t, "long", 0, 0))
         guard = n.Comparison(">", n.VarRef(t), n.NumLit(0))
         step = j.Assign(t, n.BinOp("-", n.VarRef(t), n.NumLit(1)))
-        if action is ActionKind.LOOP_TO_WHILE:
+        if action is LOOP_TO_WHILE:
             return [j.Assign(t, count), j.While(guard, body + [step])]
-        if action is ActionKind.LOOP_TO_DO_WHILE:
+        if action is LOOP_TO_DO_WHILE:
             return [j.Assign(t, count), j.DoWhile(body + [step], guard)]
         return [j.For(j.Assign(t, count), guard, step, body)]
 
     def _until_loop(self, action: ActionKind, guard: n.Cond, body: list) -> list:
-        if action is ActionKind.LOOP_TO_WHILE:
+        if action is LOOP_TO_WHILE:
             return [j.While(guard, body)]
-        if action is ActionKind.LOOP_TO_FOR:
+        if action is LOOP_TO_FOR:
             return [j.For(None, guard, None, body)]
         return [j.DoWhile(body, guard)]
 
@@ -299,9 +305,9 @@ class _Translator:
         guard = n.NotCond(self.cond(stmt.until))
         step = j.Assign(var, n.BinOp("+", n.VarRef(var), self.expr(stmt.by)))
         body = self.stmts(stmt.body)
-        if action.kind is ActionKind.LOOP_TO_FOR:
+        if action.kind is LOOP_TO_FOR:
             return [j.For(init, guard, step, body)]
-        if action.kind is ActionKind.LOOP_TO_WHILE:
+        if action.kind is LOOP_TO_WHILE:
             return [init, j.While(guard, body + [step])]
         return [init, j.DoWhile(body + [step], guard)]
 
@@ -341,7 +347,7 @@ class _Translator:
             requests = sorted(
                 (ref, act)
                 for ref, act in self.actions.items()
-                if act.kind is ActionKind.EXTRACT_METHOD and ref in top_refs
+                if act.kind is EXTRACT_METHOD and ref in top_refs
             )
             for pos, (ref, act) in enumerate(requests):
                 reason = None
@@ -371,7 +377,7 @@ class _Translator:
             self.refs[id(s)] for para in self.ast.paragraphs for s in para.body
         }
         for ref, act in sorted(self.actions.items()):
-            if act.kind is ActionKind.EXTRACT_METHOD and ref not in top_refs:
+            if act.kind is EXTRACT_METHOD and ref not in top_refs:
                 reason = "split point must be a top-level statement"
                 if self.strict:
                     raise TranspileError(ref, reason)
@@ -379,7 +385,7 @@ class _Translator:
                 if node is not None and is_statement(node):
                     used = default_action(node)
                 else:
-                    used = Action(ActionKind.PASS_THROUGH)
+                    used = Action(PASS_THROUGH)
                 self.result.fallbacks.append(
                     Fallback(ref, act.kind.value, used.kind.value, reason))
                 self.actions[ref] = used
@@ -411,12 +417,12 @@ class _Translator:
             followers = [
                 j.MethodCall(self.para_methods[p.name], []) for p in paragraphs[1:]
             ]
-            if not (run.body and run.body[-1].kind is j.JKind.RETURN):
+            if not (run.body and run.body[-1].kind is j.RETURN):
                 run.body.extend(followers)
         # A trailing return in run() is implied by method end; dropping it
         # keeps the halt semantics and shrinks the tree.
         run = jast.methods[0]
-        if run.body and run.body[-1].kind is j.JKind.RETURN:
+        if run.body and run.body[-1].kind is j.RETURN:
             run.body.pop()
         return self.result
 

@@ -11,7 +11,20 @@ source side's stop statement.
 
 from __future__ import annotations
 
-from relicforge.analysis.cfg import Cfg, CfgBuilder, CfgNodeKind, EdgeKind, Out, cyclomatic
+from relicforge.analysis.cfg import (
+    BRANCH,
+    CASE,
+    ENTRY,
+    EXIT,
+    FALSE,
+    LOOP_BACK,
+    SEQ,
+    TRUE,
+    Cfg,
+    CfgBuilder,
+    Out,
+    cyclomatic,
+)
 from relicforge.analysis.metrics import MetricsRecord
 from relicforge.transpile import jnodes as j
 from relicforge.transpile.emitter import emit_java
@@ -20,36 +33,35 @@ from relicforge.transpile.emitter import emit_java
 class _JavaBuilder(CfgBuilder):
     def build_stmt(self, stmt) -> tuple[int, list[Out]]:
         kind = stmt.kind
-        if kind is j.JKind.IF_ELSE:
-            return self.fork(((stmt.then_body, EdgeKind.TRUE),
-                              (stmt.else_body, EdgeKind.FALSE)))
-        if kind is j.JKind.SWITCH:
-            arms = [(case.body, EdgeKind.CASE) for case in stmt.cases]
-            return self.fork(arms + [(stmt.default or [], EdgeKind.FALSE)])
-        if kind in (j.JKind.WHILE, j.JKind.FOR):
+        if kind is j.IF_ELSE:
+            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
+        if kind is j.SWITCH:
+            arms = [(case.body, CASE) for case in stmt.cases]
+            return self.fork(arms + [(stmt.default or [], FALSE)])
+        if kind in (j.WHILE, j.FOR):
             return self.loop(stmt.body)
-        if kind is j.JKind.DO_WHILE:
+        if kind is j.DO_WHILE:
             # Post-test loop, a shape the COBOL side has no statement for.
             body_head, body_outs = self.build_seq(stmt.body)
-            branch = self.add(CfgNodeKind.BRANCH)
+            branch = self.add(BRANCH)
             self.connect(body_outs, branch)
             head = body_head if body_head is not None else branch
-            self.edge(branch, head, EdgeKind.LOOP_BACK)
-            return head, [Out(branch, EdgeKind.FALSE)]
+            self.edge(branch, head, LOOP_BACK)
+            return head, [Out(branch, FALSE)]
         return self.plain()
 
 
 def build_java_cfg(jast: j.JavaAst) -> Cfg:
     b = _JavaBuilder()
-    entry = b.add(CfgNodeKind.ENTRY)
-    outs = [Out(entry, EdgeKind.SEQ)]
+    entry = b.add(ENTRY)
+    outs = [Out(entry, SEQ)]
     for method in jast.methods:
         head, m_outs = b.build_seq(method.body)
         if head is None:
             continue  # empty method bodies add no flow
         b.connect(outs, head)
         outs = m_outs
-    exit_id = b.add(CfgNodeKind.EXIT)
+    exit_id = b.add(EXIT)
     b.connect(outs, exit_id)
     return Cfg(nodes=b.nodes, edges=b.edges, entry=entry, exit=exit_id, pruned=0)
 
@@ -61,7 +73,7 @@ def java_coupling(jast: j.JavaAst) -> int:
         {
             s.name
             for s in j.all_statements(jast)
-            if s.kind is j.JKind.METHOD_CALL and s.name not in own
+            if s.kind is j.METHOD_CALL and s.name not in own
         }
     )
 

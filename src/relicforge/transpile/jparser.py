@@ -322,7 +322,7 @@ class _JParser:
 
     def case_body(self) -> list:
         body = self.block()
-        if body and body[-1].kind is j.JKind.BREAK:
+        if body and body[-1].kind is j.BREAK:
             body.pop()  # the uniform case-trailing break is emission detail
         return body
 

@@ -195,6 +195,44 @@ def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
     return out
 
 
+def _literals(e, kinds: tuple) -> int:
+    """Literals of the classes in `kinds` within an expression or condition."""
+    if isinstance(e, (n.NumLit, n.StrLit)):
+        return int(isinstance(e, kinds))
+    if e is None or isinstance(e, n.VarRef):
+        return 0
+    if isinstance(e, n.NotCond):
+        return _literals(e.inner, kinds)
+    return _literals(e.left, kinds) + _literals(e.right, kinds)
+
+
+def _node_literals(node: n.Node, kinds: tuple = (n.NumLit, n.StrLit)) -> int:
+    """Literals of the classes in `kinds` in this node's own attributes."""
+    kind = node.kind
+    if kind is n.NodeKind.MOVE:
+        return _literals(node.src, kinds)
+    if kind is n.NodeKind.COMPUTE:
+        return _literals(node.expr, kinds)
+    if kind is n.NodeKind.ARITH:
+        return _literals(node.a, kinds) + _literals(node.b, kinds)
+    if kind in (n.NodeKind.IF, n.NodeKind.PERFORM_UNTIL):
+        return _literals(node.cond, kinds)
+    if kind is n.NodeKind.EVALUATE:
+        arms = sum(_literals(arm.value, kinds) for arm in node.arms)
+        return _literals(node.subject, kinds) + arms
+    if kind is n.NodeKind.PERFORM_TIMES:
+        return _literals(node.count, kinds)
+    if kind is n.NodeKind.PERFORM_VARYING:
+        return sum(_literals(e, kinds) for e in (node.from_, node.by, node.until))
+    if kind is n.NodeKind.DISPLAY:
+        return sum(_literals(a, kinds) for a in node.args)
+    if kind is n.NodeKind.CALL:
+        return int(n.StrLit in kinds)
+    if kind is n.NodeKind.DATA_ITEM and node.value is not None:
+        return int((n.StrLit if isinstance(node.value, str) else n.NumLit) in kinds)
+    return 0
+
+
 def ref_file_features(ast: n.CobolAst, cfg: _Cfg) -> list[float]:
     program = ast.program
     walked = _preorder_levels(program)
@@ -213,8 +251,8 @@ def ref_file_features(ast: n.CobolAst, cfg: _Cfg) -> list[float]:
         return a / b if b else 0.0
 
     calls = [v.program for v in stmts if v.kind is n.NodeKind.CALL]
-    literals = sum(n.node_literal_count(v) for v, _ in walked)
-    strings = sum(n.node_literal_count(v, (n.StrLit,)) for v, _ in walked)
+    literals = sum(_node_literals(v) for v, _ in walked)
+    strings = sum(_node_literals(v, (n.StrLit,)) for v, _ in walked)
     branches = sum(1 for v in cfg.nodes if v.kind is CfgNodeKind.BRANCH)
     loop_backs = sum(1 for e in cfg.edges if e.kind is EdgeKind.LOOP_BACK)
     return [
