@@ -399,11 +399,6 @@ def iter_preorder(root: Node):
         stack.extend(reversed(child_nodes(node)))
 
 
-def node_index(ast: CobolAst) -> dict[int, Node]:
-    """Map pre-order position -> node. Position 0 is the Program node."""
-    return dict(enumerate(iter_preorder(ast.program)))
-
-
 # --- expression and condition rendering (shared by printer, JSON, features) ---
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}

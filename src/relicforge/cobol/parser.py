@@ -695,7 +695,7 @@ def parse(tokens: list[Token]) -> n.CobolAst:
 def source_line_count(file: SourceFile) -> int:
     """Lines of the format-normalized text, the `source_lines` of its tree."""
     text = normalize_source(file.text, file.format)
-    return len(text.split("\n")) if text else 0
+    return text.count("\n") + 1 if text else 0
 
 
 def parse_source(file: SourceFile) -> n.CobolAst:

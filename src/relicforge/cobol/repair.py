@@ -77,18 +77,19 @@ _TERMINATORS = {
 }
 
 
-def _attempt(file: SourceFile):
-    """(tree, None) on a clean parse, else (None, a LexError or a list of ParseError)."""
+def _attempt(file: SourceFile, base=None):
+    """(tokens, tree, problem): the tree on a clean parse, else a LexError
+    (tokens None) or a list of ParseError. base goes to `tokenize`."""
     try:
-        tokens = tokenize(file)
+        tokens = tokenize(file, base=base)
     except LexError as e:
-        return None, e
+        return None, None, e
     try:
         ast = parse(tokens)
     except ParseFailure as pf:
-        return None, pf.errors
+        return tokens, None, pf.errors
     ast.source_lines = source_line_count(file)
-    return ast, None
+    return tokens, ast, None
 
 
 def _pick(problem) -> tuple[RepairRule, ParseError | LexError] | None:
@@ -130,7 +131,15 @@ def _apply(rule: RepairRule, issue, text: str) -> tuple[str, int]:
 
 
 def repair(file: SourceFile, max_repairs: int = MAX_REPAIRS) -> tuple[SourceFile, RepairLog]:
-    ast, problem = _attempt(file)
+    """Repair file until it parses; returns (the file that parsed, log).
+
+    Each splice rewrites one line and adds none (at most it drops blank
+    lines at the end), so a retry hands `tokenize` the last attempt's
+    tokens and the spliced line, and only that line is lexed again (see
+    `tokenize`), with the tokens a full lex would give. A retry after a
+    LexError has no tokens to reuse and lexes the whole text.
+    """
+    tokens, ast, problem = _attempt(file)
     if ast is not None:
         return file, RepairLog([], CLEAN, ast)
 
@@ -144,7 +153,7 @@ def repair(file: SourceFile, max_repairs: int = MAX_REPAIRS) -> tuple[SourceFile
         text, line = _apply(rule, issue, text)
         entries.append(RepairEntry(rule, line))
         fixed = SourceFile(file.id, text, FREE)
-        ast, problem = _attempt(fixed)
+        tokens, ast, problem = _attempt(fixed, None if tokens is None else (tokens, line))
         if ast is not None:
             return fixed, RepairLog(entries, REPAIRED, ast)
     return file, RepairLog(entries, REJECTED)

@@ -8,11 +8,14 @@ integers `[0-9]+`, and any other character outside a string literal is
 an illegal character, a non-ASCII letter or digit included. Keywords are
 matched case-insensitively against KEYWORDS and emitted uppercase. After
 a PIC/PICTURE keyword the next token, if it starts with 9, X or x, is
-scanned as a single PictureClause token.
+scanned as a single PictureClause token. That PIC state is the only
+thing a line's scan carries to the next, so `tokenize` can re-lex one
+edited line of an earlier token list and reuse the rest.
 """
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,19 +165,23 @@ def normalize_source(text: str, format: SourceFormat) -> str:
     return "\n".join(out_lines)
 
 
-def tokenize(file: SourceFile) -> list[Token]:
-    """Scan a source file into tokens.
+def _opens_picture(token: Token) -> bool:
+    """Whether the lexer leaves this token in the PIC state."""
+    return token[0] is KEYWORD and token[1] in _PICTURE_WORDS
 
-    Raises LexError on an unterminated string literal or illegal character.
+
+def _scan(lines: list[str], line_no: int, after_pic: bool, tokens: list[Token]) -> bool:
+    """Append the tokens of `lines`, the first numbered line_no, to tokens.
+
+    after_pic is the PIC state at the start of the first line: whether
+    the last token before it is a PIC/PICTURE keyword. Returns the state
+    after the last line. Raises LexError as `tokenize` does.
     """
-    text = normalize_source(file.text, file.format)
-    tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # skips the Python-level __new__ of the NamedTuple
     match = _TOKEN.match
     keyword, identifier = KEYWORD, IDENTIFIER
-    after_pic = False
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(lines, start=line_no):
         i = 0
         n = len(line)
         while i < n:
@@ -211,4 +218,44 @@ def tokenize(file: SourceFile) -> list[Token]:
                 raise LexError(line_no, col, "unterminated string literal")
             else:
                 raise LexError(line_no, col, f"illegal character {m.group(group)!r}")
+    return after_pic
+
+
+def _line_of(token: Token) -> int:
+    return token[2]
+
+
+def tokenize(file: SourceFile, base: tuple[list[Token], int] | None = None) -> list[Token]:
+    """Scan a source file into tokens.
+
+    Raises LexError on an unterminated string literal or illegal character.
+
+    base = (tokens, line) re-lexes one edited line: `tokens` must be the
+    full token list of a text that has this file's normalized text on
+    every line but `line`, save that blank lines at the end may be gone.
+    A line's tokens depend only on its own text and on the PIC state at
+    its start, which is whether the token before it is PIC/PICTURE. So
+    the tokens before `line` are kept, `line` is scanned from the state
+    its predecessor token leaves, and the tokens after it are reused as
+    they are, line and column included, when the state at the end of
+    `line` is the one they were scanned from; otherwise the rest of the
+    file is scanned too. The result equals `tokenize(file)`, LexError
+    included, since no line before `line` changed and the old text
+    scanned without one.
+    """
+    lines = normalize_source(file.text, file.format).split("\n")
+    if base is None:
+        tokens: list[Token] = []
+        _scan(lines, 1, False, tokens)
+        return tokens
+    old, line_no = base
+    lo = bisect_left(old, line_no, key=_line_of)
+    hi = bisect_left(old, line_no + 1, lo, key=_line_of)
+    tokens = old[:lo]
+    after_pic = _scan(lines[line_no - 1:line_no], line_no,
+                      lo > 0 and _opens_picture(old[lo - 1]), tokens)
+    if after_pic == (hi > 0 and _opens_picture(old[hi - 1])):
+        tokens += old[hi:]
+    else:
+        _scan(lines[line_no:], line_no + 1, after_pic, tokens)
     return tokens

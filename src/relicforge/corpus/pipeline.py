@@ -1,5 +1,9 @@
 """Corpus pipeline: ingest, repair, parse, dedup, trivial filter, split.
 
+Ingest lists the tree once and finds each file's sidecars in that
+listing; ingest, curate and `load_ast` read a file with one plain `open`
+through `read_normalized`.
+
 Pipeline order is fixed: repair (whose clean parse is the file's tree) ->
 dedup -> filter_trivial -> metrics labeling. Statuses are recomputed from the files on disk on every
 curate call, so curate is idempotent on its own output. Repair and
@@ -12,6 +16,7 @@ record order so worker count never changes the output.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -62,27 +67,68 @@ def _md5(text: str) -> str:
 def normalize_text(raw: str) -> str:
     """Dedup normalization: CRLF to LF plus per-line trailing-space strip."""
     lines = raw.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return "\n".join(line.rstrip() for line in lines)
+    return "\n".join([line.rstrip() for line in lines])
+
+
+def _list_files(root: str) -> set[str]:
+    """Every file under root, as its posix path relative to root.
+
+    The same set as `Path(root).rglob("*")` filtered by `is_file()`:
+    regular files and symlinks to files. Symlinked directories are not
+    followed; broken links, symlink loops, FIFOs, sockets, directories
+    (whatever their name) and the contents of a directory that cannot be
+    listed are left out. A root that is not a directory lists nothing.
+    """
+    files: set[str] = set()
+    if not os.path.isdir(root):
+        return files
+    pending = [(root, "")]
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                entries = list(it)
+        except PermissionError:
+            continue
+        for entry in entries:
+            try:
+                if entry.is_file():
+                    files.add(prefix + entry.name)
+                elif entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, prefix + entry.name + "/"))
+            except OSError:  # a symlink loop: not a file
+                continue
+    return files
+
+
+def _suffix(rel: str) -> str:
+    """pathlib's suffix of the last path component: `..cbl` has `.cbl`,
+    `.cbl` and `a.` have none."""
+    name = rel[rel.rfind("/") + 1:]
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
 
 
 def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusManifest:
     """Scan root for source files; one record per file, path order, no statuses.
 
-    Unreadable or undecodable files are recorded as Rejected instead of
-    aborting the scan. Oracle sidecars (<stem>.java, <stem>.labels.json)
-    are attached when present.
+    The tree is listed once with `os.scandir` (see `_list_files`), and a
+    file is a source when its suffix, lowercased, is one of
+    `config.extensions`. Unreadable or undecodable files are recorded as
+    Rejected instead of aborting the scan. Oracle sidecars
+    (<stem>.java, <stem>.labels.json beside the source) are attached when
+    the listing holds them, so finding one costs no stat call.
     """
-    root = Path(root)
-    paths = sorted(
-        (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in config.extensions),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
+    root = os.fspath(root)
+    files = _list_files(root)
     records: list[Record] = []
-    for path in paths:
-        rel = path.relative_to(root).as_posix()
+    for rel in sorted(files):
+        suffix = _suffix(rel)
+        if suffix.lower() not in config.extensions:
+            continue
         record = Record(id=rel, relative_path=rel, md5="", lines=0)
         try:
-            raw = path.read_bytes().decode("utf-8")
+            text = read_normalized(root, record)
         except UnicodeDecodeError:
             record.status = REJECTED
             record.reason = "not valid UTF-8"
@@ -93,22 +139,26 @@ def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusMan
             record.reason = f"unreadable: {exc.__class__.__name__}"
             records.append(record)
             continue
-        text = normalize_text(raw)
         record.md5 = _md5(text)
-        record.lines = len(text.split("\n"))
-        java = path.with_suffix(".java")
-        labels = path.with_name(path.stem + ".labels.json")
-        if java.is_file():
-            record.oracle_java = java.relative_to(root).as_posix()
-        if labels.is_file():
-            record.oracle_labels = labels.relative_to(root).as_posix()
+        record.lines = text.count("\n") + 1
+        stem = rel[: len(rel) - len(suffix)]
+        if stem + ".java" in files:
+            record.oracle_java = stem + ".java"
+        if stem + ".labels.json" in files:
+            record.oracle_labels = stem + ".labels.json"
         records.append(record)
     return CorpusManifest(records)
 
 
 def read_normalized(root: Path | str, record: Record) -> str:
-    raw = (Path(root) / record.relative_path).read_bytes().decode("utf-8")
-    return normalize_text(raw)
+    """The record's file under root, decoded as UTF-8 and `normalize_text`ed.
+
+    Raises OSError or UnicodeDecodeError; ingest, curate and `load_ast`
+    all read through here.
+    """
+    with open(os.path.join(root, record.relative_path), "rb") as f:
+        raw = f.read()
+    return normalize_text(raw.decode("utf-8"))
 
 
 def load_ast(root: Path | str, record: Record, config: CorpusConfig = CorpusConfig()):

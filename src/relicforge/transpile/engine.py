@@ -104,10 +104,9 @@ class _Translator:
         self.ast = ast
         self.actions = actions
         self.strict = strict
-        self.refs: dict[int, int] = {
-            id(node): i for i, node in enumerate(n.iter_preorder(ast.program))
-        }
-        self.by_ref = n.node_index(ast)
+        order = list(n.iter_preorder(ast.program))
+        self.refs: dict[int, int] = {id(node): i for i, node in enumerate(order)}
+        self.by_ref: dict[int, n.Node] = dict(enumerate(order))
         self.result = TranspileResult(j.JavaAst(class_name_for(ast.program_id)))
         self.taken: set[str] = set(_TAKEN_BASE)
         self.vars: dict[str, _Field] = {}

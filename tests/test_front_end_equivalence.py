@@ -746,7 +746,9 @@ def assert_same_repair(monkeypatch, text: str, format: SourceFormat = SourceForm
     file = SourceFile("t", text, format)
     got = repair_outcome(file)
     with monkeypatch.context() as patched:
-        patched.setattr(repair_module, "tokenize", ref_tokenize)
+        # A retry passes `base`, the tokens to reuse; the reference ignores
+        # it and lexes every attempt in full.
+        patched.setattr(repair_module, "tokenize", lambda file, base=None: ref_tokenize(file))
         patched.setattr(repair_module, "parse", ref_parse)
         want = repair_outcome(file)
     assert got == want
