@@ -21,7 +21,6 @@ from relicforge.analysis.metrics import (
 from relicforge.analysis.steps import (
     EDGE_ORDER,
     StepFeatures,
-    statement_mask,
     step_features,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "decision_complexity",
     "file_features",
     "measure",
-    "statement_mask",
     "step_features",
     "validate",
 ]

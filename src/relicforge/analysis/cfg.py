@@ -17,13 +17,8 @@ paragraphs after a mid-program stop connected. Only Branch nodes fan out.
 An Evaluate branch carries one Case edge per arm plus a False default
 edge.
 
-A statement's node carries the statement's pre-order index as its
-stmt_ref (the index `nodes.iter_preorder` gives it). The COBOL builder
-counts these as it places statements, which it does in pre-order: the
-Program node is 0 and every data item, nested ones too, comes next, so
-the first statement's ref is 1 plus the number of data items plus 1 for
-its Paragraph, and each later Paragraph adds 1. No tree walk is needed.
-Java graph nodes carry no ref.
+A node is only an id and a kind: V(G) = E - N + 2 needs the edge and node
+counts alone, so no node records which statement it came from.
 """
 
 from __future__ import annotations
@@ -74,7 +69,6 @@ CASE = EdgeKind.CASE
 class CfgNode(NamedTuple):
     id: int
     kind: CfgNodeKind
-    stmt_ref: int | None = None
 
 
 class CfgEdge(NamedTuple):
@@ -99,10 +93,7 @@ class Cfg:
 
     def to_json(self) -> dict:
         return {
-            "nodes": [
-                {"id": v.id, "kind": v.kind.value, "stmt_ref": v.stmt_ref}
-                for v in self.nodes
-            ],
+            "nodes": [{"id": v.id, "kind": v.kind.value} for v in self.nodes],
             "edges": [[e.src, e.dst, e.kind.value] for e in self.edges],
             "entry": self.entry,
             "exit": self.exit,
@@ -123,18 +114,17 @@ class CfgBuilder:
     """The shape rules both languages' graphs are built from.
 
     A subclass supplies build_stmt, mapping each statement kind onto fork,
-    loop or plain; every shape returns (head id, dangling outs). A shape
-    given a `ref` stores it as its first node's stmt_ref.
+    loop or plain; every shape returns (head id, dangling outs).
     """
 
     def __init__(self):
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
 
-    def add(self, kind: CfgNodeKind, ref: int | None = None) -> int:
+    def add(self, kind: CfgNodeKind) -> int:
         nodes = self.nodes
         node_id = len(nodes)
-        nodes.append(_new(CfgNode, (node_id, kind, ref)))
+        nodes.append(_new(CfgNode, (node_id, kind)))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
@@ -158,10 +148,10 @@ class CfgBuilder:
             outs = s_outs
         return head, outs
 
-    def fork(self, arms, ref: int | None = None) -> tuple[int, list[Out]]:
+    def fork(self, arms) -> tuple[int, list[Out]]:
         """A Branch with one edge per (body, edge kind) arm into a Join; an
         empty arm's edge goes straight to the Join."""
-        branch = self.add(BRANCH, ref)
+        branch = self.add(BRANCH)
         join = self.add(JOIN)
         for body, kind in arms:
             head, outs = self.build_seq(body)
@@ -169,70 +159,55 @@ class CfgBuilder:
             self.connect(outs, join)
         return branch, [_new(Out, (join, SEQ))]
 
-    def loop(self, body, ref: int | None = None) -> tuple[int, list[Out]]:
+    def loop(self, body) -> tuple[int, list[Out]]:
         """A pre-test loop: the Branch enters the body on True, the body
         loops back to it, and False leaves."""
-        branch = self.add(BRANCH, ref)
+        branch = self.add(BRANCH)
         head, outs = self.build_seq(body)
         self.edge(branch, head if head is not None else branch, TRUE)
         self.connect(outs, branch, LOOP_BACK)
         return branch, [_new(Out, (branch, FALSE))]
 
-    def plain(self, ref: int | None = None) -> tuple[int, list[Out]]:
-        node = self.add(STMT, ref)
+    def plain(self) -> tuple[int, list[Out]]:
+        node = self.add(STMT)
         return node, [_new(Out, (node, SEQ))]
 
 
 class _CobolBuilder(CfgBuilder):
-    """Numbers each statement as it places it. Statements are placed in
-    pre-order, so `next_ref` is the pre-order index of the next one once
-    the caller has counted the Program, DataItem and Paragraph nodes
-    before it."""
-
-    def __init__(self, next_ref: int):
+    def __init__(self):
         super().__init__()
-        self.next_ref = next_ref
         self.goto_fixups: list[tuple[int, str]] = []
 
     def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
-        ref = self.next_ref
-        self.next_ref = ref + 1
         kind = stmt.kind
         if kind is n.IF:
-            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)), ref)
+            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
         if kind is n.EVALUATE:
             arms = [(arm.body, CASE) for arm in stmt.arms]
-            return self.fork(arms + [(stmt.other or [], FALSE)], ref)
+            return self.fork(arms + [(stmt.other or [], FALSE)])
         if kind is n.PERFORM_TIMES and stmt.body is None:
             # Counted paragraph perform: the loop test is explicit but
             # the callee stays one opaque call node, never inlined.
-            branch = self.add(BRANCH, ref)
+            branch = self.add(BRANCH)
             call = self.add(STMT)
             self.edge(branch, call, TRUE)
             self.edge(call, branch, LOOP_BACK)
             return branch, [_new(Out, (branch, FALSE))]
         if kind in n.LOOP_KINDS:
-            return self.loop(stmt.body, ref)
+            return self.loop(stmt.body)
         if kind is n.GOTO:
-            node = self.add(STMT, ref)
+            node = self.add(STMT)
             self.goto_fixups.append((node, stmt.target))
             return node, []  # no fall-through
-        return self.plain(ref)
-
-
-def _data_item_count(items: list[n.DataItem]) -> int:
-    return sum(1 + _data_item_count(item.children) for item in items)
+        return self.plain()
 
 
 def build_cfg(ast: n.CobolAst) -> Cfg:
-    program = ast.program
-    # Pre-order puts the Program node first, then every data item.
-    b = _CobolBuilder(1 + _data_item_count(program.data_items))
+    b = _CobolBuilder()
     entry = b.add(ENTRY)
 
     chains: list[tuple[str, int | None, list[Out]]] = []
-    for para in program.paragraphs:
-        b.next_ref += 1  # the Paragraph node precedes its statements
+    for para in ast.program.paragraphs:
         head, outs = b.build_seq(para.body)
         chains.append((para.name, head, outs))
 

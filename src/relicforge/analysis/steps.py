@@ -112,9 +112,3 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
     edge_feats = np.zeros((len(rows), EDGE_FEATURE_COUNT))
     edge_feats[np.arange(len(rows)), arrivals] = 1.0
     return StepFeatures(node_feats=node_feats, edge_feats=edge_feats)
-
-
-def statement_mask(ast: n.CobolAst) -> np.ndarray:
-    """1.0 at statement steps, 0.0 at Program/DataItem/Paragraph steps."""
-    order = list(n.iter_preorder(ast.program))
-    return np.array([1.0 if is_statement(v) else 0.0 for v in order])

@@ -401,7 +401,7 @@ def iter_preorder(root: Node):
 
 # --- expression and condition rendering (shared by printer, JSON, features) ---
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def expr_text(e: Expr) -> str:
@@ -413,9 +413,9 @@ def expr_text(e: Expr) -> str:
         return e.name
     left = expr_text(e.left)
     right = expr_text(e.right)
-    if isinstance(e.left, BinOp) and _PRECEDENCE[e.left.op] < _PRECEDENCE[e.op]:
+    if isinstance(e.left, BinOp) and PRECEDENCE[e.left.op] < PRECEDENCE[e.op]:
         left = f"({left})"
-    if isinstance(e.right, BinOp) and _PRECEDENCE[e.right.op] <= _PRECEDENCE[e.op]:
+    if isinstance(e.right, BinOp) and PRECEDENCE[e.right.op] <= PRECEDENCE[e.op]:
         right = f"({right})"
     return f"{left} {e.op} {right}"
 

@@ -21,7 +21,8 @@ import random
 from pathlib import Path
 
 from relicforge.cobol import SourceFile, nodes as n, parse_source, pretty_print
-from relicforge.transpile import Action, chain_shape, default_actions
+from relicforge.analysis.metrics import is_statement
+from relicforge.transpile import Action, chain_shape, default_action
 from relicforge.transpile.actions import (
     EXTRACT_METHOD,
     IF_CHAIN_TO_SWITCH,
@@ -226,10 +227,12 @@ def oracle_labels(ast: n.CobolAst) -> dict[int, Action]:
     Ladder Ifs absorbed into a switch share the head's label, matching
     what the rule engine records in actions_used when it applies one.
     """
-    refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
-    labels = dict(default_actions(ast))
-    for node in n.iter_preorder(ast.program):
-        kind = getattr(node, "kind", None)
+    order = list(n.iter_preorder(ast.program))
+    refs = {id(node): i for i, node in enumerate(order)}
+    labels = {ref: default_action(node) for ref, node in enumerate(order)
+              if is_statement(node)}
+    for node in order:
+        kind = node.kind
         if kind is n.IF:
             shape = chain_shape(node)
             if shape is not None and len(shape.arms) >= 2:

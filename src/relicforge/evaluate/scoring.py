@@ -291,7 +291,7 @@ def _external_translator(root: Path):
         path = root / record.oracle_java
         try:
             jast = parse_java(path.read_text(encoding="utf-8"))
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             return None, None, 0, "external translation unreadable"
         except ParseFailure:
             return None, None, 0, "external translation unparseable"

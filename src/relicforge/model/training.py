@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark wraps it here
-    StepFeatures, build_cfg, statement_mask, step_features,
+    StepFeatures, build_cfg, step_features,
 )
 from relicforge.cobol import nodes as n
 from relicforge.errors import DivergenceError, ShapeError
@@ -58,11 +58,12 @@ def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) ->
     has a bounded regression target.
     """
     feats = step_features(ast)
-    weight = statement_mask(ast)
     total = len(feats)
+    weight = np.zeros(total)
     actions = [Action(PASS_THROUGH)] * total
     for ref, action in default_actions(ast):
         actions[ref] = action
+        weight[ref] = 1.0
     if labels:
         for ref, action in labels.items():
             if 0 <= ref < total and weight[ref] > 0:

@@ -47,10 +47,6 @@ def _field_line(field: j.JField) -> str:
     return f"    private String {field.name} = {j.java_quote(field.initial)};"
 
 
-def _case_value(value) -> str:
-    return j.jexpr_text(value)
-
-
 def _emit_body(lines: list[str], body, depth: int) -> None:
     pad = "    " * depth
     for stmt in body:
@@ -81,20 +77,15 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}} while ({j.jcond_text(stmt.cond)});")
         elif kind is j.FOR:
-            init = f"{stmt.init.target} = {j.jexpr_text(stmt.init.expr)}" if stmt.init else ""
+            init, update = j.assign_text(stmt.init), j.assign_text(stmt.update)
             cond = j.jcond_text(stmt.cond) if stmt.cond else ""
-            update = (
-                f"{stmt.update.target} = {j.jexpr_text(stmt.update.expr)}"
-                if stmt.update
-                else ""
-            )
             lines.append(f"{pad}for ({init}; {cond}; {update}) {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}}")
         elif kind is j.SWITCH:
             lines.append(f"{pad}switch ({j.jexpr_text(stmt.subject)}) {{")
             for case in stmt.cases:
-                lines.append(f"{pad}    case {_case_value(case.value)}: {{")
+                lines.append(f"{pad}    case {j.jexpr_text(case.value)}: {{")
                 _emit_body(lines, case.body, depth + 2)
                 lines.append(f"{pad}        break;")
                 lines.append(f"{pad}    }}")

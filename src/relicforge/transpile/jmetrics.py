@@ -11,6 +11,8 @@ source side's stop statement.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from relicforge.analysis.cfg import (
     BRANCH,
     CASE,
@@ -25,9 +27,7 @@ from relicforge.analysis.cfg import (
     Out,
     cyclomatic,
 )
-from relicforge.analysis.metrics import MetricsRecord
 from relicforge.transpile import jnodes as j
-from relicforge.transpile.emitter import emit_java
 
 
 class _JavaBuilder(CfgBuilder):
@@ -78,11 +78,12 @@ def java_coupling(jast: j.JavaAst) -> int:
     )
 
 
-def java_metrics(jast: j.JavaAst) -> MetricsRecord:
-    cfg = build_java_cfg(jast)
-    return MetricsRecord(
-        cyclomatic=cyclomatic(cfg),
-        coupling=java_coupling(jast),
-        lines=emit_java(jast).count("\n"),
-        features=[],
-    )
+class JavaMetrics(NamedTuple):
+    """The two figures scoring compares with the source's."""
+
+    cyclomatic: int
+    coupling: int
+
+
+def java_metrics(jast: j.JavaAst) -> JavaMetrics:
+    return JavaMetrics(cyclomatic(build_java_cfg(jast)), java_coupling(jast))

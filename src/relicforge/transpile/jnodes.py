@@ -20,6 +20,7 @@ from relicforge.cobol.nodes import (
     NotCond,
     NumLit,
     OrCond,
+    PRECEDENCE,
     StrLit,
     VarRef,
 )
@@ -254,8 +255,6 @@ def node_count(jast: JavaAst) -> int:
     return 1 + len(jast.fields) + len(jast.methods) + len(all_statements(jast))
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 _JAVA_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
@@ -273,12 +272,12 @@ def jexpr_text(e: JExpr) -> str:
     if isinstance(e, JCall):
         return f"{e.name}({', '.join(jexpr_text(a) for a in e.args)})"
     if isinstance(e, BinOp):
-        prec = _PRECEDENCE[e.op]
+        prec = PRECEDENCE[e.op]
         left = jexpr_text(e.left)
         right = jexpr_text(e.right)
-        if isinstance(e.left, BinOp) and _PRECEDENCE[e.left.op] < prec:
+        if isinstance(e.left, BinOp) and PRECEDENCE[e.left.op] < prec:
             left = f"({left})"
-        if isinstance(e.right, BinOp) and _PRECEDENCE[e.right.op] <= prec:
+        if isinstance(e.right, BinOp) and PRECEDENCE[e.right.op] <= prec:
             right = f"({right})"
         return f"{left} {e.op} {right}"
     raise TypeError(f"not a Java expression: {e!r}")
@@ -313,9 +312,9 @@ def _stmt_json(stmt: JStmt) -> dict:
     elif kind is DO_WHILE:
         out["cond"] = jcond_text(stmt.cond)
     elif kind is FOR:
-        out["init"] = _assign_text(stmt.init)
+        out["init"] = assign_text(stmt.init)
         out["cond"] = jcond_text(stmt.cond) if stmt.cond else ""
-        out["update"] = _assign_text(stmt.update)
+        out["update"] = assign_text(stmt.update)
     elif kind is SWITCH:
         out["subject"] = jexpr_text(stmt.subject)
         out["cases"] = [jexpr_text(c.value) for c in stmt.cases]
@@ -331,7 +330,8 @@ def _stmt_json(stmt: JStmt) -> dict:
     return out
 
 
-def _assign_text(a: Assign | None) -> str:
+def assign_text(a: Assign | None) -> str:
+    """`target = expr` without the semicolon, as a for header writes it."""
     return f"{a.target} = {jexpr_text(a.expr)}" if a else ""
 
 

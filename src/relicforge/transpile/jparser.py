@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 
+from relicforge.cobol import parser as cobol_parser
 from relicforge.cobol.nodes import (
     AndCond,
     BinOp,
@@ -37,6 +38,14 @@ _TOKEN_RE = re.compile(
 
 _CMP_FROM_JAVA = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
+# Deepest nesting the parser accepts: a block, a parenthesis, a `!(` and a
+# call's argument list each open one level. Every later stage recurses per
+# level too, so a deeper file is a ParseFailure, not a RecursionError. A
+# translation nests at most three levels deeper than its COBOL source (the
+# method body; a store's `fit(str(...))` or `num(in())`; a loop guard's `!(`
+# and the parentheses around `&&` under `||`); the bound leaves room for more.
+MAX_NESTING = cobol_parser.MAX_NESTING + 10
+
 
 def _unquote(text: str) -> str:
     return re.sub(r"\\(.)", r"\1", text[1:-1])
@@ -61,6 +70,7 @@ class _JParser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -94,6 +104,13 @@ class _JParser:
     def expect(self, text: str) -> None:
         if not self.accept(text):
             raise self.fail(repr(text))
+
+    def nest(self) -> None:
+        """Open one nesting level; the caller closes it with `depth -= 1`.
+        A backtrack restores the depth along with the token position."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting depth at most {MAX_NESTING}")
 
     def ident(self) -> str:
         got = self.peek()
@@ -192,11 +209,13 @@ class _JParser:
         return j.JMethod(name, params, body)
 
     def block(self) -> list:
+        self.nest()
         out: list = []
         while not self.accept("}"):
             if self.peek() is None:
                 raise self.fail("statement or '}'")
             out.append(self.statement())
+        self.depth -= 1
         return out
 
     # -- statements -------------------------------------------------------------
@@ -372,9 +391,11 @@ class _JParser:
         if tok is None:
             raise self.fail("expression")
         if tok == "(":
+            self.nest()
             self.advance()
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok == "-":
             self.advance()
@@ -390,6 +411,7 @@ class _JParser:
             return StrLit(_unquote(tok))
         name = self.ident()
         if self.accept("("):
+            self.nest()
             args: list = []
             if not self.accept(")"):
                 while True:
@@ -397,6 +419,7 @@ class _JParser:
                     if not self.accept(","):
                         break
                 self.expect(")")
+            self.depth -= 1
             return j.JCall(name, tuple(args))
         return VarRef(name)
 
@@ -414,22 +437,26 @@ class _JParser:
 
     def primary_cond(self) -> Cond:
         if self.peek() == "!" and self.peek(1) == "(":
+            self.nest()
             self.advance()
             self.advance()
             inner = self.cond()
             self.expect(")")
+            self.depth -= 1
             return NotCond(inner)
         if self.peek() == "(":
             # Ambiguous: a condition group or a parenthesized arithmetic
             # operand. Try the group reading first and backtrack on failure.
-            mark = self.i
+            mark, depth = self.i, self.depth
             try:
+                self.nest()
                 self.advance()
                 inner = self.cond()
                 self.expect(")")
+                self.depth -= 1
                 return inner
             except ParseFailure:
-                self.i = mark
+                self.i, self.depth = mark, depth
         return self.comparison()
 
     def comparison(self) -> Comparison:

