@@ -3,11 +3,12 @@
 `compile_java` turns a class into Python closures once (closure
 compilation, Feeley & Lapalme 1987): each statement, expression and
 condition picks its dispatch at compile time, each name resolves to a
-field cell or to a parameter's slot in the method's frame, and each call
-to a method of the class resolves to that method. The compiled class then
-runs once per input vector, and every run starts from a fresh state:
-initial field values, a full step budget, call depth 0, a new input queue
-and a new trace.
+field cell, and each call to a method of the class resolves to that
+method. Methods take no parameters, so every closure takes no argument,
+as the COBOL interpreter's thunks do. The compiled class then runs once
+per input vector, and every run starts from a fresh state: initial field
+values, a full step budget, call depth 0, a new input queue and a new
+trace.
 
 Executes run() with the same value semantics as the COBOL interpreter.
 `return` halts the whole program (it stands for STOP RUN in translated
@@ -16,14 +17,14 @@ method-end return never appears). External stub calls are recorded as
 events under their original program names; builtins in/num/fit/str carry
 the width and parse rules that the emitter baked into the source.
 
-Errors stay lazy: an undefined name, an unknown method or a builtin call
-with the wrong number of arguments compiles to a closure that ends the
-run when it is reached, so a branch never taken never fails.
+Errors stay lazy: an undefined name, an unknown method, a call with
+arguments to a method of the class or a builtin call with the wrong number
+of arguments compiles to a closure that ends the run when it is reached,
+so a branch never taken never fails.
 
 A `while`, `do`-`while` or `for` loop is watched for a repeating state by
 `values.LoopWatch`; the state at its head is the value of every field and
-of the running method's parameter cells. A callee gets fresh parameter
-cells and cannot change the caller's.
+the number of inputs left.
 """
 
 from __future__ import annotations
@@ -61,10 +62,7 @@ from relicforge.evaluate.values import (
 )
 from relicforge.transpile import jnodes as j
 
-# A compiled expression or statement takes the running method's frame: one
-# cell per parameter, in declaration order.
-Frame = list[Cell]
-Code = Callable[[Frame], object]
+Thunk = Callable[[], object]
 
 _ARITY = {"in": 0, "num": 1, "fit": 2, "str": 1}
 
@@ -84,33 +82,33 @@ def _field_cell(field: j.JField) -> Cell:
     return str_cell(field.width, raw)
 
 
-def _fail(reason: str, args: tuple[Code, ...] = ()) -> Code:
+def _fail(reason: str, args: tuple[Thunk, ...] = ()) -> Thunk:
     """End the run with `reason`, after evaluating `args` as a call would."""
 
-    def fail(frame):
+    def fail():
         for arg in args:
-            arg(frame)
+            arg()
         raise ExecError(reason)
 
     return fail
 
 
-def _nothing(frame) -> None:
+def _nothing() -> None:
     pass
 
 
-def _always(frame) -> bool:
+def _always() -> bool:
     return True
 
 
-def _binop(op: str, left: Code, right: Code) -> Code:
+def _binop(op: str, left: Thunk, right: Thunk) -> Thunk:
     """`arith` on the operands, with int + int in range done inline."""
     if op != "+":
-        return lambda frame: arith(op, left(frame), right(frame))
+        return lambda: arith(op, left(), right())
 
-    def add(frame):
-        a = left(frame)
-        b = right(frame)
+    def add():
+        a = left()
+        b = right()
         if type(a) is int and type(b) is int:
             total = a + b
             if I64_MIN <= total <= I64_MAX:
@@ -120,13 +118,13 @@ def _binop(op: str, left: Code, right: Code) -> Code:
     return add
 
 
-def _comparison(op: str, left: Code, right: Code) -> Code:
+def _comparison(op: str, left: Thunk, right: Thunk) -> Thunk:
     """`compare` on the operands, with int against int done inline."""
     test = COMPARE_OPS[op]
 
-    def comparison(frame):
-        a = left(frame)
-        b = right(frame)
+    def comparison():
+        a = left()
+        b = right()
         if type(a) is int and type(b) is int:
             return test(a, b)
         return compare(op, a, b)
@@ -134,12 +132,12 @@ def _comparison(op: str, left: Code, right: Code) -> Code:
     return comparison
 
 
-def _against_int(op: str, left: Code | Cell, right: int) -> Code:
+def _against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
     """`_comparison` with an int literal on the right; a field on the
     left comes as its cell."""
     test = COMPARE_OPS[op]
     if isinstance(left, Cell):
-        def cell_against_int(frame):
+        def cell_against_int():
             a = left.value
             if type(a) is int:
                 return test(a, right)
@@ -147,8 +145,8 @@ def _against_int(op: str, left: Code | Cell, right: int) -> Code:
 
         return cell_against_int
 
-    def against_int(frame):
-        a = left(frame)
+    def against_int():
+        a = left()
         if type(a) is int:
             return test(a, right)
         return compare(op, a, right)
@@ -186,9 +184,8 @@ class JavaProgram:
         values it did not read stay in `self.inputs` until the next run:
         `len(inputs) - len(self.inputs)` is how many it read.
 
-        A `while`, `do`-`while` or `for` loop watches every field and the
-        running method's parameter cells at its head for a repeating state
-        (see `values.LoopWatch`).
+        A `while`, `do`-`while` or `for` loop watches every field at its
+        head for a repeating state (see `values.LoopWatch`).
         """
         for cell, value in self._initial:
             cell.value = value
@@ -203,7 +200,7 @@ class JavaProgram:
             entry = self._methods.get("run")
             if entry is None:
                 raise ExecError("no run method")
-            entry([])
+            entry()
             trace.outcome = HALTED
         except _Stop:
             trace.outcome = HALTED
@@ -217,29 +214,22 @@ class JavaProgram:
 
     # -- values --------------------------------------------------------------
 
-    def _cell(self, name: str, slots: dict[str, int]) -> int | Cell | None:
-        """A parameter's frame slot, else a field's cell, else None."""
-        slot = slots.get(name)
-        return slot if slot is not None else self.fields.get(name)
-
-    def _expr(self, e, slots: dict[str, int]) -> Code:
+    def _expr(self, e) -> Thunk:
         if isinstance(e, (n.NumLit, n.StrLit)):
             value = e.value
-            return lambda frame: value
+            return lambda: value
         if isinstance(e, n.VarRef):
-            where = self._cell(e.name, slots)
-            if where is None:
+            cell = self.fields.get(e.name)
+            if cell is None:
                 return _fail(f"undefined variable {e.name}")
-            if isinstance(where, int):
-                return lambda frame: frame[where].value
-            return lambda frame: where.value
+            return lambda: cell.value
         if isinstance(e, n.BinOp):
-            return _binop(e.op, self._expr(e.left, slots), self._expr(e.right, slots))
+            return _binop(e.op, self._expr(e.left), self._expr(e.right))
         if isinstance(e, j.JCall):
-            return self._builtin(e.name, tuple(self._expr(a, slots) for a in e.args))
+            return self._builtin(e.name, tuple(self._expr(a) for a in e.args))
         raise TypeError(f"unknown expression {e!r}")
 
-    def _builtin(self, name: str, args: tuple[Code, ...]) -> Code:
+    def _builtin(self, name: str, args: tuple[Thunk, ...]) -> Thunk:
         arity = _ARITY.get(name)
         if arity is None:
             return _fail(f"{name} is not a value function", args)
@@ -247,55 +237,45 @@ class JavaProgram:
             return _fail(f"wrong number of arguments to {name}", args)
         if name == "in":
             inputs = self.inputs
-            return lambda frame: pop_input(inputs)
+            return lambda: pop_input(inputs)
         if name == "num":
             (value,) = args
-            return lambda frame: to_num(value(frame))
+            return lambda: to_num(value())
         if name == "fit":
             value, width = args
-            return lambda frame: fit(to_str(value(frame)), to_num(width(frame)))
+            return lambda: fit(to_str(value()), to_num(width()))
         (value,) = args
-        return lambda frame: to_str(value(frame))
+        return lambda: to_str(value())
 
-    def _cond(self, c: n.Cond, slots: dict[str, int]) -> Code:
+    def _cond(self, c: n.Cond) -> Thunk:
         if isinstance(c, n.NotCond) and isinstance(c.inner, n.Comparison):
             c = n.Comparison(COMPLEMENT[c.inner.op], c.inner.left, c.inner.right)
         if isinstance(c, n.Comparison):
             if isinstance(c.right, n.NumLit):
-                where = self._cell(c.left.name, slots) if isinstance(c.left, n.VarRef) else None
-                left = where if isinstance(where, Cell) else self._expr(c.left, slots)
-                return _against_int(c.op, left, c.right.value)
-            return _comparison(c.op, self._expr(c.left, slots), self._expr(c.right, slots))
+                cell = self.fields.get(c.left.name) if isinstance(c.left, n.VarRef) else None
+                return _against_int(c.op, cell or self._expr(c.left), c.right.value)
+            return _comparison(c.op, self._expr(c.left), self._expr(c.right))
         if isinstance(c, n.NotCond):
-            inner = self._cond(c.inner, slots)
-            return lambda frame: not inner(frame)
-        left, right = self._cond(c.left, slots), self._cond(c.right, slots)
+            inner = self._cond(c.inner)
+            return lambda: not inner()
+        left, right = self._cond(c.left), self._cond(c.right)
         if isinstance(c, n.AndCond):
-            return lambda frame: left(frame) and right(frame)
-        return lambda frame: left(frame) or right(frame)
+            return lambda: left() and right()
+        return lambda: left() or right()
 
     # -- control -------------------------------------------------------------
 
-    def _method(self, method: j.JMethod) -> Callable[[list], None]:
-        """Call with argument values: a new frame, the body, depth +1."""
-        name, count = method.name, len(method.params)
-        # A repeated parameter name reads the last slot, as a dict would.
-        body = self._block(method.body, {p: i for i, p in enumerate(method.params)})
+    def _method(self, method: j.JMethod) -> Thunk:
+        """The body, one call depth deeper."""
+        body = self._block(method.body)
         state = self._state
 
-        def call(args):
+        def call():
             state.depth += 1
             if state.depth > MAX_CALL_DEPTH:
                 raise ExecError("call depth exceeded")
-            if len(args) != count:
-                raise ExecError(f"wrong number of arguments to {name}")
-            frame = []
-            for value in args:
-                cell = num_cell()
-                store(cell, value)
-                frame.append(cell)
             try:
-                body(frame)
+                body()
             except _Break:
                 raise ExecError("break outside loop or switch") from None
             finally:
@@ -303,32 +283,32 @@ class JavaProgram:
 
         return call
 
-    def _block(self, stmts: Iterable, slots: dict[str, int]) -> Code:
+    def _block(self, stmts: Iterable) -> Thunk:
         """Run the statements in order, one step each."""
-        steps = tuple(self._stmt(s, slots) for s in stmts)
+        steps = tuple(self._stmt(s) for s in stmts)
         if not steps:
             return _nothing
         budget = self.budget
 
-        def block(frame):
+        def block():
             for step in steps:
                 budget.left -= 1
                 if budget.left < 0:
                     raise StepLimitExceeded()
-                step(frame)
+                step()
 
         return block
 
-    def _assign(self, a: j.Assign, slots: dict[str, int]) -> Code:
+    def _assign(self, a: j.Assign) -> Thunk:
         """The target is looked up before the value is computed, so an
         undefined target fails first."""
-        where = self._cell(a.target, slots)
-        if where is None:
+        cell = self.fields.get(a.target)
+        if cell is None:
             return _fail(f"undefined variable {a.target}")
-        if isinstance(where, Cell) and isinstance(a.expr, (n.NumLit, n.StrLit)):
+        if isinstance(a.expr, (n.NumLit, n.StrLit)):
             # A literal goes through the store rule once, here, unless that
             # fails: then the error waits until the statement runs.
-            probe = Cell(where.numeric, where.width, where.value)
+            probe = Cell(cell.numeric, cell.width, cell.value)
             try:
                 store(probe, a.expr.value)
             except ExecError:
@@ -336,171 +316,165 @@ class JavaProgram:
             else:
                 stored = probe.value
 
-                def assign_literal(frame):
-                    where.value = stored
+                def assign_literal():
+                    cell.value = stored
 
                 return assign_literal
-        value = self._expr(a.expr, slots)
-        if isinstance(where, int):
-            return lambda frame: store(frame[where], value(frame))
-        if not where.numeric:
-            return lambda frame: store(where, value(frame))
+        value = self._expr(a.expr)
+        if not cell.numeric:
+            return lambda: store(cell, value())
 
-        def assign(frame):
-            got = value(frame)
-            where.value = got if type(got) is int else to_num(got)
+        def assign():
+            got = value()
+            cell.value = got if type(got) is int else to_num(got)
 
         return assign
 
-    def _while(self, test: Code, body: Code) -> Code:
+    def _while(self, test: Thunk, body: Thunk) -> Thunk:
         """Run `body` while `test` holds, one step per test; a `break` in
-        it ends the loop. Past `CYCLE_WARMUP` passes, every field and the
-        running frame are watched at the head."""
+        it ends the loop. Past `CYCLE_WARMUP` passes, every field is watched
+        at the head."""
         budget, state, fields, inputs = self.budget, self._state, self._fields, self.inputs
 
-        def while_(frame):
+        def while_():
             passes, watch = 0, None
             while True:
                 passes += 1
                 if passes > CYCLE_WARMUP:
-                    watch = watch or LoopWatch((*fields, *frame), inputs, budget, state.trace)
+                    watch = watch or LoopWatch(fields, inputs, budget, state.trace)
                     watch.passed()
                 budget.left -= 1
                 if budget.left < 0:
                     raise StepLimitExceeded()
-                if not test(frame):
+                if not test():
                     break
                 try:
-                    body(frame)
+                    body()
                 except _Break:
                     break
 
         return while_
 
-    def _stmt(self, s, slots: dict[str, int]) -> Code:
+    def _stmt(self, s) -> Thunk:
         kind = s.kind
         budget = self.budget
         state = self._state
         fields, inputs = self._fields, self.inputs
         if kind is j.ASSIGN:
-            return self._assign(s, slots)
-        if kind is j.EXPR_STMT:
-            return self._expr(s.expr, slots)
+            return self._assign(s)
         if kind is j.IF_ELSE:
-            test = self._cond(s.cond, slots)
-            then_body = self._block(s.then_body, slots)
-            else_body = self._block(s.else_body, slots)
+            test = self._cond(s.cond)
+            then_body = self._block(s.then_body)
+            else_body = self._block(s.else_body)
 
-            def if_else(frame):
-                if test(frame):
-                    then_body(frame)
+            def if_else():
+                if test():
+                    then_body()
                 else:
-                    else_body(frame)
+                    else_body()
 
             return if_else
         if kind is j.WHILE:
-            return self._while(self._cond(s.cond, slots), self._block(s.body, slots))
+            return self._while(self._cond(s.cond), self._block(s.body))
         if kind is j.DO_WHILE:
-            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
+            test, body = self._cond(s.cond), self._block(s.body)
 
-            def do_while(frame):
+            def do_while():
                 passes, watch = 0, None
                 while True:
                     passes += 1
                     if passes > CYCLE_WARMUP:
-                        watch = watch or LoopWatch((*fields, *frame), inputs, budget, state.trace)
+                        watch = watch or LoopWatch(fields, inputs, budget, state.trace)
                         watch.passed()
                     try:
-                        body(frame)
+                        body()
                     except _Break:
                         break
                     budget.left -= 1
                     if budget.left < 0:
                         raise StepLimitExceeded()
-                    if not test(frame):
+                    if not test():
                         break
 
             return do_while
         if kind is j.FOR:
-            test = self._cond(s.cond, slots) if s.cond is not None else _always
-            body = self._block(s.body, slots)
+            test = self._cond(s.cond) if s.cond is not None else _always
+            body = self._block(s.body)
             if s.update is not None:
-                update, block = self._assign(s.update, slots), body
+                update, block = self._assign(s.update), body
 
-                def body(frame):
+                def body():
                     # A `break` in the block skips the update.
-                    block(frame)
-                    update(frame)
+                    block()
+                    update()
 
             loop = self._while(test, body)
             if s.init is None:
                 return loop
-            init = self._assign(s.init, slots)
+            init = self._assign(s.init)
 
-            def for_(frame):
-                init(frame)
-                loop(frame)
+            def for_():
+                init()
+                loop()
 
             return for_
         if kind is j.SWITCH:
-            subject = self._expr(s.subject, slots)
-            cases = tuple((case.value.value, self._block(case.body, slots)) for case in s.cases)
-            default = self._block(s.default or (), slots)
+            subject = self._expr(s.subject)
+            cases = tuple((case.value.value, self._block(case.body)) for case in s.cases)
+            default = self._block(s.default or ())
 
-            def switch(frame):
-                value = subject(frame)
+            def switch():
+                value = subject()
                 body = default
                 for match, case_body in cases:
                     if compare("=", value, match):
                         body = case_body
                         break
                 try:
-                    body(frame)
+                    body()
                 except _Break:
                     pass
 
             return switch
         if kind is j.METHOD_CALL:
-            return self._method_call(s, slots)
+            return self._method_call(s)
         if kind is j.PRINT:
-            args = tuple(self._expr(a, slots) for a in s.args)
+            args = tuple(self._expr(a) for a in s.args)
 
-            def print_(frame):
-                line = "".join([to_str(arg(frame)) for arg in args])
+            def print_():
+                line = "".join([to_str(arg()) for arg in args])
                 state.trace.display_lines.append(line)
 
             return print_
         if kind is j.RETURN:
-            def return_(frame):
+            def return_():
                 raise _Stop()
 
             return return_
         if kind is j.BREAK:
-            def break_(frame):
+            def break_():
                 raise _Break()
 
             return break_
         raise TypeError(f"unknown statement {s!r}")
 
-    def _method_call(self, s: j.MethodCall, slots: dict[str, int]) -> Code:
+    def _method_call(self, s: j.MethodCall) -> Thunk:
         """Arguments are evaluated first, whatever the call turns out to be."""
-        args = tuple(self._expr(a, slots) for a in s.args)
+        args = tuple(self._expr(a) for a in s.args)
         state = self._state
         if s.external_name is not None:
             program = s.external_name
 
-            def external(frame):
-                values = tuple([arg(frame) for arg in args])
+            def external():
+                values = tuple([arg() for arg in args])
                 state.trace.call_events.append((program, values))
 
             return external
         if s.name in self._declared:
+            if args:
+                return _fail(f"wrong number of arguments to {s.name}", args)
             name = s.name
-
-            def call(frame):
-                state.methods[name]([arg(frame) for arg in args])
-
-            return call
+            return lambda: state.methods[name]()
         if s.name in j.BUILTINS:
             return self._builtin(s.name, args)
         return _fail(f"unknown method {s.name}", args)

@@ -53,8 +53,6 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
         kind = stmt.kind
         if kind is j.ASSIGN:
             lines.append(f"{pad}{stmt.target} = {j.jexpr_text(stmt.expr)};")
-        elif kind is j.EXPR_STMT:
-            lines.append(f"{pad}{j.jexpr_text(stmt.expr)};")
         elif kind is j.METHOD_CALL:
             args = ", ".join(j.jexpr_text(a) for a in stmt.args)
             lines.append(f"{pad}{stmt.name}({args});")
@@ -115,8 +113,7 @@ def emit_java(jast: j.JavaAst) -> str:
     for method in jast.methods:
         lines.append("")
         visibility = "public" if method.name == "run" else "private"
-        params = ", ".join(f"long {p}" for p in method.params)
-        lines.append(f"    {visibility} void {method.name}({params}) {{")
+        lines.append(f"    {visibility} void {method.name}() {{")
         _emit_body(lines, method.body, 2)
         lines.append("    }")
     lines.append("")

@@ -400,17 +400,17 @@ class _Translator:
             method = self.para_methods[para.name]
             split = self.splits.get(pi)
             if split is None:
-                jast.methods.append(j.JMethod(method, [], self.stmts(para.body)))
+                jast.methods.append(j.JMethod(method, self.stmts(para.body)))
                 continue
             ref, act = split
             target = self.by_ref[act.node_index]
             pos = next(i for i, s in enumerate(para.body) if s is target)
             tail_name = _sanitize(method + "_tail", self.taken)
             head = self.stmts(para.body[:pos]) + [j.MethodCall(tail_name, [])]
-            jast.methods.append(j.JMethod(method, [], head))
-            jast.methods.append(j.JMethod(tail_name, [], self.stmts(para.body[pos:])))
+            jast.methods.append(j.JMethod(method, head))
+            jast.methods.append(j.JMethod(tail_name, self.stmts(para.body[pos:])))
         if not paragraphs:
-            jast.methods.append(j.JMethod("run", [], []))
+            jast.methods.append(j.JMethod("run", []))
         elif len(paragraphs) > 1:
             run = jast.methods[0]
             followers = [

@@ -1,9 +1,13 @@
-"""Java-side AST: one class, long/String fields, void methods.
+"""Java-side AST: one class, long/String fields, void methods without
+parameters.
 
-Expression and condition trees are shared with the COBOL side (NumLit,
-StrLit, VarRef, BinOp, Comparison, ...); JCall adds runtime-helper and
-input calls. Statements carry no line numbers; emission order is the only
-identity that matters on this side.
+The AST holds only what the rule engine writes: a paragraph becomes a
+method that takes no arguments, and every statement is one of the `JKind`
+statement kinds below, each of which `parse_java` reads back. Expression
+and condition trees are shared with the COBOL side (NumLit, StrLit,
+VarRef, BinOp, Comparison, ...); JCall adds runtime-helper and input
+calls, and appears only inside an expression. Statements carry no line
+numbers; emission order is the only identity that matters on this side.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class JKind(enum.Enum):
     FIELD = "Field"
     METHOD = "Method"
     ASSIGN = "Assign"
-    EXPR_STMT = "ExprStmt"
     IF_ELSE = "IfElse"
     WHILE = "While"
     DO_WHILE = "DoWhile"
@@ -65,7 +68,6 @@ CLASS = JKind.CLASS
 FIELD = JKind.FIELD
 METHOD = JKind.METHOD
 ASSIGN = JKind.ASSIGN
-EXPR_STMT = JKind.EXPR_STMT
 IF_ELSE = JKind.IF_ELSE
 WHILE = JKind.WHILE
 DO_WHILE = JKind.DO_WHILE
@@ -83,13 +85,6 @@ class Assign:
     expr: JExpr
 
     kind = JKind.ASSIGN
-
-
-@dataclass
-class ExprStmt:
-    expr: JExpr
-
-    kind = JKind.EXPR_STMT
 
 
 @dataclass
@@ -173,7 +168,6 @@ class Break:
 
 JStmt = (
     Assign
-    | ExprStmt
     | IfElse
     | While
     | DoWhile
@@ -199,7 +193,6 @@ class JField:
 @dataclass
 class JMethod:
     name: str
-    params: list[str]
     body: list
 
     kind = JKind.METHOD
@@ -303,8 +296,6 @@ def _stmt_json(stmt: JStmt) -> dict:
     if kind is ASSIGN:
         out["target"] = stmt.target
         out["expr"] = jexpr_text(stmt.expr)
-    elif kind is EXPR_STMT:
-        out["expr"] = jexpr_text(stmt.expr)
     elif kind is IF_ELSE:
         out["cond"] = jcond_text(stmt.cond)
     elif kind is WHILE:
@@ -353,7 +344,6 @@ def to_json(jast: JavaAst) -> dict:
             {
                 "kind": METHOD.value,
                 "name": m.name,
-                "params": list(m.params),
                 "children": [_stmt_json(s) for s in m.body],
             }
         )

@@ -1,11 +1,11 @@
 """Parser for the emitted Java subset.
 
 Externally supplied translations (one class, long/String fields, void
-methods) are read back into a JavaAst so they can be interpreted and
-measured by the exact pipeline that scores generated translations. The
-grammar is the emitter's output language: the main() wrapper and the
-private static runtime helpers are recognized and skipped, and the
-uniform trailing break of each switch case is stripped.
+methods without parameters) are read back into a JavaAst so they can be
+interpreted and measured by the exact pipeline that scores generated
+translations. The grammar is the emitter's output language: the main()
+wrapper and the private static runtime helpers are recognized and
+skipped, and the uniform trailing break of each switch case is stripped.
 """
 
 from __future__ import annotations
@@ -39,11 +39,14 @@ _TOKEN_RE = re.compile(
 _CMP_FROM_JAVA = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 # Deepest nesting the parser accepts: a block, a parenthesis, a `!(` and a
-# call's argument list each open one level. Every later stage recurses per
+# call's argument list each open one level, and so does every operator of a
+# chain after its first (see `_JParser.chain`). Every later stage recurses per
 # level too, so a deeper file is a ParseFailure, not a RecursionError. A
 # translation nests at most three levels deeper than its COBOL source (the
 # method body; a store's `fit(str(...))` or `num(in())`; a loop guard's `!(`
 # and the parentheses around `&&` under `||`); the bound leaves room for more.
+# Parentheses the emitter drops can add chain levels: `(A + B) + (C + D)`
+# counts one level, its translation `a + b + (c + d)` two.
 MAX_NESTING = cobol_parser.MAX_NESTING + 10
 
 
@@ -196,17 +199,9 @@ class _JParser:
         self.expect("void")
         name = self.ident()
         self.expect("(")
-        params: list[str] = []
-        if not self.accept(")"):
-            while True:
-                self.expect("long")
-                params.append(self.ident())
-                if not self.accept(","):
-                    break
-            self.expect(")")
+        self.expect(")")
         self.expect("{")
-        body = self.block()
-        return j.JMethod(name, params, body)
+        return j.JMethod(name, self.block())
 
     def block(self) -> list:
         self.nest()
@@ -352,18 +347,13 @@ class _JParser:
         self.expect(".")
         self.expect("println")
         self.expect("(")
-        arg = self.expr()
+        # The emitter joins a DISPLAY's operands with `+`, and a DISPLAY has
+        # no operand limit, so these terms are a list and no chain.
+        terms = [self.term()]
+        while self.accept("+"):
+            terms.append(self.term())
         self.expect(")")
         self.expect(";")
-        terms: list = []
-        stack = [arg]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, BinOp) and e.op == "+":
-                stack.append(e.right)
-                stack.append(e.left)
-            else:
-                terms.append(e)
         args = [
             t.args[0] if isinstance(t, j.JCall) and t.name == "str" and len(t.args) == 1 else t
             for t in terms
@@ -372,19 +362,30 @@ class _JParser:
 
     # -- expressions and conditions ----------------------------------------------
 
-    def expr(self) -> j.JExpr:
-        left = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            left = BinOp(op, left, self.term())
+    def chain(self, ops: tuple[str, ...], operand, build):
+        """`operand (op operand)*`, built left-deep by `build(op, left, right)`.
+
+        The tree is one level deeper per operator, so every operator after
+        the first opens one nesting level, closed where the chain ends, as
+        `cobol.parser` counts chains. The first is free, so a single binary
+        operation opens no level of its own.
+        """
+        depth = self.depth
+        left = operand()
+        chained = False
+        while self.peek() in ops:
+            if chained:
+                self.nest()
+            chained = True
+            left = build(self.advance(), left, operand())
+        self.depth = depth
         return left
 
+    def expr(self) -> j.JExpr:
+        return self.chain(("+", "-"), self.term, BinOp)
+
     def term(self) -> j.JExpr:
-        left = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.advance()
-            left = BinOp(op, left, self.factor())
-        return left
+        return self.chain(("*", "/"), self.factor, BinOp)
 
     def factor(self) -> j.JExpr:
         tok = self.peek()
@@ -424,16 +425,11 @@ class _JParser:
         return VarRef(name)
 
     def cond(self) -> Cond:
-        left = self.and_cond()
-        while self.accept("||"):
-            left = OrCond(left, self.and_cond())
-        return left
+        return self.chain(("||",), self.and_cond, lambda _op, left, right: OrCond(left, right))
 
     def and_cond(self) -> Cond:
-        left = self.primary_cond()
-        while self.accept("&&"):
-            left = AndCond(left, self.primary_cond())
-        return left
+        return self.chain(("&&",), self.primary_cond,
+                          lambda _op, left, right: AndCond(left, right))
 
     def primary_cond(self) -> Cond:
         if self.peek() == "!" and self.peek(1) == "(":
@@ -471,6 +467,10 @@ class _JParser:
 def parse_java(text: str) -> j.JavaAst:
     """Parse emitted-subset Java source into a JavaAst.
 
+    A method is read as `void name()`: the subset has no parameters. A file
+    that nests past MAX_NESTING levels, with every operator of a `+ -`,
+    `* /`, `&&` or `||` chain after its first counted as one level, is
+    outside the subset; the `+` that joins a println's terms is no chain.
     Raises ParseFailure on anything outside the subset.
     """
     return _JParser(text).parse_class()

@@ -3,8 +3,11 @@
 The references below are the two `_Machine` walkers as they were, with
 their classes renamed so that both fit in one module (`_CobolMachine`,
 `_JavaMachine`, `_CStop`, `_JStop`, `_JBreak`) and their entry points
-renamed `ref_interpret_cobol` and `ref_interpret_java`. Both sides build
-their COBOL cells with the same `build_environment`. Every run must give
+renamed `ref_interpret_cobol` and `ref_interpret_java`. The Java walker
+has since lost method parameters and their frames, as the Java subset has:
+a name is a field, and a call with arguments to a method of the class is
+an error. Both sides build their COBOL cells with the same
+`build_environment`. Every run must give
 an equal `Trace`: the same display lines, the same call events, and the
 same outcome kind and reason.
 """
@@ -251,21 +254,21 @@ class _JavaMachine:
 
     # -- values --------------------------------------------------------------
 
-    def _cell(self, name: str, frame: dict[str, Cell]) -> Cell:
-        cell = frame.get(name) or self.fields.get(name)
+    def _cell(self, name: str) -> Cell:
+        cell = self.fields.get(name)
         if cell is None:
             raise ExecError(f"undefined variable {name}")
         return cell
 
-    def expr(self, e, frame: dict[str, Cell]):
+    def expr(self, e):
         if isinstance(e, (n.NumLit, n.StrLit)):
             return e.value
         if isinstance(e, n.VarRef):
-            return self._cell(e.name, frame).value
+            return self._cell(e.name).value
         if isinstance(e, n.BinOp):
-            return arith(e.op, self.expr(e.left, frame), self.expr(e.right, frame))
+            return arith(e.op, self.expr(e.left), self.expr(e.right))
         if isinstance(e, j.JCall):
-            return self.builtin(e.name, [self.expr(a, frame) for a in e.args])
+            return self.builtin(e.name, [self.expr(a) for a in e.args])
         raise TypeError(f"unknown expression {e!r}")
 
     def builtin(self, name: str, args: list):
@@ -282,88 +285,79 @@ class _JavaMachine:
             return fit(to_str(args[0]), to_num(args[1]))
         return to_str(args[0])
 
-    def cond(self, c: n.Cond, frame: dict[str, Cell]) -> bool:
+    def cond(self, c: n.Cond) -> bool:
         if isinstance(c, n.Comparison):
-            return compare(c.op, self.expr(c.left, frame), self.expr(c.right, frame))
+            return compare(c.op, self.expr(c.left), self.expr(c.right))
         if isinstance(c, n.NotCond):
-            return not self.cond(c.inner, frame)
+            return not self.cond(c.inner)
         if isinstance(c, n.AndCond):
-            return self.cond(c.left, frame) and self.cond(c.right, frame)
-        return self.cond(c.left, frame) or self.cond(c.right, frame)
+            return self.cond(c.left) and self.cond(c.right)
+        return self.cond(c.left) or self.cond(c.right)
 
     # -- control -------------------------------------------------------------
 
-    def call(self, method: j.JMethod, args: list) -> None:
+    def call(self, method: j.JMethod) -> None:
         self.depth += 1
         if self.depth > MAX_CALL_DEPTH:
             raise ExecError("call depth exceeded")
-        if len(args) != len(method.params):
-            raise ExecError(f"wrong number of arguments to {method.name}")
-        frame: dict[str, Cell] = {}
-        for param, value in zip(method.params, args):
-            cell = num_cell()
-            store(cell, value)
-            frame[param] = cell
         try:
-            self.body(method.body, frame)
+            self.body(method.body)
         except _JBreak:
             raise ExecError("break outside loop or switch") from None
         finally:
             self.depth -= 1
 
-    def body(self, stmts, frame: dict[str, Cell]) -> None:
+    def body(self, stmts) -> None:
         for stmt in stmts:
-            self.stmt(stmt, frame)
+            self.stmt(stmt)
 
-    def run_assign(self, a: j.Assign, frame: dict[str, Cell]) -> None:
-        store(self._cell(a.target, frame), self.expr(a.expr, frame))
+    def run_assign(self, a: j.Assign) -> None:
+        store(self._cell(a.target), self.expr(a.expr))
 
-    def stmt(self, s, frame: dict[str, Cell]) -> None:
+    def stmt(self, s) -> None:
         self.budget.tick()
         kind = s.kind
         if kind is j.JKind.ASSIGN:
-            self.run_assign(s, frame)
-        elif kind is j.JKind.EXPR_STMT:
-            self.expr(s.expr, frame)
+            self.run_assign(s)
         elif kind is j.JKind.IF_ELSE:
-            self.body(s.then_body if self.cond(s.cond, frame) else s.else_body, frame)
+            self.body(s.then_body if self.cond(s.cond) else s.else_body)
         elif kind is j.JKind.WHILE:
             while True:
                 self.budget.tick()
-                if not self.cond(s.cond, frame):
+                if not self.cond(s.cond):
                     break
                 try:
-                    self.body(s.body, frame)
+                    self.body(s.body)
                 except _JBreak:
                     break
         elif kind is j.JKind.DO_WHILE:
             while True:
                 try:
-                    self.body(s.body, frame)
+                    self.body(s.body)
                 except _JBreak:
                     break
                 self.budget.tick()
-                if not self.cond(s.cond, frame):
+                if not self.cond(s.cond):
                     break
         elif kind is j.JKind.FOR:
             if s.init is not None:
-                self.run_assign(s.init, frame)
+                self.run_assign(s.init)
             while True:
                 self.budget.tick()
-                if s.cond is not None and not self.cond(s.cond, frame):
+                if s.cond is not None and not self.cond(s.cond):
                     break
                 try:
-                    self.body(s.body, frame)
+                    self.body(s.body)
                 except _JBreak:
                     break
                 if s.update is not None:
-                    self.run_assign(s.update, frame)
+                    self.run_assign(s.update)
         elif kind is j.JKind.SWITCH:
-            self.switch(s, frame)
+            self.switch(s)
         elif kind is j.JKind.METHOD_CALL:
-            self.method_call(s, frame)
+            self.method_call(s)
         elif kind is j.JKind.PRINT:
-            line = "".join(to_str(self.expr(a, frame)) for a in s.args)
+            line = "".join(to_str(self.expr(a)) for a in s.args)
             self.trace.display_lines.append(line)
         elif kind is j.JKind.RETURN:
             raise _JStop()
@@ -372,24 +366,26 @@ class _JavaMachine:
         else:
             raise TypeError(f"unknown statement {s!r}")
 
-    def switch(self, s: j.Switch, frame: dict[str, Cell]) -> None:
-        subject = self.expr(s.subject, frame)
+    def switch(self, s: j.Switch) -> None:
+        subject = self.expr(s.subject)
         body = list(s.default) if s.default is not None else []
         for case in s.cases:
             if compare("=", subject, case.value.value):
                 body = list(case.body)
                 break
         try:
-            self.body(body, frame)
+            self.body(body)
         except _JBreak:
             pass
 
-    def method_call(self, s: j.MethodCall, frame: dict[str, Cell]) -> None:
-        args = [self.expr(a, frame) for a in s.args]
+    def method_call(self, s: j.MethodCall) -> None:
+        args = [self.expr(a) for a in s.args]
         if s.external_name is not None:
             self.trace.call_events.append((s.external_name, tuple(args)))
         elif s.name in self.methods:
-            self.call(self.methods[s.name], args)
+            if args:
+                raise ExecError(f"wrong number of arguments to {s.name}")
+            self.call(self.methods[s.name])
         elif s.name in j.BUILTINS:
             self.builtin(s.name, args)
         else:
@@ -404,7 +400,7 @@ def ref_interpret_java(jast: j.JavaAst, inputs) -> Trace:
         entry = machine.methods.get("run")
         if entry is None:
             raise ExecError("no run method")
-        machine.call(entry, [])
+        machine.call(entry)
         trace.outcome = HALTED
     except _JStop:
         trace.outcome = HALTED
@@ -593,14 +589,14 @@ def test_cobol_fault_fails_as_the_walker_failed(fault):
 
 def _java_with(stmts: list, taken: bool) -> j.JavaAst:
     """run(): print "A", then `stmts` in an if (taken or not), then print "B";
-    `side(p)` reads its parameter and breaks out of nothing when asked to."""
+    `side()` is a method of the class that takes no arguments."""
     cond = n.Comparison("=", n.NumLit(1), n.NumLit(1 if taken else 2))
-    run = j.JMethod("run", [], [
+    run = j.JMethod("run", [
         j.Print([n.StrLit("A")]),
         j.IfElse(cond, list(stmts), []),
         j.Print([n.StrLit("B")]),
     ])
-    side = j.JMethod("side", ["p"], [j.Print([n.VarRef("p")])])
+    side = j.JMethod("side", [j.Print([n.StrLit("S")])])
     return j.JavaAst("T", [j.JField("a", "long", 0)], [run, side])
 
 
@@ -608,16 +604,15 @@ JAVA_FAULTS = {
     "undefined_target": j.Assign("nope", n.NumLit(1)),
     "undefined_value": j.Assign("a", n.VarRef("nope")),
     "unknown_method": j.MethodCall("nosuch", [n.NumLit(1)]),
-    "unknown_value_function": j.ExprStmt(j.JCall("nosuch", (n.NumLit(1),))),
-    "builtin_wrong_arity": j.ExprStmt(j.JCall("num", ())),
+    "unknown_value_function": j.Assign("a", j.JCall("nosuch", (n.NumLit(1),))),
+    "builtin_wrong_arity": j.Assign("a", j.JCall("num", ())),
     "builtin_statement_wrong_arity": j.MethodCall("fit", [n.NumLit(1)]),
-    "method_wrong_arity": j.MethodCall("side", []),
-    "param_out_of_scope": j.Print([n.VarRef("p")]),
+    "method_wrong_arity": j.MethodCall("side", [n.NumLit(1)]),
     "break_outside_loop": j.Break(),
     "literal_not_numeric": j.Assign("a", n.StrLit("X")),
     "target_fails_before_value": j.Assign("nope1", n.VarRef("nope2")),
     "arguments_before_unknown_method": j.MethodCall("nosuch", [n.VarRef("nope")]),
-    "arguments_before_arity": j.ExprStmt(j.JCall("num", (n.VarRef("nope"), n.NumLit(1)))),
+    "arguments_before_arity": j.Assign("a", j.JCall("num", (n.VarRef("nope"), n.NumLit(1)))),
     "arguments_before_call_depth": j.MethodCall("side", [n.VarRef("nope")]),
 }
 
@@ -635,23 +630,6 @@ def test_java_fault_fails_as_the_walker_failed(fault):
     jast = _java_with([JAVA_FAULTS[fault]], taken=True)
     trace = interpret_java(jast, [])
     assert trace.outcome.kind is OutcomeKind.RUNTIME_ERROR
-    assert trace == ref_interpret_java(jast, [])
-
-
-def test_java_parameters_shadow_fields_and_take_their_own_slots():
-    # p shadows the field p; q is a second slot; a repeated name reads its last slot.
-    side = j.JMethod("side", ["p", "q", "p"], [
-        j.Print([n.VarRef("p"), n.StrLit(","), n.VarRef("q")]),
-        j.Assign("q", n.BinOp("+", n.VarRef("q"), n.NumLit(1))),
-        j.Print([n.VarRef("q")]),
-    ])
-    run = j.JMethod("run", [], [
-        j.MethodCall("side", [n.NumLit(1), n.NumLit(2), n.NumLit(3)]),
-        j.Print([n.VarRef("p")]),
-    ])
-    jast = j.JavaAst("T", [j.JField("p", "long", 9)], [run, side])
-    trace = interpret_java(jast, [])
-    assert trace.display_lines == ["3,2", "3", "9"]
     assert trace == ref_interpret_java(jast, [])
 
 
@@ -689,7 +667,7 @@ JAVA_LOOPS = {
 @pytest.mark.parametrize("name", list(JAVA_LOOPS))
 def test_java_loop_bodies_break_and_update_as_the_walker_did(name):
     loop, after = JAVA_LOOPS[name]
-    run = j.JMethod("run", [], [loop, j.Print([n.VarRef("i")])])
+    run = j.JMethod("run", [loop, j.Print([n.VarRef("i")])])
     jast = j.JavaAst("T", [j.JField("i", "long", 1)], [run])
     java = compile_java(jast)
     trace = java.run([])
@@ -699,7 +677,7 @@ def test_java_loop_bodies_break_and_update_as_the_walker_did(name):
     assert trace.display_lines[-1] == after
     # Both sides take the same number of steps.
     machine = _JavaMachine(jast, [])
-    machine.call(machine.methods["run"], [])
+    machine.call(machine.methods["run"])
     assert java.budget.left == machine.budget.left
 
 

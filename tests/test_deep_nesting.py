@@ -3,21 +3,22 @@
 Every stage after the parser walks the tree recursively, so the parser
 bounds how deep a tree may be, flat operator chains included. A file at the bound goes through every
 stage; a file past it is Rejected by `repair` and so by `curate`. The Java
-parser, which reads external translations, has a bound of its own: it
-admits the translation of every file at the COBOL bound, and past it a
-file is a ParseFailure.
+parser, which reads external translations, has a bound of its own,
+counted the same way: it admits the translation of every file at the COBOL
+bound, and past it a file is a ParseFailure.
 """
 
 import pytest
 
 from relicforge.analysis import measure
-from relicforge.cobol import SourceFile
+from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol.parser import MAX_NESTING, parse
 from relicforge.cobol.repair import Verdict, repair
 from relicforge.cobol.tokens import tokenize
 from relicforge.corpus import Status, curate, ingest
 from relicforge.errors import ParseFailure
 from relicforge.evaluate import interpret_java, score_file
+from relicforge.evaluate.values import OutcomeKind
 from relicforge.model import sample_from_ast
 from relicforge.transpile import emit_java, java_metrics, parse_java, translate_rules
 from relicforge.transpile import jparser
@@ -189,3 +190,47 @@ def test_a_java_backtrack_leaves_the_depth_count_right():
     jast = parse_java("public class Deep {\n    private long x = 1;\n\n"
                       "    public void run() {\n" + body + "    }\n}\n")
     assert len(jast.methods[0].body) == jparser.MAX_NESTING + 1
+
+
+JAVA_CHAIN_OPERATORS = {"plus": "+", "minus": "-", "times": "*", "divide": "/", "and": "&&",
+                        "or": "||"}
+
+
+def java_chain(kind: str, terms: int) -> str:
+    """A class whose run() holds one flat chain of `terms` operands."""
+    op = JAVA_CHAIN_OPERATORS[kind]
+    if kind in ("and", "or"):
+        body = "if (" + f" {op} ".join(["x == 1"] * terms) + ") { x = 2; }"
+    else:
+        body = "x = " + f" {op} ".join(["x"] + ["1"] * (terms - 1)) + ";"
+    return ("public class Chain {\n    private long x = 1;\n\n"
+            "    public void run() {\n" + body + "\n    }\n}\n")
+
+
+@pytest.mark.parametrize("kind", JAVA_CHAIN_OPERATORS)
+def test_a_java_chain_at_the_bound_goes_through_metrics_and_the_interpreter(kind):
+    # The method body opens one level and every operator after the first one
+    # more, so MAX_NESTING operators fit.
+    jast = parse_java(java_chain(kind, jparser.MAX_NESTING + 1))
+    java_metrics(jast)
+    assert interpret_java(jast, []).outcome.kind is OutcomeKind.HALTED
+
+
+@pytest.mark.parametrize("kind", JAVA_CHAIN_OPERATORS)
+@pytest.mark.parametrize("terms", [jparser.MAX_NESTING + 2, 10_000])
+def test_a_java_chain_past_the_bound_is_reported_at_its_operator(kind, terms):
+    with pytest.raises(ParseFailure) as caught:
+        parse_java(java_chain(kind, terms))
+    [error] = caught.value.errors
+    assert error.expected == f"nesting depth at most {jparser.MAX_NESTING}"
+    assert error.found == JAVA_CHAIN_OPERATORS[kind]
+
+
+def test_a_long_display_translation_round_trips():
+    # A DISPLAY has no operand limit; println joins its terms with `+` and
+    # they count as no chain.
+    ast = parse_source(SourceFile("wide", HEADER + "DISPLAY " + "X " * 300 + ".\nSTOP RUN.\n"))
+    text = emit_java(translate_rules(ast).jast)
+    jast = parse_java(text)
+    assert len(jast.methods[0].body[0].args) == 300
+    assert emit_java(jast) == text

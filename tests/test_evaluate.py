@@ -79,6 +79,7 @@ from relicforge.transpile import (
 from relicforge.transpile import jnodes as j
 
 from tests.conftest import write_fixture_corpus
+from tests.test_deep_nesting import JAVA_CHAIN_OPERATORS, java_chain
 
 
 def program(body, data="", pid="T-PROG", extra_paras=""):
@@ -401,7 +402,6 @@ def _jrun(methods, fields=()):
 def test_false_while_never_runs_its_body():
     run = j.JMethod(
         "run",
-        [],
         [
             j.While(n.Comparison(">", n.NumLit(1), n.NumLit(2)), [j.Print([n.StrLit("X")])]),
             j.Print([n.StrLit("DONE")]),
@@ -415,7 +415,6 @@ def test_false_while_never_runs_its_body():
 def test_do_while_runs_at_least_once():
     run = j.JMethod(
         "run",
-        [],
         [j.DoWhile([j.Print([n.StrLit("X")])], n.Comparison(">", n.NumLit(1), n.NumLit(2)))],
     )
     assert _jrun([run]).display_lines == ["X"]
@@ -425,7 +424,6 @@ def test_switch_first_match_and_default():
     def switch_on(value):
         run = j.JMethod(
             "run",
-            [],
             [
                 j.Assign("a", n.NumLit(value)),
                 j.Switch(
@@ -447,7 +445,6 @@ def test_switch_first_match_and_default():
 def test_switch_without_default_can_match_nothing():
     run = j.JMethod(
         "run",
-        [],
         [
             j.Switch(
                 n.NumLit(5),
@@ -463,7 +460,6 @@ def test_switch_without_default_can_match_nothing():
 def test_break_leaves_the_loop():
     run = j.JMethod(
         "run",
-        [],
         [
             j.Assign("a", n.NumLit(0)),
             j.While(
@@ -484,34 +480,33 @@ def test_break_leaves_the_loop():
 def test_return_halts_the_whole_program():
     run = j.JMethod(
         "run",
-        [],
         [j.Print([n.StrLit("A")]), j.MethodCall("sub", []), j.Print([n.StrLit("C")])],
     )
-    sub = j.JMethod("sub", [], [j.Print([n.StrLit("B1")]), j.Return(), j.Print([n.StrLit("B2")])])
+    sub = j.JMethod("sub", [j.Print([n.StrLit("B1")]), j.Return(), j.Print([n.StrLit("B2")])])
     trace = _jrun([run, sub])
     assert trace.display_lines == ["A", "B1"]
     assert trace.outcome.kind is OutcomeKind.HALTED
 
 
 def test_unconditional_for_hits_the_step_limit():
-    run = j.JMethod("run", [], [j.For(None, None, None, [j.Assign("a", n.NumLit(1))])])
+    run = j.JMethod("run", [j.For(None, None, None, [j.Assign("a", n.NumLit(1))])])
     trace = _jrun([run], fields=[j.JField("a", "long", 0)])
     assert trace.outcome.kind is OutcomeKind.STEP_LIMIT
 
 
 def test_unknown_method_and_missing_run():
-    run = j.JMethod("run", [], [j.MethodCall("nowhere", [])])
+    run = j.JMethod("run", [j.MethodCall("nowhere", [])])
     trace = _jrun([run])
     assert trace.outcome.kind is OutcomeKind.RUNTIME_ERROR
     assert "unknown method" in trace.outcome.reason
-    trace = interpret_java(j.JavaAst("T", [], [j.JMethod("main", [], [])]), [])
+    trace = interpret_java(j.JavaAst("T", [], [j.JMethod("main", [])]), [])
     assert trace.outcome.kind is OutcomeKind.RUNTIME_ERROR
     assert "no run method" in trace.outcome.reason
 
 
 def test_wrong_arity_to_a_declared_method():
-    run = j.JMethod("run", [], [j.MethodCall("sub", [n.NumLit(1)])])
-    sub = j.JMethod("sub", [], [])
+    run = j.JMethod("run", [j.MethodCall("sub", [n.NumLit(1)])])
+    sub = j.JMethod("sub", [])
     trace = _jrun([run, sub])
     assert trace.outcome.kind is OutcomeKind.RUNTIME_ERROR
     assert "wrong number of arguments" in trace.outcome.reason
@@ -520,7 +515,6 @@ def test_wrong_arity_to_a_declared_method():
 def test_value_builtins_in_expressions():
     run = j.JMethod(
         "run",
-        [],
         [
             j.Assign("a", j.JCall("num", (n.StrLit(" 42"),))),
             j.Assign("s", j.JCall("fit", (n.StrLit("ABCDE"), n.NumLit(3)))),
@@ -532,7 +526,7 @@ def test_value_builtins_in_expressions():
 
 
 def test_external_calls_record_events_under_original_names():
-    run = j.JMethod("run", [], [j.MethodCall("prog_AUDIT", [n.NumLit(7)], external_name="AUDIT")])
+    run = j.JMethod("run", [j.MethodCall("prog_AUDIT", [n.NumLit(7)], external_name="AUDIT")])
     trace = _jrun([run])
     assert trace.call_events == [("AUDIT", (7,))]
 
@@ -613,7 +607,7 @@ def test_score_file_accepts_a_faithful_translation():
 
 def test_score_file_rejects_a_wrong_translation():
     ast = program('DISPLAY "A". STOP RUN.')
-    wrong = j.JavaAst("T", [], [j.JMethod("run", [], [j.Print([n.StrLit("B")]), j.Return()])])
+    wrong = j.JavaAst("T", [], [j.JMethod("run", [j.Print([n.StrLit("B")]), j.Return()])])
     got = score_file(ast, wrong, file_id="t2")
     assert got["correct"] is False
     assert got["reason"] == "trace mismatch at line 1"
@@ -913,6 +907,26 @@ def test_undecodable_and_too_deep_sidecars_are_scored_not_raised(tmp_path):
     reasons = {r.id: (r.correct, r.reason) for r in rows}
     assert reasons[test_records[0].id] == (False, "external translation unreadable")
     assert reasons[test_records[1].id] == (False, "external translation unparseable")
+
+
+OUTSIDE_THE_SUBSET = {
+    **{f"chain_{kind}": java_chain(kind, 10_000) for kind in JAVA_CHAIN_OPERATORS},
+    "parameter": ("public class T {\n    public void run() {\n        p(1);\n    }\n\n"
+                  "    private void p(long i) {\n    }\n}\n"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_THE_SUBSET)
+def test_external_java_outside_the_subset_is_scored_not_raised(tmp_path, case):
+    manifest = _build_corpus(tmp_path, with_java=True)
+    test_records = [r for r in manifest.records if r.split is Split.TEST]
+    assert test_records
+    for record in test_records:
+        (tmp_path / record.oracle_java).write_text(OUTSIDE_THE_SUBSET[case], encoding="utf-8")
+    summary, rows, pairs = run_evaluation(manifest, "external", root=tmp_path)
+    assert summary.accuracy == 0.0
+    assert pairs == []
+    assert {(r.correct, r.reason) for r in rows} == {(False, "external translation unparseable")}
 
 
 def test_stale_source_is_scored_not_raised(tmp_path):

@@ -1,7 +1,8 @@
 """Loops whose state repeats are fast-forwarded to the step limit.
 
 `RefCobolProgram` and `RefJavaProgram` below compile every loop with the
-closures as they were before cycle detection, copied verbatim; every other
+closures as they were before cycle detection (the Java ones less the frame
+argument that Java closures no longer take); every other
 statement compiles as in the interpreters under test. Every run must give
 an equal `Trace`: the same display lines, the same call events, and the
 same outcome kind and reason. The step limit is lowered to 10,000 steps
@@ -69,64 +70,63 @@ class RefCobolProgram(CobolProgram):
 
 
 class RefJavaProgram(JavaProgram):
-    def _stmt(self, s, slots: dict[str, int]):
+    def _stmt(self, s):
         kind = s.kind
         budget = self.budget
         if kind is j.JKind.WHILE:
-            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
+            test, body = self._cond(s.cond), self._block(s.body)
 
-            def while_(frame):
+            def while_():
                 while True:
                     budget.left -= 1
                     if budget.left < 0:
                         raise StepLimitExceeded()
-                    if not test(frame):
+                    if not test():
                         break
                     try:
-                        body(frame)
+                        body()
                     except _Break:
                         break
 
             return while_
         if kind is j.JKind.DO_WHILE:
-            test, body = self._cond(s.cond, slots), self._block(s.body, slots)
+            test, body = self._cond(s.cond), self._block(s.body)
 
-            def do_while(frame):
+            def do_while():
                 while True:
                     try:
-                        body(frame)
+                        body()
                     except _Break:
                         break
                     budget.left -= 1
                     if budget.left < 0:
                         raise StepLimitExceeded()
-                    if not test(frame):
+                    if not test():
                         break
 
             return do_while
         if kind is j.JKind.FOR:
-            init = self._assign(s.init, slots) if s.init is not None else java_interp._nothing
-            test = self._cond(s.cond, slots) if s.cond is not None else java_interp._always
-            update = (self._assign(s.update, slots) if s.update is not None
-                      else java_interp._nothing)
-            body = self._block(s.body, slots)
+            init = self._assign(s.init) if s.init is not None else java_interp._nothing
+            test = self._cond(s.cond) if s.cond is not None else java_interp._always
+            update = self._assign(s.update) if s.update is not None else java_interp._nothing
+            body = self._block(s.body)
 
-            def for_(frame):
-                init(frame)
+            def for_():
+                init()
                 while True:
                     budget.left -= 1
                     if budget.left < 0:
                         raise StepLimitExceeded()
-                    if not test(frame):
+                    if not test():
                         break
                     try:
-                        body(frame)
+                        body()
                     except _Break:
                         break
-                    update(frame)
+                    update()
 
             return for_
-        return super()._stmt(s, slots)
+        return super()._stmt(s)
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -383,17 +383,18 @@ def test_hand_written_loops(name, fast_forwards):
 
 
 JAVA_PROGRAMS = {
-    # The fields repeat on every pass; only the parameter cell moves, so
-    # the loop exits.
-    "for_over_parameter": ("""
-public class Params {
+    # Loops inside a method that run() calls. x repeats on every pass; only
+    # the loop's own field moves, so the loop exits.
+    "for_over_field": ("""
+public class Fields {
     private long x = 0;
+    private long i = 0;
     public void run() {
-        p(0);
+        p();
         System.out.println(str(x));
         return;
     }
-    private void p(long i) {
+    private void p() {
         for (i = 0; i < 200; i = i + 1) {
             x = 1;
         }
@@ -401,16 +402,17 @@ public class Params {
     }
 }
 """, OutcomeKind.HALTED, False),
-    # Parameter cells cycle in a loop inside a method; the fields never
-    # change.
-    "while_over_parameter": ("""
-public class Params {
+    # i and k cycle; the field the loop tests never changes.
+    "while_over_fields": ("""
+public class Fields {
     private long x = 0;
+    private long i = 3;
+    private long k = 0;
     public void run() {
-        p(3, 0);
+        p();
         return;
     }
-    private void p(long i, long k) {
+    private void p() {
         while (x < 1) {
             i = i + 1;
             if (i > 5) {
@@ -425,14 +427,15 @@ public class Params {
     }
 }
 """, OutcomeKind.STEP_LIMIT, True),
-    "do_while_over_parameter": ("""
-public class Params {
+    "do_while_over_field": ("""
+public class Fields {
     private long x = 0;
+    private long i = 7;
     public void run() {
-        p(7);
+        p();
         return;
     }
-    private void p(long i) {
+    private void p() {
         do {
             i = i - 1;
             if (i < 0) {

@@ -636,6 +636,33 @@ def test_parse_round_trip_preserves_structures():
     assert emit_java(parse_java(text)) == text
 
 
+def test_every_java_statement_kind_round_trips():
+    # One statement of each kind; a kind that parse_java cannot read back
+    # fails here.
+    i = n.VarRef("i")
+    below = n.Comparison("<", i, n.NumLit(9))
+    bump = j.Assign("i", n.BinOp("+", i, n.NumLit(1)))
+    body = [
+        bump,
+        j.IfElse(n.Comparison("=", i, n.NumLit(1)), [j.Print([i])], [j.Print([n.StrLit("X")])]),
+        j.While(below, [j.Break()]),
+        j.DoWhile([j.Assign("s", j.JCall("fit", (j.JCall("in"), n.NumLit(3))))], below),
+        j.For(j.Assign("i", n.NumLit(0)), below, bump, [j.MethodCall("sub", [])]),
+        j.Switch(i, [j.SwitchCase(n.NumLit(1), (j.Print([n.StrLit("ONE")]),))], [bump]),
+        j.MethodCall("prog_AUDIT", [i, n.VarRef("s")], external_name="AUDIT"),
+        j.Print([n.StrLit("A"), n.BinOp("*", i, n.NumLit(2))]),
+        j.Return(),
+    ]
+    fields = [j.JField("i", "long", 0), j.JField("s", "String", "abc", 3)]
+    jast = j.JavaAst("Kinds", fields, [j.JMethod("run", body), j.JMethod("sub", [])])
+    statement_kinds = set(j.JKind) - {j.CLASS, j.FIELD, j.METHOD}
+    assert {s.kind for s in j.all_statements(jast)} == statement_kinds
+    text = emit_java(jast)
+    reparsed = parse_java(text)
+    assert emit_java(reparsed) == text
+    assert {s.kind for s in j.all_statements(reparsed)} == statement_kinds
+
+
 def test_parse_java_rejects_non_java():
     with pytest.raises(ParseFailure):
         parse_java("IDENTIFICATION DIVISION. PROGRAM-ID. NOPE.")
