@@ -65,9 +65,10 @@ _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 # a ParseError instead of exhausting Python's recursion limit downstream.
 # A chain of `+ -`, `* /`, AND or OR operators is parsed in a loop but
 # builds a left-deep tree, one level per operator, so every operator of a
-# chain after its first opens one level too, closed where the chain ends.
-# The first is left free so that one binary operation inside each of
-# MAX_NESTING parentheses still parses.
+# chain after its first adds one level above the operands before it (see
+# `_Parser.chain`): what is bounded is the tree's depth. The first is left
+# free so that one binary operation inside each of MAX_NESTING parentheses
+# still parses.
 MAX_NESTING = 100
 
 # Widest pictures the parser accepts, bounded by the Java the translation
@@ -102,6 +103,7 @@ class _Parser:
         self.tok = tokens[0] if tokens else _EOF
         self.errors: list[ParseError] = []
         self.depth = 0
+        self.peak = 0
         self.jumps: list[n.PerformPara | n.PerformTimes | n.GoTo] = []
 
     # --- token helpers ---
@@ -148,10 +150,13 @@ class _Parser:
 
     def nest(self) -> None:
         """Open one nesting level; the caller closes it with `depth -= 1`
-        in a `finally`, so a recovered error leaves the count right."""
+        in a `finally`, so a recovered error leaves the count right. `peak`
+        keeps the deepest level reached, for `chain`, which resets it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self._fail(f"nesting depth at most {MAX_NESTING}")
+        if self.depth > self.peak:
+            self.peak = self.depth
 
     def jump(self, node):
         """Record a node that names a paragraph, for `_validate`."""
@@ -579,35 +584,40 @@ class _Parser:
         self._fail("operand")
         raise AssertionError
 
-    def parse_expr(self) -> n.Expr:
-        left = self.parse_term()
-        operators = 0
-        try:
-            while self.tok.kind is OPERATOR and self.tok.text in "+-":
-                operators += 1
-                if operators > 1:
-                    self.nest()
-                op = self.advance().text
-                left = n.BinOp(op, left, self.parse_term())
-        finally:
-            if operators > 1:
-                self.depth -= operators - 1
+    def chain(self, kind: TokenKind, ops, operand, build):
+        """`operand (op operand)*` while the token is of `kind` with its text
+        in `ops`, built left-deep by `build(op_text, left, right)`.
+
+        Each operand is read at the chain's own depth and reports how deep it
+        went through `peak`. In the left-deep tree every operator puts one
+        more level above the operands before it, so with `k` operators the
+        first operand sits `k - 1` levels down and the last none (the first
+        operator is free). `height` is the deepest such level plus the
+        operand's own depth, checked at each operator.
+        """
+        start, outer_peak = self.depth, self.peak
+        self.peak = start
+        left = operand()
+        height = self.peak - start
+        chained = False
+        while self.tok.kind is kind and self.tok.text in ops:
+            if chained:
+                height += 1
+                if start + height > MAX_NESTING:
+                    self._fail(f"nesting depth at most {MAX_NESTING}")
+            chained = True
+            op = self.advance().text
+            self.peak = start
+            left = build(op, left, operand())
+            height = max(height, self.peak - start)
+        self.peak = max(outer_peak, start + height)
         return left
 
+    def parse_expr(self) -> n.Expr:
+        return self.chain(OPERATOR, "+-", self.parse_term, n.BinOp)
+
     def parse_term(self) -> n.Expr:
-        left = self.parse_factor()
-        operators = 0
-        try:
-            while self.tok.kind is OPERATOR and self.tok.text in "*/":
-                operators += 1
-                if operators > 1:
-                    self.nest()
-                op = self.advance().text
-                left = n.BinOp(op, left, self.parse_factor())
-        finally:
-            if operators > 1:
-                self.depth -= operators - 1
-        return left
+        return self.chain(OPERATOR, "*/", self.parse_factor, n.BinOp)
 
     def parse_factor(self) -> n.Expr:
         tok = self.tok
@@ -623,34 +633,12 @@ class _Parser:
         return self.parse_atom()
 
     def parse_cond(self) -> n.Cond:
-        left = self.parse_and_cond()
-        operators = 0
-        try:
-            while self.at_kw("OR"):
-                operators += 1
-                if operators > 1:
-                    self.nest()
-                self.advance()
-                left = n.OrCond(left, self.parse_and_cond())
-        finally:
-            if operators > 1:
-                self.depth -= operators - 1
-        return left
+        return self.chain(KEYWORD, ("OR",), self.parse_and_cond,
+                          lambda _op, left, right: n.OrCond(left, right))
 
     def parse_and_cond(self) -> n.Cond:
-        left = self.parse_not_cond()
-        operators = 0
-        try:
-            while self.at_kw("AND"):
-                operators += 1
-                if operators > 1:
-                    self.nest()
-                self.advance()
-                left = n.AndCond(left, self.parse_not_cond())
-        finally:
-            if operators > 1:
-                self.depth -= operators - 1
-        return left
+        return self.chain(KEYWORD, ("AND",), self.parse_not_cond,
+                          lambda _op, left, right: n.AndCond(left, right))
 
     def parse_not_cond(self) -> n.Cond:
         if self.at_kw("NOT"):

@@ -39,14 +39,14 @@ _TOKEN_RE = re.compile(
 _CMP_FROM_JAVA = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 # Deepest nesting the parser accepts: a block, a parenthesis, a `!(` and a
-# call's argument list each open one level, and so does every operator of a
-# chain after its first (see `_JParser.chain`). Every later stage recurses per
-# level too, so a deeper file is a ParseFailure, not a RecursionError. A
-# translation nests at most three levels deeper than its COBOL source (the
-# method body; a store's `fit(str(...))` or `num(in())`; a loop guard's `!(`
-# and the parentheses around `&&` under `||`); the bound leaves room for more.
-# Parentheses the emitter drops can add chain levels: `(A + B) + (C + D)`
-# counts one level, its translation `a + b + (c + d)` two.
+# call's argument list each open one level, and a chain counts the depth of
+# the tree it builds, as `cobol.parser` does (see `_JParser.chain`). Every
+# later stage recurses per level too, so a deeper file is a ParseFailure, not
+# a RecursionError. A translation nests at most three levels deeper than its
+# COBOL source (the method body; a store's `fit(str(...))` or `num(in())`; a
+# loop guard's `!(` and the parentheses around `&&` under `||`); the bound
+# leaves room for more. The parentheses the emitter drops add no depth: a
+# left operand's `(a + b) + c` and `a + b + c` build the same tree.
 MAX_NESTING = cobol_parser.MAX_NESTING + 10
 
 
@@ -74,6 +74,7 @@ class _JParser:
         self.toks = _lex(text)
         self.i = 0
         self.depth = 0
+        self.peak = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -110,10 +111,13 @@ class _JParser:
 
     def nest(self) -> None:
         """Open one nesting level; the caller closes it with `depth -= 1`.
-        A backtrack restores the depth along with the token position."""
+        `peak` keeps the deepest level reached, for `chain`. A backtrack
+        restores both along with the token position."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail(f"nesting depth at most {MAX_NESTING}")
+        if self.depth > self.peak:
+            self.peak = self.depth
 
     def ident(self) -> str:
         got = self.peek()
@@ -365,20 +369,29 @@ class _JParser:
     def chain(self, ops: tuple[str, ...], operand, build):
         """`operand (op operand)*`, built left-deep by `build(op, left, right)`.
 
-        The tree is one level deeper per operator, so every operator after
-        the first opens one nesting level, closed where the chain ends, as
-        `cobol.parser` counts chains. The first is free, so a single binary
-        operation opens no level of its own.
+        Each operand is read at the chain's own depth and reports how deep it
+        went through `peak`. In the left-deep tree every operator puts one
+        more level above the operands before it, so with `k` operators the
+        first operand sits `k - 1` levels down and the last none (the first
+        operator is free, as in `cobol.parser`). `height` is the deepest such
+        level plus the operand's own depth, checked at each operator.
         """
-        depth = self.depth
+        start, outer_peak = self.depth, self.peak
+        self.peak = start
         left = operand()
+        height = self.peak - start
         chained = False
         while self.peek() in ops:
             if chained:
-                self.nest()
+                height += 1
+                if start + height > MAX_NESTING:
+                    raise self.fail(f"nesting depth at most {MAX_NESTING}")
             chained = True
-            left = build(self.advance(), left, operand())
-        self.depth = depth
+            op = self.advance()
+            self.peak = start
+            left = build(op, left, operand())
+            height = max(height, self.peak - start)
+        self.peak = max(outer_peak, start + height)
         return left
 
     def expr(self) -> j.JExpr:
@@ -443,7 +456,7 @@ class _JParser:
         if self.peek() == "(":
             # Ambiguous: a condition group or a parenthesized arithmetic
             # operand. Try the group reading first and backtrack on failure.
-            mark, depth = self.i, self.depth
+            mark, depth, peak = self.i, self.depth, self.peak
             try:
                 self.nest()
                 self.advance()
@@ -452,7 +465,7 @@ class _JParser:
                 self.depth -= 1
                 return inner
             except ParseFailure:
-                self.i, self.depth = mark, depth
+                self.i, self.depth, self.peak = mark, depth, peak
         return self.comparison()
 
     def comparison(self) -> Comparison:
@@ -468,9 +481,10 @@ def parse_java(text: str) -> j.JavaAst:
     """Parse emitted-subset Java source into a JavaAst.
 
     A method is read as `void name()`: the subset has no parameters. A file
-    that nests past MAX_NESTING levels, with every operator of a `+ -`,
-    `* /`, `&&` or `||` chain after its first counted as one level, is
-    outside the subset; the `+` that joins a println's terms is no chain.
-    Raises ParseFailure on anything outside the subset.
+    that nests past MAX_NESTING levels is outside the subset; a `+ -`,
+    `* /`, `&&` or `||` chain counts the levels of the left-deep tree it
+    builds, each operator after its first one level above the operands
+    before it. The `+` that joins a println's terms is no chain. Raises
+    ParseFailure on anything outside the subset.
     """
     return _JParser(text).parse_class()

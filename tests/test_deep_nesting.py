@@ -1,11 +1,12 @@
 """Nesting deeper than `MAX_NESTING` is a parse error, not a RecursionError.
 
 Every stage after the parser walks the tree recursively, so the parser
-bounds how deep a tree may be, flat operator chains included. A file at the bound goes through every
-stage; a file past it is Rejected by `repair` and so by `curate`. The Java
-parser, which reads external translations, has a bound of its own,
-counted the same way: it admits the translation of every file at the COBOL
-bound, and past it a file is a ParseFailure.
+bounds how deep a tree may be, operator chains included: a chain's
+operators count at the depth of the tree they build. A file at the bound
+goes through every stage; a file past it is Rejected by `repair` and so by
+`curate`. The Java parser, which reads external translations, has a bound
+of its own, counted the same way: it admits the translation of every file
+at the COBOL bound, and past it a file is a ParseFailure.
 """
 
 import pytest
@@ -53,6 +54,10 @@ def nested(kind: str, depth: int) -> str:
         # parenthesis more than the source nests.
         guard = "PERFORM UNTIL X > 0 OR X < 0 AND NOT X = 3 ADD 1 TO X END-PERFORM"
         body = "IF X = 1 " * (depth - 1) + guard + " END-IF" * (depth - 1) + "."
+    elif kind == "left_groups":
+        # The emitter drops the parentheses of `(X + 1)`; its `+` joins the
+        # chain of the `+` after it.
+        body = "COMPUTE X = " + "(X + 1) + (" * depth + "X" + ")" * depth + "."
     elif kind == "unary_minus":
         body = "COMPUTE X = " + "- " * depth + "X."
     elif kind in CHAIN_OPERATORS:
@@ -71,7 +76,7 @@ def nested(kind: str, depth: int) -> str:
 
 
 KINDS = ["parentheses", "not", "if", "perform_until", "evaluate", "accept", "until_guard",
-         "unary_minus", "mixed", *CHAIN_OPERATORS]
+         "left_groups", "unary_minus", "mixed", *CHAIN_OPERATORS]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -122,14 +127,45 @@ def test_a_recovered_error_leaves_the_depth_count_right():
     assert [e.expected for e in caught.value.errors] == ["operand"]
 
 
+# 50 groups, each the first operand of a chain of 50 operators: the
+# innermost X sits 2,500 operators down inside 50 parentheses.
+HEAVY_FIRST = "(" * 50 + "X" + (" + 1" * 50 + ")") * 50
+# 95 parentheses as the second operand of 21 operators nest 115 levels.
+HEAVY_SECOND = "1 + " + "(1 + " * 95 + "X" + ")" * 95 + " + 1" * 20
+# The last operand of a chain sits under one operator however long the
+# chain, so 50 operators before 99 parentheses nest 99 levels.
+HEAVY_LAST = "1" + " + 1" * 50 + " + " + "(1 + " * 99 + "X" + ")" * 99
+
+
+@pytest.mark.parametrize("expr", [HEAVY_FIRST, HEAVY_SECOND], ids=["first", "second"])
+def test_a_chain_counts_the_operators_above_each_operand(expr):
+    _fixed, log = repair(SourceFile("deep", HEADER + f"COMPUTE X = {expr}.\nSTOP RUN.\n"))
+    assert log.verdict is Verdict.REJECTED
+    with pytest.raises(ParseFailure) as caught:
+        parse_java(java_class(f"x = {expr.replace('X', 'x')};"))
+    assert caught.value.errors[0].expected == f"nesting depth at most {jparser.MAX_NESTING}"
+
+
+def test_a_chain_does_not_charge_its_last_operand():
+    _fixed, log = repair(SourceFile("deep", HEADER + f"COMPUTE X = {HEAVY_LAST}.\nSTOP RUN.\n"))
+    assert log.verdict is Verdict.CLEAN
+    measure(log.ast)
+    result = translate_rules(log.ast)
+    assert score_file(log.ast, result.jast) == {"correct": True, "reason": ""}
+    text = emit_java(result.jast)
+    assert emit_java(parse_java(text)) == text
+
+
 def test_curate_rejects_deep_files_and_keeps_the_rest(tmp_path):
     deep = ("parentheses", "not", "if", "perform_until", *CHAIN_OPERATORS)
     for kind in deep:
         (tmp_path / f"{kind}.cbl").write_text(nested(kind, 10_000), encoding="utf-8")
+    (tmp_path / "heavy_first.cbl").write_text(
+        HEADER + f"COMPUTE X = {HEAVY_FIRST}.\nSTOP RUN.\n", encoding="utf-8")
     (tmp_path / "shallow.cbl").write_text(nested("if", 3), encoding="utf-8")
     manifest = curate(ingest(tmp_path), tmp_path)
     status = {r.relative_path: r.status for r in manifest.records}
-    assert status == {**{f"{kind}.cbl": Status.REJECTED for kind in deep},
+    assert status == {**{f"{kind}.cbl": Status.REJECTED for kind in (*deep, "heavy_first")},
                       "shallow.cbl": Status.KEPT}
 
 
@@ -137,6 +173,11 @@ def test_a_99_deep_if_nest_translation_round_trips():
     _fixed, log = repair(SourceFile("deep", nested("if", 99)))
     text = emit_java(translate_rules(log.ast).jast)
     assert emit_java(parse_java(text)) == text
+
+
+def java_class(body: str) -> str:
+    return ("public class Deep {\n    private long x = 1;\n\n"
+            "    public void run() {\n" + body + "\n    }\n}\n")
 
 
 JAVA_KINDS = ["if", "while", "do", "for", "switch", "parentheses", "not", "group", "call"]
@@ -163,8 +204,7 @@ def java_nested(kind: str, depth: int) -> str:
         body = "if (" + "(" * k + "x == 1" + ")" * k + ") { x = 2; }"
     else:  # call
         body = "x = " + "num(" * k + "x" + ")" * k + ";"
-    return ("public class Deep {\n    private long x = 1;\n\n"
-            "    public void run() {\n" + body + "\n    }\n}\n")
+    return java_class(body)
 
 
 @pytest.mark.parametrize("kind", JAVA_KINDS)
@@ -187,8 +227,7 @@ def test_a_java_backtrack_leaves_the_depth_count_right():
     # `(x + 1) * 2` is first tried as a condition group and backtracked; a
     # level left open by each try would add up past the bound.
     body = "if ((x + 1) * 2 == 4) { x = 2; }\n" * (jparser.MAX_NESTING + 1)
-    jast = parse_java("public class Deep {\n    private long x = 1;\n\n"
-                      "    public void run() {\n" + body + "    }\n}\n")
+    jast = parse_java(java_class(body))
     assert len(jast.methods[0].body) == jparser.MAX_NESTING + 1
 
 
@@ -203,8 +242,7 @@ def java_chain(kind: str, terms: int) -> str:
         body = "if (" + f" {op} ".join(["x == 1"] * terms) + ") { x = 2; }"
     else:
         body = "x = " + f" {op} ".join(["x"] + ["1"] * (terms - 1)) + ";"
-    return ("public class Chain {\n    private long x = 1;\n\n"
-            "    public void run() {\n" + body + "\n    }\n}\n")
+    return java_class(body)
 
 
 @pytest.mark.parametrize("kind", JAVA_CHAIN_OPERATORS)
