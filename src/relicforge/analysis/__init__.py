@@ -1,9 +1,6 @@
 """Control-flow graphs, static metrics, and model step features."""
 
 from relicforge.analysis.cfg import (
-    Cfg,
-    CfgEdge,
-    CfgNode,
     CfgNodeKind,
     EdgeKind,
     build_cfg,
@@ -25,9 +22,6 @@ from relicforge.analysis.steps import (
 )
 
 __all__ = [
-    "Cfg",
-    "CfgEdge",
-    "CfgNode",
     "CfgNodeKind",
     "EDGE_ORDER",
     "EdgeKind",

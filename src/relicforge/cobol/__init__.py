@@ -3,28 +3,22 @@
 from relicforge.cobol import nodes
 from relicforge.cobol.parser import parse, parse_source
 from relicforge.cobol.printer import pretty_print
-from relicforge.cobol.repair import MAX_REPAIRS, RepairEntry, RepairLog, RepairRule, Verdict, repair
+from relicforge.cobol.repair import RepairLog, RepairRule, Verdict, repair
 from relicforge.cobol.tokens import (
     SourceFile,
     SourceFormat,
-    Token,
     TokenKind,
-    normalize_source,
     tokenize,
 )
 
 __all__ = [
-    "MAX_REPAIRS",
-    "RepairEntry",
     "RepairLog",
     "RepairRule",
     "SourceFile",
     "SourceFormat",
-    "Token",
     "TokenKind",
     "Verdict",
     "nodes",
-    "normalize_source",
     "parse",
     "parse_source",
     "pretty_print",

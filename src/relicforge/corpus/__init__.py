@@ -8,17 +8,11 @@ from relicforge.corpus.manifest import (
     Status,
 )
 from relicforge.corpus.pipeline import (
-    DEFAULT_EXTENSIONS,
-    FOLD_COUNT,
-    TRAIN_FRACTION,
     CorpusConfig,
     curate,
-    dedup,
-    filter_trivial,
     ingest,
     load_ast,
     normalize_text,
-    read_normalized,
     split,
 )
 
@@ -28,16 +22,10 @@ __all__ = [
     "Record",
     "Split",
     "Status",
-    "DEFAULT_EXTENSIONS",
-    "FOLD_COUNT",
-    "TRAIN_FRACTION",
     "CorpusConfig",
     "curate",
-    "dedup",
-    "filter_trivial",
     "ingest",
     "load_ast",
     "normalize_text",
-    "read_normalized",
     "split",
 ]

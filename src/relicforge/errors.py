@@ -40,13 +40,6 @@ class ParseFailure(RelicForgeError):
         self.errors = errors
 
 
-class TranspileError(RelicForgeError):
-    def __init__(self, stmt_ref: int, reason: str):
-        super().__init__(f"statement {stmt_ref}: {reason}")
-        self.stmt_ref = stmt_ref
-        self.reason = reason
-
-
 class ShapeError(RelicForgeError):
     pass
 

@@ -1,12 +1,8 @@
 """Differential interpreters and translation scoring."""
 
-from relicforge.evaluate.cobol_interp import build_environment, compile_cobol, interpret_cobol
+from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
 from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.scoring import (
-    APPROACH_AI,
-    APPROACH_RULES,
-    DEFAULT_SEED,
-    DEFAULT_TAU,
     INPUT_LENGTH,
     INPUT_VECTORS,
     LABEL_AGREEMENT_MIN,
@@ -26,51 +22,22 @@ from relicforge.evaluate.scoring import (
     write_file_scores,
     write_pairs,
 )
-from relicforge.evaluate.values import (
-    MAX_CALL_DEPTH,
-    MAX_STEPS,
-    Budget,
-    Cell,
-    ExecError,
-    Outcome,
-    OutcomeKind,
-    Trace,
-    arith,
-    compare,
-    fit,
-    store,
-    to_num,
-    to_str,
-    wrap64,
-)
+from relicforge.evaluate.values import MAX_STEPS, OutcomeKind, Trace
 
 __all__ = [
-    "APPROACH_AI",
-    "APPROACH_RULES",
-    "DEFAULT_SEED",
-    "DEFAULT_TAU",
     "INPUT_LENGTH",
     "INPUT_VECTORS",
     "LABEL_AGREEMENT_MIN",
-    "MAX_CALL_DEPTH",
     "MAX_STEPS",
-    "Budget",
-    "Cell",
     "EvalSummary",
-    "ExecError",
     "FileScore",
-    "Outcome",
     "OutcomeKind",
     "Trace",
-    "arith",
-    "build_environment",
     "build_training_set",
-    "compare",
     "compile_cobol",
     "compile_java",
     "drop_pct",
     "evaluate_corpus",
-    "fit",
     "has_goto",
     "input_battery",
     "interpret_cobol",
@@ -79,11 +46,7 @@ __all__ = [
     "load_oracle_labels",
     "run_evaluation",
     "score_file",
-    "store",
-    "to_num",
-    "to_str",
     "traces_match",
-    "wrap64",
     "write_eval_json",
     "write_file_scores",
     "write_pairs",

@@ -16,8 +16,8 @@ CALL records an event without executing the callee, and STOP RUN halts.
 Step accounting mirrors the statement structure a rule translation emits
 (one step per statement, per loop test, per implicit follow-on call), so
 a jump-free program and its translation exhaust the budget at the same
-point and their truncated traces still compare equal. The closure that
-runs a statement list ticks before each statement, and each loop ticks
+point and their truncated traces still compare equal. The statement
+list of `values.Program` ticks before each statement, and each loop ticks
 before its test.
 
 Errors stay lazy: an undefined name or unknown paragraph compiles to a
@@ -27,55 +27,52 @@ never fails.
 A PERFORM UNTIL or PERFORM VARYING is watched for a repeating state by
 `values.LoopWatch`; the state at its head is the value of every cell.
 PERFORM TIMES counts down and can never repeat, so it is not watched.
+
+The values, their int fast paths, literal folding, the statement list and
+the run protocol are shared with the Java interpreter through `values`.
+What stays here is COBOL's own: the compilation of its statements,
+expressions and conditions, its loop shapes, PERFORM and GO TO, and its
+assignment error order (the value fails before an undefined target).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable
+from typing import Iterable
 
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
-    COMPARE_OPS,
     COMPLEMENT,
     CYCLE_WARMUP,
-    I64_MAX,
-    I64_MIN,
     MAX_CALL_DEPTH,
-    MAX_STEPS,
-    Budget,
     Cell,
     ExecError,
+    Halt,
     LoopWatch,
+    Program,
     StepLimitExceeded,
-    Trace,
-    arith,
+    Thunk,
+    against_int,
+    binop,
     compare,
+    comparison,
+    fail,
     fit,
+    literal_store,
     num_cell,
     pop_input,
-    runtime_error,
-    store,
+    store_into,
     str_cell,
     to_num,
     to_str,
-    HALTED,
-    STEP_LIMIT,
 )
 
 _ARITH_SYMBOL = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}
-
-Thunk = Callable[[], object]
 
 
 class _Goto(Exception):
     def __init__(self, target: int):
         super().__init__(target)
         self.target = target
-
-
-class _Stop(Exception):
-    pass
 
 
 def _leaves(items: Iterable[n.DataItem]) -> Iterable[n.DataItem]:
@@ -101,134 +98,29 @@ def build_environment(items: Iterable[n.DataItem]) -> dict[str, Cell]:
     return env
 
 
-def _fail(reason: str) -> Thunk:
-    def fail():
-        raise ExecError(reason)
-
-    return fail
-
-
-def _nothing() -> None:
-    pass
-
-
-def _binop(op: str, left: Thunk, right: Thunk) -> Thunk:
-    """`arith` on the operands, with int + int in range done inline."""
-    if op != "+":
-        return lambda: arith(op, left(), right())
-
-    def add():
-        a = left()
-        b = right()
-        if type(a) is int and type(b) is int:
-            total = a + b
-            if I64_MIN <= total <= I64_MAX:
-                return total
-        return arith("+", a, b)
-
-    return add
-
-
-def _comparison(op: str, left: Thunk, right: Thunk) -> Thunk:
-    """`compare` on the operands, with int against int done inline."""
-    test = COMPARE_OPS[op]
-
-    def comparison():
-        a = left()
-        b = right()
-        if type(a) is int and type(b) is int:
-            return test(a, b)
-        return compare(op, a, b)
-
-    return comparison
-
-
-def _against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
-    """`_comparison` with an int literal on the right; a variable on the
-    left comes as its cell."""
-    test = COMPARE_OPS[op]
-    if isinstance(left, Cell):
-        def cell_against_int():
-            a = left.value
-            if type(a) is int:
-                return test(a, right)
-            return compare(op, a, right)
-
-        return cell_against_int
-
-    def against_int():
-        a = left()
-        if type(a) is int:
-            return test(a, right)
-        return compare(op, a, right)
-
-    return against_int
-
-
-class _State:
-    """What the closures change during a run. The paragraph table is set
-    only while a run is in progress, so a program at rest holds no
-    reference cycle and is freed as soon as its last reference goes."""
-
-    __slots__ = ("depth", "trace", "paragraphs")
-
-
-class CobolProgram:
+class CobolProgram(Program):
     """A COBOL program compiled once; `run` executes it on one input vector."""
 
     def __init__(self, ast: n.CobolAst):
-        self.cells = build_environment(ast.data_items)
-        self._initial = [(cell, cell.value) for cell in self.cells.values()]
-        self._cells = tuple(self.cells.values())
-        self.budget = Budget()
-        self.inputs: deque = deque()
-        self._state = _State()
+        super().__init__(build_environment(ast.data_items))
         self._index = {p.name: i for i, p in enumerate(ast.paragraphs)}
-        self._paragraphs = [self._block(p.body) for p in ast.paragraphs]
+        self._table = [self._block(p.body) for p in ast.paragraphs]
 
-    def run(self, inputs) -> Trace:
-        """One run from a fresh state; never raises.
-
-        Every run resets the cells, the step budget, the call depth and the
-        input queue, so its trace depends only on the inputs it reads. The
-        values it did not read stay in `self.inputs` until the next run:
-        `len(inputs) - len(self.inputs)` is how many it read.
-
-        A PERFORM UNTIL or VARYING watches every cell at its head for a
-        repeating state (see `values.LoopWatch`).
-        """
-        for cell, value in self._initial:
-            cell.value = value
-        self.budget.left = MAX_STEPS
-        self.inputs.clear()
-        self.inputs.extend(inputs)
-        state = self._state
-        state.depth = 0
-        trace = state.trace = Trace()
-        paragraphs = state.paragraphs = self._paragraphs
-        try:
-            cursor = 0
-            while cursor < len(paragraphs):
-                try:
-                    paragraphs[cursor]()
-                except _Goto as jump:
-                    cursor = jump.target
-                    continue
-                cursor += 1
-                if cursor < len(paragraphs):
-                    # Falling through to the next paragraph costs one step, the
-                    # same as the explicit follow-on call a translation makes.
-                    self.budget.tick()
-            trace.outcome = HALTED
-        except _Stop:
-            trace.outcome = HALTED
-        except StepLimitExceeded:
-            trace.outcome = STEP_LIMIT
-        except ExecError as exc:
-            trace.outcome = runtime_error(exc.reason)
-        finally:
-            state.paragraphs = state.trace = None
-        return trace
+    def _main(self) -> None:
+        """The paragraphs in order from the first; GO TO moves the cursor."""
+        paragraphs = self._table
+        cursor = 0
+        while cursor < len(paragraphs):
+            try:
+                paragraphs[cursor]()
+            except _Goto as jump:
+                cursor = jump.target
+                continue
+            cursor += 1
+            if cursor < len(paragraphs):
+                # Falling through to the next paragraph costs one step, the
+                # same as the explicit follow-on call a translation makes.
+                self.budget.tick()
 
     # -- values --------------------------------------------------------------
 
@@ -239,9 +131,9 @@ class CobolProgram:
         if isinstance(e, n.VarRef):
             cell = self.cells.get(e.name)
             if cell is None:
-                return _fail(f"undefined variable {e.name}")
+                return fail(f"undefined variable {e.name}")
             return lambda: cell.value
-        return _binop(e.op, self._expr(e.left), self._expr(e.right))
+        return binop(e.op, self._expr(e.left), self._expr(e.right))
 
     def _cond(self, c: n.Cond) -> Thunk:
         if isinstance(c, n.NotCond) and isinstance(c.inner, n.Comparison):
@@ -249,8 +141,8 @@ class CobolProgram:
         if isinstance(c, n.Comparison):
             if isinstance(c.right, n.NumLit):
                 cell = self.cells.get(c.left.name) if isinstance(c.left, n.VarRef) else None
-                return _against_int(c.op, cell or self._expr(c.left), c.right.value)
-            return _comparison(c.op, self._expr(c.left), self._expr(c.right))
+                return against_int(c.op, cell or self._expr(c.left), c.right.value)
+            return comparison(c.op, self._expr(c.left), self._expr(c.right))
         if isinstance(c, n.NotCond):
             inner = self._cond(c.inner)
             return lambda: not inner()
@@ -264,67 +156,25 @@ class CobolProgram:
         looked up, so its own errors come first."""
         cell = self.cells.get(name)
         if cell is None:
-            fail = _fail(f"undefined variable {name}")
-
-            def undefined():
-                value()
-                fail()
-
-            return undefined
-        if not cell.numeric:
-            return lambda: store(cell, value())
-
-        def assign():
-            got = value()
-            cell.value = got if type(got) is int else to_num(got)
-
-        return assign
+            return fail(f"undefined variable {name}", (value,))
+        return store_into(cell, value)
 
     def _assign_expr(self, name: str, e: n.Expr) -> Thunk:
-        """Store the value of `e` into `name`. A literal goes through the
-        store rule once, here, unless that fails: then the error waits
-        until the statement runs."""
+        """Store the value of `e` into `name`; a literal is folded by
+        `literal_store` when it can be."""
         cell = self.cells.get(name)
         if cell is not None and isinstance(e, (n.NumLit, n.StrLit)):
-            probe = Cell(cell.numeric, cell.width, cell.value)
-            try:
-                store(probe, e.value)
-            except ExecError:
-                pass
-            else:
-                stored = probe.value
-
-                def assign_literal():
-                    cell.value = stored
-
-                return assign_literal
+            folded = literal_store(cell, e.value)
+            if folded is not None:
+                return folded
         return self._assign(name, self._expr(e))
 
     # -- control -------------------------------------------------------------
 
-    def _block(self, stmts: Iterable[n.Stmt]) -> Thunk:
-        return self._sequence([self._stmt(s) for s in stmts])
-
-    def _sequence(self, steps: list[Thunk]) -> Thunk:
-        """Run the statements in order, one step each."""
-        if not steps:
-            return _nothing
-        budget = self.budget
-        steps = tuple(steps)
-
-        def sequence():
-            for step in steps:
-                budget.left -= 1
-                if budget.left < 0:
-                    raise StepLimitExceeded()
-                step()
-
-        return sequence
-
     def _perform(self, target: str) -> Thunk:
         index = self._index.get(target)
         if index is None:
-            return _fail(f"unknown paragraph {target}")
+            return fail(f"unknown paragraph {target}")
         state = self._state
 
         def perform():
@@ -332,7 +182,7 @@ class CobolProgram:
             if state.depth > MAX_CALL_DEPTH:
                 raise ExecError("call depth exceeded")
             try:
-                state.paragraphs[index]()
+                state.table[index]()
             finally:
                 state.depth -= 1
 
@@ -369,7 +219,7 @@ class CobolProgram:
         if kind is n.COMPUTE:
             return self._assign_expr(s.dst, s.expr)
         if kind is n.ARITH:
-            value = _binop(_ARITH_SYMBOL[s.op], self._expr(s.b), self._expr(s.a))
+            value = binop(_ARITH_SYMBOL[s.op], self._expr(s.b), self._expr(s.a))
             return self._assign(s.giving if s.giving else s.b.name, value)
         if kind is n.IF:
             test = self._cond(s.cond)
@@ -424,8 +274,8 @@ class CobolProgram:
             return self._until(self._cond(s.cond), self._block(s.body))
         if kind is n.PERFORM_VARYING:
             start = self._assign_expr(s.var, s.from_)
-            step = self._assign(s.var, _binop("+", self._expr(n.VarRef(s.var)),
-                                              self._expr(s.by)))
+            step = self._assign(s.var, binop("+", self._expr(n.VarRef(s.var)),
+                                             self._expr(s.by)))
             body = self._block(s.body)
 
             def body_then_step():
@@ -461,7 +311,7 @@ class CobolProgram:
         if kind is n.GOTO:
             index = self._index.get(s.target)
             if index is None:
-                return _fail(f"unknown paragraph {s.target}")
+                return fail(f"unknown paragraph {s.target}")
 
             def goto():
                 raise _Goto(index)
@@ -469,7 +319,7 @@ class CobolProgram:
             return goto
         if kind is n.STOP_RUN:
             def stop():
-                raise _Stop()
+                raise Halt()
 
             return stop
         raise TypeError(f"unknown statement {s!r}")

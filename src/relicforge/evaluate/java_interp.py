@@ -25,50 +25,46 @@ so a branch never taken never fails.
 A `while`, `do`-`while` or `for` loop is watched for a repeating state by
 `values.LoopWatch`; the state at its head is the value of every field and
 the number of inputs left.
+
+The values, their int fast paths, literal folding, the statement list and
+the run protocol are shared with the COBOL interpreter through `values`;
+a field is a `values.Cell`. What stays here is Java's own: the compilation
+of its statements, expressions, conditions and builtins, its loop shapes,
+`break` and method calls, and its assignment error order (an undefined
+target fails before the value).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable
-
 from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
-    COMPARE_OPS,
     COMPLEMENT,
     CYCLE_WARMUP,
-    I64_MAX,
-    I64_MIN,
     MAX_CALL_DEPTH,
-    MAX_STEPS,
-    Budget,
     Cell,
     ExecError,
+    Halt,
     LoopWatch,
+    Program,
     StepLimitExceeded,
-    Trace,
-    arith,
+    Thunk,
+    against_int,
+    binop,
     compare,
+    comparison,
+    fail,
     fit,
+    literal_store,
     num_cell,
     pop_input,
-    runtime_error,
-    store,
+    store_into,
     str_cell,
     to_num,
     to_str,
-    HALTED,
-    STEP_LIMIT,
 )
 from relicforge.transpile import jnodes as j
 
-Thunk = Callable[[], object]
-
 _ARITY = {"in": 0, "num": 1, "fit": 2, "str": 1}
-
-
-class _Stop(Exception):
-    pass
 
 
 class _Break(Exception):
@@ -82,135 +78,24 @@ def _field_cell(field: j.JField) -> Cell:
     return str_cell(field.width, raw)
 
 
-def _fail(reason: str, args: tuple[Thunk, ...] = ()) -> Thunk:
-    """End the run with `reason`, after evaluating `args` as a call would."""
-
-    def fail():
-        for arg in args:
-            arg()
-        raise ExecError(reason)
-
-    return fail
-
-
-def _nothing() -> None:
-    pass
-
-
 def _always() -> bool:
     return True
 
 
-def _binop(op: str, left: Thunk, right: Thunk) -> Thunk:
-    """`arith` on the operands, with int + int in range done inline."""
-    if op != "+":
-        return lambda: arith(op, left(), right())
-
-    def add():
-        a = left()
-        b = right()
-        if type(a) is int and type(b) is int:
-            total = a + b
-            if I64_MIN <= total <= I64_MAX:
-                return total
-        return arith("+", a, b)
-
-    return add
-
-
-def _comparison(op: str, left: Thunk, right: Thunk) -> Thunk:
-    """`compare` on the operands, with int against int done inline."""
-    test = COMPARE_OPS[op]
-
-    def comparison():
-        a = left()
-        b = right()
-        if type(a) is int and type(b) is int:
-            return test(a, b)
-        return compare(op, a, b)
-
-    return comparison
-
-
-def _against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
-    """`_comparison` with an int literal on the right; a field on the
-    left comes as its cell."""
-    test = COMPARE_OPS[op]
-    if isinstance(left, Cell):
-        def cell_against_int():
-            a = left.value
-            if type(a) is int:
-                return test(a, right)
-            return compare(op, a, right)
-
-        return cell_against_int
-
-    def against_int():
-        a = left()
-        if type(a) is int:
-            return test(a, right)
-        return compare(op, a, right)
-
-    return against_int
-
-
-class _State:
-    """What the closures change during a run. The method table is set only
-    while a run is in progress, so a program at rest holds no reference
-    cycle and is freed as soon as its last reference goes."""
-
-    __slots__ = ("depth", "trace", "methods")
-
-
-class JavaProgram:
+class JavaProgram(Program):
     """A Java class compiled once; `run` executes its run() on one input vector."""
 
     def __init__(self, jast: j.JavaAst):
-        self.fields = {f.name: _field_cell(f) for f in jast.fields}
-        self._initial = [(cell, cell.value) for cell in self.fields.values()]
-        self._fields = tuple(self.fields.values())
-        self.budget = Budget()
-        self.inputs: deque = deque()
-        self._state = _State()
+        super().__init__({f.name: _field_cell(f) for f in jast.fields})
         declared = {m.name: m for m in jast.methods}
         self._declared = set(declared)
-        self._methods = {name: self._method(m) for name, m in declared.items()}
+        self._table = {name: self._method(m) for name, m in declared.items()}
 
-    def run(self, inputs) -> Trace:
-        """One run from a fresh state; never raises.
-
-        Every run resets the fields, the step budget, the call depth and the
-        input queue, so its trace depends only on the inputs it reads. The
-        values it did not read stay in `self.inputs` until the next run:
-        `len(inputs) - len(self.inputs)` is how many it read.
-
-        A `while`, `do`-`while` or `for` loop watches every field at its
-        head for a repeating state (see `values.LoopWatch`).
-        """
-        for cell, value in self._initial:
-            cell.value = value
-        self.budget.left = MAX_STEPS
-        self.inputs.clear()
-        self.inputs.extend(inputs)
-        state = self._state
-        state.depth = 0
-        trace = state.trace = Trace()
-        state.methods = self._methods
-        try:
-            entry = self._methods.get("run")
-            if entry is None:
-                raise ExecError("no run method")
-            entry()
-            trace.outcome = HALTED
-        except _Stop:
-            trace.outcome = HALTED
-        except StepLimitExceeded:
-            trace.outcome = STEP_LIMIT
-        except ExecError as exc:
-            trace.outcome = runtime_error(exc.reason)
-        finally:
-            state.methods = state.trace = None
-        return trace
+    def _main(self) -> None:
+        entry = self._table.get("run")
+        if entry is None:
+            raise ExecError("no run method")
+        entry()
 
     # -- values --------------------------------------------------------------
 
@@ -219,12 +104,12 @@ class JavaProgram:
             value = e.value
             return lambda: value
         if isinstance(e, n.VarRef):
-            cell = self.fields.get(e.name)
+            cell = self.cells.get(e.name)
             if cell is None:
-                return _fail(f"undefined variable {e.name}")
+                return fail(f"undefined variable {e.name}")
             return lambda: cell.value
         if isinstance(e, n.BinOp):
-            return _binop(e.op, self._expr(e.left), self._expr(e.right))
+            return binop(e.op, self._expr(e.left), self._expr(e.right))
         if isinstance(e, j.JCall):
             return self._builtin(e.name, tuple(self._expr(a) for a in e.args))
         raise TypeError(f"unknown expression {e!r}")
@@ -232,9 +117,9 @@ class JavaProgram:
     def _builtin(self, name: str, args: tuple[Thunk, ...]) -> Thunk:
         arity = _ARITY.get(name)
         if arity is None:
-            return _fail(f"{name} is not a value function", args)
+            return fail(f"{name} is not a value function", args)
         if len(args) != arity:
-            return _fail(f"wrong number of arguments to {name}", args)
+            return fail(f"wrong number of arguments to {name}", args)
         if name == "in":
             inputs = self.inputs
             return lambda: pop_input(inputs)
@@ -252,9 +137,9 @@ class JavaProgram:
             c = n.Comparison(COMPLEMENT[c.inner.op], c.inner.left, c.inner.right)
         if isinstance(c, n.Comparison):
             if isinstance(c.right, n.NumLit):
-                cell = self.fields.get(c.left.name) if isinstance(c.left, n.VarRef) else None
-                return _against_int(c.op, cell or self._expr(c.left), c.right.value)
-            return _comparison(c.op, self._expr(c.left), self._expr(c.right))
+                cell = self.cells.get(c.left.name) if isinstance(c.left, n.VarRef) else None
+                return against_int(c.op, cell or self._expr(c.left), c.right.value)
+            return comparison(c.op, self._expr(c.left), self._expr(c.right))
         if isinstance(c, n.NotCond):
             inner = self._cond(c.inner)
             return lambda: not inner()
@@ -283,58 +168,24 @@ class JavaProgram:
 
         return call
 
-    def _block(self, stmts: Iterable) -> Thunk:
-        """Run the statements in order, one step each."""
-        steps = tuple(self._stmt(s) for s in stmts)
-        if not steps:
-            return _nothing
-        budget = self.budget
-
-        def block():
-            for step in steps:
-                budget.left -= 1
-                if budget.left < 0:
-                    raise StepLimitExceeded()
-                step()
-
-        return block
-
     def _assign(self, a: j.Assign) -> Thunk:
         """The target is looked up before the value is computed, so an
-        undefined target fails first."""
-        cell = self.fields.get(a.target)
+        undefined target fails first; a literal is folded by `literal_store`
+        when it can be."""
+        cell = self.cells.get(a.target)
         if cell is None:
-            return _fail(f"undefined variable {a.target}")
+            return fail(f"undefined variable {a.target}")
         if isinstance(a.expr, (n.NumLit, n.StrLit)):
-            # A literal goes through the store rule once, here, unless that
-            # fails: then the error waits until the statement runs.
-            probe = Cell(cell.numeric, cell.width, cell.value)
-            try:
-                store(probe, a.expr.value)
-            except ExecError:
-                pass
-            else:
-                stored = probe.value
-
-                def assign_literal():
-                    cell.value = stored
-
-                return assign_literal
-        value = self._expr(a.expr)
-        if not cell.numeric:
-            return lambda: store(cell, value())
-
-        def assign():
-            got = value()
-            cell.value = got if type(got) is int else to_num(got)
-
-        return assign
+            folded = literal_store(cell, a.expr.value)
+            if folded is not None:
+                return folded
+        return store_into(cell, self._expr(a.expr))
 
     def _while(self, test: Thunk, body: Thunk) -> Thunk:
         """Run `body` while `test` holds, one step per test; a `break` in
         it ends the loop. Past `CYCLE_WARMUP` passes, every field is watched
         at the head."""
-        budget, state, fields, inputs = self.budget, self._state, self._fields, self.inputs
+        budget, state, fields, inputs = self.budget, self._state, self._cells, self.inputs
 
         def while_():
             passes, watch = 0, None
@@ -359,7 +210,7 @@ class JavaProgram:
         kind = s.kind
         budget = self.budget
         state = self._state
-        fields, inputs = self._fields, self.inputs
+        fields, inputs = self._cells, self.inputs
         if kind is j.ASSIGN:
             return self._assign(s)
         if kind is j.IF_ELSE:
@@ -448,7 +299,7 @@ class JavaProgram:
             return print_
         if kind is j.RETURN:
             def return_():
-                raise _Stop()
+                raise Halt()
 
             return return_
         if kind is j.BREAK:
@@ -472,12 +323,12 @@ class JavaProgram:
             return external
         if s.name in self._declared:
             if args:
-                return _fail(f"wrong number of arguments to {s.name}", args)
+                return fail(f"wrong number of arguments to {s.name}", args)
             name = s.name
-            return lambda: state.methods[name]()
+            return lambda: state.table[name]()
         if s.name in j.BUILTINS:
             return self._builtin(s.name, args)
-        return _fail(f"unknown method {s.name}", args)
+        return fail(f"unknown method {s.name}", args)
 
 
 def compile_java(jast: j.JavaAst) -> JavaProgram:

@@ -28,6 +28,7 @@ from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.values import Trace
 from relicforge.transpile import (
     Action,
+    external_method_name,
     java_metrics,
     parse_java,
     translate_rules,
@@ -39,7 +40,6 @@ INPUT_VECTORS = 5
 INPUT_LENGTH = 8
 LABEL_AGREEMENT_MIN = 0.9
 DEFAULT_SEED = 42
-DEFAULT_TAU = 0.6
 
 APPROACH_RULES = "Rules"
 APPROACH_AI = "Ai"
@@ -56,7 +56,10 @@ def input_battery(file_id: str, seed: int = DEFAULT_SEED) -> list[list[str]]:
 
 def traces_match(a: Trace, b: Trace) -> tuple[bool, str]:
     """Symmetric comparison: output lines, call events, then outcome kind.
-    Error reasons are free-form text and deliberately not compared."""
+    Error reasons are free-form text and deliberately not compared. A callee
+    is compared as Java spells it (`external_method_name`), the only
+    spelling a parsed translation keeps: `AUDIT-LOG` and `AUDIT_LOG` are
+    one callee, `prog_AUDIT_LOG`."""
     for k, (x, y) in enumerate(zip(a.display_lines, b.display_lines)):
         if x != y:
             return False, f"trace mismatch at line {k + 1}"
@@ -64,7 +67,8 @@ def traces_match(a: Trace, b: Trace) -> tuple[bool, str]:
         shared = min(len(a.display_lines), len(b.display_lines))
         return False, f"trace mismatch at line {shared + 1}"
     for k, (x, y) in enumerate(zip(a.call_events, b.call_events)):
-        if x != y:
+        if x != y and (x[1] != y[1]
+                       or external_method_name(x[0]) != external_method_name(y[0])):
             return False, f"call mismatch at event {k + 1}"
     if len(a.call_events) != len(b.call_events):
         shared = min(len(a.call_events), len(b.call_events))
@@ -275,11 +279,11 @@ def _rules_translator():
     return run
 
 
-def _ai_translator(ckpt, tau: float):
+def _ai_translator(ckpt):
     from relicforge.model import predict
 
     def run(ast: n.CobolAst, record: Record):
-        actions = {ref: action for ref, action, _conf in predict(ast, ckpt, tau)}
+        actions = {ref: action for ref, action, _conf in predict(ast, ckpt)}
         result = translate_with_fallbacks(ast, actions)
         return result.jast, result.actions_used, len(result.fallbacks), ""
 
@@ -400,7 +404,6 @@ def run_evaluation(
     seed: int = DEFAULT_SEED,
     *,
     root=None,
-    tau: float = DEFAULT_TAU,
     per_fold: bool = False,
     external_name: str = "manual",
     config: CorpusConfig = CorpusConfig(),
@@ -434,7 +437,7 @@ def run_evaluation(
         if kind == "rules":
             return _rules_translator()
         if kind == "ai":
-            return _ai_translator(fold_ckpt if fold_ckpt is not None else ckpt, tau)
+            return _ai_translator(fold_ckpt if fold_ckpt is not None else ckpt)
         return _external_translator(root)
 
     test = [r for r in manifest.records if r.split is TEST]
@@ -449,12 +452,12 @@ def run_evaluation(
     summary, rows = _score_records(test, translator_for(), root, seed, label, config, pairs)
     if per_fold:
         summary.per_fold = _fold_summaries(
-            manifest, kind, root, seed, tau, ckpt, label, translator_for, config
+            manifest, kind, root, seed, ckpt, label, translator_for, config
         )
     return summary, rows, pairs
 
 
-def _fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for,
+def _fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for,
                     config: CorpusConfig):
     """Cross-validation view over the Train split's round-robin folds. The
     Ai approach retrains per fold on the other folds with the checkpoint's

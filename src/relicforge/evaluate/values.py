@@ -1,10 +1,26 @@
-"""Shared value semantics for the differential interpreters.
+"""Shared value semantics and run protocol for the differential interpreters.
 
 Both interpreters run on one value universe: 64-bit wrapping signed
-integers and fixed-width space-padded strings. Conversion, storage,
-arithmetic, comparison, the input protocol and the loop watch live here
-so behavioral equivalence of a source/translation pair is a property of
-the programs, never of drift between the two interpreter implementations.
+integers and fixed-width space-padded strings. This module owns what the
+two sides have in common, so behavioral equivalence of a source/translation
+pair is a property of the programs, never of drift between the two
+interpreter implementations:
+
+- conversion, storage, arithmetic and comparison, and the closures that
+  compile them with their int fast paths (`binop`, `comparison`,
+  `against_int`, `store_into`, and `literal_store`, which applies the
+  store rule to a literal once at compile time);
+- the closures that end a run with an error (`fail`) or do nothing
+  (`nothing`);
+- the input protocol and the loop watch;
+- the run protocol (`Program`): the cells and their initial values, the
+  step budget, the input queue, the call depth, the trace, the
+  statement sequence that ticks one step per statement, and the mapping
+  of `Halt`, `StepLimitExceeded` and `ExecError` to the run's outcome.
+
+Each interpreter compiles its own statements, expressions and conditions,
+its loop shapes, jumps and calls, and the order in which its assignments
+fail, so the oracle never checks itself.
 """
 
 from __future__ import annotations
@@ -13,6 +29,7 @@ import enum
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -21,6 +38,7 @@ MAX_STEPS = 100_000
 MAX_CALL_DEPTH = 100
 
 Value = int | str
+Thunk = Callable[[], object]
 
 
 class ExecError(Exception):
@@ -33,6 +51,10 @@ class ExecError(Exception):
 
 class StepLimitExceeded(Exception):
     pass
+
+
+class Halt(Exception):
+    """STOP RUN, or the `return` that stands for it: the run ends normally."""
 
 
 class Budget:
@@ -75,8 +97,8 @@ def fit(value: str, width: int) -> str:
     return value[:width] if len(value) >= width else value + " " * (width - len(value))
 
 
-# The operators of `compare`; the interpreters apply them directly when
-# both sides are ints.
+# The operators of `compare`; `comparison` and `against_int` apply them
+# directly when both sides are ints.
 COMPARE_OPS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -145,6 +167,107 @@ def store(cell: Cell, value: Value) -> None:
         cell.value = to_num(value)
     else:
         cell.value = fit(to_str(value), cell.width)
+
+
+# -- compiled closures ------------------------------------------------------------
+
+
+def fail(reason: str, args: tuple[Thunk, ...] = ()) -> Thunk:
+    """End the run with `reason`, after evaluating `args` in order."""
+
+    def fail():
+        for arg in args:
+            arg()
+        raise ExecError(reason)
+
+    return fail
+
+
+def nothing() -> None:
+    pass
+
+
+def binop(op: str, left: Thunk, right: Thunk) -> Thunk:
+    """`arith` on the operands, with int + int in range done inline."""
+    if op != "+":
+        return lambda: arith(op, left(), right())
+
+    def add():
+        a = left()
+        b = right()
+        if type(a) is int and type(b) is int:
+            total = a + b
+            if I64_MIN <= total <= I64_MAX:
+                return total
+        return arith("+", a, b)
+
+    return add
+
+
+def comparison(op: str, left: Thunk, right: Thunk) -> Thunk:
+    """`compare` on the operands, with int against int done inline."""
+    test = COMPARE_OPS[op]
+
+    def comparison():
+        a = left()
+        b = right()
+        if type(a) is int and type(b) is int:
+            return test(a, b)
+        return compare(op, a, b)
+
+    return comparison
+
+
+def against_int(op: str, left: Thunk | Cell, right: int) -> Thunk:
+    """`comparison` with an int literal on the right; a variable on the
+    left comes as its cell."""
+    test = COMPARE_OPS[op]
+    if isinstance(left, Cell):
+        def cell_against_int():
+            a = left.value
+            if type(a) is int:
+                return test(a, right)
+            return compare(op, a, right)
+
+        return cell_against_int
+
+    def against_int():
+        a = left()
+        if type(a) is int:
+            return test(a, right)
+        return compare(op, a, right)
+
+    return against_int
+
+
+def store_into(cell: Cell, value: Thunk) -> Thunk:
+    """`store` of `value()` into `cell`, with an int into a numeric cell
+    done inline."""
+    if not cell.numeric:
+        return lambda: store(cell, value())
+
+    def assign():
+        got = value()
+        cell.value = got if type(got) is int else to_num(got)
+
+    return assign
+
+
+def literal_store(cell: Cell, literal: Value) -> Thunk | None:
+    """Store `literal` into `cell`, with the store rule applied once, here;
+    None when the rule fails, so that the error waits until the statement
+    runs."""
+    probe = Cell(cell.numeric, cell.width, cell.value)
+    try:
+        store(probe, literal)
+    except ExecError:
+        return None
+    stored = probe.value
+
+    def assign_literal():
+        cell.value = stored
+
+    return assign_literal
 
 
 def pop_input(inputs: deque) -> str:
@@ -255,3 +378,86 @@ class LoopWatch:
             self.left = self.budget.left
             self.lines = len(trace.display_lines)
             self.calls = len(trace.call_events)
+
+
+# -- the run protocol ---------------------------------------------------------------
+
+
+class _State:
+    """What the closures change during a run. The table of paragraphs or
+    methods is set only while a run is in progress, so a program at rest
+    holds no reference cycle and is freed as soon as its last reference
+    goes."""
+
+    __slots__ = ("depth", "trace", "table")
+
+
+class Program:
+    """A program compiled once to closures; `run` executes it on one input
+    vector.
+
+    A subclass compiles its statements with `_stmt`, sets `_table` to its
+    compiled paragraphs or methods, and runs them from `_main`. Its closures
+    read the cells, `budget`, `inputs` and `_state`, never the program
+    itself, so a program at rest holds no reference cycle.
+    """
+
+    def __init__(self, cells: dict[str, Cell]):
+        self.cells = cells
+        self._initial = [(cell, cell.value) for cell in cells.values()]
+        self._cells = tuple(cells.values())
+        self.budget = Budget()
+        self.inputs: deque = deque()
+        self._state = _State()
+
+    def run(self, inputs) -> Trace:
+        """One run from a fresh state; never raises.
+
+        Every run resets the cells, the step budget, the call depth and the
+        input queue, so its trace depends only on the inputs it reads. The
+        values it did not read stay in `self.inputs` until the next run:
+        `len(inputs) - len(self.inputs)` is how many it read.
+
+        A loop watches every cell at its head for a repeating state (see
+        `LoopWatch`).
+        """
+        for cell, value in self._initial:
+            cell.value = value
+        self.budget.left = MAX_STEPS
+        self.inputs.clear()
+        self.inputs.extend(inputs)
+        state = self._state
+        state.depth = 0
+        trace = state.trace = Trace()
+        state.table = self._table
+        try:
+            self._main()
+            trace.outcome = HALTED
+        except Halt:
+            trace.outcome = HALTED
+        except StepLimitExceeded:
+            trace.outcome = STEP_LIMIT
+        except ExecError as exc:
+            trace.outcome = runtime_error(exc.reason)
+        finally:
+            state.table = state.trace = None
+        return trace
+
+    def _block(self, stmts: Iterable) -> Thunk:
+        return self._sequence([self._stmt(s) for s in stmts])
+
+    def _sequence(self, steps: list[Thunk]) -> Thunk:
+        """Run the statements in order, one step each."""
+        if not steps:
+            return nothing
+        budget = self.budget
+        steps = tuple(steps)
+
+        def sequence():
+            for step in steps:
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                step()
+
+        return sequence

@@ -4,7 +4,6 @@ from relicforge.model.checkpoint import MAGIC, VERSION, load, save
 from relicforge.model.network import (
     FORGET_BIAS,
     INIT_SCALE,
-    ForwardPass,
     ModelCheckpoint,
     ModelConfig,
     forward,
@@ -16,7 +15,7 @@ from relicforge.model.network import (
     softmax,
     tensor_shapes,
 )
-from relicforge.model.predict import DEFAULT_TAU, predict
+from relicforge.model.predict import predict
 from relicforge.model.training import (
     CLASS_INDEX,
     TrainSample,
@@ -32,7 +31,6 @@ __all__ = [
     "save",
     "FORGET_BIAS",
     "INIT_SCALE",
-    "ForwardPass",
     "ModelCheckpoint",
     "ModelConfig",
     "forward",
@@ -43,7 +41,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "tensor_shapes",
-    "DEFAULT_TAU",
     "predict",
     "CLASS_INDEX",
     "TrainSample",

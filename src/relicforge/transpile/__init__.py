@@ -13,9 +13,6 @@ from relicforge.transpile.actions import (
 )
 from relicforge.transpile.emitter import emit_java
 from relicforge.transpile.engine import (
-    Fallback,
-    TranspileResult,
-    apply_actions,
     class_name_for,
     external_method_name,
     translate_rules,
@@ -26,13 +23,7 @@ from relicforge.transpile.jmetrics import (
     java_coupling,
     java_metrics,
 )
-from relicforge.transpile.jnodes import (
-    BUILTINS,
-    JavaAst,
-    JField,
-    JMethod,
-    node_count,
-)
+from relicforge.transpile.jnodes import node_count
 from relicforge.transpile.jparser import parse_java
 
 __all__ = [
@@ -40,14 +31,7 @@ __all__ = [
     "NUM_CLASSES",
     "Action",
     "ActionKind",
-    "BUILTINS",
-    "Fallback",
-    "JavaAst",
-    "JField",
-    "JMethod",
-    "TranspileResult",
     "applicable",
-    "apply_actions",
     "build_java_cfg",
     "chain_shape",
     "class_name_for",

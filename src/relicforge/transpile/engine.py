@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
-from relicforge.errors import TranspileError
 from relicforge.transpile import jnodes as j
 from relicforge.transpile.actions import (
     EXTRACT_METHOD,
@@ -100,10 +99,9 @@ class _Field:
 
 
 class _Translator:
-    def __init__(self, ast: n.CobolAst, actions: dict[int, Action], strict: bool):
+    def __init__(self, ast: n.CobolAst, actions: dict[int, Action]):
         self.ast = ast
         self.actions = actions
-        self.strict = strict
         order = list(n.iter_preorder(ast.program))
         self.refs: dict[int, int] = {id(node): i for i, node in enumerate(order)}
         self.by_ref: dict[int, n.Node] = dict(enumerate(order))
@@ -166,8 +164,6 @@ class _Translator:
             return fallback
         if requested.kind is not fallback.kind and not applicable(stmt, requested):
             reason = f"{requested.kind.value} not applicable to {stmt.kind.value}"
-            if self.strict:
-                raise TranspileError(ref, reason)
             self.result.fallbacks.append(
                 Fallback(ref, requested.kind.value, fallback.kind.value, reason)
             )
@@ -358,8 +354,6 @@ class _Translator:
                 elif pos > 0:
                     reason = "paragraph already split"
                 if reason is not None:
-                    if self.strict:
-                        raise TranspileError(ref, reason)
                     self.result.fallbacks.append(
                         Fallback(ref, act.kind.value, default_action(
                             self.by_ref[ref]).kind.value, reason)
@@ -378,8 +372,6 @@ class _Translator:
         for ref, act in sorted(self.actions.items()):
             if act.kind is EXTRACT_METHOD and ref not in top_refs:
                 reason = "split point must be a top-level statement"
-                if self.strict:
-                    raise TranspileError(ref, reason)
                 node = self.by_ref.get(ref)
                 if node is not None and is_statement(node):
                     used = default_action(node)
@@ -426,17 +418,12 @@ class _Translator:
         return self.result
 
 
-def apply_actions(ast: n.CobolAst, actions: list[tuple[int, Action]]) -> j.JavaAst:
-    """Strict application: any inapplicable action raises TranspileError."""
-    return _Translator(ast, dict(actions), strict=True).translate().jast
-
-
 def translate_with_fallbacks(
     ast: n.CobolAst, actions: dict[int, Action] | None = None
 ) -> TranspileResult:
-    """Lenient application: inapplicable actions fall back to defaults and
-    are recorded, so a bad model prediction degrades to the rules path."""
-    return _Translator(ast, dict(actions or {}), strict=False).translate()
+    """Inapplicable actions fall back to defaults and are recorded, so a
+    bad model prediction degrades to the rules path."""
+    return _Translator(ast, dict(actions or {})).translate()
 
 
 def translate_rules(ast: n.CobolAst) -> TranspileResult:

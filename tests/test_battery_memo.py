@@ -30,7 +30,7 @@ from relicforge.evaluate import (
     score_file,
     traces_match,
 )
-from relicforge.evaluate import cobol_interp, java_interp, scoring
+from relicforge.evaluate import scoring, values
 from relicforge.evaluate.values import HALTED, STEP_LIMIT, runtime_error
 from relicforge.transpile import translate_rules
 from relicforge.transpile import jnodes as j
@@ -88,8 +88,7 @@ def short_step_limit(monkeypatch):
     to 0.1 s at the full limit, which the reference pays on every vector.
     The memo never reads the limit; a step-limit run is one more outcome.
     """
-    monkeypatch.setattr(cobol_interp, "MAX_STEPS", 10_000)
-    monkeypatch.setattr(java_interp, "MAX_STEPS", 10_000)
+    monkeypatch.setattr(values, "MAX_STEPS", 10_000)
 
 
 @pytest.mark.usefixtures("short_step_limit")

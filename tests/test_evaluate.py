@@ -71,7 +71,6 @@ from relicforge.evaluate.values import (
 from relicforge.transpile import (
     Action,
     ActionKind,
-    apply_actions,
     emit_java,
     translate_rules,
     translate_with_fallbacks,
@@ -535,7 +534,8 @@ def test_split_method_behaves_like_the_unsplit_one():
     ast = program("MOVE 1 TO A. DISPLAY A. MOVE 2 TO A. DISPLAY A. STOP RUN.", data="01 A PIC 9.")
     moves = [i for i, v in enumerate(n.iter_preorder(ast.program)) if v.kind is n.NodeKind.MOVE]
     split_at = moves[1]
-    split = apply_actions(ast, [(split_at, Action(ActionKind.EXTRACT_METHOD, split_at))])
+    split = translate_with_fallbacks(
+        ast, {split_at: Action(ActionKind.EXTRACT_METHOD, split_at)}).jast
     assert len(split.methods) == 2
     plain = translate_rules(ast).jast
     for vector in input_battery("split-check"):
@@ -581,6 +581,13 @@ def test_traces_match_reports_the_first_divergence():
     assert traces_match(longer, base) == (False, "trace mismatch at line 3")
     calls = Trace(display_lines=["a", "b"], call_events=[("Q", (1,))], outcome=HALTED)
     assert traces_match(base, calls) == (False, "call mismatch at event 1")
+    args = Trace(display_lines=["a", "b"], call_events=[("P", (2,))], outcome=HALTED)
+    assert traces_match(base, args) == (False, "call mismatch at event 1")
+    # A callee compares as Java spells it, the only spelling parse_java keeps.
+    hyphen = Trace(call_events=[("AUDIT-LOG", (1,))])
+    assert traces_match(hyphen, Trace(call_events=[("AUDIT_LOG", (1,))])) == (True, "")
+    assert traces_match(hyphen, Trace(call_events=[("AUDIT_LOG", (2,))]))[0] is False
+    assert traces_match(hyphen, Trace(call_events=[("AUDITLOG", (1,))]))[0] is False
     crashed = Trace(display_lines=["a", "b"], call_events=[("P", (1,))],
                     outcome=runtime_error("x"))
     assert traces_match(base, crashed) == (False, "outcome mismatch")
@@ -864,6 +871,27 @@ def test_external_evaluation_reads_sidecar_translations(tmp_path):
     )
     assert summary.approach == "External(golden)"
     assert summary.n == 2
+    assert summary.accuracy == 1.0, [r.reason for r in rows]
+
+
+@pytest.mark.parametrize("callee", ["AUDIT-LOG", "AUDIT.LOG"])
+def test_external_translation_of_a_punctuated_callee_scores_correct(tmp_path, callee):
+    # parse_java recovers a callee only as Java spells it: prog_AUDIT_LOG
+    # gives AUDIT_LOG, while the COBOL side records the name as written.
+    for k in range(10):
+        text = (
+            f"IDENTIFICATION DIVISION. PROGRAM-ID. HYPH-{k}. DATA DIVISION."
+            f" WORKING-STORAGE SECTION. 01 A PIC 9(2) VALUE {k}. PROCEDURE DIVISION."
+            f" MAIN. ADD 1 TO A. CALL \"{callee}\" USING A. DISPLAY A. STOP RUN."
+        )
+        (tmp_path / f"hyph-{k}.cbl").write_text(text + "\n", encoding="utf-8")
+        jast = translate_rules(parse_source(SourceFile(f"hyph-{k}", text))).jast
+        (tmp_path / f"hyph-{k}.java").write_text(emit_java(jast), encoding="utf-8")
+    manifest = ingest(tmp_path)
+    curate(manifest, tmp_path)
+    split_corpus(manifest, seed=42)
+    summary, rows, _ = run_evaluation(manifest, "external", root=tmp_path)
+    assert summary.n >= 1
     assert summary.accuracy == 1.0, [r.reason for r in rows]
 
 

@@ -20,8 +20,7 @@ from relicforge.model import ModelConfig, train
 # --- the reference: one training set per fold ---------------------------------
 
 
-def ref_fold_summaries(manifest, kind, root, seed, tau, ckpt, label, translator_for,
-                       config):
+def ref_fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for, config):
     """Cross-validation view over the Train split's round-robin folds. The
     Ai approach retrains per fold on the other folds with the checkpoint's
     own config; the other approaches just score each fold."""
@@ -68,11 +67,10 @@ def test_ai_fold_summaries_match_one_training_set_per_fold(corpus):
     summary, _rows, _pairs = run_evaluation(manifest, "ai", ckpt, root=root, per_fold=True)
 
     def translator_for(fold_ckpt=None):
-        return scoring._ai_translator(fold_ckpt if fold_ckpt is not None else ckpt,
-                                      scoring.DEFAULT_TAU)
+        return scoring._ai_translator(fold_ckpt if fold_ckpt is not None else ckpt)
 
-    want = ref_fold_summaries(manifest, "ai", root, scoring.DEFAULT_SEED, scoring.DEFAULT_TAU,
-                              ckpt, scoring.APPROACH_AI, translator_for, scoring.CorpusConfig())
+    want = ref_fold_summaries(manifest, "ai", root, scoring.DEFAULT_SEED, ckpt,
+                              scoring.APPROACH_AI, translator_for, scoring.CorpusConfig())
     assert len(want) == 5
     assert [s.to_json() for s in summary.per_fold] == [s.to_json() for s in want]
 

@@ -19,7 +19,7 @@ import pytest
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
-from relicforge.evaluate import cobol_interp, input_battery, java_interp, values
+from relicforge.evaluate import input_battery, java_interp, values
 from relicforge.evaluate.cobol_interp import CobolProgram
 from relicforge.evaluate.java_interp import JavaProgram, _Break
 from relicforge.evaluate.values import OutcomeKind, StepLimitExceeded
@@ -50,8 +50,8 @@ class RefCobolProgram(CobolProgram):
             return until
         if kind is n.NodeKind.PERFORM_VARYING:
             start = self._assign_expr(s.var, s.from_)
-            step = self._assign(s.var, cobol_interp._binop("+", self._expr(n.VarRef(s.var)),
-                                                           self._expr(s.by)))
+            step = self._assign(s.var, values.binop("+", self._expr(n.VarRef(s.var)),
+                                                    self._expr(s.by)))
             test, body = self._cond(s.until), self._block(s.body)
 
             def varying():
@@ -106,9 +106,9 @@ class RefJavaProgram(JavaProgram):
 
             return do_while
         if kind is j.JKind.FOR:
-            init = self._assign(s.init) if s.init is not None else java_interp._nothing
+            init = self._assign(s.init) if s.init is not None else values.nothing
             test = self._cond(s.cond) if s.cond is not None else java_interp._always
-            update = self._assign(s.update) if s.update is not None else java_interp._nothing
+            update = self._assign(s.update) if s.update is not None else values.nothing
             body = self._block(s.body)
 
             def for_():
@@ -136,8 +136,7 @@ class RefJavaProgram(JavaProgram):
 def step_limit(request, monkeypatch):
     """Both interpreters stop at a lowered step limit; 9,973 is prime, so
     the limit falls inside a cycle of any length that does not divide it."""
-    monkeypatch.setattr(cobol_interp, "MAX_STEPS", request.param)
-    monkeypatch.setattr(java_interp, "MAX_STEPS", request.param)
+    monkeypatch.setattr(values, "MAX_STEPS", request.param)
     return request.param
 
 

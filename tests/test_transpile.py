@@ -9,14 +9,13 @@ from relicforge.analysis import cyclomatic, measure
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
-from relicforge.errors import ParseFailure, TranspileError
+from relicforge.errors import ParseFailure
 from relicforge.transpile import (
     Action,
     ActionKind,
     CLASS_ORDER,
     NUM_CLASSES,
     applicable,
-    apply_actions,
     build_java_cfg,
     chain_shape,
     class_name_for,
@@ -158,16 +157,17 @@ def test_action_json_round_trip():
     assert Action(ActionKind.MOVE_TO_ASSIGN).to_json() == {"action": "MoveToAssign"}
 
 
-# -- strict application and fallbacks ----------------------------------------
+# -- fallbacks -----------------------------------------------------------------
 
 
 def test_strict_inapplicable_action_raises():
+    # An inapplicable action never raises: it is recorded as a Fallback.
     ast = program("IF A = 1 DISPLAY 1 END-IF. STOP RUN.")
     ref = refs_of(ast, n.NodeKind.IF)[0]
-    with pytest.raises(TranspileError) as err:
-        apply_actions(ast, [(ref, Action(ActionKind.LOOP_TO_FOR))])
-    assert err.value.stmt_ref == ref
-    assert "not applicable" in err.value.reason
+    result = translate_with_fallbacks(ast, {ref: Action(ActionKind.LOOP_TO_FOR)})
+    [fb] = result.fallbacks
+    assert fb.stmt_ref == ref
+    assert fb.reason == "LoopToFor not applicable to If"
 
 
 def test_lenient_fallback_to_default():
@@ -195,9 +195,10 @@ def test_rules_path_records_defaults_everywhere():
 def test_totality_and_determinism_on_generated_programs():
     for seed in range(30):
         ast = random_program(random.Random(seed), allow_goto=seed % 5 == 0)
-        jast = apply_actions(ast, default_actions(ast))
-        text = emit_java(jast)
-        assert text == emit_java(apply_actions(ast, default_actions(ast)))
+        result = translate_with_fallbacks(ast, dict(default_actions(ast)))
+        assert result.fallbacks == []
+        text = emit_java(result.jast)
+        assert text == emit_java(translate_with_fallbacks(ast, dict(default_actions(ast))).jast)
 
 
 # -- canonical emission forms -------------------------------------------------
@@ -331,9 +332,11 @@ def test_counted_loop_action_variants():
     ref = refs_of(ast, n.NodeKind.PERFORM_TIMES)[0]
     default_text = emit_java(translate_rules(ast).jast)
     assert "for (t0 = 3; t0 > 0; t0 = t0 - 1) {" in default_text
-    while_text = emit_java(apply_actions(ast, [(ref, Action(ActionKind.LOOP_TO_WHILE))]))
+    while_text = emit_java(
+        translate_with_fallbacks(ast, {ref: Action(ActionKind.LOOP_TO_WHILE)}).jast)
     assert "t0 = 3;" in while_text and "while (t0 > 0) {" in while_text
-    do_text = emit_java(apply_actions(ast, [(ref, Action(ActionKind.LOOP_TO_DO_WHILE))]))
+    do_text = emit_java(
+        translate_with_fallbacks(ast, {ref: Action(ActionKind.LOOP_TO_DO_WHILE)}).jast)
     assert "do {" in do_text and "} while (t0 > 0);" in do_text
 
 
@@ -352,7 +355,7 @@ def test_until_loop_to_for_keeps_pretest_shape():
         data="01 I PIC 9(2). ",
     )
     ref = refs_of(ast, n.NodeKind.PERFORM_UNTIL)[0]
-    text = emit_java(apply_actions(ast, [(ref, Action(ActionKind.LOOP_TO_FOR))]))
+    text = emit_java(translate_with_fallbacks(ast, {ref: Action(ActionKind.LOOP_TO_FOR)}).jast)
     assert "for (; !(i > 3); ) {" in text
 
 
@@ -446,9 +449,13 @@ def test_extract_method_splits_and_shrinks():
 
 
 def test_extract_method_strict_round_trip_through_apply_actions():
+    # Replaying the actions a split used rebuilds the same two methods.
     ast = _fifty_node_program()
-    jast = apply_actions(ast, [(25, Action(ActionKind.EXTRACT_METHOD, 25))])
-    assert len(jast.methods) == 2
+    result = translate_with_fallbacks(ast, {25: Action(ActionKind.EXTRACT_METHOD, 25)})
+    assert len(result.jast.methods) == 2
+    again = translate_with_fallbacks(ast, result.actions_used)
+    assert again.fallbacks == []
+    assert emit_java(again.jast) == emit_java(result.jast)
 
 
 def test_extract_method_out_of_bounds_falls_back():
@@ -458,8 +465,6 @@ def test_extract_method_out_of_bounds_falls_back():
     assert len(result.fallbacks) == 1
     assert "out of bounds" in result.fallbacks[0].reason
     assert len(result.jast.methods) == 1
-    with pytest.raises(TranspileError):
-        apply_actions(ast, [(ref, Action(ActionKind.EXTRACT_METHOD, 999))])
 
 
 def test_extract_method_nested_target_falls_back():
@@ -488,7 +493,8 @@ def test_extract_method_second_split_falls_back():
 
 def test_extract_preserves_emitted_statement_text():
     ast = _fifty_node_program()
-    split = emit_java(apply_actions(ast, [(25, Action(ActionKind.EXTRACT_METHOD, 25))]))
+    split = emit_java(
+        translate_with_fallbacks(ast, {25: Action(ActionKind.EXTRACT_METHOD, 25)}).jast)
     plain = emit_java(translate_rules(ast).jast)
     # Same assignments appear in both, just distributed across methods.
     for k in range(38):
