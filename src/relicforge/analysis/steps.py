@@ -20,7 +20,6 @@ import numpy as np
 from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
 
-NODE_FEATURE_COUNT = 12
 EDGE_FEATURE_COUNT = 6
 
 EDGE_ORDER = ("Seq", "True", "False", "LoopBack", "Case", "TreeChild")

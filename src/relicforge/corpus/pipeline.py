@@ -234,7 +234,9 @@ def curate(
 ) -> CorpusManifest:
     """Assign every record a terminal status and attach metrics.
 
-    Returns the manifest; read summary counts via manifest.counts().
+    Each file is read again, and a record that reads takes its md5 and
+    line count from that text, so dedup and `load_ast` see the text curate
+    judged. Returns the manifest; read summary counts via manifest.counts().
     """
     candidates: list[Record] = []
     slots: list[int] = []  # per candidate, the task that curates its text
@@ -253,6 +255,8 @@ def curate(
             record.status = REJECTED
             record.reason = f"unreadable: {exc.__class__.__name__}"
             continue
+        record.md5 = _md5(text)
+        record.lines = text.count("\n") + 1
         if text not in task_of_text:
             task_of_text[text] = len(tasks)
             tasks.append((record.id, text, config.format))

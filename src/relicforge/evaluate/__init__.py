@@ -10,7 +10,6 @@ from relicforge.evaluate.scoring import (
     FileScore,
     build_training_set,
     drop_pct,
-    evaluate_corpus,
     has_goto,
     input_battery,
     label_agreement,
@@ -19,8 +18,6 @@ from relicforge.evaluate.scoring import (
     score_file,
     traces_match,
     write_eval_json,
-    write_file_scores,
-    write_pairs,
 )
 from relicforge.evaluate.values import MAX_STEPS, OutcomeKind, Trace
 
@@ -37,7 +34,6 @@ __all__ = [
     "compile_cobol",
     "compile_java",
     "drop_pct",
-    "evaluate_corpus",
     "has_goto",
     "input_battery",
     "interpret_cobol",
@@ -48,6 +44,4 @@ __all__ = [
     "score_file",
     "traces_match",
     "write_eval_json",
-    "write_file_scores",
-    "write_pairs",
 ]

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from relicforge.analysis import measure
 from relicforge.cobol import nodes as n
-from relicforge.corpus import CorpusConfig, CorpusManifest, Record, Split, load_ast
+from relicforge.corpus import CorpusConfig, CorpusManifest, Record, load_ast
 from relicforge.corpus.manifest import TEST, TRAIN
 from relicforge.errors import EvalError, FormatError, ParseFailure, SourceError
 from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
@@ -169,21 +169,10 @@ class FileScore:
     id: str
     correct: bool
     reason: str
-    cx_before: int | None
-    cx_after: int | None
-    cp_before: int | None
-    cp_after: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "correct": self.correct,
-            "reason": self.reason,
-            "cx_before": self.cx_before,
-            "cx_after": self.cx_after,
-            "cp_before": self.cp_before,
-            "cp_after": self.cp_after,
-        }
+    cx_before: int | None = None
+    cx_after: int | None = None
+    cp_before: int | None = None
+    cp_after: int | None = None
 
 
 def drop_pct(before: float, after: float) -> float:
@@ -205,34 +194,17 @@ class EvalSummary:
     per_fold: list["EvalSummary"] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "approach": self.approach,
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "mean_cx_before": self.mean_cx_before,
-            "mean_cx_after": self.mean_cx_after,
-            "cx_drop_pct": self.cx_drop_pct,
-            "mean_cp_before": self.mean_cp_before,
-            "mean_cp_after": self.mean_cp_after,
-            "cp_drop_pct": self.cp_drop_pct,
-            "fallback_count": self.fallback_count,
-            "per_fold": [s.to_json() for s in self.per_fold] if self.per_fold else None,
-        }
+        """Every field in declaration order; no folds are written as null."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["per_fold"] = [s.to_json() for s in self.per_fold] if self.per_fold else None
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "EvalSummary":
+        """Raises KeyError when a field other than `per_fold` is missing."""
         folds = data.get("per_fold")
         return cls(
-            approach=data["approach"],
-            n=data["n"],
-            accuracy=data["accuracy"],
-            mean_cx_before=data["mean_cx_before"],
-            mean_cx_after=data["mean_cx_after"],
-            cx_drop_pct=data["cx_drop_pct"],
-            mean_cp_before=data["mean_cp_before"],
-            mean_cp_after=data["mean_cp_after"],
-            cp_drop_pct=data["cp_drop_pct"],
-            fallback_count=data["fallback_count"],
+            **{f.name: data[f.name] for f in fields(cls) if f.name != "per_fold"},
             per_fold=[cls.from_json(s) for s in folds] if folds else None,
         )
 
@@ -268,61 +240,53 @@ def _summarize(approach: str, rows: list[FileScore], fallback_count: int) -> Eva
     )
 
 
-# -- per-approach translators ---------------------------------------------------
+# -- translation and scoring ---------------------------------------------------
 
 
-def _rules_translator():
-    def run(ast: n.CobolAst, record: Record):
-        result = translate_rules(ast)
-        return result.jast, result.actions_used, len(result.fallbacks), ""
-
-    return run
-
-
-def _ai_translator(ckpt):
-    from relicforge.model import predict
-
-    def run(ast: n.CobolAst, record: Record):
-        actions = {ref: action for ref, action, _conf in predict(ast, ckpt)}
-        result = translate_with_fallbacks(ast, actions)
-        return result.jast, result.actions_used, len(result.fallbacks), ""
-
-    return run
-
-
-def _external_translator(root: Path):
-    def run(ast: n.CobolAst, record: Record):
-        path = root / record.oracle_java
+def _translate(kind: str, ast: n.CobolAst, record: Record, root: Path, ckpt):
+    """(jast, actions_used, fallback count, failure reason) for one record
+    under one approach. `rules` applies the rule defaults, `ai` the
+    actions `ckpt` predicts, and `external` parses the record's
+    `<stem>.java` sidecar; a sidecar that cannot be read or parsed gives
+    no jast and the reason instead."""
+    if kind == "external":
         try:
-            jast = parse_java(path.read_text(encoding="utf-8"))
+            jast = parse_java((root / record.oracle_java).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError):
             return None, None, 0, "external translation unreadable"
         except ParseFailure:
             return None, None, 0, "external translation unparseable"
         return jast, None, 0, ""
+    if kind == "ai":
+        from relicforge.model import predict
 
-    return run
+        actions = {ref: action for ref, action, _conf in predict(ast, ckpt)}
+        result = translate_with_fallbacks(ast, actions)
+    else:
+        result = translate_rules(ast)
+    return result.jast, result.actions_used, len(result.fallbacks), ""
 
 
-def _score_records(records, translate, root: Path, seed: int, approach: str,
+def _score_records(records, kind: str, ckpt, root: Path, seed: int, approach: str,
                    config: CorpusConfig, pairs: list[dict] | None = None):
-    """Score each record; appends its report pair to `pairs` when given."""
+    """Translate (see `_translate`) and score each record: the summary and
+    one FileScore per record. With `pairs`, each translated record appends
+    its report pair: id, complexity before and after, both trees as JSON."""
     rows: list[FileScore] = []
     fallback_count = 0
     for record in records:
         try:
             ast, _verdict = load_ast(root, record, config)
         except SourceError as exc:
-            rows.append(FileScore(record.id, False, exc.reason, None, None, None, None))
+            rows.append(FileScore(record.id, False, exc.reason))
             continue
         if ast is None:
-            rows.append(FileScore(record.id, False, "source failed to parse",
-                                  None, None, None, None))
+            rows.append(FileScore(record.id, False, "source failed to parse"))
             continue
         # Curate measured this same tree; only a manifest without metrics
         # (one written by hand, say) needs it measured here.
         before = record.metrics or measure(ast)
-        jast, actions_used, fallbacks, failure = translate(ast, record)
+        jast, actions_used, fallbacks, failure = _translate(kind, ast, record, root, ckpt)
         fallback_count += fallbacks
         if jast is None:
             rows.append(FileScore(record.id, False, failure,
@@ -377,9 +341,7 @@ def build_training_set(root: Path | str, records,
 
 
 def _train_sample(root: Path, record: Record, config: CorpusConfig):
-    """One record's TrainSample, or None when its source is unreadable, has
-    changed since curate or does not parse, or its labels sidecar is
-    unreadable."""
+    """One record's TrainSample, or None (see `build_training_set`)."""
     from relicforge.model import sample_from_ast
 
     try:
@@ -408,13 +370,13 @@ def run_evaluation(
     external_name: str = "manual",
     config: CorpusConfig = CorpusConfig(),
 ) -> tuple[EvalSummary, list[FileScore], list[dict]]:
-    """Full evaluation: summary plus per-file rows and AST pairs for reports.
-    `config` must be the one the corpus was curated with, so each source is
-    read in its format. Complexity and coupling "before" come from the
-    manifest's metrics, curate's measurement of the same tree. A source
-    that can no longer be read, or whose text has changed since curate,
-    and a labels sidecar that cannot be read, each score their file
-    incorrect instead of aborting the run."""
+    """Score the Test split under `approach`: `rules`, `ai` (`checkpoint` is
+    a ModelCheckpoint or its path) or `external` (Test records with a
+    `<stem>.java` sidecar). Returns (summary, rows, pairs): one FileScore
+    per Test record, one report pair per translated one (`_score_records`);
+    `per_fold` adds a summary per Train fold. `config` must be the one the
+    corpus was curated with. A source or labels sidecar that cannot be
+    read, or a source changed since curate, scores its file incorrect."""
     manifest, root = _resolve_manifest(manifest, root)
     kind = str(approach).strip().lower()
     if kind not in ("rules", "ai", "external"):
@@ -422,7 +384,7 @@ def run_evaluation(
     label = {"rules": APPROACH_RULES, "ai": APPROACH_AI}.get(kind) \
         or f"External({external_name})"
 
-    ckpt = None
+    ckpt = checkpoint
     if kind == "ai":
         if checkpoint is None:
             raise EvalError("the Ai approach requires a model checkpoint")
@@ -430,15 +392,6 @@ def run_evaluation(
             from relicforge.model import load
 
             ckpt = load(checkpoint)
-        else:
-            ckpt = checkpoint
-
-    def translator_for(fold_ckpt=None):
-        if kind == "rules":
-            return _rules_translator()
-        if kind == "ai":
-            return _ai_translator(fold_ckpt if fold_ckpt is not None else ckpt)
-        return _external_translator(root)
 
     test = [r for r in manifest.records if r.split is TEST]
     if kind == "external":
@@ -449,20 +402,18 @@ def run_evaluation(
         raise EvalError("Test split is empty")
 
     pairs: list[dict] = []
-    summary, rows = _score_records(test, translator_for(), root, seed, label, config, pairs)
+    summary, rows = _score_records(test, kind, ckpt, root, seed, label, config, pairs)
     if per_fold:
-        summary.per_fold = _fold_summaries(
-            manifest, kind, root, seed, ckpt, label, translator_for, config
-        )
+        summary.per_fold = _fold_summaries(manifest, kind, ckpt, root, seed, label, config)
     return summary, rows, pairs
 
 
-def _fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for,
-                    config: CorpusConfig):
+def _fold_summaries(manifest, kind, ckpt, root, seed, label, config: CorpusConfig):
     """Cross-validation view over the Train split's round-robin folds. The
-    Ai approach retrains per fold on the other folds with the checkpoint's
-    own config, featurizing each Train record once for all folds; the other
-    approaches just score each fold."""
+    Ai approach scores each fold with a checkpoint retrained on the other
+    folds with `ckpt`'s config, featurizing each Train record once for all
+    folds; `external` scores each fold's records that have a sidecar, and
+    `rules` each fold as it is."""
     train = [r for r in manifest.records if r.split is TRAIN]
     folds = sorted({r.fold for r in train if r.fold is not None})
     if kind == "ai":
@@ -474,49 +425,22 @@ def _fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for,
             records = [r for r in records if r.oracle_java]
         if not records:
             continue
-        translate = translator_for()
+        fold_ckpt = ckpt
         if kind == "ai":
             from relicforge.model import train as train_model
 
             dataset = [sample for f, sample in featurized
                        if f != fold and sample is not None]
-            translate = translator_for(train_model(dataset, ckpt.config))
-        sub, _ = _score_records(records, translate, root, seed, label, config)
+            fold_ckpt = train_model(dataset, ckpt.config)
+        sub, _ = _score_records(records, kind, fold_ckpt, root, seed, label, config)
         subs.append(sub)
     return subs
 
 
-def evaluate_corpus(
-    manifest,
-    approach: str,
-    checkpoint=None,
-    seed: int = DEFAULT_SEED,
-    **kwargs,
-) -> EvalSummary:
-    summary, _rows, _pairs = run_evaluation(manifest, approach, checkpoint, seed, **kwargs)
-    return summary
-
-
-# -- serialization helpers: EvalSummary as JSON, rows and pairs as JSONL -------
+# -- serialization --------------------------------------------------------------
 
 
 def write_eval_json(summary: EvalSummary, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(summary.to_json(), indent=2) + "\n", encoding="utf-8")
-
-
-def write_file_scores(rows: list[FileScore], path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_json(), separators=(",", ":")) + "\n")
-
-
-def write_pairs(pairs: list[dict], path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair, separators=(",", ":")) + "\n")

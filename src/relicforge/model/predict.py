@@ -1,7 +1,7 @@
 """Checkpoint-driven action suggestions for one program.
 
 Every statement gets the model's argmax action when its softmax
-confidence clears the threshold, and the rule default otherwise. A
+confidence reaches `DEFAULT_TAU`, and the rule default otherwise. A
 method-split prediction also needs a concrete split point: the offset
 head's fraction is scaled to the node range and snapped to the nearest
 top-level statement of the same paragraph, which is the only place the
@@ -34,13 +34,8 @@ def _top_level_refs(ast: n.CobolAst) -> dict[int, list[int]]:
     return out
 
 
-def predict(
-    ast: n.CobolAst, ckpt: ModelCheckpoint, tau: float = DEFAULT_TAU
-) -> list[tuple[int, Action, float]]:
-    """(stmt_ref, action, confidence) per statement, in pre-order.
-
-    tau >= 1.0 suppresses every prediction, leaving pure rule defaults.
-    """
+def predict(ast: n.CobolAst, ckpt: ModelCheckpoint) -> list[tuple[int, Action, float]]:
+    """(stmt_ref, action, confidence) per statement, in pre-order."""
     feats = step_features(ast)
     fp = forward(feats, ckpt)
     probs = softmax(fp.logits)
@@ -52,7 +47,7 @@ def predict(
         row = probs[ref]
         cls = int(np.argmax(row))
         confidence = float(row[cls])
-        if tau >= 1.0 or confidence < tau:
+        if confidence < DEFAULT_TAU:
             out.append((ref, fallback, confidence))
             continue
         kind = CLASS_ORDER[cls]

@@ -52,14 +52,6 @@ class Fallback:
     used: str
     reason: str
 
-    def to_json(self) -> dict:
-        return {
-            "stmt_ref": self.stmt_ref,
-            "requested": self.requested,
-            "used": self.used,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class TranspileResult:
@@ -335,7 +327,8 @@ class _Translator:
     # -- method assembly -----------------------------------------------------
 
     def _apply_extracts(self) -> None:
-        """At most one method split per paragraph; extras fall back."""
+        """At most one accepted method split per paragraph; a request that
+        cannot split, or comes after the accepted one, falls back."""
         split_by_para: dict[int, tuple[int, Action]] = {}
         for pi, para in enumerate(self.ast.paragraphs):
             top_refs = {self.refs[id(s)] for s in para.body}
@@ -344,14 +337,14 @@ class _Translator:
                 for ref, act in self.actions.items()
                 if act.kind is EXTRACT_METHOD and ref in top_refs
             )
-            for pos, (ref, act) in enumerate(requests):
+            for ref, act in requests:
                 reason = None
                 node = self.by_ref.get(act.node_index)
                 if node is None:
                     reason = f"split index {act.node_index} out of bounds"
                 elif self.refs[id(node)] not in top_refs:
                     reason = f"split index {act.node_index} not a top-level statement here"
-                elif pos > 0:
+                elif pi in split_by_para:
                     reason = "paragraph already split"
                 if reason is not None:
                     self.result.fallbacks.append(

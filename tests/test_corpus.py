@@ -48,6 +48,22 @@ def test_ingest_path_order_and_hashes(tmp_path):
     assert all(r.status is None for r in manifest.records)
 
 
+def test_curate_hashes_the_text_it_judges(tmp_path):
+    first = pretty_print(random_program(random.Random(1)))
+    (tmp_path / "a.cbl").write_text(first, encoding="utf-8")
+    (tmp_path / "b.cbl").write_text(first, encoding="utf-8")
+    manifest = ingest(tmp_path)
+    changed = pretty_print(random_program(random.Random(2)))
+    (tmp_path / "b.cbl").write_text(changed, encoding="utf-8")
+    curate(manifest, tmp_path)
+    b = manifest.by_id()["b.cbl"]
+    assert b.status is Status.KEPT and b.duplicate_of is None
+    assert b.md5 == ingest(tmp_path).by_id()["b.cbl"].md5
+    assert b.lines == changed.count("\n") + 1
+    ast, verdict = load_ast(tmp_path, b)
+    assert ast is not None and verdict is Verdict.CLEAN
+
+
 def test_ingest_skips_other_extensions(tmp_path):
     (tmp_path / "a.cbl").write_text("DISPLAY 1.\n")
     (tmp_path / "a.java").write_text("class A {}\n")

@@ -21,19 +21,17 @@ from relicforge.corpus import (
     load_ast,
 )
 from relicforge.corpus import split as split_corpus
-from relicforge.datagen import acceptance_corpus, random_program
+from relicforge.datagen import acceptance_corpus, random_program, sample_program
 from relicforge.errors import EvalError, FormatError
 from relicforge.evaluate import (
     INPUT_LENGTH,
     INPUT_VECTORS,
     MAX_STEPS,
     EvalSummary,
-    FileScore,
     OutcomeKind,
     Trace,
     build_training_set,
     drop_pct,
-    evaluate_corpus,
     has_goto,
     input_battery,
     interpret_cobol,
@@ -44,8 +42,6 @@ from relicforge.evaluate import (
     score_file,
     traces_match,
     write_eval_json,
-    write_file_scores,
-    write_pairs,
 )
 from relicforge.evaluate import scoring
 from relicforge.evaluate.values import (
@@ -690,13 +686,12 @@ def test_eval_summary_json_round_trip():
         "mean_cp_before", "mean_cp_after", "cp_drop_pct",
         "fallback_count", "per_fold",
     ]
-
-
-def test_file_score_key_order():
-    row = FileScore("f1", True, "", 3, 2, 1, 1)
-    assert list(row.to_json().keys()) == [
-        "id", "correct", "reason", "cx_before", "cx_after", "cp_before", "cp_after",
-    ]
+    assert data["per_fold"][0]["per_fold"] is None
+    fold.per_fold = []
+    assert fold.to_json()["per_fold"] is None
+    del data["fallback_count"]
+    with pytest.raises(KeyError, match="fallback_count"):
+        EvalSummary.from_json(data)
 
 
 # -- corpus evaluation --------------------------------------------------------
@@ -844,7 +839,7 @@ def test_fixed_format_corpus_is_scored_and_sampled_in_its_format(tmp_path):
     assert all(fold.mean_cx_before > 0 for fold in summary.per_fold)
     train = [r for r in manifest.records if r.split is Split.TRAIN]
     assert len(build_training_set(tmp_path, train, config)) == 4
-    assert evaluate_corpus(manifest, "rules", root=tmp_path, config=config).accuracy == 1.0
+    assert summary.accuracy == 1.0
 
 
 def test_unknown_approach_and_missing_checkpoint(tmp_path):
@@ -893,6 +888,27 @@ def test_external_translation_of_a_punctuated_callee_scores_correct(tmp_path, ca
     summary, rows, _ = run_evaluation(manifest, "external", root=tmp_path)
     assert summary.n >= 1
     assert summary.accuracy == 1.0, [r.reason for r in rows]
+
+
+def test_external_per_fold_view_scores_only_train_files_with_sidecars(tmp_path):
+    for k in range(12):
+        ast = sample_program(random.Random(k), f"SAMPLE{k}")
+        (tmp_path / f"s{k:02d}.cbl").write_text(pretty_print(ast), encoding="utf-8")
+        if k % 3:
+            jast = translate_rules(ast).jast
+            (tmp_path / f"s{k:02d}.java").write_text(emit_java(jast), encoding="utf-8")
+    manifest = curate(ingest(tmp_path), tmp_path)
+    split_corpus(manifest, seed=3)
+    train = [r for r in manifest.records if r.split is Split.TRAIN]
+    assert any(not r.oracle_java for r in train)
+
+    summary, _rows, _ = run_evaluation(manifest, "external", root=tmp_path, per_fold=True)
+    folds = sorted({r.fold for r in train if r.oracle_java})
+    want = [sum(1 for r in train if r.fold == f and r.oracle_java) for f in folds]
+    assert [sub.n for sub in summary.per_fold] == want
+    assert sum(want) == sum(1 for r in train if r.oracle_java)
+    assert all(sub.approach == "External(manual)" for sub in summary.per_fold)
+    assert all(sub.accuracy == 1.0 for sub in summary.per_fold)
 
 
 def test_external_evaluation_requires_sidecars(tmp_path):
@@ -1154,13 +1170,6 @@ def test_malformed_labels_leave_their_file_out_of_the_training_set(tmp_path, bod
     assert len(build_training_set(tmp_path, train)) == len(train) - 1
 
 
-def test_evaluate_corpus_returns_the_summary_alone(tmp_path):
-    _build_corpus(tmp_path)
-    summary = evaluate_corpus(tmp_path / MANIFEST_NAME, "rules")
-    assert isinstance(summary, EvalSummary)
-    assert summary.n == 2
-
-
 def test_summary_and_row_writers(tmp_path):
     fold = EvalSummary("Rules", 3, 1.0, 4.0, 3.0, 25.0, 2.0, 1.0, 50.0, 0)
     summary = EvalSummary("Rules", 10, 0.9, 18.0, 11.7, 35.0, 8.0, 5.4, 32.5, 2, [fold])
@@ -1169,17 +1178,6 @@ def test_summary_and_row_writers(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert EvalSummary.from_json(json.loads(text)) == summary
-
-    rows = [FileScore("f1", True, "", 3, 2, 1, 1), FileScore("f2", False, "x", 4, None, 2, None)]
-    rows_path = tmp_path / "rows.jsonl"
-    write_file_scores(rows, rows_path)
-    lines = rows_path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    assert json.loads(lines[0]) == rows[0].to_json()
-
-    pairs_path = tmp_path / "pairs.jsonl"
-    write_pairs([{"id": "f1", "cx_before": 3}], pairs_path)
-    assert json.loads(pairs_path.read_text(encoding="utf-8")) == {"id": "f1", "cx_before": 3}
 
 
 # -- differential property ----------------------------------------------------

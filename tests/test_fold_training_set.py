@@ -20,7 +20,7 @@ from relicforge.model import ModelConfig, train
 # --- the reference: one training set per fold ---------------------------------
 
 
-def ref_fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for, config):
+def ref_fold_summaries(manifest, kind, ckpt, root, seed, label, config):
     """Cross-validation view over the Train split's round-robin folds. The
     Ai approach retrains per fold on the other folds with the checkpoint's
     own config; the other approaches just score each fold."""
@@ -33,14 +33,14 @@ def ref_fold_summaries(manifest, kind, root, seed, ckpt, label, translator_for, 
             records = [r for r in records if r.oracle_java]
         if not records:
             continue
-        translate = translator_for()
+        fold_ckpt = ckpt
         if kind == "ai":
             from relicforge.model import train as train_model
 
             rest = [r for r in train_records if r.fold != fold]
             dataset = build_training_set(root, rest, config)
-            translate = translator_for(train_model(dataset, ckpt.config))
-        sub, _ = _score_records(records, translate, root, seed, label, config)
+            fold_ckpt = train_model(dataset, ckpt.config)
+        sub, _ = _score_records(records, kind, fold_ckpt, root, seed, label, config)
         subs.append(sub)
     return subs
 
@@ -65,12 +65,8 @@ def corpus(tmp_path):
 def test_ai_fold_summaries_match_one_training_set_per_fold(corpus):
     root, manifest, ckpt = corpus
     summary, _rows, _pairs = run_evaluation(manifest, "ai", ckpt, root=root, per_fold=True)
-
-    def translator_for(fold_ckpt=None):
-        return scoring._ai_translator(fold_ckpt if fold_ckpt is not None else ckpt)
-
-    want = ref_fold_summaries(manifest, "ai", root, scoring.DEFAULT_SEED, ckpt,
-                              scoring.APPROACH_AI, translator_for, scoring.CorpusConfig())
+    want = ref_fold_summaries(manifest, "ai", ckpt, root, scoring.DEFAULT_SEED,
+                              scoring.APPROACH_AI, scoring.CorpusConfig())
     assert len(want) == 5
     assert [s.to_json() for s in summary.per_fold] == [s.to_json() for s in want]
 

@@ -878,20 +878,10 @@ def test_save_refuses_invalid_checkpoints(tmp_path):
 # ---------------------------------------------------------------- predict
 
 
-def test_tau_at_one_keeps_pure_rule_defaults():
-    ast = parse(LOOP_SOURCE)
-    ckpt = init_checkpoint(small_config())
-    predictions = predict(ast, ckpt, tau=1.0)
-    defaults = default_actions(ast)
-    assert [(ref, act.kind, act.node_index) for ref, act, _ in predictions] == [
-        (ref, act.kind, act.node_index) for ref, act in defaults
-    ]
-
-
 def test_untrained_model_falls_back_on_low_confidence():
     ast = parse(LOOP_SOURCE)
     ckpt = init_checkpoint(small_config())
-    predictions = predict(ast, ckpt, tau=0.5)
+    predictions = predict(ast, ckpt)
     defaults = dict(default_actions(ast))
     for ref, action, confidence in predictions:
         assert confidence < 0.2  # near-uniform rows sit around 1/12
@@ -908,7 +898,7 @@ def test_overfit_model_recalls_oracle_labels():
     ckpt = train([sample_from_ast(ast, labels)], config)
     assert ckpt.history[-1]["accuracy"] >= 0.99
 
-    by_ref = {ref: (action, conf) for ref, action, conf in predict(ast, ckpt, tau=0.6)}
+    by_ref = {ref: (action, conf) for ref, action, conf in predict(ast, ckpt)}
     assert by_ref[5][0].kind is ActionKind.LOOP_TO_WHILE
     assert by_ref[5][1] > 0.6
     # The model votes for a split at ref 6 but a nested statement cannot
@@ -924,7 +914,7 @@ def test_split_predictions_snap_to_a_real_statement():
     config = small_config(epochs=300, batch=1, seed=11)
     ckpt = train([sample_from_ast(ast, {4: Action(ActionKind.EXTRACT_METHOD, 9)})], config)
 
-    by_ref = {ref: (action, conf) for ref, action, conf in predict(ast, ckpt, tau=0.6)}
+    by_ref = {ref: (action, conf) for ref, action, conf in predict(ast, ckpt)}
     action, confidence = by_ref[4]
     assert action.kind is ActionKind.EXTRACT_METHOD
     assert confidence > 0.6

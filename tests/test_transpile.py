@@ -491,6 +491,18 @@ def test_extract_method_second_split_falls_back():
     assert "already split" in result.fallbacks[0].reason
 
 
+def test_rejected_split_leaves_the_paragraph_its_split():
+    ast = program("MOVE 1 TO A. MOVE 2 TO A. MOVE 3 TO A. STOP RUN.")
+    first, second, third = refs_of(ast, n.NodeKind.MOVE)
+    split = Action(ActionKind.EXTRACT_METHOD, third)
+    result = translate_with_fallbacks(
+        ast, {first: Action(ActionKind.EXTRACT_METHOD, 999), second: split})
+    assert [(f.stmt_ref, f.reason) for f in result.fallbacks] == [
+        (first, "split index 999 out of bounds")]
+    assert result.actions_used[second] == split
+    assert len(result.jast.methods) == 2
+
+
 def test_extract_preserves_emitted_statement_text():
     ast = _fifty_node_program()
     split = emit_java(
