@@ -1,16 +1,18 @@
 """Corpus pipeline: ingest, repair, parse, dedup, trivial filter, split.
 
-Ingest lists the tree once and finds each file's sidecars in that
-listing; ingest, curate and `load_ast` read a file with one plain `open`
+Ingest lists the tree once, finds each file's sidecars in that listing
+and reads no file. Curate reads every source during intake, and
+`load_ast` reads it again downstream; both read with one plain `open`
 through `read_normalized`.
 
 Pipeline order is fixed: repair (whose clean parse is the file's tree) ->
 dedup -> filter_trivial -> metrics labeling. Statuses are recomputed from the files on disk on every
 curate call, so curate is idempotent on its own output. Repair and
-metrics run once per distinct normalized text: files with the same text
-share that one result, and dedup then marks every copy after the first.
-The per-text work can fan out over a process pool; results are merged in
-record order so worker count never changes the output.
+metrics run once per distinct normalized text, and that one grouping by
+text is also the dedup: the first path of a text keeps the result and
+every later copy is marked Duplicate of it. The per-text work can fan
+out over a process pool; results are merged in path order so worker
+count never changes the output.
 """
 
 from __future__ import annotations
@@ -110,12 +112,12 @@ def _suffix(rel: str) -> str:
 
 
 def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusManifest:
-    """Scan root for source files; one record per file, path order, no statuses.
+    """List root's source files; one record per file, path order, no statuses.
 
     The tree is listed once with `os.scandir` (see `_list_files`), and a
     file is a source when its suffix, lowercased, is one of
-    `config.extensions`. Unreadable or undecodable files are recorded as
-    Rejected instead of aborting the scan. Oracle sidecars
+    `config.extensions`. No file is read: each record has no md5, zero
+    lines and no status until `curate` reads it. Oracle sidecars
     (<stem>.java, <stem>.labels.json beside the source) are attached when
     the listing holds them, so finding one costs no stat call.
     """
@@ -127,20 +129,6 @@ def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusMan
         if suffix.lower() not in config.extensions:
             continue
         record = Record(id=rel, relative_path=rel, md5="", lines=0)
-        try:
-            text = read_normalized(root, record)
-        except UnicodeDecodeError:
-            record.status = REJECTED
-            record.reason = "not valid UTF-8"
-            records.append(record)
-            continue
-        except OSError as exc:
-            record.status = REJECTED
-            record.reason = f"unreadable: {exc.__class__.__name__}"
-            records.append(record)
-            continue
-        record.md5 = _md5(text)
-        record.lines = text.count("\n") + 1
         stem = rel[: len(rel) - len(suffix)]
         if stem + ".java" in files:
             record.oracle_java = stem + ".java"
@@ -153,8 +141,8 @@ def ingest(root: Path | str, config: CorpusConfig = CorpusConfig()) -> CorpusMan
 def read_normalized(root: Path | str, record: Record) -> str:
     """The record's file under root, decoded as UTF-8 and `normalize_text`ed.
 
-    Raises OSError or UnicodeDecodeError; ingest, curate and `load_ast`
-    all read through here.
+    Raises OSError or UnicodeDecodeError; curate and `load_ast` both read
+    through here.
     """
     with open(os.path.join(root, record.relative_path), "rb") as f:
         raw = f.read()
@@ -197,22 +185,6 @@ def _curate_one(args: tuple[str, str, SourceFormat]) -> _FileResult:
     return _FileResult(log.verdict, None if log.ast is None else measure(log.ast))
 
 
-def dedup(manifest: CorpusManifest) -> CorpusManifest:
-    """First (lexicographic) path per md5 class stays; the rest point at it."""
-    survivors: dict[str, Record] = {}
-    for record in sorted(manifest.records, key=lambda r: r.relative_path):
-        if record.status is REJECTED or not record.md5:
-            continue
-        keeper = survivors.get(record.md5)
-        if keeper is None:
-            survivors[record.md5] = record
-        else:
-            record.status = DUPLICATE
-            record.duplicate_of = keeper.id
-            record.metrics = None
-    return manifest
-
-
 def filter_trivial(manifest: CorpusManifest, min_statements: int = 3) -> CorpusManifest:
     """Demote parsed records that are too small or pure Display noise."""
     for record in manifest.records:
@@ -234,17 +206,19 @@ def curate(
 ) -> CorpusManifest:
     """Assign every record a terminal status and attach metrics.
 
-    Each file is read again, and a record that reads takes its md5 and
-    line count from that text, so dedup and `load_ast` see the text curate
-    judged. Returns the manifest; read summary counts via manifest.counts().
+    Every record's file is read once, and a record takes its md5 and line
+    count from that text, so `load_ast` sees the text curate judged. A
+    file that is not UTF-8 is Rejected as "not valid UTF-8", one that
+    cannot be read as "unreadable: <exception name>", and neither keeps an
+    md5 or a line count. Readable records are grouped by text: in path
+    order the first record of a text keeps its result and every later one
+    becomes a Duplicate of it. Returns the manifest; read summary counts
+    via manifest.counts().
     """
-    candidates: list[Record] = []
-    slots: list[int] = []  # per candidate, the task that curates its text
+    pending: list[tuple[Record, int]] = []  # readable records, each with its text's task
     tasks: list[tuple[str, str, SourceFormat]] = []
     task_of_text: dict[str, int] = {}
     for record in manifest.records:
-        if record.status is REJECTED and not record.md5:
-            continue  # unreadable at ingest; terminal
         record.status = None
         record.duplicate_of = None
         record.reason = None
@@ -253,15 +227,17 @@ def curate(
             text = read_normalized(root, record)
         except (OSError, UnicodeDecodeError) as exc:
             record.status = REJECTED
-            record.reason = f"unreadable: {exc.__class__.__name__}"
+            record.reason = ("not valid UTF-8" if isinstance(exc, UnicodeDecodeError)
+                             else f"unreadable: {exc.__class__.__name__}")
+            record.md5 = ""
+            record.lines = 0
             continue
         record.md5 = _md5(text)
         record.lines = text.count("\n") + 1
         if text not in task_of_text:
             task_of_text[text] = len(tasks)
             tasks.append((record.id, text, config.format))
-        candidates.append(record)
-        slots.append(task_of_text[text])
+        pending.append((record, task_of_text[text]))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -269,14 +245,18 @@ def curate(
     else:
         results = [_curate_one(task) for task in tasks]
 
-    for record, slot in zip(candidates, slots):
+    keepers: dict[int, Record] = {}  # per task, the first path with its text
+    for record, slot in sorted(pending, key=lambda pair: pair[0].relative_path):
         result = results[slot]
         record.status = _STATUS_OF_VERDICT[result.verdict]
         if record.status is REJECTED:
             record.reason = "unrepairable syntax"
-        record.metrics = result.metrics
+        elif keepers.setdefault(slot, record) is not record:
+            record.status = DUPLICATE
+            record.duplicate_of = keepers[slot].id
+        else:
+            record.metrics = result.metrics
 
-    dedup(manifest)
     filter_trivial(manifest, config.min_statements)
     return manifest
 

@@ -81,7 +81,12 @@ class Action:
 
     @classmethod
     def from_json(cls, data: dict) -> "Action":
-        return cls(ActionKind(data["action"]), data.get("node_index"))
+        """Raises ValueError for an unknown action and TypeError for a
+        `node_index` that is neither absent, null nor an int (a bool is not)."""
+        node_index = data.get("node_index")
+        if node_index is not None and type(node_index) is not int:
+            raise TypeError(f"node_index is a {type(node_index).__name__}, not an int")
+        return cls(ActionKind(data["action"]), node_index)
 
 
 _LOOP_ACTIONS = frozenset(

@@ -1,10 +1,11 @@
 """Corpus pipeline tests: ingest, curate, dedup, trivial filter, split."""
 
+import hashlib
 import importlib
 import json
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,10 +23,10 @@ from relicforge.corpus import (
     normalize_text,
     split,
 )
-from relicforge.corpus.pipeline import _curate_one, dedup, filter_trivial, read_normalized
 from relicforge.datagen import random_program
 from relicforge.errors import FormatError, SplitError
 from relicforge.evaluate import run_evaluation
+from tests.test_ingest_listing import assert_reference_intake
 
 
 def build(root: Path, jobs: int = 1) -> CorpusManifest:
@@ -44,8 +45,10 @@ def test_ingest_path_order_and_hashes(tmp_path):
     (sub / "c.cob").write_text("DISPLAY 'C'.\n")
     manifest = ingest(tmp_path)
     assert [r.id for r in manifest.records] == ["a.cbl", "b.cbl", "sub/c.cob"]
-    assert all(len(r.md5) == 32 for r in manifest.records)
     assert all(r.status is None for r in manifest.records)
+    curate(manifest, tmp_path)
+    assert [r.id for r in manifest.records] == ["a.cbl", "b.cbl", "sub/c.cob"]
+    assert all(len(r.md5) == 32 for r in manifest.records)
 
 
 def test_curate_hashes_the_text_it_judges(tmp_path):
@@ -58,7 +61,7 @@ def test_curate_hashes_the_text_it_judges(tmp_path):
     curate(manifest, tmp_path)
     b = manifest.by_id()["b.cbl"]
     assert b.status is Status.KEPT and b.duplicate_of is None
-    assert b.md5 == ingest(tmp_path).by_id()["b.cbl"].md5
+    assert b.md5 == hashlib.md5(normalize_text(changed).encode("utf-8")).hexdigest()
     assert b.lines == changed.count("\n") + 1
     ast, verdict = load_ast(tmp_path, b)
     assert ast is not None and verdict is Verdict.CLEAN
@@ -78,8 +81,9 @@ def test_ingest_undecodable_file_rejected_without_abort(tmp_path):
     for i in range(4):
         (tmp_path / f"ok{i}.cbl").write_text(f"DISPLAY {i}.\n")
     (tmp_path / "junk.cbl").write_bytes(b"\xff\xfe\x00bad")
-    manifest = ingest(tmp_path)
+    manifest = build(tmp_path)
     assert len(manifest.records) == 5
+    assert all(r.status is not None for r in manifest.records)
     bad = manifest.by_id()["junk.cbl"]
     assert bad.status is Status.REJECTED
     assert bad.reason == "not valid UTF-8"
@@ -116,8 +120,9 @@ def test_duplicates_point_at_first_path(fixture_corpus):
 
 def test_crlf_variant_hashes_equal(fixture_corpus):
     root, _ = fixture_corpus
-    manifest = ingest(root)
+    manifest = build(root)
     by_id = manifest.by_id()
+    assert len(by_id["clean02.cbl"].md5) == 32
     assert by_id["zdup2.cbl"].md5 == by_id["clean02.cbl"].md5
 
 
@@ -388,58 +393,7 @@ def test_curate_and_load_ast_parse_each_clean_file_once(tmp_path, monkeypatch):
     assert len(calls) == 6
 
 
-# --- one repair per distinct text ---------------------------------------------
-
-# The reference: curate as it was before it shared one result between
-# files of the same text, renamed `ref_curate`; `_curate_one` runs once per
-# readable record there.
-def ref_curate(
-    manifest: CorpusManifest,
-    root: Path | str,
-    config: CorpusConfig = CorpusConfig(),
-    jobs: int = 1,
-) -> CorpusManifest:
-    """Assign every record a terminal status and attach metrics.
-
-    Returns the manifest; read summary counts via manifest.counts().
-    """
-    candidates: list[Record] = []
-    tasks: list[tuple[str, str, SourceFormat]] = []
-    for record in manifest.records:
-        if record.status is Status.REJECTED and not record.md5:
-            continue  # unreadable at ingest; terminal
-        record.status = None
-        record.duplicate_of = None
-        record.reason = None
-        record.metrics = None
-        try:
-            text = read_normalized(root, record)
-        except (OSError, UnicodeDecodeError) as exc:
-            record.status = Status.REJECTED
-            record.reason = f"unreadable: {exc.__class__.__name__}"
-            continue
-        candidates.append(record)
-        tasks.append((record.id, text, config.format))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_curate_one, tasks, chunksize=16))
-    else:
-        results = [_curate_one(task) for task in tasks]
-
-    for record, result in zip(candidates, results):
-        if result.verdict is Verdict.REJECTED:
-            record.status = Status.REJECTED
-            record.reason = "unrepairable syntax"
-        elif result.verdict is Verdict.REPAIRED:
-            record.status = Status.REPAIRED
-        else:
-            record.status = Status.KEPT
-        record.metrics = result.metrics
-
-    dedup(manifest)
-    filter_trivial(manifest, config.min_statements)
-    return manifest
+# --- one read and one repair per distinct text -------------------------------
 
 
 def add_copies(root: Path) -> None:
@@ -449,11 +403,6 @@ def add_copies(root: Path) -> None:
     (root / "zdup5.cbl").write_bytes((root / "bad2.cbl").read_bytes())
     (root / "zdup6.cbl").write_bytes((root / "fix1.cbl").read_bytes().replace(b"\n", b"\r\n"))
     (root / "zdup7.cbl").write_bytes((root / "triv1.cbl").read_bytes())
-
-
-def manifest_bytes(manifest: CorpusManifest, path: Path) -> bytes:
-    manifest.write_jsonl(path)
-    return path.read_bytes()
 
 
 def test_curate_repairs_each_distinct_text_once(fixture_corpus, monkeypatch):
@@ -475,10 +424,55 @@ def test_curate_repairs_each_distinct_text_once(fixture_corpus, monkeypatch):
     assert by_id["triv1.cbl"].status is Status.TRIVIAL
 
 
-def test_shared_results_match_one_repair_per_file(fixture_corpus, tmp_path_factory):
+def test_curate_writes_the_reference_intake_manifest(fixture_corpus, tmp_path_factory):
     root, _ = fixture_corpus
     add_copies(root)
-    out = tmp_path_factory.mktemp("out")
-    want = manifest_bytes(ref_curate(ingest(root), root), out / "ref.jsonl")
-    assert manifest_bytes(build(root), out / "one.jsonl") == want
-    assert manifest_bytes(build(root, jobs=2), out / "two.jsonl") == want
+    for jobs in (1, 2):
+        assert_reference_intake(root, tmp_path_factory.mktemp("out"), jobs=jobs)
+
+
+def test_intake_reads_each_source_once(fixture_corpus, monkeypatch):
+    root, _ = fixture_corpus
+    add_copies(root)
+    pipeline = importlib.import_module("relicforge.corpus.pipeline")
+    reads = Counter()
+    real = pipeline.read_normalized
+    monkeypatch.setattr(
+        pipeline, "read_normalized",
+        lambda root, record: reads.update([record.id]) or real(root, record),
+    )
+    manifest = build(root)
+    assert sorted(reads) == sorted(manifest.by_id()) and len(reads) == 23
+    assert set(reads.values()) == {1}
+
+
+def test_file_fixed_between_ingest_and_curate_is_judged(tmp_path):
+    text = pretty_print(random_program(random.Random(1)))
+    (tmp_path / "a.cbl").write_bytes(b"\xff\xfe" + text.encode("utf-8"))
+    (tmp_path / "a.java").write_text("class A {}\n")
+    manifest = ingest(tmp_path)
+    (tmp_path / "a.cbl").write_text(text, encoding="utf-8")
+    a = curate(manifest, tmp_path).by_id()["a.cbl"]
+    assert (a.status, a.reason, a.oracle_java) == (Status.KEPT, None, "a.java")
+    assert a.lines == text.count("\n") + 1 and a.metrics is not None
+
+
+def test_file_turned_undecodable_after_ingest_is_not_utf8(tmp_path):
+    text = pretty_print(random_program(random.Random(1)))
+    (tmp_path / "a.cbl").write_text(text, encoding="utf-8")
+    manifest = ingest(tmp_path)
+    (tmp_path / "a.cbl").write_bytes(b"\xff\xfe" + text.encode("utf-8"))
+    a = curate(manifest, tmp_path).by_id()["a.cbl"]
+    assert (a.status, a.reason, a.md5, a.lines) == (Status.REJECTED, "not valid UTF-8", "", 0)
+
+
+def test_file_deleted_after_ingest_is_unreadable(tmp_path):
+    for name in ("a.cbl", "b.cbl"):
+        (tmp_path / name).write_text(pretty_print(random_program(random.Random(1))))
+    manifest = ingest(tmp_path)
+    (tmp_path / "a.cbl").unlink()
+    by_id = curate(manifest, tmp_path).by_id()
+    a, b = by_id["a.cbl"], by_id["b.cbl"]
+    assert (a.status, a.reason, a.md5, a.lines) == (
+        Status.REJECTED, "unreadable: FileNotFoundError", "", 0)
+    assert (b.status, b.duplicate_of) == (Status.KEPT, None)

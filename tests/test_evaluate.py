@@ -1122,10 +1122,23 @@ def test_measure_runs_only_for_records_without_metrics(tmp_path, monkeypatch):
 
 # -- malformed labels sidecars ---------------------------------------------------
 
+def _split_labels(node_index) -> str:
+    """An ExtractMethodAt label on every ref a corpus file could have, so
+    that some label lands on a statement training weighs."""
+    return json.dumps({"labels": [
+        {"stmt_ref": ref, "action": "ExtractMethodAt", "node_index": node_index}
+        for ref in range(64)
+    ]})
+
+
 BAD_LABEL_BODIES = {
     "not-json": "{not json",
     "no-labels-key": '{"x": 1}',
     "unknown-action": '{"labels": [{"stmt_ref": 1, "action": "Teleport"}]}',
+    # A split point that is not an int once crashed featurization with a
+    # TypeError, and a bool one was read as 0 or 1.
+    "string-node-index": _split_labels("7"),
+    "bool-node-index": _split_labels(True),
 }
 
 
