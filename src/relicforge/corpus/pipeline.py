@@ -5,8 +5,9 @@ and reads no file. Curate reads every source during intake, and
 `load_ast` reads it again downstream; both read with one plain `open`
 through `read_normalized`.
 
-Pipeline order is fixed: repair (whose clean parse is the file's tree) ->
-dedup -> filter_trivial -> metrics labeling. Statuses are recomputed from the files on disk on every
+Pipeline order is fixed: repair (whose clean parse is the file's tree)
+and metrics -> dedup, whose merge loop attaches the metrics ->
+filter_trivial. Statuses are recomputed from the files on disk on every
 curate call, so curate is idempotent on its own output. Repair and
 metrics run once per distinct normalized text, and that one grouping by
 text is also the dedup: the first path of a text keeps the result and

@@ -84,10 +84,17 @@ def has_goto(ast: n.CobolAst) -> bool:
 
 def load_oracle_labels(path: Path | str) -> dict[int, Action]:
     """Oracle actions by statement ref from a `<stem>.labels.json` sidecar.
-    Raises FormatError naming the file when it is unreadable or malformed."""
+    Raises FormatError naming the file when it is unreadable or malformed,
+    and when a `stmt_ref` is not an int (a bool is not)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return {int(item["stmt_ref"]): Action.from_json(item) for item in data["labels"]}
+        labels = {}
+        for item in data["labels"]:
+            ref = item["stmt_ref"]
+            if type(ref) is not int:
+                raise TypeError(f"stmt_ref is a {type(ref).__name__}, not an int")
+            labels[ref] = Action.from_json(item)
+        return labels
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise FormatError(
             f"{path}: unreadable oracle labels ({exc.__class__.__name__}: {exc})"

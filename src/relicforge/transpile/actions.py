@@ -1,11 +1,14 @@
 """Per-statement translation actions and their applicability rules.
 
 An action tells the rule engine how to render one COBOL statement in Java.
-Every statement kind has a fixed default; a model (or an oracle label file)
-may override defaults with any *applicable* alternative. PassThrough means
-"no choice to make": the engine's fixed structural mapping applies, which
-for GO TO is omission (scoring judges a file with a GO TO on behavior
-alone).
+`_ACTIONS` maps each statement kind to the action kinds it admits, its
+fixed default first; a model (or an oracle label file) may override the
+default with any other kind in that row, and IfChainToSwitch also needs
+an If whose ladder has a `chain_shape`. ExtractMethodAt is in no row: any
+statement may carry it, with a split point the engine checks against the
+paragraph. PassThrough means "no choice to make": the engine's fixed
+structural mapping applies, which for GO TO is omission (scoring judges a
+file with a GO TO on behavior alone).
 """
 
 from __future__ import annotations
@@ -89,30 +92,26 @@ class Action:
         return cls(ActionKind(data["action"]), node_index)
 
 
-_LOOP_ACTIONS = frozenset(
-    {ActionKind.LOOP_TO_FOR, ActionKind.LOOP_TO_WHILE, ActionKind.LOOP_TO_DO_WHILE}
-)
-
-_DEFAULTS = {
-    n.NodeKind.MOVE: ActionKind.MOVE_TO_ASSIGN,
-    n.NodeKind.COMPUTE: ActionKind.COMPUTE_TO_EXPR,
-    n.NodeKind.ARITH: ActionKind.COMPUTE_TO_EXPR,
-    n.NodeKind.IF: ActionKind.IF_TO_IF,
-    n.NodeKind.EVALUATE: ActionKind.EVALUATE_TO_SWITCH,
-    n.NodeKind.PERFORM_PARA: ActionKind.CALL_TO_METHOD_CALL,
-    n.NodeKind.PERFORM_TIMES: ActionKind.LOOP_TO_FOR,
-    n.NodeKind.PERFORM_UNTIL: ActionKind.LOOP_TO_WHILE,
-    n.NodeKind.PERFORM_VARYING: ActionKind.LOOP_TO_FOR,
-    n.NodeKind.DISPLAY: ActionKind.DISPLAY_TO_PRINT,
-    n.NodeKind.CALL: ActionKind.CALL_TO_METHOD_CALL,
-    n.NodeKind.ACCEPT: ActionKind.PASS_THROUGH,
-    n.NodeKind.GOTO: ActionKind.PASS_THROUGH,
-    n.NodeKind.STOP_RUN: ActionKind.PASS_THROUGH,
+_ACTIONS: dict[n.NodeKind, tuple[ActionKind, ...]] = {
+    n.MOVE: (MOVE_TO_ASSIGN,),
+    n.COMPUTE: (COMPUTE_TO_EXPR,),
+    n.ARITH: (COMPUTE_TO_EXPR,),
+    n.IF: (IF_TO_IF, IF_CHAIN_TO_SWITCH),
+    n.EVALUATE: (EVALUATE_TO_SWITCH,),
+    n.PERFORM_PARA: (CALL_TO_METHOD_CALL,),
+    n.PERFORM_TIMES: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
+    n.PERFORM_UNTIL: (LOOP_TO_WHILE, LOOP_TO_FOR, LOOP_TO_DO_WHILE),
+    n.PERFORM_VARYING: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
+    n.DISPLAY: (DISPLAY_TO_PRINT,),
+    n.CALL: (CALL_TO_METHOD_CALL,),
+    n.ACCEPT: (PASS_THROUGH,),
+    n.GOTO: (PASS_THROUGH,),
+    n.STOP_RUN: (PASS_THROUGH,),
 }
 
 
 def default_action(stmt: n.Stmt) -> Action:
-    return Action(_DEFAULTS[stmt.kind])
+    return Action(_ACTIONS[stmt.kind][0])
 
 
 def default_actions(ast: n.CobolAst) -> list[tuple[int, Action]]:
@@ -171,22 +170,7 @@ def applicable(stmt: n.Stmt, action: Action) -> bool:
         # Bounds and split-point checks need paragraph context; the engine
         # validates them. Any statement may carry the label.
         return action.node_index is not None
-    if kind is PASS_THROUGH:
-        return stmt.kind in (n.ACCEPT, n.GOTO, n.STOP_RUN)
-    if kind in _LOOP_ACTIONS:
-        return stmt.kind in n.LOOP_KINDS
-    if kind is IF_TO_IF:
-        return stmt.kind is n.IF
-    if kind is IF_CHAIN_TO_SWITCH:
-        return stmt.kind is n.IF and chain_shape(stmt) is not None
-    if kind is EVALUATE_TO_SWITCH:
-        return stmt.kind is n.EVALUATE
-    if kind is MOVE_TO_ASSIGN:
-        return stmt.kind is n.MOVE
-    if kind is COMPUTE_TO_EXPR:
-        return stmt.kind in (n.COMPUTE, n.ARITH)
-    if kind is CALL_TO_METHOD_CALL:
-        return stmt.kind in (n.CALL, n.PERFORM_PARA)
-    if kind is DISPLAY_TO_PRINT:
-        return stmt.kind is n.DISPLAY
-    return False
+    # Membership first: chain_shape reads `.cond`, which only an If has.
+    return kind in _ACTIONS.get(stmt.kind, ()) and (
+        kind is not IF_CHAIN_TO_SWITCH or chain_shape(stmt) is not None
+    )

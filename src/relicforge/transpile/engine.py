@@ -18,7 +18,6 @@ from relicforge.transpile import jnodes as j
 from relicforge.transpile.actions import (
     EXTRACT_METHOD,
     IF_CHAIN_TO_SWITCH,
-    LOOP_TO_DO_WHILE,
     LOOP_TO_FOR,
     LOOP_TO_WHILE,
     PASS_THROUGH,
@@ -148,12 +147,6 @@ class _Translator:
         ref = self.refs[id(stmt)]
         fallback = default_action(stmt)
         requested = self.actions.get(ref, fallback)
-        if requested.kind is EXTRACT_METHOD:
-            # The split itself was handled (or fell back) during method
-            # assembly and actions_used already records the outcome; the
-            # statement body renders by its default rule.
-            self.result.actions_used.setdefault(ref, fallback)
-            return fallback
         if requested.kind is not fallback.kind and not applicable(stmt, requested):
             reason = f"{requested.kind.value} not applicable to {stmt.kind.value}"
             self.result.fallbacks.append(
@@ -166,11 +159,12 @@ class _Translator:
     # -- expression translation ----------------------------------------------
 
     def _var(self, name: str) -> _Field:
-        # Unknown names map to a bare long field reference; both interpreters
-        # then fail the same way at runtime (undefined variable).
+        # An undeclared name gets a Java name of its own that no field or
+        # temp takes, so both interpreters fail the same way at runtime
+        # (undefined variable) instead of Java reading a field.
         got = self.vars.get(name)
         if got is None:
-            got = _Field("".join(ch if ch.isalnum() else "_" for ch in name.lower()), "long", 0)
+            got = self.vars[name] = _Field(_sanitize(name, self.taken), "long", 0)
         return got
 
     def expr(self, e: n.Expr) -> j.JExpr:
@@ -248,12 +242,21 @@ class _Translator:
                 body = [j.MethodCall(self.para_methods[stmt.target], [])]
             else:
                 body = self.stmts(stmt.body)
-            return self._counted_loop(action.kind, self.expr(stmt.count), body)
+            count = self.expr(stmt.count)
+            t = self._temp()
+            self.result.jast.fields.append(j.JField(t, "long", 0, 0))
+            return self._loop(action.kind, j.Assign(t, count),
+                              n.Comparison(">", n.VarRef(t), n.NumLit(0)),
+                              j.Assign(t, n.BinOp("-", n.VarRef(t), n.NumLit(1))), body)
         if kind is n.PERFORM_UNTIL:
-            return self._until_loop(action.kind, n.NotCond(self.cond(stmt.cond)),
-                                    self.stmts(stmt.body))
+            guard = n.NotCond(self.cond(stmt.cond))
+            return self._loop(action.kind, None, guard, None, self.stmts(stmt.body))
         if kind is n.PERFORM_VARYING:
-            return self._varying_loop(action, stmt)
+            var = self._var(stmt.var).jname
+            init = j.Assign(var, self.expr(stmt.from_))
+            guard = n.NotCond(self.cond(stmt.until))
+            step = j.Assign(var, n.BinOp("+", n.VarRef(var), self.expr(stmt.by)))
+            return self._loop(action.kind, init, guard, step, self.stmts(stmt.body))
         if kind is n.DISPLAY:
             return [j.Print([self.expr(a) for a in stmt.args])]
         if kind is n.ACCEPT:
@@ -268,35 +271,17 @@ class _Translator:
             return [j.Return()]
         raise TypeError(f"unknown statement {stmt!r}")
 
-    def _counted_loop(self, action: ActionKind, count: j.JExpr, body: list) -> list:
-        t = self._temp()
-        self.result.jast.fields.append(j.JField(t, "long", 0, 0))
-        guard = n.Comparison(">", n.VarRef(t), n.NumLit(0))
-        step = j.Assign(t, n.BinOp("-", n.VarRef(t), n.NumLit(1)))
-        if action is LOOP_TO_WHILE:
-            return [j.Assign(t, count), j.While(guard, body + [step])]
-        if action is LOOP_TO_DO_WHILE:
-            return [j.Assign(t, count), j.DoWhile(body + [step], guard)]
-        return [j.For(j.Assign(t, count), guard, step, body)]
-
-    def _until_loop(self, action: ActionKind, guard: n.Cond, body: list) -> list:
-        if action is LOOP_TO_WHILE:
-            return [j.While(guard, body)]
+    def _loop(self, action: ActionKind, init: j.Assign | None, guard: n.Cond,
+              step: j.Assign | None, body: list) -> list:
+        """A PERFORM loop in the shape its action names: `for (init; guard;
+        step)`, or the init before a while or do-while whose body ends with
+        the step."""
         if action is LOOP_TO_FOR:
-            return [j.For(None, guard, None, body)]
-        return [j.DoWhile(body, guard)]
-
-    def _varying_loop(self, action: Action, stmt: n.PerformVarying) -> list:
-        var = self._var(stmt.var).jname
-        init = j.Assign(var, self.expr(stmt.from_))
-        guard = n.NotCond(self.cond(stmt.until))
-        step = j.Assign(var, n.BinOp("+", n.VarRef(var), self.expr(stmt.by)))
-        body = self.stmts(stmt.body)
-        if action.kind is LOOP_TO_FOR:
             return [j.For(init, guard, step, body)]
-        if action.kind is LOOP_TO_WHILE:
-            return [init, j.While(guard, body + [step])]
-        return [init, j.DoWhile(body + [step], guard)]
+        if step is not None:
+            body = body + [step]
+        loop = j.While(guard, body) if action is LOOP_TO_WHILE else j.DoWhile(body, guard)
+        return [loop] if init is None else [init, loop]
 
     def _switch(self, subject: j.JExpr, arms: list, other: list[n.Stmt] | None) -> j.Switch:
         cases: list[j.SwitchCase] = []
@@ -326,74 +311,59 @@ class _Translator:
 
     # -- method assembly -----------------------------------------------------
 
-    def _apply_extracts(self) -> None:
-        """At most one accepted method split per paragraph; a request that
-        cannot split, or comes after the accepted one, falls back."""
-        split_by_para: dict[int, tuple[int, Action]] = {}
-        for pi, para in enumerate(self.ast.paragraphs):
-            top_refs = {self.refs[id(s)] for s in para.body}
-            requests = sorted(
-                (ref, act)
-                for ref, act in self.actions.items()
-                if act.kind is EXTRACT_METHOD and ref in top_refs
-            )
-            for ref, act in requests:
-                reason = None
-                node = self.by_ref.get(act.node_index)
-                if node is None:
-                    reason = f"split index {act.node_index} out of bounds"
-                elif self.refs[id(node)] not in top_refs:
-                    reason = f"split index {act.node_index} not a top-level statement here"
-                elif pi in split_by_para:
-                    reason = "paragraph already split"
-                if reason is not None:
-                    self.result.fallbacks.append(
-                        Fallback(ref, act.kind.value, default_action(
-                            self.by_ref[ref]).kind.value, reason)
-                    )
-                    self.result.actions_used[ref] = default_action(self.by_ref[ref])
-                    continue
-                split_by_para[pi] = (ref, act)
-                self.result.actions_used[ref] = act
-        self.splits = split_by_para
-
-    def _nested_extract_requests(self) -> None:
-        """Extract labels on nested (non top-level) statements fall back."""
-        top_refs = {
-            self.refs[id(s)] for para in self.ast.paragraphs for s in para.body
+    def _plan_splits(self) -> dict[int, tuple[int, int, Action]]:
+        """Decide every ExtractMethodAt request once, nested ones first and
+        then by ref. A paragraph takes at most one split, at one of its own
+        top-level statements, requested from a top-level statement of it;
+        every other request falls back. Each request leaves `self.actions`,
+        so its statement renders by its default rule. Returns paragraph
+        index -> (label ref, split position in the body, action)."""
+        top = {
+            self.refs[id(s)]: (pi, pos)
+            for pi, para in enumerate(self.ast.paragraphs)
+            for pos, s in enumerate(para.body)
         }
-        for ref, act in sorted(self.actions.items()):
-            if act.kind is EXTRACT_METHOD and ref not in top_refs:
+        requests = sorted(
+            (ref for ref, act in self.actions.items() if act.kind is EXTRACT_METHOD),
+            key=lambda ref: (ref in top, ref),
+        )
+        splits: dict[int, tuple[int, int, Action]] = {}
+        for ref in requests:
+            act = self.actions.pop(ref)
+            at = top.get(act.node_index)
+            if ref not in top:
                 reason = "split point must be a top-level statement"
-                node = self.by_ref.get(ref)
-                if node is not None and is_statement(node):
-                    used = default_action(node)
-                else:
-                    used = Action(PASS_THROUGH)
-                self.result.fallbacks.append(
-                    Fallback(ref, act.kind.value, used.kind.value, reason))
-                self.actions[ref] = used
+            elif act.node_index not in self.by_ref:
+                reason = f"split index {act.node_index} out of bounds"
+            elif at is None or at[0] != top[ref][0]:
+                reason = f"split index {act.node_index} not a top-level statement here"
+            elif at[0] in splits:
+                reason = "paragraph already split"
+            else:
+                splits[at[0]] = (ref, at[1], act)
+                continue
+            node = self.by_ref.get(ref)
+            used = default_action(node) if node and is_statement(node) else Action(PASS_THROUGH)
+            self.result.fallbacks.append(Fallback(ref, act.kind.value, used.kind.value, reason))
+        return splits
 
     def translate(self) -> TranspileResult:
         self._declare_fields()
         self._declare_methods()
-        self._nested_extract_requests()
-        self._apply_extracts()
+        splits = self._plan_splits()
         jast = self.result.jast
         paragraphs = self.ast.paragraphs
         for pi, para in enumerate(paragraphs):
             method = self.para_methods[para.name]
-            split = self.splits.get(pi)
-            if split is None:
+            if pi not in splits:
                 jast.methods.append(j.JMethod(method, self.stmts(para.body)))
                 continue
-            ref, act = split
-            target = self.by_ref[act.node_index]
-            pos = next(i for i, s in enumerate(para.body) if s is target)
+            ref, pos, act = splits[pi]
             tail_name = _sanitize(method + "_tail", self.taken)
             head = self.stmts(para.body[:pos]) + [j.MethodCall(tail_name, [])]
             jast.methods.append(j.JMethod(method, head))
             jast.methods.append(j.JMethod(tail_name, self.stmts(para.body[pos:])))
+            self.result.actions_used[ref] = act  # its statement rendered by default
         if not paragraphs:
             jast.methods.append(j.JMethod("run", []))
         elif len(paragraphs) > 1:

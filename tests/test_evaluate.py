@@ -608,6 +608,22 @@ def test_score_file_accepts_a_faithful_translation():
     assert got == {"correct": True, "reason": ""}
 
 
+@pytest.mark.parametrize("body", [
+    "DISPLAY X. DISPLAY REC-X. STOP RUN.",  # REC-X spells like the field of REC's X
+    "PERFORM 2 TIMES DISPLAY X END-PERFORM. DISPLAY T0. STOP RUN.",  # T0 like a loop temp
+])
+def test_an_undeclared_name_reads_no_java_field(body):
+    # COBOL fails on the undeclared name; its translation must fail the same
+    # way rather than print the field or temp whose Java spelling it shares.
+    ast = program(body, data="01 REC. 05 X PIC 9.")
+    result = translate_rules(ast)
+    got = score_file(ast, result.jast, file_id="t4", actions_used=result.actions_used)
+    assert got == {"correct": True, "reason": ""}
+    java, cobol = interpret_java(result.jast, []), interpret_cobol(ast, [])
+    assert java.outcome.kind is cobol.outcome.kind is OutcomeKind.RUNTIME_ERROR
+    assert java.display_lines == cobol.display_lines
+
+
 def test_score_file_rejects_a_wrong_translation():
     ast = program('DISPLAY "A". STOP RUN.')
     wrong = j.JavaAst("T", [], [j.JMethod("run", [j.Print([n.StrLit("B")]), j.Return()])])
@@ -1139,6 +1155,11 @@ BAD_LABEL_BODIES = {
     # TypeError, and a bool one was read as 0 or 1.
     "string-node-index": _split_labels("7"),
     "bool-node-index": _split_labels(True),
+    # A statement ref that is not an int was once coerced: 7.9 loaded as 7,
+    # "3" as 3 and true as 1.
+    "float-stmt-ref": '{"labels": [{"stmt_ref": 7.9, "action": "MoveToAssign"}]}',
+    "string-stmt-ref": '{"labels": [{"stmt_ref": "3", "action": "MoveToAssign"}]}',
+    "bool-stmt-ref": '{"labels": [{"stmt_ref": true, "action": "MoveToAssign"}]}',
 }
 
 
