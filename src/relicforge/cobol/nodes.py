@@ -4,6 +4,9 @@ Nodes are the things that occupy tree positions: the program, data items,
 paragraphs, and statements. Expressions and conditions are plain attribute
 values on their owning statement, not nodes. Pre-order position over nodes
 is the statement reference used everywhere downstream.
+
+Every class is slotted: curate keeps each kept text's tree in memory for
+the whole run, and slots make each tree about a quarter smaller.
 """
 
 from __future__ import annotations
@@ -61,22 +64,22 @@ KIND_IDS = {kind: i for i, kind in enumerate(NodeKind)}
 # --- expressions and conditions (attribute values, not nodes) ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # + - * /
     left: Expr
@@ -86,25 +89,25 @@ class BinOp:
 Expr = NumLit | StrLit | VarRef | BinOp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
     op: str  # = <> < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotCond:
     inner: Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndCond:
     left: Cond
     right: Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrCond:
     left: Cond
     right: Cond
@@ -116,7 +119,7 @@ Cond = Comparison | NotCond | AndCond | OrCond
 # --- nodes ---
 
 
-@dataclass
+@dataclass(slots=True)
 class DataItem:
     line: int
     level: int
@@ -154,7 +157,7 @@ def picture_width(picture: str) -> int:
     return width
 
 
-@dataclass
+@dataclass(slots=True)
 class Move:
     line: int
     src: Expr
@@ -163,7 +166,7 @@ class Move:
     kind = NodeKind.MOVE
 
 
-@dataclass
+@dataclass(slots=True)
 class Compute:
     line: int
     dst: str
@@ -172,7 +175,7 @@ class Compute:
     kind = NodeKind.COMPUTE
 
 
-@dataclass
+@dataclass(slots=True)
 class Arith:
     """ADD/SUBTRACT/MULTIPLY/DIVIDE in their verb forms.
 
@@ -192,7 +195,7 @@ class Arith:
     kind = NodeKind.ARITH
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     line: int
     cond: Cond
@@ -202,13 +205,13 @@ class If:
     kind = NodeKind.IF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WhenArm:
     value: NumLit | StrLit
     body: tuple  # tuple[Stmt, ...]; tuple so the arm stays hashable-free but immutable
 
 
-@dataclass
+@dataclass(slots=True)
 class Evaluate:
     line: int
     subject: Expr
@@ -218,7 +221,7 @@ class Evaluate:
     kind = NodeKind.EVALUATE
 
 
-@dataclass
+@dataclass(slots=True)
 class PerformPara:
     line: int
     target: str
@@ -226,7 +229,7 @@ class PerformPara:
     kind = NodeKind.PERFORM_PARA
 
 
-@dataclass
+@dataclass(slots=True)
 class PerformTimes:
     """PERFORM n TIMES with an inline body, or PERFORM para n TIMES."""
 
@@ -238,7 +241,7 @@ class PerformTimes:
     kind = NodeKind.PERFORM_TIMES
 
 
-@dataclass
+@dataclass(slots=True)
 class PerformUntil:
     line: int
     cond: Cond
@@ -247,7 +250,7 @@ class PerformUntil:
     kind = NodeKind.PERFORM_UNTIL
 
 
-@dataclass
+@dataclass(slots=True)
 class PerformVarying:
     line: int
     var: str
@@ -259,7 +262,7 @@ class PerformVarying:
     kind = NodeKind.PERFORM_VARYING
 
 
-@dataclass
+@dataclass(slots=True)
 class Display:
     line: int
     args: list[Expr]
@@ -267,7 +270,7 @@ class Display:
     kind = NodeKind.DISPLAY
 
 
-@dataclass
+@dataclass(slots=True)
 class Accept:
     line: int
     target: str
@@ -275,7 +278,7 @@ class Accept:
     kind = NodeKind.ACCEPT
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     line: int
     program: str
@@ -284,7 +287,7 @@ class Call:
     kind = NodeKind.CALL
 
 
-@dataclass
+@dataclass(slots=True)
 class GoTo:
     line: int
     target: str
@@ -292,7 +295,7 @@ class GoTo:
     kind = NodeKind.GOTO
 
 
-@dataclass
+@dataclass(slots=True)
 class StopRun:
     line: int
 
@@ -322,7 +325,7 @@ LOOP_KINDS = frozenset(
 BRANCH_KINDS = frozenset({NodeKind.IF, NodeKind.EVALUATE})
 
 
-@dataclass
+@dataclass(slots=True)
 class Paragraph:
     line: int
     name: str
@@ -331,7 +334,7 @@ class Paragraph:
     kind = NodeKind.PARAGRAPH
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     line: int
     program_id: str
@@ -341,7 +344,7 @@ class Program:
     kind = NodeKind.PROGRAM
 
 
-@dataclass
+@dataclass(slots=True)
 class CobolAst:
     """A parsed program plus the source measurements taken while parsing."""
 

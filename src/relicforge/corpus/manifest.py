@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from relicforge.analysis.metrics import MetricsRecord
+from relicforge.cobol.nodes import CobolAst
 from relicforge.errors import FormatError
 
 
@@ -57,6 +58,10 @@ class Record:
     fold: int | None = None
     oracle_java: str | None = None
     oracle_labels: str | None = None
+    # Curate's tree of a text's clean parse, on the record that keeps the
+    # text. Never serialized, so a manifest read back from JSONL holds none;
+    # `load_ast` hands it out, and everything downstream only reads it.
+    ast: CobolAst | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {

@@ -2,16 +2,19 @@
 
 Ingest lists the tree once, finds each file's sidecars in that listing
 and reads no file. Curate reads every source during intake, and
-`load_ast` reads it again downstream; both read with one plain `open`
-through `read_normalized`.
+`load_ast` reads it again downstream to check that it is unchanged; both
+read with one plain `open` through `read_normalized`.
 
 Pipeline order is fixed: repair (whose clean parse is the file's tree)
-and metrics -> dedup, whose merge loop attaches the metrics ->
-filter_trivial. Statuses are recomputed from the files on disk on every
-curate call, so curate is idempotent on its own output. Repair and
+and metrics -> dedup, whose merge loop attaches the metrics and the tree
+-> filter_trivial. Statuses are recomputed from the files on disk on
+every curate call, so curate is idempotent on its own output. Repair and
 metrics run once per distinct normalized text, and that one grouping by
 text is also the dedup: the first path of a text keeps the result and
-every later copy is marked Duplicate of it. The per-text work can fan
+every later copy is marked Duplicate of it. The record that keeps a
+text holds its tree in memory, so within one run each distinct text is
+repaired and parsed once; `load_ast` repairs again only for a manifest
+read back from JSONL, which holds no trees. The per-text work can fan
 out over a process pool; results are merged in path order so worker
 count never changes the output.
 """
@@ -27,6 +30,7 @@ from pathlib import Path
 
 from relicforge.analysis.metrics import FEATURE_NAMES, MetricsRecord, measure
 from relicforge.cobol import SourceFile, SourceFormat, Verdict, repair
+from relicforge.cobol.nodes import CobolAst
 from relicforge.corpus.manifest import (
     DUPLICATE,
     KEPT,
@@ -68,7 +72,10 @@ def _md5(text: str) -> str:
 
 
 def normalize_text(raw: str) -> str:
-    """Dedup normalization: CRLF to LF plus per-line trailing-space strip."""
+    """Dedup normalization: a leading byte order mark dropped, CRLF to LF
+    plus per-line trailing-space strip."""
+    if raw.startswith("\ufeff"):
+        raw = raw[1:]
     lines = raw.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return "\n".join([line.rstrip() for line in lines])
 
@@ -151,39 +158,43 @@ def read_normalized(root: Path | str, record: Record) -> str:
 
 
 def load_ast(root: Path | str, record: Record, config: CorpusConfig = CorpusConfig()):
-    """Rebuild a curated record's tree; returns (ast, verdict).
+    """A curated record's tree, or None for a file that cannot be repaired.
 
-    The manifest stores no repaired text or tree, so downstream consumers
-    rebuild the tree on demand with one repair call, which parses the file
-    once and hands back the tree of its clean parse. Repair is
+    The file is read every time: raises SourceError, a FormatError naming
+    the file, when it can no longer be read, or when its normalized text
+    no longer has the record's md5 (a record without an md5, as in a
+    hand-written manifest, is not checked). A record that curate kept in
+    this run holds the tree of its clean parse; once the md5 check has
+    passed, that tree is returned as is and shared, so callers only read
+    it. A record without one (read back from JSONL, or written by hand) is
+    rebuilt with one repair call, which parses the file once. Repair is
     deterministic, so for a file left unchanged since curate, read under
-    the config it was curated with, this reproduces the curate-time tree
-    and verdict. Raises SourceError, a FormatError naming the file, when
-    the file can no longer be read, or when its normalized text no longer
-    has the record's md5 (a record without an md5, as in a hand-written
-    manifest, is not checked). Returns (None, Rejected) for unrepairable
-    files.
+    the config it was curated with, both give the curate-time tree.
     """
     try:
         text = read_normalized(root, record)
     except (OSError, UnicodeDecodeError) as exc:
         raise SourceError(record.relative_path, "source unreadable") from exc
-    if record.md5 and _md5(text) != record.md5:
-        raise SourceError(record.relative_path, "source changed since curate")
+    if record.md5:
+        if _md5(text) != record.md5:
+            raise SourceError(record.relative_path, "source changed since curate")
+        if record.ast is not None:  # the file still holds the text curate parsed
+            return record.ast
     _fixed, log = repair(SourceFile(record.id, text, config.format))
-    return log.ast, log.verdict
+    return log.ast
 
 
 @dataclass
 class _FileResult:
     verdict: Verdict
+    ast: CobolAst | None = None
     metrics: MetricsRecord | None = None
 
 
 def _curate_one(args: tuple[str, str, SourceFormat]) -> _FileResult:
     file_id, text, fmt = args
     _fixed, log = repair(SourceFile(file_id, text, fmt))
-    return _FileResult(log.verdict, None if log.ast is None else measure(log.ast))
+    return _FileResult(log.verdict, log.ast, None if log.ast is None else measure(log.ast))
 
 
 def filter_trivial(manifest: CorpusManifest, min_statements: int = 3) -> CorpusManifest:
@@ -196,6 +207,7 @@ def filter_trivial(manifest: CorpusManifest, min_statements: int = 3) -> CorpusM
         if statements < min_statements or (statements > 0 and displays == statements):
             record.status = TRIVIAL
             record.metrics = None
+            record.ast = None
     return manifest
 
 
@@ -205,7 +217,7 @@ def curate(
     config: CorpusConfig = CorpusConfig(),
     jobs: int = 1,
 ) -> CorpusManifest:
-    """Assign every record a terminal status and attach metrics.
+    """Assign every record a terminal status and attach metrics and trees.
 
     Every record's file is read once, and a record takes its md5 and line
     count from that text, so `load_ast` sees the text curate judged. A
@@ -213,8 +225,8 @@ def curate(
     cannot be read as "unreadable: <exception name>", and neither keeps an
     md5 or a line count. Readable records are grouped by text: in path
     order the first record of a text keeps its result and every later one
-    becomes a Duplicate of it. Returns the manifest; read summary counts
-    via manifest.counts().
+    becomes a Duplicate of it. Only the record that keeps a text holds its
+    tree. Returns the manifest; read summary counts via manifest.counts().
     """
     pending: list[tuple[Record, int]] = []  # readable records, each with its text's task
     tasks: list[tuple[str, str, SourceFormat]] = []
@@ -224,6 +236,7 @@ def curate(
         record.duplicate_of = None
         record.reason = None
         record.metrics = None
+        record.ast = None
         try:
             text = read_normalized(root, record)
         except (OSError, UnicodeDecodeError) as exc:
@@ -257,6 +270,7 @@ def curate(
             record.duplicate_of = keepers[slot].id
         else:
             record.metrics = result.metrics
+            record.ast = result.ast
 
     filter_trivial(manifest, config.min_statements)
     return manifest

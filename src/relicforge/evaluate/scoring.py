@@ -283,7 +283,7 @@ def _score_records(records, kind: str, ckpt, root: Path, seed: int, approach: st
     fallback_count = 0
     for record in records:
         try:
-            ast, _verdict = load_ast(root, record, config)
+            ast = load_ast(root, record, config)
         except SourceError as exc:
             rows.append(FileScore(record.id, False, exc.reason))
             continue
@@ -352,7 +352,7 @@ def _train_sample(root: Path, record: Record, config: CorpusConfig):
     from relicforge.model import sample_from_ast
 
     try:
-        ast, _verdict = load_ast(root, record, config)
+        ast = load_ast(root, record, config)
     except SourceError:
         return None
     if ast is None:

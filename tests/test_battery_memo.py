@@ -116,7 +116,7 @@ def test_acceptance_corpus(tmp_path):
     eligible = manifest.eligible()
     assert len(eligible) == 40
     for record in eligible:
-        ast, _verdict = load_ast(tmp_path, record)
+        ast = load_ast(tmp_path, record)
         assert_same_scores(ast, translations(ast), record.id)
         # The label check after the battery sees the same verdicts too.
         oracle = load_oracle_labels(tmp_path / record.oracle_labels)

@@ -339,7 +339,7 @@ def test_fixture_corpus(fixture_corpus):
     eligible = curate(ingest(root), root).eligible()
     assert len(eligible) == 12
     for record in eligible:
-        ast, _ = load_ast(root, record)
+        ast = load_ast(root, record)
         assert_same_cfg(ast)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from relicforge.cobol import SourceFormat, Verdict, pretty_print
+from relicforge.cobol import SourceFormat, pretty_print
 from relicforge.corpus import (
     CorpusConfig,
     CorpusManifest,
@@ -63,8 +63,7 @@ def test_curate_hashes_the_text_it_judges(tmp_path):
     assert b.status is Status.KEPT and b.duplicate_of is None
     assert b.md5 == hashlib.md5(normalize_text(changed).encode("utf-8")).hexdigest()
     assert b.lines == changed.count("\n") + 1
-    ast, verdict = load_ast(tmp_path, b)
-    assert ast is not None and verdict is Verdict.CLEAN
+    assert load_ast(tmp_path, b) is not None
 
 
 def test_ingest_skips_other_extensions(tmp_path):
@@ -92,6 +91,39 @@ def test_ingest_undecodable_file_rejected_without_abort(tmp_path):
 def test_normalize_text_crlf_and_trailing():
     assert normalize_text("MOVE 1 TO N.  \r\nDISPLAY N.\t\r\n") == "MOVE 1 TO N.\nDISPLAY N.\n"
     assert normalize_text("move 1 to n.") == "move 1 to n."  # case untouched
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path):
+    """A file saved with a UTF-8 byte order mark is judged on the text
+    after it: a Duplicate of its twin without one, Kept when it has none."""
+    text = pretty_print(random_program(random.Random(1)))
+    (tmp_path / "a.cbl").write_text(text, encoding="utf-8")
+    (tmp_path / "b.cbl").write_text(text, encoding="utf-8-sig")
+    (tmp_path / "c.cbl").write_text(pretty_print(random_program(random.Random(2))),
+                                    encoding="utf-8-sig")
+    by_id = build(tmp_path).by_id()
+    assert by_id["a.cbl"].status is Status.KEPT
+    assert (by_id["b.cbl"].status, by_id["b.cbl"].duplicate_of) == (Status.DUPLICATE, "a.cbl")
+    assert by_id["b.cbl"].md5 == by_id["a.cbl"].md5
+    assert by_id["c.cbl"].status is Status.KEPT
+    assert load_ast(tmp_path, by_id["c.cbl"]) is not None
+
+
+def test_a_byte_order_mark_keeps_fixed_format_columns(tmp_path):
+    text = (
+        "000100 IDENTIFICATION DIVISION.\n"
+        "000200 PROGRAM-ID. FX.\n"
+        "000300 PROCEDURE DIVISION.\n"
+        "000400 MAIN.\n"
+        "000500     MOVE 1 TO N.\n"
+        "000600     ADD 1 TO N.\n"
+        "000700     DISPLAY N.\n"
+    )
+    (tmp_path / "a.cbl").write_text(text, encoding="utf-8-sig")
+    config = CorpusConfig(format=SourceFormat.FIXED)
+    record = curate(ingest(tmp_path), tmp_path, config=config).by_id()["a.cbl"]
+    assert record.status is Status.KEPT
+    assert normalize_text("\ufeff" + text) == text
 
 
 def test_fixture_counts(fixture_corpus):
@@ -255,12 +287,9 @@ def test_load_ast_reproduces_curate_verdicts(fixture_corpus):
     root, _ = fixture_corpus
     manifest = build(root)
     by_id = manifest.by_id()
-    ast, _ = load_ast(root, by_id["clean01.cbl"])
-    assert ast.program_id == "CLEAN1"
-    ast, _ = load_ast(root, by_id["fix2.cbl"])
-    assert ast.program_id == "FIXB"
-    ast, verdict = load_ast(root, by_id["bad1.cbl"])
-    assert ast is None and verdict.value == "Rejected"
+    assert load_ast(root, by_id["clean01.cbl"]).program_id == "CLEAN1"
+    assert load_ast(root, by_id["fix2.cbl"]).program_id == "FIXB"
+    assert load_ast(root, by_id["bad1.cbl"]) is None
 
 
 def synthetic_manifest(count: int) -> CorpusManifest:
@@ -367,11 +396,13 @@ def test_fixed_format_corpus(tmp_path):
     config = CorpusConfig(format=SourceFormat.FIXED)
     manifest = curate(ingest(tmp_path), tmp_path, config=config)
     assert manifest.by_id()["a.cbl"].status is Status.KEPT
-    ast, _ = load_ast(tmp_path, manifest.by_id()["a.cbl"], config)
-    assert ast.program_id == "FX"
+    assert load_ast(tmp_path, manifest.by_id()["a.cbl"], config).program_id == "FX"
 
 
 def test_curate_and_load_ast_parse_each_clean_file_once(tmp_path, monkeypatch):
+    """Curate parses each clean file once and hands its tree on, so
+    `load_ast` parses nothing; a manifest read back from JSONL holds no
+    trees, and `load_ast` parses each of its files once."""
     for seed in range(6):
         text = pretty_print(random_program(random.Random(seed), program_id=f"P{seed}"))
         (tmp_path / f"p{seed}.cbl").write_text(text)
@@ -388,8 +419,12 @@ def test_curate_and_load_ast_parse_each_clean_file_once(tmp_path, monkeypatch):
     assert len(calls) == 6
     calls.clear()
     for record in manifest.records:
-        ast, _verdict = load_ast(tmp_path, record)
-        assert ast is not None
+        assert load_ast(tmp_path, record) is record.ast is not None
+    assert len(calls) == 0
+    manifest.write_jsonl(tmp_path / "m.jsonl")
+    for record in CorpusManifest.read_jsonl(tmp_path / "m.jsonl").records:
+        assert record.ast is None
+        assert load_ast(tmp_path, record) is not None
     assert len(calls) == 6
 
 

@@ -1104,7 +1104,7 @@ def test_before_figures_equal_a_fresh_measure_of_each_tree(tmp_path, corpus):
         assert any(r.status is Status.REPAIRED for r in _scored_records(manifest))
     reference = copy.deepcopy(manifest)
     for record in _scored_records(reference):
-        ast, _verdict = load_ast(tmp_path, record, config)
+        ast = load_ast(tmp_path, record, config)
         record.metrics = measure(ast)
 
     got = run_evaluation(manifest, "rules", root=tmp_path, per_fold=True, config=config)

@@ -358,7 +358,7 @@ def test_acceptance_corpus(tmp_path):
     eligible = manifest.eligible()
     assert len(eligible) == 40
     for record in eligible:
-        ast, _verdict = load_ast(tmp_path, record)
+        ast = load_ast(tmp_path, record)
         assert_same_features(ast)
 
 
