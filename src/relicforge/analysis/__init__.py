@@ -17,7 +17,7 @@ from relicforge.analysis.metrics import (
 )
 from relicforge.analysis.steps import (
     EDGE_ORDER,
-    StepFeatures,
+    STEP_FEATURE_COUNT,
     step_features,
 )
 
@@ -27,7 +27,7 @@ __all__ = [
     "EdgeKind",
     "FEATURE_NAMES",
     "MetricsRecord",
-    "StepFeatures",
+    "STEP_FEATURE_COUNT",
     "build_cfg",
     "coupling",
     "cyclomatic",

@@ -1,45 +1,34 @@
-"""Per-step node and edge features for the sequence model.
+"""Per-step features for the sequence model: one (steps, 18) float64 matrix.
 
-One step per AST node in pre-order. The edge vector describes how the
-node is entered from its structural context: then/else bodies get
-True/False, evaluate arms get Case, loop bodies get LoopBack, a statement
-following its sibling gets Seq, and everything else (root included, by
-convention) gets TreeChild. One recursive walk computes every column:
-what a node inherits (depth, nesting level, paragraph, arrival edge) is
-passed down, and what it synthesizes (subtree size and literal count) is
-summed on the way back up. The features read the tree alone, not a
-control-flow graph.
+One row per AST node in pre-order. Columns 0-11 hold the node features;
+columns 12-17 one-hot the edge the node arrives by, in `EDGE_ORDER`. The
+arrival edge describes how the node is entered from its structural
+context: then/else bodies get True/False, evaluate arms get Case, loop
+bodies get LoopBack, a statement following its sibling gets Seq, and
+everything else (root included, by convention) gets TreeChild. One
+recursive walk computes every column: what a node inherits (depth,
+nesting level, paragraph, arrival edge) is passed down, and what it
+synthesizes (subtree size and literal count) is summed on the way back
+up. The features read the tree alone, not a control-flow graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
 
-EDGE_FEATURE_COUNT = 6
-
 EDGE_ORDER = ("Seq", "True", "False", "LoopBack", "Case", "TreeChild")
 _SEQ, _TRUE, _FALSE, _LOOP_BACK, _CASE, _TREE_CHILD = range(len(EDGE_ORDER))
 
+# Twelve node features, then the arrival edge.
+STEP_FEATURE_COUNT = 12 + len(EDGE_ORDER)
+# The arrival edge's columns of a row, by edge.
+_ONE_HOT = [[float(k == e) for k in range(len(EDGE_ORDER))] for e in range(len(EDGE_ORDER))]
+
 _CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
 _KIND_COUNT = len(n.NodeKind)
-
-
-@dataclass
-class StepFeatures:
-    node_feats: np.ndarray  # (steps, 12) float64
-    edge_feats: np.ndarray  # (steps, 6) float64
-
-    def __len__(self) -> int:
-        return self.node_feats.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.concatenate([self.node_feats, self.edge_feats], axis=1)
 
 
 def _entries(node: n.Node) -> list[tuple[n.Node, int]]:
@@ -66,11 +55,11 @@ def _body(nodes, first: int) -> list[tuple[n.Node, int]]:
     return [(node, first if k == 0 else _SEQ) for k, node in enumerate(nodes)]
 
 
-def step_features(ast: n.CobolAst) -> StepFeatures:
+def step_features(ast: n.CobolAst) -> np.ndarray:
+    """The (steps, STEP_FEATURE_COUNT) float64 feature matrix of `ast`."""
     program = ast.program
     data_count = len(program.data_items)
     rows: list[list[float]] = []
-    arrivals: list[int] = []
     statements = 0
 
     def visit(node: n.Node, depth: int, sibling: int, level: int, para: int,
@@ -83,7 +72,7 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
         # the walk has counted both.
         row = [n.KIND_IDS[kind] / _KIND_COUNT, depth, 0, sibling, 0, 0,
                kind in n.LOOP_KINDS, kind in n.BRANCH_KINDS, kind in _CALL_KINDS,
-               0, para, 0]
+               0, para, 0, *_ONE_HOT[arrival]]
         if is_statement(node):
             row[5] = level
             row[11] = statements
@@ -92,7 +81,6 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
         else:
             level = 0
         rows.append(row)
-        arrivals.append(arrival)
         size, literals = 1, n.node_literal_counts(node)[0]
         entries = _entries(node)
         for k, (child, edge) in enumerate(entries):
@@ -103,11 +91,9 @@ def step_features(ast: n.CobolAst) -> StepFeatures:
         return size, literals
 
     visit(program, 0, 0, 0, 0, _TREE_CHILD)
-    node_feats = np.array(rows, dtype=float)
+    matrix = np.array(rows, dtype=float)
     if program.paragraphs:
-        node_feats[:, 10] /= len(program.paragraphs)
+        matrix[:, 10] /= len(program.paragraphs)
     if statements:
-        node_feats[:, 11] /= statements
-    edge_feats = np.zeros((len(rows), EDGE_FEATURE_COUNT))
-    edge_feats[np.arange(len(rows)), arrivals] = 1.0
-    return StepFeatures(node_feats=node_feats, edge_feats=edge_feats)
+        matrix[:, 11] /= statements
+    return matrix

@@ -452,11 +452,7 @@ class _Parser:
         if self.at_kw("UNTIL"):
             self.advance()
             cond = self.parse_cond()
-            body = self.parse_body_until("END-PERFORM")
-            self.eat_kw("END-PERFORM")
-            if not body:
-                raise _Issue(line, "loop body statement", "END-PERFORM")
-            return n.PerformUntil(line, cond, body)
+            return n.PerformUntil(line, cond, self.parse_loop_body(line))
         if self.at_kw("VARYING"):
             self.advance()
             var = self.eat(IDENTIFIER, "identifier").text
@@ -466,11 +462,7 @@ class _Parser:
             by = self.parse_atom()
             self.eat_kw("UNTIL")
             until = self.parse_cond()
-            body = self.parse_body_until("END-PERFORM")
-            self.eat_kw("END-PERFORM")
-            if not body:
-                raise _Issue(line, "loop body statement", "END-PERFORM")
-            return n.PerformVarying(line, var, from_, by, until, body)
+            return n.PerformVarying(line, var, from_, by, until, self.parse_loop_body(line))
         tok = self.tok
         if tok.kind is IDENTIFIER:
             target = self.advance().text
@@ -486,22 +478,23 @@ class _Parser:
                 return self.jump(n.PerformTimes(line, count, None, target))
             if self.at_kw("TIMES"):
                 self.advance()
-                body = self.parse_body_until("END-PERFORM")
-                self.eat_kw("END-PERFORM")
-                if not body:
-                    raise _Issue(line, "loop body statement", "END-PERFORM")
-                return n.PerformTimes(line, n.VarRef(target), body, None)
+                return n.PerformTimes(line, n.VarRef(target), self.parse_loop_body(line), None)
             return self.jump(n.PerformPara(line, target))
         if tok.kind is INT_LITERAL:
             count = self.parse_atom()
             self.eat_kw("TIMES")
-            body = self.parse_body_until("END-PERFORM")
-            self.eat_kw("END-PERFORM")
-            if not body:
-                raise _Issue(line, "loop body statement", "END-PERFORM")
-            return n.PerformTimes(line, count, body, None)
+            return n.PerformTimes(line, count, self.parse_loop_body(line), None)
         self._fail("paragraph name, UNTIL, VARYING, or count")
         raise AssertionError  # _fail always raises
+
+    def parse_loop_body(self, line: int) -> list[n.Stmt]:
+        """An inline PERFORM's body through END-PERFORM; an empty one is
+        an error at the PERFORM's line."""
+        body = self.parse_body_until("END-PERFORM")
+        self.eat_kw("END-PERFORM")
+        if not body:
+            raise _Issue(line, "loop body statement", "END-PERFORM")
+        return body
 
     def parse_display(self) -> n.Display:
         line = self.advance().line

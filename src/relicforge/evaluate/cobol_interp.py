@@ -43,9 +43,7 @@ from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
     COMPLEMENT,
     CYCLE_WARMUP,
-    MAX_CALL_DEPTH,
     Cell,
-    ExecError,
     Halt,
     LoopWatch,
     Program,
@@ -171,22 +169,11 @@ class CobolProgram(Program):
 
     # -- control -------------------------------------------------------------
 
-    def _perform(self, target: str) -> Thunk:
+    def _perform(self, target: str, weight: int) -> Thunk:
         index = self._index.get(target)
         if index is None:
             return fail(f"unknown paragraph {target}")
-        state = self._state
-
-        def perform():
-            state.depth += 1
-            if state.depth > MAX_CALL_DEPTH:
-                raise ExecError("call depth exceeded")
-            try:
-                state.table[index]()
-            finally:
-                state.depth -= 1
-
-        return perform
+        return self._call(index, weight)
 
     def _until(self, test: Thunk, body: Thunk) -> Thunk:
         """Run `body` until `test` holds, one step per test. Past
@@ -247,13 +234,14 @@ class CobolProgram(Program):
 
             return evaluate
         if kind is n.PERFORM_PARA:
-            return self._perform(s.target)
+            return self._perform(s.target, self._level)
         if kind is n.PERFORM_TIMES:
             count = self._expr(s.count)
             # A counted paragraph perform costs one extra step per pass: the
-            # call itself, same as a loop around a call.
-            body = (self._sequence([self._perform(s.target)]) if s.target is not None
-                    else self._block(s.body))
+            # call itself, same as a loop around a call, which is also why
+            # the call weighs one level more.
+            body = (self._sequence([self._perform(s.target, self._level + 1)])
+                    if s.target is not None else self._block(s.body))
 
             def times():
                 # Counted loops behave like a countdown for-loop, so the exit

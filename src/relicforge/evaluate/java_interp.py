@@ -40,7 +40,6 @@ from relicforge.cobol import nodes as n
 from relicforge.evaluate.values import (
     COMPLEMENT,
     CYCLE_WARMUP,
-    MAX_CALL_DEPTH,
     Cell,
     ExecError,
     Halt,
@@ -90,12 +89,13 @@ class JavaProgram(Program):
         declared = {m.name: m for m in jast.methods}
         self._declared = set(declared)
         self._table = {name: self._method(m) for name, m in declared.items()}
+        # run() is entered as a call of weight 1, as from a method's own body.
+        self._entry = self._call("run", 1)
 
     def _main(self) -> None:
-        entry = self._table.get("run")
-        if entry is None:
+        if "run" not in self._table:
             raise ExecError("no run method")
-        entry()
+        self._entry()
 
     # -- values --------------------------------------------------------------
 
@@ -151,22 +151,16 @@ class JavaProgram(Program):
     # -- control -------------------------------------------------------------
 
     def _method(self, method: j.JMethod) -> Thunk:
-        """The body, one call depth deeper."""
+        """The body; a `break` that leaves it ends the run."""
         body = self._block(method.body)
-        state = self._state
 
-        def call():
-            state.depth += 1
-            if state.depth > MAX_CALL_DEPTH:
-                raise ExecError("call depth exceeded")
+        def method_():
             try:
                 body()
             except _Break:
                 raise ExecError("break outside loop or switch") from None
-            finally:
-                state.depth -= 1
 
-        return call
+        return method_
 
     def _assign(self, a: j.Assign) -> Thunk:
         """The target is looked up before the value is computed, so an
@@ -324,8 +318,7 @@ class JavaProgram(Program):
         if s.name in self._declared:
             if args:
                 return fail(f"wrong number of arguments to {s.name}", args)
-            name = s.name
-            return lambda: state.table[name]()
+            return self._call(s.name, self._level)
         if s.name in j.BUILTINS:
             return self._builtin(s.name, args)
         return fail(f"unknown method {s.name}", args)

@@ -14,13 +14,14 @@ interpreter implementations:
   (`nothing`);
 - the input protocol and the loop watch;
 - the run protocol (`Program`): the cells and their initial values, the
-  step budget, the input queue, the call depth, the trace, the
-  statement sequence that ticks one step per statement, and the mapping
-  of `Halt`, `StepLimitExceeded` and `ExecError` to the run's outcome.
+  step budget, the input queue, the call depth and the call that counts
+  it, the trace, the statement sequence that ticks one step per
+  statement, and the mapping of `Halt`, `StepLimitExceeded` and
+  `ExecError` to the run's outcome.
 
 Each interpreter compiles its own statements, expressions and conditions,
-its loop shapes, jumps and calls, and the order in which its assignments
-fail, so the oracle never checks itself.
+its loop shapes, jumps and call sites, and the order in which its
+assignments fail, so the oracle never checks itself.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
 MAX_STEPS = 100_000
+# The bound on the summed weight of the calls in progress; see `Program._call`.
 MAX_CALL_DEPTH = 100
 
 Value = int | str
@@ -400,6 +402,10 @@ class Program:
     compiled paragraphs or methods, and runs them from `_main`. Its closures
     read the cells, `budget`, `inputs` and `_state`, never the program
     itself, so a program at rest holds no reference cycle.
+
+    While it compiles, `_level` counts the statement lists open around the
+    statement being compiled: 1 in a paragraph's or method's own body, one
+    more inside each IF, loop, EVALUATE or switch.
     """
 
     def __init__(self, cells: dict[str, Cell]):
@@ -409,6 +415,7 @@ class Program:
         self.budget = Budget()
         self.inputs: deque = deque()
         self._state = _State()
+        self._level = 0
 
     def run(self, inputs) -> Trace:
         """One run from a fresh state; never raises.
@@ -444,7 +451,34 @@ class Program:
         return trace
 
     def _block(self, stmts: Iterable) -> Thunk:
-        return self._sequence([self._stmt(s) for s in stmts])
+        self._level += 1
+        block = self._sequence([self._stmt(s) for s in stmts])
+        self._level -= 1
+        return block
+
+    def _call(self, key, weight: int) -> Thunk:
+        """Run `_table[key]` as a call of `weight`: the run ends with "call
+        depth exceeded" when the weights of the calls in progress sum past
+        `MAX_CALL_DEPTH`.
+
+        A call site weighs the statement lists open around it (`_level`).
+        Each of them holds two to four Python frames while the callee runs,
+        so the weights bound the frames a run takes: deep recursion ends at
+        the same call whatever the depth of the Python stack the run starts
+        on, and never as a RecursionError.
+        """
+        state = self._state
+
+        def call():
+            state.depth += weight
+            if state.depth > MAX_CALL_DEPTH:
+                raise ExecError("call depth exceeded")
+            try:
+                state.table[key]()
+            finally:
+                state.depth -= weight
+
+        return call
 
     def _sequence(self, steps: list[Thunk]) -> Thunk:
         """Run the statements in order, one step each."""

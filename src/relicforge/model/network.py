@@ -1,12 +1,13 @@
 """From-scratch stacked LSTM for per-node action classification.
 
-Standard four-gate cells over the pre-order feature steps: input, forget,
-and output gates are sigmoids of W.[h, x] + b, the candidate is a tanh,
-c_t = f*c + i*g and h_t = o*tanh(c_t). A class projection plus a scalar
-split-offset head (sigmoid) read the top layer's state at every step.
-Everything is float64 numpy; the backward pass is hand-rolled
-backpropagation through time, held to a finite-difference oracle by the
-test suite.
+Standard four-gate cells over one program's input, the (steps, 18)
+float64 matrix of `analysis.step_features` with one row per node in
+pre-order: input, forget, and output gates are sigmoids of W.[h, x] + b,
+the candidate is a tanh, c_t = f*c + i*g and h_t = o*tanh(c_t). A class
+projection plus a scalar split-offset head (sigmoid) read the top
+layer's state at every step. Everything is float64 numpy; the backward
+pass is hand-rolled backpropagation through time, held to a
+finite-difference oracle by the test suite.
 
 The parameter table and checkpoint format v1 keep one matrix and one
 bias per gate (`layer0.W_i`, ...); the kernels stack them at call time
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from relicforge.analysis import STEP_FEATURE_COUNT
 from relicforge.errors import ShapeError
 
 INIT_SCALE = 0.08
@@ -60,13 +62,20 @@ WIDE = 64
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The network's shape and its training schedule.
+
+    Dropout applies only between stacked layers, to each non-final
+    layer's output. At the default `layers=1` a model trains without
+    dropout, though its checkpoint records `dropout: 0.3`.
+    """
+
     layers: int = 1
     hidden: int = 32
     dropout: float = 0.3
     lr: float = 0.001
     epochs: int = 50
     batch: int = 64
-    input_dim: int = 18
+    input_dim: int = STEP_FEATURE_COUNT
     classes: int = 12
     seed: int = 42
 
@@ -291,8 +300,8 @@ def _run(x, params, masks) -> ForwardPass:
     return ForwardPass(logits, sigmoid(offset_pre), offset_pre, x, layers)
 
 
-def _matrix(features, config: ModelConfig) -> np.ndarray:
-    mat = np.asarray(getattr(features, "matrix", features), dtype=float)
+def _matrix(features: np.ndarray, config: ModelConfig) -> np.ndarray:
+    mat = np.asarray(features, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != config.input_dim:
         raise ShapeError(f"expected (steps, {config.input_dim}) features, got {mat.shape}")
     return mat

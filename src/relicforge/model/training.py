@@ -1,10 +1,11 @@
 """Training samples, the Adam loop, and per-epoch history.
 
-A sample is one program's feature sequence with a class label per step:
-statement steps carry weight 1.0 and their action kind (plus a normalized
-split position when the action is a method split), everything else is a
-zero-weight PassThrough. Training is plain full-batch-shuffled Adam,
-deterministic for a given config seed.
+A sample is one program's (steps, 18) feature matrix with a class label
+per step: statement steps carry weight 1.0 and their action kind (plus a
+normalized split position when the action is a method split), everything
+else is a zero-weight PassThrough. Training is Adam over minibatches of
+`config.batch` samples, reshuffled each epoch, deterministic for a given
+config seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relicforge.analysis import (  # noqa: F401  build_cfg: the traced benchmark wraps it here
-    StepFeatures, build_cfg, step_features,
+    build_cfg, step_features,
 )
 from relicforge.cobol import nodes as n
 from relicforge.errors import DivergenceError, ShapeError
@@ -34,8 +35,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainSample:
-    steps: StepFeatures
-    actions: list[Action]        # per step; PassThrough off statements
+    steps: np.ndarray            # (T, 18) float64, from step_features
     weight: np.ndarray           # (T,) 1.0 on statement steps
     class_ids: np.ndarray        # (T,) int, index into CLASS_ORDER
     offsets: np.ndarray          # (T,) split position targets in [0, 1]
@@ -43,7 +43,7 @@ class TrainSample:
 
     def __post_init__(self) -> None:
         total = len(self.steps)
-        for name in ("actions", "weight", "class_ids", "offsets", "offset_mask"):
+        for name in ("weight", "class_ids", "offsets", "offset_mask"):
             if len(getattr(self, name)) != total:
                 raise ShapeError(f"{name} length differs from the step count")
         if not np.any(self.weight > 0):
@@ -51,34 +51,29 @@ class TrainSample:
 
 
 def sample_from_ast(ast: n.CobolAst, labels: dict[int, Action] | None = None) -> TrainSample:
-    """Feature sequence plus training labels for one program.
+    """Feature matrix plus training labels for one program.
 
-    Oracle labels override the rule defaults where given; split actions
-    record their target as a fraction of the sequence so the offset head
-    has a bounded regression target.
+    Oracle labels override the rule defaults on statement steps; elsewhere
+    they are ignored. Split actions record their target as a fraction of
+    the sequence so the offset head has a bounded regression target.
     """
     feats = step_features(ast)
     total = len(feats)
+    labels = labels or {}
     weight = np.zeros(total)
-    actions = [Action(PASS_THROUGH)] * total
-    for ref, action in default_actions(ast):
-        actions[ref] = action
-        weight[ref] = 1.0
-    if labels:
-        for ref, action in labels.items():
-            if 0 <= ref < total and weight[ref] > 0:
-                actions[ref] = action
-
-    class_ids = np.array([CLASS_INDEX[a.kind] for a in actions], dtype=int)
+    class_ids = np.full(total, CLASS_INDEX[PASS_THROUGH])
     offsets = np.zeros(total)
     offset_mask = np.zeros(total)
     denom = max(total - 1, 1)
-    for ref, action in enumerate(actions):
-        if action.kind is EXTRACT_METHOD and weight[ref] > 0:
+    for ref, action in default_actions(ast):
+        action = labels.get(ref, action)
+        weight[ref] = 1.0
+        class_ids[ref] = CLASS_INDEX[action.kind]
+        if action.kind is EXTRACT_METHOD:
             target = action.node_index if action.node_index is not None else ref
             offsets[ref] = min(max(target / denom, 0.0), 1.0)
             offset_mask[ref] = 1.0
-    return TrainSample(feats, actions, weight, class_ids, offsets, offset_mask)
+    return TrainSample(feats, weight, class_ids, offsets, offset_mask)
 
 
 def dataset_metrics(dataset: list[TrainSample], ckpt: ModelCheckpoint) -> dict:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relicforge.analysis import StepFeatures, step_features
+from relicforge.analysis import step_features
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
@@ -43,7 +43,7 @@ from relicforge.model import (
 )
 from relicforge.model import network
 from relicforge.model.network import CHUNK, WIDE
-from relicforge.transpile import CLASS_ORDER, Action, ActionKind, default_actions
+from relicforge.transpile import Action, ActionKind, default_actions
 
 # Pre-order refs: 0 Program, 1-2 DataItem, 3 Paragraph, 4 Move,
 # 5 PerformVarying, 6 Arith (nested), 7 If, 8 Display (nested), 9 StopRun.
@@ -304,12 +304,12 @@ def test_forward_is_deterministic_in_eval_mode():
     assert np.array_equal(first.offsets, second.offsets)
 
 
-def test_forward_accepts_feature_object_or_matrix():
+def test_forward_accepts_the_step_feature_matrix():
     config = small_config()
     ckpt = init_checkpoint(config)
-    ast = parse(LOOP_SOURCE)
-    feats = step_features(ast)
-    assert np.array_equal(forward(feats, ckpt).logits, forward(feats.matrix, ckpt).logits)
+    feats = step_features(parse(LOOP_SOURCE))
+    assert feats.dtype == np.float64 and feats.shape == (10, config.input_dim)
+    assert np.array_equal(forward(feats, ckpt).logits, forward(feats.tolist(), ckpt).logits)
 
 
 def test_forward_rejects_wrong_shapes():
@@ -390,8 +390,7 @@ def test_zero_weight_steps_cannot_move_loss_or_grads():
     altered_ids = sample.class_ids.copy()
     altered_ids[0] = 5
     altered = TrainSample(
-        sample.steps, list(sample.actions), sample.weight,
-        altered_ids, sample.offsets, sample.offset_mask,
+        sample.steps, sample.weight, altered_ids, sample.offsets, sample.offset_mask,
     )
     base_loss, base_grads = loss_and_grads([sample], ckpt)
     alt_loss, alt_grads = loss_and_grads([altered], ckpt)
@@ -405,14 +404,11 @@ def test_degenerate_batches_are_rejected():
     with pytest.raises(ValueError, match="empty"):
         loss_and_grads([], ckpt)
 
-    feats = StepFeatures(np.zeros((3, 12)), np.zeros((3, 6)))
-    actions = [Action(ActionKind.PASS_THROUGH)] * 3
+    feats = np.hstack([np.zeros((3, 12)), np.zeros((3, 6))])
     with pytest.raises(ValueError, match="no weighted steps"):
-        TrainSample(feats, actions, np.zeros(3), np.zeros(3, dtype=int),
-                    np.zeros(3), np.zeros(3))
+        TrainSample(feats, np.zeros(3), np.zeros(3, dtype=int), np.zeros(3), np.zeros(3))
     with pytest.raises(ShapeError):
-        TrainSample(feats, actions, np.ones(3), np.zeros(2, dtype=int),
-                    np.zeros(3), np.zeros(3))
+        TrainSample(feats, np.ones(3), np.zeros(2, dtype=int), np.zeros(3), np.zeros(3))
 
 
 def test_loss_and_grads_are_deterministic():
@@ -440,8 +436,7 @@ def test_gradients_match_finite_differences():
     samples = []
     for k in range(2):
         steps = 6 + k
-        feats = StepFeatures(rng.normal(size=(steps, 4)), rng.normal(size=(steps, 2)))
-        actions = [Action(CLASS_ORDER[(i + k) % 5]) for i in range(steps)]
+        feats = np.hstack([rng.normal(size=(steps, 4)), rng.normal(size=(steps, 2))])
         ids = np.array([(i + k) % 5 for i in range(steps)])
         weight = np.ones(steps)
         weight[1] = 0.0
@@ -449,7 +444,7 @@ def test_gradients_match_finite_differences():
         offset_mask = np.zeros(steps)
         offsets[2] = 0.4
         offset_mask[2] = 1.0
-        samples.append(TrainSample(feats, actions, weight, ids, offsets, offset_mask))
+        samples.append(TrainSample(feats, weight, ids, offsets, offset_mask))
 
     loss, grads = loss_and_grads(samples, ckpt)
     assert loss == pytest.approx(1.6648689310657625, abs=1e-9)
@@ -477,9 +472,9 @@ def synthetic_samples(lengths, classes, input_dim, seed=0):
     rng = np.random.default_rng(seed)
     samples = []
     for k, steps in enumerate(lengths):
-        feats = StepFeatures(
+        feats = np.hstack([
             rng.normal(size=(steps, input_dim - 2)), rng.normal(size=(steps, 2))
-        )
+        ])
         ids = rng.integers(0, classes, size=steps)
         weight = np.ones(steps)
         weight[0] = 0.0
@@ -488,8 +483,7 @@ def synthetic_samples(lengths, classes, input_dim, seed=0):
         if k % 3 == 0:
             offsets[steps - 1] = rng.uniform()
             offset_mask[steps - 1] = 1.0
-        actions = [Action(CLASS_ORDER[i]) for i in ids]
-        samples.append(TrainSample(feats, actions, weight, ids, offsets, offset_mask))
+        samples.append(TrainSample(feats, weight, ids, offsets, offset_mask))
     return samples
 
 
@@ -521,7 +515,7 @@ def test_batching_cannot_leak_between_samples():
     for s in batch:
         # Alone, a sample's class term is a mean over its own weight and its
         # split term over its own offset weight; rescale both to the batch's.
-        bare = TrainSample(s.steps, s.actions, s.weight, s.class_ids, s.offsets,
+        bare = TrainSample(s.steps, s.weight, s.class_ids, s.offsets,
                            np.zeros_like(s.offset_mask))
         ce, ce_grads = loss_and_grads([bare], ckpt)
         both, both_grads = loss_and_grads([s], ckpt)
@@ -647,9 +641,9 @@ def wide_samples(config, seed):
     lengths[::9] = 1
     samples = []
     for k, steps in enumerate(lengths):
-        feats = StepFeatures(
+        feats = np.hstack([
             rng.normal(size=(steps, config.input_dim - 2)), rng.normal(size=(steps, 2))
-        )
+        ])
         ids = rng.integers(0, config.classes, size=steps)
         weight = (rng.random(steps) < 0.7).astype(float)
         weight[-1] = 1.0
@@ -658,8 +652,7 @@ def wide_samples(config, seed):
         if k % 3 == 0:
             offsets[-1] = rng.uniform()
             offset_mask[-1] = 1.0
-        actions = [Action(CLASS_ORDER[i]) for i in ids]
-        samples.append(TrainSample(feats, actions, weight, ids, offsets, offset_mask))
+        samples.append(TrainSample(feats, weight, ids, offsets, offset_mask))
     return samples
 
 
@@ -732,7 +725,7 @@ def test_training_rejects_empty_dataset():
 
 def test_divergence_is_reported_with_the_epoch():
     sample = sample_from_ast(parse(LOOP_SOURCE))
-    sample.steps.node_feats[0, 0] = np.nan
+    sample.steps[0, 0] = np.nan
     with pytest.raises(DivergenceError, match="epoch 1"):
         train([sample], small_config(epochs=3))
 
@@ -755,7 +748,6 @@ def test_sample_defaults_follow_rules():
     for ref in range(10):
         kind = expected.get(ref, ActionKind.PASS_THROUGH)
         assert sample.class_ids[ref] == CLASS_INDEX[kind]
-        assert sample.actions[ref].kind is kind
     assert np.all(sample.offsets == 0.0)
     assert np.all(sample.offset_mask == 0.0)
 

@@ -332,9 +332,9 @@ def assert_same_features(ast: n.CobolAst) -> None:
     cfg = build_cfg(ast)
     ref_node, ref_edge = ref_step_features(ast, cfg)
     sf = step_features(ast)
-    assert sf.node_feats.dtype == ref_node.dtype and sf.edge_feats.dtype == ref_edge.dtype
-    assert np.array_equal(sf.node_feats, ref_node)
-    assert np.array_equal(sf.edge_feats, ref_edge)
+    assert sf.dtype == ref_node.dtype == ref_edge.dtype
+    assert np.array_equal(sf[:, :12], ref_node)
+    assert np.array_equal(sf[:, 12:], ref_edge)
     assert file_features(ast, cfg) == ref_file_features(ast, cfg)
     record = measure(ast)
     assert record.coupling == coupling(ast)

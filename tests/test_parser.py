@@ -196,9 +196,18 @@ def test_implicit_main_paragraph():
     assert len(ast.paragraphs[0].body) == 2
 
 
-def test_empty_loop_body_rejected():
-    with pytest.raises(ParseFailure):
-        proc("PERFORM UNTIL A > 1 END-PERFORM. STOP RUN.")
+@pytest.mark.parametrize("loop", [
+    "PERFORM UNTIL A > 1",
+    "PERFORM VARYING A FROM 1 BY 1 UNTIL A > 3",
+    "PERFORM A TIMES",
+    "PERFORM 3 TIMES",
+], ids=["until", "varying", "variable_times", "literal_times"])
+def test_empty_loop_body_rejected(loop):
+    with pytest.raises(ParseFailure) as exc:
+        proc(f"{loop} END-PERFORM. STOP RUN.")
+    assert [(e.line, e.expected, e.found) for e in exc.value.errors] == [
+        (1, "loop body statement", "END-PERFORM")
+    ]
 
 
 def test_preorder_count_and_token_count():

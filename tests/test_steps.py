@@ -24,7 +24,7 @@ BRANCHY = (
 
 
 def edge_kind(sf, i):
-    return EDGE_ORDER[int(np.argmax(sf.edge_feats[i]))]
+    return EDGE_ORDER[int(np.argmax(sf[i, 12:]))]
 
 
 def test_sequence_length_equals_node_count():
@@ -34,8 +34,8 @@ def test_sequence_length_equals_node_count():
 
 def test_root_conventions():
     ast, sf = steps_of(BRANCHY)
-    assert sf.node_feats[0, 1] == 0  # depth
-    assert sf.node_feats[0, 3] == 0  # sibling index
+    assert sf[0, 1] == 0  # depth
+    assert sf[0, 3] == 0  # sibling index
     assert edge_kind(sf, 0) == "TreeChild"
 
 
@@ -43,10 +43,10 @@ def test_if_node_flags():
     ast, sf = steps_of(BRANCHY)
     order = list(n.iter_preorder(ast.program))
     i = next(k for k, v in enumerate(order) if v.kind is n.NodeKind.IF)
-    assert sf.node_feats[i, 7] == 1.0  # is_branch
-    assert sf.node_feats[i, 6] == 0.0  # is_loop
+    assert sf[i, 7] == 1.0  # is_branch
+    assert sf[i, 6] == 0.0  # is_loop
     loop = next(k for k, v in enumerate(order) if v.kind is n.NodeKind.PERFORM_UNTIL)
-    assert sf.node_feats[loop, 6] == 1.0
+    assert sf[loop, 6] == 1.0
 
 
 def test_arrival_edges_by_role():
@@ -67,9 +67,9 @@ def test_arrival_edges_by_role():
 
 def test_one_hot_rows():
     ast, sf = steps_of(BRANCHY)
-    sums = sf.edge_feats.sum(axis=1)
+    sums = sf[:, 12:].sum(axis=1)
     assert np.all(sums == 1.0)
-    assert set(np.unique(sf.edge_feats)) <= {0.0, 1.0}
+    assert set(np.unique(sf[:, 12:])) <= {0.0, 1.0}
 
 
 def test_is_call_marks_call_and_perform_para():
@@ -81,17 +81,17 @@ def test_is_call_marks_call_and_perform_para():
     order = list(n.iter_preorder(ast.program))
     for k, v in enumerate(order):
         expected = 1.0 if v.kind in (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA) else 0.0
-        assert sf.node_feats[k, 8] == expected
+        assert sf[k, 8] == expected
 
 
 def test_subtree_size_and_depth():
     ast, sf = steps_of(BRANCHY)
     order = list(n.iter_preorder(ast.program))
-    assert sf.node_feats[0, 4] == len(order)  # root subtree is everything
+    assert sf[0, 4] == len(order)  # root subtree is everything
     idx = {id(v): k for k, v in enumerate(order)}
     if_node = next(v for v in order if v.kind is n.NodeKind.IF)
-    assert sf.node_feats[idx[id(if_node)], 4] == 4  # If + 3 children
-    assert sf.node_feats[idx[id(if_node)], 1] == 2  # Program > Paragraph > If
+    assert sf[idx[id(if_node)], 4] == 4  # If + 3 children
+    assert sf[idx[id(if_node)], 1] == 2  # Program > Paragraph > If
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -99,12 +99,12 @@ def test_generated_programs_finite_and_sized(seed):
     ast = random_program(random.Random(seed), allow_goto=(seed % 4 == 0))
     sf = step_features(ast)
     assert len(sf) == len(list(n.iter_preorder(ast.program)))
-    assert np.all(np.isfinite(sf.node_feats))
-    assert np.all(np.isfinite(sf.edge_feats))
-    assert sf.matrix.shape == (len(sf), 18)
+    assert np.all(np.isfinite(sf[:, :12]))
+    assert np.all(np.isfinite(sf[:, 12:]))
+    assert sf.shape == (len(sf), 18)
 
 
 def test_kind_feature_normalized():
     ast, sf = steps_of(BRANCHY)
-    assert np.all(sf.node_feats[:, 0] < 1.0)
-    assert np.all(sf.node_feats[:, 0] >= 0.0)
+    assert np.all(sf[:, 0] < 1.0)
+    assert np.all(sf[:, 0] >= 0.0)
