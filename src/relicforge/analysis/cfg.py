@@ -1,21 +1,21 @@
-"""Control-flow graphs, and the one builder both languages' graphs use.
+"""Control-flow graphs of COBOL programs.
 
-CfgBuilder holds the shapes (fork, loop, plain statement); build_cfg maps
-COBOL onto them here and jmetrics.build_java_cfg maps the emitted Java, so
-V(G) before and after translation follows the same rules. One CFG per
-program (P=1). Paragraphs chain by fall-through; plain PERFORM of a
-paragraph is an opaque statement node so the E-N+2 identity with decision
-counting stays exact, while every loop form (UNTIL, VARYING, and both
-TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
+One CFG per program (P=1). Paragraphs chain by fall-through; plain PERFORM
+of a paragraph is an opaque statement node so the E-N+2 identity with
+decision counting stays exact, while every loop form (UNTIL, VARYING, and
+both TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
 perform keeps its callee opaque but its loop test explicit, matching the
 loop its translation unrolls into. GO TO adds a Seq edge to the target
 paragraph's first statement; code left unreachable that way is pruned and
-counted. Pruning runs only when a GO TO was placed: without one every
-node is reachable and `pruned` is 0. STOP RUN is a plain statement node:
-halting is interpreter semantics, and modeling it as fall-through keeps
-paragraphs after a mid-program stop connected. Only Branch nodes fan out.
-An Evaluate branch carries one Case edge per arm plus a False default
-edge.
+counted, which is why the source side builds the graph at all. Pruning runs
+only when a GO TO was placed: without one every node is reachable and
+`pruned` is 0. STOP RUN is a plain statement node: halting is interpreter
+semantics, and modeling it as fall-through keeps paragraphs after a
+mid-program stop connected. Only Branch nodes fan out. An Evaluate branch
+carries one Case edge per arm plus a False default edge.
+
+The translation side has no jumps, so `transpile.jmetrics` counts its
+decisions instead of building a graph.
 
 A node is only an id and a kind: V(G) = E - N + 2 needs the edge and node
 counts alone, so no node records which statement it came from.
@@ -41,7 +41,7 @@ class CfgNodeKind(enum.Enum):
 
 # Module constants for function bodies: on Python 3.10 and 3.11 a
 # `CfgNodeKind.BRANCH` read goes through EnumType's `__getattr__` hook (about
-# 140-230 ns against 15-50 ns for a global), and the builders read them per node.
+# 140-230 ns against 15-50 ns for a global), and the builder reads them per node.
 ENTRY = CfgNodeKind.ENTRY
 EXIT = CfgNodeKind.EXIT
 STMT = CfgNodeKind.STMT
@@ -110,16 +110,15 @@ class Out(NamedTuple):
 _new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
 
 
-class CfgBuilder:
-    """The shape rules both languages' graphs are built from.
-
-    A subclass supplies build_stmt, mapping each statement kind onto fork,
-    loop or plain; every shape returns (head id, dangling outs).
-    """
+class _Builder:
+    """Maps each statement onto a fork, a loop or a plain node; every shape
+    returns (head id, dangling outs). A GO TO's edge waits in `goto_fixups`
+    until every paragraph's anchor is known."""
 
     def __init__(self):
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
+        self.goto_fixups: list[tuple[int, str]] = []
 
     def add(self, kind: CfgNodeKind) -> int:
         nodes = self.nodes
@@ -148,6 +147,32 @@ class CfgBuilder:
             outs = s_outs
         return head, outs
 
+    def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
+        kind = stmt.kind
+        if kind is n.IF:
+            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
+        if kind is n.EVALUATE:
+            arms = [(arm.body, CASE) for arm in stmt.arms]
+            return self.fork(arms + [(stmt.other or [], FALSE)])
+        if kind in n.LOOP_KINDS:
+            # A pre-test loop: the Branch enters the body on True, the body
+            # loops back to it, and False leaves. A counted paragraph
+            # perform's body is one opaque call node, never inlined.
+            branch = self.add(BRANCH)
+            if kind is n.PERFORM_TIMES and stmt.body is None:
+                head = self.add(STMT)
+                outs = [_new(Out, (head, SEQ))]
+            else:
+                head, outs = self.build_seq(stmt.body)
+            self.edge(branch, head if head is not None else branch, TRUE)
+            self.connect(outs, branch, LOOP_BACK)
+            return branch, [_new(Out, (branch, FALSE))]
+        node = self.add(STMT)
+        if kind is n.GOTO:
+            self.goto_fixups.append((node, stmt.target))
+            return node, []  # no fall-through
+        return node, [_new(Out, (node, SEQ))]
+
     def fork(self, arms) -> tuple[int, list[Out]]:
         """A Branch with one edge per (body, edge kind) arm into a Join; an
         empty arm's edge goes straight to the Join."""
@@ -159,51 +184,9 @@ class CfgBuilder:
             self.connect(outs, join)
         return branch, [_new(Out, (join, SEQ))]
 
-    def loop(self, body) -> tuple[int, list[Out]]:
-        """A pre-test loop: the Branch enters the body on True, the body
-        loops back to it, and False leaves."""
-        branch = self.add(BRANCH)
-        head, outs = self.build_seq(body)
-        self.edge(branch, head if head is not None else branch, TRUE)
-        self.connect(outs, branch, LOOP_BACK)
-        return branch, [_new(Out, (branch, FALSE))]
-
-    def plain(self) -> tuple[int, list[Out]]:
-        node = self.add(STMT)
-        return node, [_new(Out, (node, SEQ))]
-
-
-class _CobolBuilder(CfgBuilder):
-    def __init__(self):
-        super().__init__()
-        self.goto_fixups: list[tuple[int, str]] = []
-
-    def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
-        kind = stmt.kind
-        if kind is n.IF:
-            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
-        if kind is n.EVALUATE:
-            arms = [(arm.body, CASE) for arm in stmt.arms]
-            return self.fork(arms + [(stmt.other or [], FALSE)])
-        if kind is n.PERFORM_TIMES and stmt.body is None:
-            # Counted paragraph perform: the loop test is explicit but
-            # the callee stays one opaque call node, never inlined.
-            branch = self.add(BRANCH)
-            call = self.add(STMT)
-            self.edge(branch, call, TRUE)
-            self.edge(call, branch, LOOP_BACK)
-            return branch, [_new(Out, (branch, FALSE))]
-        if kind in n.LOOP_KINDS:
-            return self.loop(stmt.body)
-        if kind is n.GOTO:
-            node = self.add(STMT)
-            self.goto_fixups.append((node, stmt.target))
-            return node, []  # no fall-through
-        return self.plain()
-
 
 def build_cfg(ast: n.CobolAst) -> Cfg:
-    b = _CobolBuilder()
+    b = _Builder()
     entry = b.add(ENTRY)
 
     chains: list[tuple[str, int | None, list[Out]]] = []

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from relicforge.analysis.cfg import Cfg, build_cfg, cyclomatic
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 
 FEATURE_NAMES = (
     "lines",
@@ -42,18 +43,12 @@ FEATURE_NAMES = (
 
 _CALLS_DISTINCT = FEATURE_NAMES.index("calls_distinct")
 
-_STRUCTURAL = (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
-
 _PERFORM_KINDS = (
     n.NodeKind.PERFORM_PARA,
     n.NodeKind.PERFORM_TIMES,
     n.NodeKind.PERFORM_UNTIL,
     n.NodeKind.PERFORM_VARYING,
 )
-
-
-def is_statement(node: n.Node) -> bool:
-    return node.kind not in _STRUCTURAL
 
 
 def statement_nodes(ast: n.CobolAst) -> list[n.Stmt]:

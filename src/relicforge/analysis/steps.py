@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 
 EDGE_ORDER = ("Seq", "True", "False", "LoopBack", "Case", "TreeChild")
 _SEQ, _TRUE, _FALSE, _LOOP_BACK, _CASE, _TREE_CHILD = range(len(EDGE_ORDER))

@@ -323,6 +323,8 @@ LOOP_KINDS = frozenset(
     {NodeKind.PERFORM_TIMES, NodeKind.PERFORM_UNTIL, NodeKind.PERFORM_VARYING}
 )
 BRANCH_KINDS = frozenset({NodeKind.IF, NodeKind.EVALUATE})
+# Every other kind is a statement.
+_STRUCTURAL = (NodeKind.PROGRAM, NodeKind.DATA_ITEM, NodeKind.PARAGRAPH)
 
 
 @dataclass(slots=True)
@@ -366,6 +368,10 @@ class CobolAst:
 
 
 Node = Program | DataItem | Paragraph | Stmt
+
+
+def is_statement(node: Node) -> bool:
+    return node.kind not in _STRUCTURAL
 
 
 def child_nodes(node: Node) -> list[Node]:

@@ -21,7 +21,7 @@ import random
 from pathlib import Path
 
 from relicforge.cobol import SourceFile, nodes as n, parse_source, pretty_print
-from relicforge.analysis.metrics import is_statement
+from relicforge.cobol.nodes import is_statement
 from relicforge.transpile import Action, chain_shape, default_action
 from relicforge.transpile.actions import (
     EXTRACT_METHOD,

@@ -103,10 +103,16 @@ class CobolProgram(Program):
         super().__init__(build_environment(ast.data_items))
         self._index = {p.name: i for i, p in enumerate(ast.paragraphs)}
         self._table = [self._block(p.body) for p in ast.paragraphs]
+        # The first paragraph runs at depth 0, as a translation's run() does.
+        # Each later one runs as a call of weight 1: the follow-on call that
+        # run() makes to the method translated from it.
+        self._paragraphs = self._table[:1] + [
+            self._call(i, 1) for i in range(1, len(self._table))
+        ]
 
     def _main(self) -> None:
         """The paragraphs in order from the first; GO TO moves the cursor."""
-        paragraphs = self._table
+        paragraphs = self._paragraphs
         cursor = 0
         while cursor < len(paragraphs):
             try:

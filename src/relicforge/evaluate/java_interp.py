@@ -89,13 +89,14 @@ class JavaProgram(Program):
         declared = {m.name: m for m in jast.methods}
         self._declared = set(declared)
         self._table = {name: self._method(m) for name, m in declared.items()}
-        # run() is entered as a call of weight 1, as from a method's own body.
-        self._entry = self._call("run", 1)
 
     def _main(self) -> None:
-        if "run" not in self._table:
+        # run() starts at depth 0, as the first paragraph does; a call to
+        # any method adds the weight of its call site (see `_method_call`).
+        run = self._table.get("run")
+        if run is None:
             raise ExecError("no run method")
-        self._entry()
+        run()
 
     # -- values --------------------------------------------------------------
 

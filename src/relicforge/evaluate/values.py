@@ -465,7 +465,10 @@ class Program:
         Each of them holds two to four Python frames while the callee runs,
         so the weights bound the frames a run takes: deep recursion ends at
         the same call whatever the depth of the Python stack the run starts
-        on, and never as a RecursionError.
+        on, and never as a RecursionError. A COBOL paragraph reached by
+        fall-through is called with weight 1, the weight of the follow-on
+        call from a translation's run(); the first paragraph and run() run
+        at depth 0.
         """
         state = self._state
 

@@ -18,11 +18,7 @@ from relicforge.transpile.engine import (
     translate_rules,
     translate_with_fallbacks,
 )
-from relicforge.transpile.jmetrics import (
-    build_java_cfg,
-    java_coupling,
-    java_metrics,
-)
+from relicforge.transpile.jmetrics import java_metrics
 from relicforge.transpile.jnodes import node_count
 from relicforge.transpile.jparser import parse_java
 
@@ -32,14 +28,12 @@ __all__ = [
     "Action",
     "ActionKind",
     "applicable",
-    "build_java_cfg",
     "chain_shape",
     "class_name_for",
     "default_action",
     "default_actions",
     "emit_java",
     "external_method_name",
-    "java_coupling",
     "java_metrics",
     "node_count",
     "parse_java",

@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 
 
 class ActionKind(enum.Enum):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 from relicforge.transpile import jnodes as j
 from relicforge.transpile.actions import (
     EXTRACT_METHOD,

@@ -1,81 +1,27 @@
 """Post-translation metrics over JavaAst.
 
-One CFG per class, built from the same CfgBuilder shapes as the source
-graph: methods chain in declaration order exactly as the source paragraphs
-they came from chained by fall-through, and calls stay opaque Stmt nodes.
-That keeps the decision rules identical on both sides, so the translated
-complexity is comparable to (and never inflated over) the source figure.
-Return is a plain node: halting is interpreter semantics, same as the
-source side's stop statement.
+A translation has no jumps. Its methods chain in declaration order as the
+source paragraphs they came from chained by fall-through, calls stay opaque
+statements, and `return` is a plain statement (halting is interpreter
+semantics, as the source side's STOP RUN is). Its control-flow graph is
+therefore structured, built from forks and loops alone: the Exit has no
+successor, a Branch has two or more, and every other node has one. So
+V(G) = E - N + 2 is one plus the sum, over the Branches, of each one's
+fan-out minus one (McCabe, IEEE TSE 1976): an if-else or a loop test forks
+two ways and adds 1, a switch forks to each case and the default and adds
+the number of cases. `java_metrics` counts those decisions in one walk
+instead of building the graph. The source side keeps its graph
+(`analysis.cfg`): GO TO can strand code that is pruned before counting.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from relicforge.analysis.cfg import (
-    BRANCH,
-    CASE,
-    ENTRY,
-    EXIT,
-    FALSE,
-    LOOP_BACK,
-    SEQ,
-    TRUE,
-    Cfg,
-    CfgBuilder,
-    Out,
-    cyclomatic,
-)
 from relicforge.transpile import jnodes as j
 
-
-class _JavaBuilder(CfgBuilder):
-    def build_stmt(self, stmt) -> tuple[int, list[Out]]:
-        kind = stmt.kind
-        if kind is j.IF_ELSE:
-            return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
-        if kind is j.SWITCH:
-            arms = [(case.body, CASE) for case in stmt.cases]
-            return self.fork(arms + [(stmt.default or [], FALSE)])
-        if kind in (j.WHILE, j.FOR):
-            return self.loop(stmt.body)
-        if kind is j.DO_WHILE:
-            # Post-test loop, a shape the COBOL side has no statement for.
-            body_head, body_outs = self.build_seq(stmt.body)
-            branch = self.add(BRANCH)
-            self.connect(body_outs, branch)
-            head = body_head if body_head is not None else branch
-            self.edge(branch, head, LOOP_BACK)
-            return head, [Out(branch, FALSE)]
-        return self.plain()
-
-
-def build_java_cfg(jast: j.JavaAst) -> Cfg:
-    b = _JavaBuilder()
-    entry = b.add(ENTRY)
-    outs = [Out(entry, SEQ)]
-    for method in jast.methods:
-        head, m_outs = b.build_seq(method.body)
-        if head is None:
-            continue  # empty method bodies add no flow
-        b.connect(outs, head)
-        outs = m_outs
-    exit_id = b.add(EXIT)
-    b.connect(outs, exit_id)
-    return Cfg(nodes=b.nodes, edges=b.edges, entry=entry, exit=exit_id, pruned=0)
-
-
-def java_coupling(jast: j.JavaAst) -> int:
-    """Distinct call targets that leave the class."""
-    own = jast.method_names()
-    return len(
-        {
-            s.name
-            for s in j.all_statements(jast)
-            if s.kind is j.METHOD_CALL and s.name not in own
-        }
-    )
+# Statements whose Branch forks two ways.
+_DECISIONS = frozenset({j.IF_ELSE, j.WHILE, j.DO_WHILE, j.FOR})
 
 
 class JavaMetrics(NamedTuple):
@@ -86,4 +32,17 @@ class JavaMetrics(NamedTuple):
 
 
 def java_metrics(jast: j.JavaAst) -> JavaMetrics:
-    return JavaMetrics(cyclomatic(build_java_cfg(jast)), java_coupling(jast))
+    """V(G) of the class's one graph, and the number of distinct call
+    targets that leave the class."""
+    own = jast.method_names()
+    cyclomatic = 1
+    external: set[str] = set()
+    for s in j.all_statements(jast):
+        kind = s.kind
+        if kind in _DECISIONS:
+            cyclomatic += 1
+        elif kind is j.SWITCH:
+            cyclomatic += len(s.cases)
+        elif kind is j.METHOD_CALL and s.name not in own:
+            external.add(s.name)
+    return JavaMetrics(cyclomatic, len(external))

@@ -12,22 +12,23 @@ from relicforge.cobol import SourceFile, parse_source
 from relicforge.corpus import Status, curate, ingest
 from relicforge.corpus import split as split_corpus
 from relicforge.datagen import acceptance_corpus
-from relicforge.evaluate import interpret_cobol, interpret_java, run_evaluation
+from relicforge.evaluate import interpret_cobol, interpret_java, run_evaluation, score_file
 from relicforge.evaluate.values import runtime_error
 from relicforge.transpile import translate_rules
+
+
+HEADER = (
+    "IDENTIFICATION DIVISION. PROGRAM-ID. RECUR. DATA DIVISION.\n"
+    "WORKING-STORAGE SECTION. 01 X PIC 9 VALUE 0.\n"
+    "PROCEDURE DIVISION.\n"
+)
 
 
 def recursive_source(k: int) -> str:
     call = "PERFORM P"
     for _ in range(k):
         call = f"IF X = 0 {call} END-IF"
-    return (
-        "IDENTIFICATION DIVISION. PROGRAM-ID. RECUR. DATA DIVISION.\n"
-        "WORKING-STORAGE SECTION. 01 X PIC 9 VALUE 0.\n"
-        "PROCEDURE DIVISION.\n"
-        "MAIN. DISPLAY X. PERFORM P. STOP RUN.\n"
-        f"P. DISPLAY X. {call}.\n"
-    )
+    return HEADER + f"MAIN. DISPLAY X. PERFORM P. STOP RUN.\nP. DISPLAY X. {call}.\n"
 
 
 def runs(k: int):
@@ -46,6 +47,24 @@ def from_deep_stack(frames: int, fn):
 def test_deep_recursion_ends_with_call_depth_exceeded(k):
     for trace in runs(k):
         assert trace.outcome == runtime_error("call depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        recursive_source(0),
+        recursive_source(8),
+        HEADER + "MAIN. DISPLAY X. PERFORM MAIN.\n",
+        HEADER + "MAIN. DISPLAY X.\nP. DISPLAY X. PERFORM P.\n",
+    ],
+    ids=["perform", "perform-in-8-ifs", "perform-main", "fall-through"],
+)
+def test_both_sides_cut_recursion_at_the_same_call(source):
+    """The first paragraph and run() start at depth 0; a later paragraph
+    weighs 1 whether it is reached by fall-through or by the follow-on
+    call its translation's run() makes."""
+    ast = parse_source(SourceFile("recur", source))
+    assert score_file(ast, translate_rules(ast).jast) == {"correct": True, "reason": ""}
 
 
 def test_the_cut_does_not_depend_on_the_callers_stack():

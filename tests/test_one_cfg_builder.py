@@ -1,11 +1,14 @@
-"""The one CFG builder against the two builders it replaced.
+"""The CFG builder and the translation's metrics against the builders
+they replaced.
 
 The COBOL and Java graphs used to come from two copies of the same
 builder. The references below are those copies as they were (the Java
 one's chain-exit class renamed from _Out to _JOut so both fit in one
-module). Every graph must serialize exactly as the reference's does:
-same node ids and kinds, same edges in the same order, same pruned
-count.
+module), with the Java coupling count as it was. Every COBOL graph must
+serialize exactly as the reference's does: same node ids and kinds, same
+edges in the same order, same pruned count. Every translation's
+`java_metrics` must equal the reference Java graph's E - N + 2 and the
+reference coupling.
 """
 
 import random
@@ -21,8 +24,8 @@ from relicforge.datagen import random_program, sample_program
 from relicforge.transpile import (
     Action,
     ActionKind,
-    build_java_cfg,
     chain_shape,
+    java_metrics,
     translate_rules,
     translate_with_fallbacks,
 )
@@ -257,6 +260,18 @@ def ref_build_java_cfg(jast: j.JavaAst) -> Cfg:
     return Cfg(nodes=b.nodes, edges=b.edges, entry=entry, exit=exit_id, pruned=0)
 
 
+def ref_java_coupling(jast: j.JavaAst) -> int:
+    """Distinct call targets that leave the class."""
+    own = jast.method_names()
+    return len(
+        {
+            s.name
+            for s in j.all_statements(jast)
+            if s.kind is j.METHOD_CALL and s.name not in own
+        }
+    )
+
+
 # --- the checks -------------------------------------------------------------
 
 LOOP_ACTIONS = (ActionKind.LOOP_TO_WHILE, ActionKind.LOOP_TO_DO_WHILE, ActionKind.LOOP_TO_FOR)
@@ -282,7 +297,10 @@ def assert_same_graphs(ast: n.CobolAst) -> list[j.JavaAst]:
     assert build_cfg(ast).to_json() == ref_build_cfg(ast).to_json()
     jasts = translations(ast)
     for jast in jasts:
-        assert build_java_cfg(jast).to_json() == ref_build_java_cfg(jast).to_json()
+        ref = ref_build_java_cfg(jast)
+        assert java_metrics(jast) == (
+            len(ref.edges) - len(ref.nodes) + 2, ref_java_coupling(jast)
+        )
     return jasts
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from relicforge.analysis import cyclomatic, measure
+from relicforge.analysis import measure
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.datagen import random_program
@@ -16,14 +16,12 @@ from relicforge.transpile import (
     CLASS_ORDER,
     NUM_CLASSES,
     applicable,
-    build_java_cfg,
     chain_shape,
     class_name_for,
     default_action,
     default_actions,
     emit_java,
     external_method_name,
-    java_coupling,
     java_metrics,
     node_count,
     parse_java,
@@ -533,7 +531,7 @@ def test_java_coupling_counts_distinct_external_targets():
         data="01 A PIC 9(1). ",
     )
     jast = translate_rules(ast).jast
-    assert java_coupling(jast) == 2
+    assert java_metrics(jast).coupling == 2
     assert "prog_X(a);" in emit_java(jast)
 
 
@@ -547,7 +545,7 @@ def test_java_metrics_holds_cyclomatic_and_coupling_only():
     jast = translate_rules(ast).jast
     metrics = java_metrics(jast)
     assert metrics._fields == ("cyclomatic", "coupling")
-    assert metrics == (cyclomatic(build_java_cfg(jast)), java_coupling(jast)) == (2, 1)
+    assert metrics == (2, 1)
 
 
 @pytest.mark.parametrize("seed", range(25))
