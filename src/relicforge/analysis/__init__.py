@@ -10,8 +10,6 @@ from relicforge.analysis.cfg import (
 from relicforge.analysis.metrics import (
     FEATURE_NAMES,
     MetricsRecord,
-    coupling,
-    decision_complexity,
     file_features,
     measure,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "MetricsRecord",
     "STEP_FEATURE_COUNT",
     "build_cfg",
-    "coupling",
     "cyclomatic",
-    "decision_complexity",
     "file_features",
     "measure",
     "step_features",

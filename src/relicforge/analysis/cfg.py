@@ -7,15 +7,16 @@ both TIMES forms) is a Branch with a LoopBack edge — the counted paragraph
 perform keeps its callee opaque but its loop test explicit, matching the
 loop its translation unrolls into. GO TO adds a Seq edge to the target
 paragraph's first statement; code left unreachable that way is pruned and
-counted, which is why the source side builds the graph at all. Pruning runs
-only when a GO TO was placed: without one every node is reachable and
-`pruned` is 0. STOP RUN is a plain statement node: halting is interpreter
-semantics, and modeling it as fall-through keeps paragraphs after a
-mid-program stop connected. Only Branch nodes fan out. An Evaluate branch
+counted. Pruning runs only when a GO TO was placed: without one every node
+is reachable and `pruned` is 0. STOP RUN is a plain statement node:
+halting is interpreter semantics, and modeling it as fall-through keeps
+paragraphs after a mid-program stop connected. Only Branch nodes fan out. An Evaluate branch
 carries one Case edge per arm plus a False default edge.
 
-The translation side has no jumps, so `transpile.jmetrics` counts its
-decisions instead of building a graph.
+No pipeline stage builds this graph. `metrics.measure` counts its edges,
+loop-back edges, Branch nodes and V(G) in one walk of the tree, and the
+graph is the reference the tests hold those counts to. The translation
+side has no jumps, so `transpile.jmetrics` counts its decisions too.
 
 A node is only an id and a kind: V(G) = E - N + 2 needs the edge and node
 counts alone, so no node records which statement it came from.

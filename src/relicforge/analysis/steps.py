@@ -28,10 +28,17 @@ STEP_FEATURE_COUNT = 12 + len(EDGE_ORDER)
 _ONE_HOT = [[float(k == e) for k in range(len(EDGE_ORDER))] for e in range(len(EDGE_ORDER))]
 
 _CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
-_KIND_COUNT = len(n.NodeKind)
+# Columns 0, 6, 7 and 8 of a row by node class: kind id, loop, branch and
+# call flags. A class hashes in C; `Enum.__hash__` runs Python code on 3.10
+# and 3.11, and a lookup by kind would cost three of those per node.
+_KIND_COLUMNS = {
+    cls: (n.KIND_IDS[cls.kind] / len(n.NodeKind), cls.kind in n.LOOP_KINDS,
+          cls.kind in n.BRANCH_KINDS, cls.kind in _CALL_KINDS)
+    for cls in n.Node.__args__
+}
 
 
-def _entries(node: n.Node) -> list[tuple[n.Node, int]]:
+def _entries(node: n.Node, is_loop: bool) -> list[tuple[n.Node, int]]:
     """child_nodes(node), each with the edge it is entered by."""
     kind = node.kind
     if kind is n.PROGRAM:
@@ -45,7 +52,7 @@ def _entries(node: n.Node) -> list[tuple[n.Node, int]]:
     if kind is n.EVALUATE:
         arms = [arm.body for arm in node.arms] + [node.other or ()]
         return [entry for body in arms for entry in _body(body, _CASE)]
-    if kind in n.LOOP_KINDS:
+    if is_loop:
         return _body(node.body or (), _LOOP_BACK)
     return []
 
@@ -70,8 +77,8 @@ def step_features(ast: n.CobolAst) -> np.ndarray:
             para = sibling - data_count
         # Columns 10 and 11 hold the paragraph and statement ranks until
         # the walk has counted both.
-        row = [n.KIND_IDS[kind] / _KIND_COUNT, depth, 0, sibling, 0, 0,
-               kind in n.LOOP_KINDS, kind in n.BRANCH_KINDS, kind in _CALL_KINDS,
+        kind_id, is_loop, is_branch, is_call = _KIND_COLUMNS[node.__class__]
+        row = [kind_id, depth, 0, sibling, 0, 0, is_loop, is_branch, is_call,
                0, para, 0, *_ONE_HOT[arrival]]
         if is_statement(node):
             row[5] = level
@@ -82,7 +89,7 @@ def step_features(ast: n.CobolAst) -> np.ndarray:
             level = 0
         rows.append(row)
         size, literals = 1, n.node_literal_counts(node)[0]
-        entries = _entries(node)
+        entries = _entries(node, is_loop)
         for k, (child, edge) in enumerate(entries):
             child_size, child_literals = visit(child, depth + 1, k, level, para, edge)
             size += child_size

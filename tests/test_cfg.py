@@ -7,11 +7,11 @@ from relicforge.analysis import (
     EdgeKind,
     build_cfg,
     cyclomatic,
-    decision_complexity,
     validate,
 )
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.datagen import random_program
+from tests.test_metrics import decision_complexity
 
 
 def cfg_of(body, extra_paras=""):

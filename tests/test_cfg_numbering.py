@@ -6,7 +6,10 @@ It is paired with the one-walk file_features of that time, so that
 `measure` can be checked end to end. The builder now keeps nodes and
 edges as tuples and prunes only after a GO TO; every graph must have the
 same node ids, kinds, edges in the same order, entry, exit and pruned
-count, and every record from `measure` must be equal.
+count, and every record from `measure` must be equal. `measure` builds
+no graph: it counts the edges, loop-back edges, Branch nodes and V(G) of
+the pruned graph in its one walk of the tree, so the GO TO pruning shapes
+below check those counts against the reference graph.
 """
 
 import random
@@ -17,7 +20,7 @@ import pytest
 
 from relicforge.analysis import build_cfg, measure
 from relicforge.analysis.cfg import CfgNodeKind, EdgeKind, cyclomatic
-from relicforge.analysis.metrics import _PERFORM_KINDS, MetricsRecord
+from relicforge.analysis.metrics import MetricsRecord
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
 from relicforge.corpus import curate, ingest, load_ast
@@ -172,6 +175,12 @@ def ref_build_cfg(ast: n.CobolAst) -> _Cfg:
 
 
 _STRUCTURAL = (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
+_PERFORM_KINDS = (
+    n.NodeKind.PERFORM_PARA,
+    n.NodeKind.PERFORM_TIMES,
+    n.NodeKind.PERFORM_UNTIL,
+    n.NodeKind.PERFORM_VARYING,
+)
 
 
 def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
@@ -402,3 +411,145 @@ def test_numbering_cases_cover_nesting_and_pruning():
     assert [len(d.children) for d in nested.data_items[0].children] == [0, 2]
     assert build_cfg(nested).pruned == 0
     assert build_cfg(_case("implicit_main_and_goto_into_empty_paragraphs")).pruned > 0
+
+
+# --- GO TO pruning: `measure` counts the graph without building it -----------
+
+PRUNING_HEADER = """IDENTIFICATION DIVISION. PROGRAM-ID. G.
+DATA DIVISION. WORKING-STORAGE SECTION.
+01 N PIC 9(2) VALUE 0.
+PROCEDURE DIVISION.
+"""
+PRUNING_CASES = {
+    "if_both_arms_go_to": """
+MAIN.
+    IF N = 1 GO TO TWO-P ELSE GO TO THREE-P END-IF.
+    DISPLAY 'DEAD'.
+TWO-P.
+    DISPLAY 'TWO'.
+THREE-P.
+    DISPLAY 'THREE'.
+""",
+    "evaluate_every_arm_and_other_go_to": """
+MAIN.
+    EVALUATE N WHEN 1 GO TO TWO-P WHEN 2 GO TO THREE-P
+        WHEN OTHER GO TO THREE-P END-EVALUATE.
+    DISPLAY 'DEAD'.
+TWO-P.
+    DISPLAY 'TWO'.
+THREE-P.
+    DISPLAY 'THREE'.
+""",
+    "evaluate_every_arm_go_to_without_other": """
+MAIN.
+    EVALUATE N WHEN 1 GO TO TWO-P WHEN 2 GO TO THREE-P END-EVALUATE.
+    DISPLAY 'LIVE'.
+    GO TO THREE-P.
+TWO-P.
+    DISPLAY 'TWO'.
+THREE-P.
+    DISPLAY 'THREE'.
+""",
+    "loop_bodies_end_in_go_to": """
+MAIN.
+    PERFORM UNTIL N > 3 ADD 1 TO N GO TO TWO-P END-PERFORM.
+    PERFORM 2 TIMES DISPLAY N GO TO TWO-P END-PERFORM.
+    PERFORM VARYING N FROM 1 BY 1 UNTIL N > 2 GO TO TWO-P END-PERFORM.
+TWO-P.
+    DISPLAY 'TWO'.
+""",
+    "go_to_an_empty_paragraph": """
+MAIN.
+    GO TO EMPTY-P.
+SKIPPED-P.
+    DISPLAY 'DEAD'.
+EMPTY-P.
+LAST-P.
+    DISPLAY 'LAST'.
+""",
+    "go_to_the_last_paragraph": """
+MAIN.
+    GO TO LAST-P.
+SKIPPED-P.
+    DISPLAY 'DEAD'.
+LAST-P.
+    DISPLAY 'LAST'.
+""",
+    "go_to_an_empty_last_paragraph": """
+MAIN.
+    GO TO LAST-P.
+SKIPPED-P.
+    DISPLAY 'DEAD'.
+LAST-P.
+""",
+    "backward_go_to": """
+MAIN.
+    GO TO B-P.
+A-P.
+    DISPLAY 'A'.
+    GO TO C-P.
+B-P.
+    ADD 1 TO N.
+    IF N < 3 GO TO B-P END-IF.
+    GO TO A-P.
+SKIPPED-P.
+    DISPLAY 'DEAD'.
+C-P.
+    STOP RUN.
+""",
+    "paragraph_reached_only_through_perform": """
+MAIN.
+    GO TO END-P.
+SUB-P.
+    DISPLAY 'SUB'.
+COUNTED-P.
+    DISPLAY 'COUNTED'.
+END-P.
+    PERFORM SUB-P.
+    PERFORM COUNTED-P 2 TIMES.
+    STOP RUN.
+""",
+    "statements_after_go_to_in_nested_bodies": """
+MAIN.
+    IF N = 1
+        DISPLAY 'A'
+        GO TO TWO-P
+        DISPLAY 'DEAD'
+        IF N = 2 DISPLAY 'DEAD' ELSE GO TO MAIN END-IF
+    ELSE
+        PERFORM UNTIL N > 2
+            ADD 1 TO N
+            GO TO TWO-P
+            PERFORM 2 TIMES DISPLAY 'DEAD' END-PERFORM
+        END-PERFORM
+    END-IF.
+    DISPLAY 'AFTER'.
+TWO-P.
+    EVALUATE N
+        WHEN 1 GO TO MAIN
+            EVALUATE N WHEN 2 DISPLAY 'DEAD' END-EVALUATE
+        WHEN OTHER DISPLAY 'OTHER'
+    END-EVALUATE.
+""",
+}
+
+
+def _pruning_case(name: str) -> n.CobolAst:
+    return parse_source(SourceFile("t", PRUNING_HEADER + PRUNING_CASES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_CASES))
+def test_pruning_cases(name):
+    assert_same_cfg(_pruning_case(name))
+
+
+def test_pruning_cases_prune():
+    pruned = {name: build_cfg(_pruning_case(name)).pruned for name in PRUNING_CASES}
+    unpruned = {"evaluate_every_arm_go_to_without_other", "loop_bodies_end_in_go_to"}
+    assert {name for name, count in pruned.items() if not count} == unpruned
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_measure_counts_the_graph_of_go_to_programs(seed):
+    ast = random_program(random.Random(seed), allow_goto=True)
+    assert measure(ast) == ref_measure(ast)

@@ -21,8 +21,8 @@ import random
 
 import pytest
 
-from relicforge.analysis.metrics import is_statement
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 from relicforge.datagen import labeled_program, oracle_labels, random_program, sample_program
 from relicforge.transpile import jnodes as j
 from relicforge.transpile import translate_with_fallbacks

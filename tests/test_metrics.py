@@ -8,22 +8,42 @@ from relicforge.analysis import (
     FEATURE_NAMES,
     MetricsRecord,
     build_cfg,
-    coupling,
     cyclomatic,
-    decision_complexity,
     file_features,
     measure,
 )
 from relicforge.cobol import SourceFile, parse_source
 from relicforge.cobol import nodes as n
+from relicforge.cobol.nodes import is_statement
 from relicforge.datagen import random_program
 
 T1 = "IDENTIFICATION DIVISION. PROGRAM-ID. T1. PROCEDURE DIVISION. MAIN. MOVE 1 TO A. STOP RUN."
 
 
+def statement_nodes(ast: n.CobolAst) -> list[n.Stmt]:
+    return [v for v in n.iter_preorder(ast.program) if is_statement(v)]
+
+
+def coupling(ast: n.CobolAst) -> int:
+    """Distinct CALL target program names (fan-out)."""
+    return len({v.program for v in statement_nodes(ast) if v.kind is n.CALL})
+
+
+def decision_complexity(ast: n.CobolAst) -> int:
+    """One per binary decision, plus the arm count of each Evaluate, plus
+    one: V(G) of the graph when GO TO strands no statement."""
+    total = 1
+    for node in statement_nodes(ast):
+        kind = node.kind
+        if kind in (n.IF, n.PERFORM_UNTIL, n.PERFORM_VARYING, n.PERFORM_TIMES):
+            total += 1
+        elif kind is n.EVALUATE:
+            total += len(node.arms)
+    return total
+
+
 def features_named(ast):
-    cfg = build_cfg(ast)
-    return dict(zip(FEATURE_NAMES, file_features(ast, cfg)))
+    return dict(zip(FEATURE_NAMES, file_features(ast)))
 
 
 def test_no_calls_coupling_zero():
@@ -79,15 +99,14 @@ def test_t1_hand_counted_vector():
 
 def test_vector_has_thirty_fields_in_order():
     ast = parse_source(SourceFile("t", T1))
-    feats = file_features(ast, build_cfg(ast))
+    feats = file_features(ast)
     assert len(feats) == len(FEATURE_NAMES) == 30
 
 
 def test_structural_inequalities():
     for seed in range(25):
         ast = random_program(random.Random(seed))  # no goto: all code reachable
-        cfg = build_cfg(ast)
-        feats = dict(zip(FEATURE_NAMES, file_features(ast, cfg)))
+        feats = features_named(ast)
         assert feats["ast_nodes"] >= feats["statements"]
         assert feats["cfg_edges"] >= feats["statements"]
 
@@ -105,15 +124,14 @@ def test_adding_an_if_increases_cyclomatic_by_one():
                 [],
             ),
         )
-        assert cyclomatic(build_cfg(ast)) == before + 1
+        assert cyclomatic(build_cfg(ast)) == measure(ast).cyclomatic == before + 1
 
 
 def test_features_finite_and_deterministic():
     for seed in range(15):
         ast = random_program(random.Random(seed), allow_goto=(seed % 3 == 0))
-        cfg = build_cfg(ast)
-        v1 = file_features(ast, cfg)
-        v2 = file_features(ast, build_cfg(ast))
+        v1 = file_features(ast)
+        v2 = file_features(ast)
         assert v1 == v2
         assert all(math.isfinite(x) for x in v1)
 
@@ -155,7 +173,7 @@ def test_cyclomatic_equals_decision_count_plus_structure():
     )
     ast = parse_source(SourceFile("d", src))
     cfg = build_cfg(ast)
-    assert cyclomatic(cfg) == decision_complexity(ast) == 7
+    assert cyclomatic(cfg) == decision_complexity(ast) == measure(ast).cyclomatic == 7
 
 
 def test_metrics_record_json_roundtrip():
