@@ -113,11 +113,7 @@ def file_features(ast: n.CobolAst) -> list[float]:
             literals += found
             strings += found_strings
             if cls is _If or cls is _Evaluate:
-                if cls is _If:
-                    arms = [stmt.then_body, stmt.else_body]
-                else:
-                    arms = [arm.body for arm in stmt.arms]
-                    arms.append(stmt.other or ())
+                arms = n.child_lists(stmt)  # then and else, or each WHEN and OTHER
                 # The Join is reached only when some arm falls through; an
                 # empty arm is an edge straight to it.
                 joined = False

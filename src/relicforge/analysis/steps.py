@@ -5,7 +5,9 @@ columns 12-17 one-hot the edge the node arrives by, in `EDGE_ORDER`. The
 arrival edge describes how the node is entered from its structural
 context: then/else bodies get True/False, evaluate arms get Case, loop
 bodies get LoopBack, a statement following its sibling gets Seq, and
-everything else (root included, by convention) gets TreeChild. One
+everything else (root included, by convention) gets TreeChild.
+`_FIRST_EDGES` holds that choice per parent class, one edge per child list
+of `n.child_lists`, which gives the rows their pre-order. One
 recursive walk computes every column: what a node inherits (depth,
 nesting level, paragraph, arrival edge) is passed down, and what it
 synthesizes (subtree size and literal count) is summed on the way back
@@ -13,6 +15,8 @@ up. The features read the tree alone, not a control-flow graph.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -38,28 +42,19 @@ _KIND_COLUMNS = {
 }
 
 
-def _entries(node: n.Node, is_loop: bool) -> list[tuple[n.Node, int]]:
-    """child_nodes(node), each with the edge it is entered by."""
-    kind = node.kind
-    if kind is n.PROGRAM:
-        return _body(node.data_items, _TREE_CHILD) + _body(node.paragraphs, _TREE_CHILD)
-    if kind is n.DATA_ITEM:
-        return _body(node.children, _TREE_CHILD)
-    if kind is n.PARAGRAPH:
-        return _body(node.body, _TREE_CHILD)
-    if kind is n.IF:
-        return _body(node.then_body, _TRUE) + _body(node.else_body, _FALSE)
-    if kind is n.EVALUATE:
-        arms = [arm.body for arm in node.arms] + [node.other or ()]
-        return [entry for body in arms for entry in _body(body, _CASE)]
-    if is_loop:
-        return _body(node.body or (), _LOOP_BACK)
-    return []
-
-
-def _body(nodes, first: int) -> list[tuple[n.Node, int]]:
-    """A sibling run: the first entered by `first`, the rest by Seq."""
-    return [(node, first if k == 0 else _SEQ) for k, node in enumerate(nodes)]
+# The edge the first child of each child list (`n.child_lists`) arrives by,
+# by parent class; every later child of a list arrives by Seq. An EVALUATE
+# has one list per arm and one for OTHER, so its Case repeats.
+_FIRST_EDGES = {
+    n.Program: (_TREE_CHILD, _TREE_CHILD),
+    n.DataItem: (_TREE_CHILD,),
+    n.Paragraph: (_TREE_CHILD,),
+    n.If: (_TRUE, _FALSE),
+    n.Evaluate: repeat(_CASE),
+    n.PerformTimes: (_LOOP_BACK,),
+    n.PerformUntil: (_LOOP_BACK,),
+    n.PerformVarying: (_LOOP_BACK,),
+}
 
 
 def step_features(ast: n.CobolAst) -> np.ndarray:
@@ -89,12 +84,15 @@ def step_features(ast: n.CobolAst) -> np.ndarray:
             level = 0
         rows.append(row)
         size, literals = 1, n.node_literal_counts(node)[0]
-        entries = _entries(node, is_loop)
-        for k, (child, edge) in enumerate(entries):
-            child_size, child_literals = visit(child, depth + 1, k, level, para, edge)
-            size += child_size
-            literals += child_literals
-        row[2], row[4], row[9] = len(entries), size, literals
+        k = 0
+        for body, edge in zip(n.child_lists(node), _FIRST_EDGES.get(node.__class__, ())):
+            for child in body:
+                child_size, child_literals = visit(child, depth + 1, k, level, para, edge)
+                size += child_size
+                literals += child_literals
+                k += 1
+                edge = _SEQ
+        row[2], row[4], row[9] = k, size, literals
         return size, literals
 
     visit(program, 0, 0, 0, 0, _TREE_CHILD)

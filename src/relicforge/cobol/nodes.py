@@ -3,7 +3,15 @@
 Nodes are the things that occupy tree positions: the program, data items,
 paragraphs, and statements. Expressions and conditions are plain attribute
 values on their owning statement, not nodes. Pre-order position over nodes
-is the statement reference used everywhere downstream.
+is the statement reference used everywhere downstream: step-feature rows,
+action labels and the rule engine's actions all meet at it. The table
+`_CHILD_LISTS` defines child order, and so defines those refs. It gives
+each node class's child lists in source order; `child_lists`,
+`iter_preorder`, `to_json`, the step features and the file metrics read
+it. The CFG builder, the interpreters, the printer and the rule engine
+read the fields themselves, on purpose: they render control flow, syntax
+and semantics, and the CFG builder is the reference the metrics are
+tested against.
 
 Every class is slotted: curate keeps each kept text's tree in memory for
 the whole run, and slots make each tree about a quarter smaller.
@@ -374,29 +382,27 @@ def is_statement(node: Node) -> bool:
     return node.kind not in _STRUCTURAL
 
 
-def child_nodes(node: Node) -> list[Node]:
-    """Structural children of a node, in source order."""
-    kind = node.kind
-    if kind is PROGRAM:
-        return [*node.data_items, *node.paragraphs]
-    if kind is DATA_ITEM:
-        return list(node.children)
-    if kind is PARAGRAPH:
-        return list(node.body)
-    if kind is IF:
-        return [*node.then_body, *node.else_body]
-    if kind is EVALUATE:
-        out: list[Node] = []
-        for arm in node.arms:
-            out.extend(arm.body)
-        if node.other:
-            out.extend(node.other)
-        return out
-    if kind is PERFORM_TIMES:
-        return list(node.body) if node.body else []
-    if kind in (PERFORM_UNTIL, PERFORM_VARYING):
-        return list(node.body)
-    return []
+# Each node's child lists in source order, by node class; a leaf has no
+# entry. Keyed by class, since a class hashes in C and `Enum.__hash__` runs
+# Python code on 3.10 and 3.11.
+_CHILD_LISTS = {
+    Program: lambda node: (node.data_items, node.paragraphs),
+    DataItem: lambda node: (node.children,),
+    Paragraph: lambda node: (node.body,),
+    If: lambda node: (node.then_body, node.else_body),
+    Evaluate: lambda node: (*[arm.body for arm in node.arms], node.other or ()),
+    PerformTimes: lambda node: (node.body or (),),  # empty for PERFORM para n TIMES
+    PerformUntil: lambda node: (node.body,),
+    PerformVarying: lambda node: (node.body,),
+}
+
+
+def child_lists(node: Node) -> tuple:
+    """The node's child lists in source order: () for a leaf, and one list
+    per body otherwise, empty bodies included (an EVALUATE ends with its
+    OTHER body, empty when absent)."""
+    lists = _CHILD_LISTS.get(node.__class__)
+    return () if lists is None else lists(node)
 
 
 def iter_preorder(root: Node):
@@ -405,7 +411,10 @@ def iter_preorder(root: Node):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(child_nodes(node)))
+        lists = _CHILD_LISTS.get(node.__class__)
+        if lists is not None:
+            for body in reversed(lists(node)):
+                stack.extend(reversed(body))
 
 
 # --- expression and condition rendering (shared by printer, JSON, features) ---
@@ -570,7 +579,7 @@ def to_json(node: Node) -> dict:
     """Nested dict form: kind, line, node-specific attrs, children."""
     out = {"kind": node.kind.value, "line": node.line}
     out.update(_attrs(node))
-    out["children"] = [to_json(c) for c in child_nodes(node)]
+    out["children"] = [to_json(child) for body in child_lists(node) for child in body]
     return out
 
 

@@ -3,7 +3,6 @@ Java-side parsing and metrics."""
 
 from relicforge.transpile.actions import (
     CLASS_ORDER,
-    NUM_CLASSES,
     Action,
     ActionKind,
     applicable,
@@ -24,7 +23,6 @@ from relicforge.transpile.jparser import parse_java
 
 __all__ = [
     "CLASS_ORDER",
-    "NUM_CLASSES",
     "Action",
     "ActionKind",
     "applicable",

@@ -21,6 +21,7 @@ from relicforge.cobol.nodes import is_statement
 
 
 class ActionKind(enum.Enum):
+    # Member order is the model's class order (`CLASS_ORDER`).
     PASS_THROUGH = "PassThrough"
     LOOP_TO_FOR = "LoopToFor"
     LOOP_TO_WHILE = "LoopToWhile"
@@ -52,23 +53,8 @@ DISPLAY_TO_PRINT = ActionKind.DISPLAY_TO_PRINT
 EXTRACT_METHOD = ActionKind.EXTRACT_METHOD
 
 
-# Model output space: index in this tuple == class id.
-CLASS_ORDER: tuple[ActionKind, ...] = (
-    ActionKind.PASS_THROUGH,
-    ActionKind.LOOP_TO_FOR,
-    ActionKind.LOOP_TO_WHILE,
-    ActionKind.LOOP_TO_DO_WHILE,
-    ActionKind.IF_TO_IF,
-    ActionKind.IF_CHAIN_TO_SWITCH,
-    ActionKind.EVALUATE_TO_SWITCH,
-    ActionKind.MOVE_TO_ASSIGN,
-    ActionKind.COMPUTE_TO_EXPR,
-    ActionKind.CALL_TO_METHOD_CALL,
-    ActionKind.DISPLAY_TO_PRINT,
-    ActionKind.EXTRACT_METHOD,
-)
-
-NUM_CLASSES = len(CLASS_ORDER)
+# Model output space: index in this tuple == class id, in enum order.
+CLASS_ORDER: tuple[ActionKind, ...] = tuple(ActionKind)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,27 @@ _PERFORM_KINDS = (
 )
 
 
+def _children(node: n.Node) -> list[n.Node]:
+    """Structural children in source order, spelled out per class, so that
+    the reference does not read `nodes`' own child table."""
+    kind = node.kind
+    if kind is n.NodeKind.PROGRAM:
+        return [*node.data_items, *node.paragraphs]
+    if kind is n.NodeKind.DATA_ITEM:
+        return list(node.children)
+    if kind is n.NodeKind.PARAGRAPH:
+        return list(node.body)
+    if kind is n.NodeKind.IF:
+        return [*node.then_body, *node.else_body]
+    if kind is n.NodeKind.EVALUATE:
+        arms = [stmt for arm in node.arms for stmt in arm.body]
+        return arms + list(node.other or [])
+    if kind in (n.NodeKind.PERFORM_TIMES, n.NodeKind.PERFORM_UNTIL,
+                n.NodeKind.PERFORM_VARYING):
+        return list(node.body or [])
+    return []
+
+
 def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
     out: list[tuple[n.Node, int | None]] = []
 
@@ -193,7 +214,7 @@ def _preorder_levels(program: n.Program) -> list[tuple[n.Node, int | None]]:
         else:
             out.append((node, level))
             level += 1
-        for child in n.child_nodes(node):
+        for child in _children(node):
             walk(child, level)
 
     walk(program, 0)

@@ -31,10 +31,29 @@ repair_module = importlib.import_module("relicforge.cobol.repair")
 # --- the reference: the scanner and the parser as they were -------------------
 
 
+def ref_children(node: n.Node) -> list[n.Node]:
+    """Structural children of a node, in source order, spelled out per class
+    so that the reference does not read `nodes`' own child table."""
+    if isinstance(node, n.Program):
+        return [*node.data_items, *node.paragraphs]
+    if isinstance(node, n.DataItem):
+        return list(node.children)
+    if isinstance(node, n.Paragraph):
+        return list(node.body)
+    if isinstance(node, n.If):
+        return [*node.then_body, *node.else_body]
+    if isinstance(node, n.Evaluate):
+        out = [stmt for arm in node.arms for stmt in arm.body]
+        return out + list(node.other or [])
+    if isinstance(node, (n.PerformTimes, n.PerformUntil, n.PerformVarying)):
+        return list(node.body or [])
+    return []
+
+
 def ref_iter_preorder(root: n.Node):
     """Yield root and all descendants, depth-first, children in source order."""
     yield root
-    for child in n.child_nodes(root):
+    for child in ref_children(root):
         yield from ref_iter_preorder(child)
 
 

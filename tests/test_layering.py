@@ -1,7 +1,13 @@
-"""The translator and the program generator sit below the analysis layer:
+"""The layers import downward only.
+
+The translator and the program generator sit below the analysis layer:
 no module under relicforge/transpile/, and not relicforge/datagen.py,
-imports relicforge.analysis. Each module's imports are read with `ast`, so
-the check sees what the module names, not what it happens to load."""
+imports relicforge.analysis. The COBOL front end is the bottom layer,
+since every other layer reads the tree's shape from `cobol.nodes`: no
+module under relicforge/cobol/ imports from relicforge outside
+relicforge.cobol and relicforge.errors. Each module's imports are read
+with `ast`, so the check sees what the module names, not what it happens
+to load."""
 
 import ast
 import pathlib
@@ -12,6 +18,7 @@ import relicforge
 
 SRC = pathlib.Path(relicforge.__file__).parent
 MODULES = [*sorted((SRC / "transpile").glob("*.py")), SRC / "datagen.py"]
+COBOL_MODULES = sorted((SRC / "cobol").glob("*.py"))
 
 
 def imported_names(path: pathlib.Path) -> set[str]:
@@ -39,3 +46,19 @@ def test_module_does_not_import_analysis(path):
         if name == "relicforge.analysis" or name.startswith("relicforge.analysis.")
     }
     assert not analysis, f"{path.name} imports {sorted(analysis)}"
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+@pytest.mark.parametrize("path", COBOL_MODULES, ids=lambda p: p.name)
+def test_cobol_module_imports_only_cobol_and_errors(path):
+    outside = {
+        name for name in imported_names(path)
+        if _within(name, "relicforge")
+        and not _within(name, "relicforge.cobol")
+        and not _within(name, "relicforge.errors")
+    }
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+

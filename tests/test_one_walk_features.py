@@ -2,8 +2,9 @@
 
 step_features and file_features each used to walk a tree several times;
 the references below are those versions, with the literal counters they
-read, kept as they were. Every array and list must come out
-exactly equal, not merely close.
+read, kept as they were; they walk the tree with the spelled-out child
+order of tests/test_front_end_equivalence.py, not `nodes`' child table.
+Every array and list must come out exactly equal, not merely close.
 """
 
 import random
@@ -19,6 +20,7 @@ from relicforge.cobol import nodes as n
 from relicforge.cobol.nodes import is_statement
 from relicforge.corpus import curate, ingest, load_ast
 from relicforge.datagen import acceptance_corpus, random_program, sample_program
+from tests.test_front_end_equivalence import ref_children, ref_iter_preorder
 from tests.test_metrics import coupling
 
 _CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
@@ -100,7 +102,7 @@ def _string_literal_count(ast: n.CobolAst) -> int:
             visit_expr(e.left)
             visit_expr(e.right)
 
-    for node in n.iter_preorder(ast.program):
+    for node in ref_iter_preorder(ast.program):
         kind = node.kind
         if kind is n.NodeKind.MOVE:
             visit_expr(node.src)
@@ -135,7 +137,7 @@ def _string_literal_count(ast: n.CobolAst) -> int:
 def ref_nesting_levels(ast: n.CobolAst) -> dict[int, int]:
     """Pre-order index -> statement nesting level (top-level stmt = 0)."""
     levels: dict[int, int] = {}
-    index = {id(v): i for i, v in enumerate(n.iter_preorder(ast.program))}
+    index = {id(v): i for i, v in enumerate(ref_iter_preorder(ast.program))}
 
     def walk(node: n.Node, level: int) -> None:
         if is_statement(node):
@@ -143,7 +145,7 @@ def ref_nesting_levels(ast: n.CobolAst) -> dict[int, int]:
             child_level = level + 1
         else:
             child_level = 0
-        for child in n.child_nodes(node):
+        for child in ref_children(node):
             walk(child, child_level)
 
     walk(ast.program, 0)
@@ -152,7 +154,7 @@ def ref_nesting_levels(ast: n.CobolAst) -> dict[int, int]:
 
 def ref_file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
     program = ast.program
-    all_nodes = list(n.iter_preorder(program))
+    all_nodes = list(ref_iter_preorder(program))
     stmts = [v for v in all_nodes if is_statement(v)]
     data = [v for v in all_nodes if v.kind is n.NodeKind.DATA_ITEM]
     kinds = [v.kind for v in stmts]
@@ -163,7 +165,7 @@ def ref_file_features(ast: n.CobolAst, cfg: Cfg) -> list[float]:
     calls = [v for v in stmts if v.kind is n.NodeKind.CALL]
     levels = list(ref_nesting_levels(ast).values())
     para_lens = [
-        sum(1 for v in n.iter_preorder(p) if is_statement(v))
+        sum(1 for v in ref_iter_preorder(p) if is_statement(v))
         for p in program.paragraphs
     ]
     branches = sum(1 for v in cfg.nodes if v.kind is CfgNodeKind.BRANCH)
@@ -221,7 +223,7 @@ def _arrival_kinds(program: n.Program) -> dict[int, str]:
     def walk(node: n.Node) -> None:
         kind = node.kind
         if kind is n.NodeKind.PROGRAM:
-            for child in n.child_nodes(node):
+            for child in ref_children(node):
                 kinds.setdefault(id(child), "TreeChild")
             _mark_siblings(node.data_items)
             _mark_siblings(node.paragraphs)
@@ -244,7 +246,7 @@ def _arrival_kinds(program: n.Program) -> dict[int, str]:
             n.NodeKind.PERFORM_VARYING,
         ) or (kind is n.NodeKind.PERFORM_TIMES and node.body is not None):
             mark_body(node.body, "LoopBack")
-        for child in n.child_nodes(node):
+        for child in ref_children(node):
             walk(child)
 
     def _mark_siblings(children) -> None:
@@ -260,7 +262,7 @@ def _arrival_kinds(program: n.Program) -> dict[int, str]:
 
 def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray]:
     program = ast.program
-    order = list(n.iter_preorder(program))
+    order = list(ref_iter_preorder(program))
     total = len(order)
     node_feats = np.zeros((total, 12))
     edge_feats = np.zeros((total, 6))
@@ -272,7 +274,7 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
 
     def measure_subtree(node: n.Node) -> int:
         size = 1
-        for i, child in enumerate(n.child_nodes(node)):
+        for i, child in enumerate(ref_children(node)):
             parents[id(child)] = node
             depths[id(child)] = depths[id(node)] + 1
             siblings[id(child)] = i
@@ -286,7 +288,7 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
 
     para_of: dict[int, int] = {}
     for pi, para in enumerate(program.paragraphs):
-        for node in n.iter_preorder(para):
+        for node in ref_iter_preorder(para):
             para_of[id(node)] = pi
     para_count = len(program.paragraphs)
 
@@ -300,7 +302,7 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
         key = id(node)
         if key not in lit_cache:
             lit_cache[key] = node_literal_count(node) + sum(
-                subtree_literals(c) for c in n.child_nodes(node)
+                subtree_literals(c) for c in ref_children(node)
             )
         return lit_cache[key]
 
@@ -310,7 +312,7 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
         kind = node.kind
         node_feats[i, 0] = n.KIND_IDS[kind] / kind_count
         node_feats[i, 1] = depths[key]
-        node_feats[i, 2] = len(n.child_nodes(node))
+        node_feats[i, 2] = len(ref_children(node))
         node_feats[i, 3] = siblings[key]
         node_feats[i, 4] = sizes[key]
         node_feats[i, 5] = nesting.get(i, 0)

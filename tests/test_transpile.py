@@ -14,7 +14,6 @@ from relicforge.transpile import (
     Action,
     ActionKind,
     CLASS_ORDER,
-    NUM_CLASSES,
     applicable,
     chain_shape,
     class_name_for,
@@ -51,10 +50,21 @@ def refs_of(ast, kind):
 
 
 def test_class_order_is_stable():
-    assert NUM_CLASSES == 12
-    assert CLASS_ORDER[0] is ActionKind.PASS_THROUGH
-    assert CLASS_ORDER[-1] is ActionKind.EXTRACT_METHOD
-    assert len(set(CLASS_ORDER)) == 12
+    # The class ids are the rows of every checkpoint's output layer.
+    assert [kind.value for kind in CLASS_ORDER] == [
+        "PassThrough",
+        "LoopToFor",
+        "LoopToWhile",
+        "LoopToDoWhile",
+        "IfToIf",
+        "IfChainToSwitch",
+        "EvaluateToSwitch",
+        "MoveToAssign",
+        "ComputeToExpr",
+        "CallToMethodCall",
+        "DisplayToPrint",
+        "ExtractMethodAt",
+    ]
 
 
 def test_default_action_table():
