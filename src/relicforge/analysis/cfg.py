@@ -149,18 +149,18 @@ class _Builder:
         return head, outs
 
     def build_stmt(self, stmt: n.Stmt) -> tuple[int, list[Out]]:
-        kind = stmt.kind
-        if kind is n.IF:
+        cls = stmt.__class__
+        if cls is n.If:
             return self.fork(((stmt.then_body, TRUE), (stmt.else_body, FALSE)))
-        if kind is n.EVALUATE:
+        if cls is n.Evaluate:
             arms = [(arm.body, CASE) for arm in stmt.arms]
             return self.fork(arms + [(stmt.other or [], FALSE)])
-        if kind in n.LOOP_KINDS:
+        if cls in n.LOOP_KINDS:
             # A pre-test loop: the Branch enters the body on True, the body
             # loops back to it, and False leaves. A counted paragraph
             # perform's body is one opaque call node, never inlined.
             branch = self.add(BRANCH)
-            if kind is n.PERFORM_TIMES and stmt.body is None:
+            if cls is n.PerformTimes and stmt.body is None:
                 head = self.add(STMT)
                 outs = [_new(Out, (head, SEQ))]
             else:
@@ -169,7 +169,7 @@ class _Builder:
             self.connect(outs, branch, LOOP_BACK)
             return branch, [_new(Out, (branch, FALSE))]
         node = self.add(STMT)
-        if kind is n.GOTO:
+        if cls is n.GoTo:
             self.goto_fixups.append((node, stmt.target))
             return node, []  # no fall-through
         return node, [_new(Out, (node, SEQ))]

@@ -31,13 +31,11 @@ STEP_FEATURE_COUNT = 12 + len(EDGE_ORDER)
 # The arrival edge's columns of a row, by edge.
 _ONE_HOT = [[float(k == e) for k in range(len(EDGE_ORDER))] for e in range(len(EDGE_ORDER))]
 
-_CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
 # Columns 0, 6, 7 and 8 of a row by node class: kind id, loop, branch and
-# call flags. A class hashes in C; `Enum.__hash__` runs Python code on 3.10
-# and 3.11, and a lookup by kind would cost three of those per node.
+# call flags.
 _KIND_COLUMNS = {
-    cls: (n.KIND_IDS[cls.kind] / len(n.NodeKind), cls.kind in n.LOOP_KINDS,
-          cls.kind in n.BRANCH_KINDS, cls.kind in _CALL_KINDS)
+    cls: (n.KIND_IDS[cls.kind] / len(n.NodeKind), cls in n.LOOP_KINDS,
+          cls in n.BRANCH_KINDS, cls is n.Call or cls is n.PerformPara)
     for cls in n.Node.__args__
 }
 
@@ -67,8 +65,8 @@ def step_features(ast: n.CobolAst) -> np.ndarray:
     def visit(node: n.Node, depth: int, sibling: int, level: int, para: int,
               arrival: int) -> tuple[int, int]:
         nonlocal statements
-        kind = node.kind
-        if kind is n.PARAGRAPH:
+        cls = node.__class__
+        if cls is n.Paragraph:
             para = sibling - data_count
         # Columns 10 and 11 hold the paragraph and statement ranks until
         # the walk has counted both.

@@ -13,6 +13,12 @@ read the fields themselves, on purpose: they render control flow, syntax
 and semantics, and the CFG builder is the reference the metrics are
 tested against.
 
+Code tells nodes apart by class (`node.__class__ is If`, or a role set
+such as `LOOP_KINDS`): a class hashes in C, while `Enum.__hash__` and
+every `NodeKind.MOVE` read run Python code on 3.10 and 3.11. A node's
+`kind`, a `NodeKind` member, is its name in `to_json`, and `KIND_IDS`
+turns it into the kind-id column of the step features.
+
 Every class is slotted: curate keeps each kept text's tree in memory for
 the whole run, and slots make each tree about a quarter smaller.
 """
@@ -41,29 +47,6 @@ class NodeKind(enum.Enum):
     CALL = "Call"
     GOTO = "GoTo"
     STOP_RUN = "StopRun"
-
-
-# NodeKind's members as module constants, for function bodies (`n.MOVE`).
-# On Python 3.10 and 3.11 every `NodeKind.MOVE` read goes through EnumType's
-# Python-level `__getattr__` hook: about 140-230 ns a read against 15-50 ns
-# for a global, and the tree walks read several per node.
-PROGRAM = NodeKind.PROGRAM
-DATA_ITEM = NodeKind.DATA_ITEM
-PARAGRAPH = NodeKind.PARAGRAPH
-MOVE = NodeKind.MOVE
-COMPUTE = NodeKind.COMPUTE
-ARITH = NodeKind.ARITH
-IF = NodeKind.IF
-EVALUATE = NodeKind.EVALUATE
-PERFORM_PARA = NodeKind.PERFORM_PARA
-PERFORM_TIMES = NodeKind.PERFORM_TIMES
-PERFORM_UNTIL = NodeKind.PERFORM_UNTIL
-PERFORM_VARYING = NodeKind.PERFORM_VARYING
-DISPLAY = NodeKind.DISPLAY
-ACCEPT = NodeKind.ACCEPT
-CALL = NodeKind.CALL
-GOTO = NodeKind.GOTO
-STOP_RUN = NodeKind.STOP_RUN
 
 
 KIND_IDS = {kind: i for i, kind in enumerate(NodeKind)}
@@ -327,12 +310,8 @@ Stmt = (
     | StopRun
 )
 
-LOOP_KINDS = frozenset(
-    {NodeKind.PERFORM_TIMES, NodeKind.PERFORM_UNTIL, NodeKind.PERFORM_VARYING}
-)
-BRANCH_KINDS = frozenset({NodeKind.IF, NodeKind.EVALUATE})
-# Every other kind is a statement.
-_STRUCTURAL = (NodeKind.PROGRAM, NodeKind.DATA_ITEM, NodeKind.PARAGRAPH)
+LOOP_KINDS = frozenset({PerformTimes, PerformUntil, PerformVarying})
+BRANCH_KINDS = frozenset({If, Evaluate})
 
 
 @dataclass(slots=True)
@@ -376,15 +355,16 @@ class CobolAst:
 
 
 Node = Program | DataItem | Paragraph | Stmt
+# Every other node class is a statement.
+_STRUCTURAL = frozenset({Program, DataItem, Paragraph})
 
 
 def is_statement(node: Node) -> bool:
-    return node.kind not in _STRUCTURAL
+    return node.__class__ not in _STRUCTURAL
 
 
 # Each node's child lists in source order, by node class; a leaf has no
-# entry. Keyed by class, since a class hashes in C and `Enum.__hash__` runs
-# Python code on 3.10 and 3.11.
+# entry.
 _CHILD_LISTS = {
     Program: lambda node: (node.data_items, node.paragraphs),
     DataItem: lambda node: (node.children,),
@@ -482,32 +462,30 @@ def node_literal_counts(node: Node) -> tuple[int, int]:
     """(literals, string literals) in this node's own attributes (not
     descendants). A CALL's program name is a string literal, and a data
     item's VALUE the literal it spells."""
-    kind = node.kind
-    if kind is MOVE:
+    cls = node.__class__
+    if cls is Move:
         return literal_counts(node.src)
-    if kind is COMPUTE:
+    if cls is Compute:
         return literal_counts(node.expr)
-    if kind is ARITH:
+    if cls is Arith:
         return _sum_counts((literal_counts(node.a), literal_counts(node.b)))
-    if kind is IF:
+    if cls is If or cls is PerformUntil:
         return literal_counts(node.cond)
-    if kind is EVALUATE:
+    if cls is Evaluate:
         return _sum_counts(
             [literal_counts(node.subject)] + [literal_counts(arm.value) for arm in node.arms]
         )
-    if kind is PERFORM_TIMES:
+    if cls is PerformTimes:
         return literal_counts(node.count)
-    if kind is PERFORM_UNTIL:
-        return literal_counts(node.cond)
-    if kind is PERFORM_VARYING:
+    if cls is PerformVarying:
         return _sum_counts(
             (literal_counts(node.from_), literal_counts(node.by), literal_counts(node.until))
         )
-    if kind is DISPLAY:
+    if cls is Display:
         return _sum_counts(map(literal_counts, node.args))
-    if kind is CALL:
+    if cls is Call:
         return _STR_LITERAL
-    if kind is DATA_ITEM and node.value is not None:
+    if cls is DataItem and node.value is not None:
         return _STR_LITERAL if isinstance(node.value, str) else _NUM_LITERAL
     return _NO_LITERALS
 
@@ -516,30 +494,30 @@ def node_literal_counts(node: Node) -> tuple[int, int]:
 
 
 def _attrs(node: Node) -> dict:
-    kind = node.kind
-    if kind is PROGRAM:
+    cls = node.__class__
+    if cls is Program:
         return {"program_id": node.program_id}
-    if kind is DATA_ITEM:
+    if cls is DataItem:
         a = {"level": node.level, "name": node.name}
         if node.picture is not None:
             a["picture"] = node.picture
         if node.value is not None:
             a["value"] = node.value
         return a
-    if kind is PARAGRAPH:
+    if cls is Paragraph:
         return {"name": node.name}
-    if kind is MOVE:
+    if cls is Move:
         return {"src": expr_text(node.src), "dst": node.dst}
-    if kind is COMPUTE:
+    if cls is Compute:
         return {"dst": node.dst, "expr": expr_text(node.expr)}
-    if kind is ARITH:
+    if cls is Arith:
         a = {"op": node.op, "a": expr_text(node.a), "b": expr_text(node.b)}
         if node.giving is not None:
             a["giving"] = node.giving
         return a
-    if kind is IF:
+    if cls is If:
         return {"cond": cond_text(node.cond), "then_len": len(node.then_body)}
-    if kind is EVALUATE:
+    if cls is Evaluate:
         return {
             "subject": expr_text(node.subject),
             "arms": [
@@ -548,30 +526,26 @@ def _attrs(node: Node) -> dict:
             ],
             "has_other": node.other is not None,
         }
-    if kind is PERFORM_PARA:
+    if cls is PerformPara or cls is Accept or cls is GoTo:
         return {"target": node.target}
-    if kind is PERFORM_TIMES:
+    if cls is PerformTimes:
         a = {"count": expr_text(node.count)}
         if node.target is not None:
             a["target"] = node.target
         return a
-    if kind is PERFORM_UNTIL:
+    if cls is PerformUntil:
         return {"cond": cond_text(node.cond)}
-    if kind is PERFORM_VARYING:
+    if cls is PerformVarying:
         return {
             "var": node.var,
             "from": expr_text(node.from_),
             "by": expr_text(node.by),
             "until": cond_text(node.until),
         }
-    if kind is DISPLAY:
+    if cls is Display:
         return {"args": [expr_text(a) for a in node.args]}
-    if kind is ACCEPT:
-        return {"target": node.target}
-    if kind is CALL:
+    if cls is Call:
         return {"program": node.program, "using": list(node.using)}
-    if kind is GOTO:
-        return {"target": node.target}
     return {}
 
 

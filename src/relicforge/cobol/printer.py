@@ -33,12 +33,12 @@ def _data_item_lines(item: n.DataItem, depth: int, out: list[str]) -> None:
 
 def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
     pad = _INDENT * depth
-    kind = stmt.kind
-    if kind is n.MOVE:
+    cls = stmt.__class__
+    if cls is n.Move:
         out.append(f"{pad}MOVE {n.expr_text(stmt.src)} TO {stmt.dst}")
-    elif kind is n.COMPUTE:
+    elif cls is n.Compute:
         out.append(f"{pad}COMPUTE {stmt.dst} = {n.expr_text(stmt.expr)}")
-    elif kind is n.ARITH:
+    elif cls is n.Arith:
         a = n.expr_text(stmt.a)
         b = n.expr_text(stmt.b)
         joiner = {"ADD": "TO", "SUBTRACT": "FROM", "MULTIPLY": "BY", "DIVIDE": "INTO"}
@@ -46,7 +46,7 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
         if stmt.giving is not None:
             text += f" GIVING {stmt.giving}"
         out.append(text)
-    elif kind is n.IF:
+    elif cls is n.If:
         out.append(f"{pad}IF {n.cond_text(stmt.cond)}")
         for s in stmt.then_body:
             _stmt_lines(s, depth + 1, out)
@@ -55,7 +55,7 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.else_body:
                 _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-IF")
-    elif kind is n.EVALUATE:
+    elif cls is n.Evaluate:
         out.append(f"{pad}EVALUATE {n.expr_text(stmt.subject)}")
         for arm in stmt.arms:
             out.append(f"{pad}{_INDENT}WHEN {n.expr_text(arm.value)}")
@@ -66,9 +66,9 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.other:
                 _stmt_lines(s, depth + 2, out)
         out.append(f"{pad}END-EVALUATE")
-    elif kind is n.PERFORM_PARA:
+    elif cls is n.PerformPara:
         out.append(f"{pad}PERFORM {stmt.target}")
-    elif kind is n.PERFORM_TIMES:
+    elif cls is n.PerformTimes:
         if stmt.target is not None:
             out.append(f"{pad}PERFORM {stmt.target} {n.expr_text(stmt.count)} TIMES")
         else:
@@ -76,12 +76,12 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
             for s in stmt.body or []:
                 _stmt_lines(s, depth + 1, out)
             out.append(f"{pad}END-PERFORM")
-    elif kind is n.PERFORM_UNTIL:
+    elif cls is n.PerformUntil:
         out.append(f"{pad}PERFORM UNTIL {n.cond_text(stmt.cond)}")
         for s in stmt.body:
             _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-PERFORM")
-    elif kind is n.PERFORM_VARYING:
+    elif cls is n.PerformVarying:
         out.append(
             f"{pad}PERFORM VARYING {stmt.var} FROM {n.expr_text(stmt.from_)}"
             f" BY {n.expr_text(stmt.by)} UNTIL {n.cond_text(stmt.until)}"
@@ -89,16 +89,16 @@ def _stmt_lines(stmt: n.Stmt, depth: int, out: list[str]) -> None:
         for s in stmt.body:
             _stmt_lines(s, depth + 1, out)
         out.append(f"{pad}END-PERFORM")
-    elif kind is n.DISPLAY:
+    elif cls is n.Display:
         out.append(pad + "DISPLAY " + " ".join(n.expr_text(a) for a in stmt.args))
-    elif kind is n.ACCEPT:
+    elif cls is n.Accept:
         out.append(f"{pad}ACCEPT {stmt.target}")
-    elif kind is n.CALL:
+    elif cls is n.Call:
         text = f"{pad}CALL {_quote(stmt.program)}"
         if stmt.using:
             text += " USING " + " ".join(stmt.using)
         out.append(text)
-    elif kind is n.GOTO:
+    elif cls is n.GoTo:
         out.append(f"{pad}GO TO {stmt.target}")
     else:
         out.append(f"{pad}STOP RUN")

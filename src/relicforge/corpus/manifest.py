@@ -81,7 +81,9 @@ class Record:
 
     @classmethod
     def from_json(cls, data: dict) -> "Record":
-        return cls(
+        """Raises TypeError for a `fold` that is neither null nor an int
+        (a bool is not)."""
+        record = cls(
             id=data["id"],
             relative_path=data["relative_path"],
             md5=data["md5"],
@@ -95,6 +97,9 @@ class Record:
             oracle_java=data.get("oracle_java"),
             oracle_labels=data.get("oracle_labels"),
         )
+        if record.fold is not None and type(record.fold) is not int:
+            raise TypeError(f"fold is a {type(record.fold).__name__}, not an int")
+        return record
 
 
 @dataclass
@@ -132,8 +137,8 @@ class CorpusManifest:
     @classmethod
     def read_jsonl(cls, path: Path | str) -> "CorpusManifest":
         """Raises FormatError naming the file and the 1-based line of the
-        first record that is not valid JSON, lacks a key, or holds an
-        unknown status or split."""
+        first record that is not valid JSON, lacks a key, holds an unknown
+        status or split, or holds a fold that is not an int."""
         records = []
         # Bytes, decoded a line at a time, so a bad byte names its own line.
         with open(path, "rb") as fh:

@@ -232,15 +232,15 @@ def oracle_labels(ast: n.CobolAst) -> dict[int, Action]:
     labels = {ref: default_action(node) for ref, node in enumerate(order)
               if is_statement(node)}
     for node in order:
-        kind = node.kind
-        if kind is n.IF:
+        cls = node.__class__
+        if cls is n.If:
             shape = chain_shape(node)
             if shape is not None and len(shape.arms) >= 2:
                 for arm_if, _literal, _body in shape.arms:
                     labels[refs[id(arm_if)]] = Action(IF_CHAIN_TO_SWITCH)
-        elif kind is n.PERFORM_UNTIL:
+        elif cls is n.PerformUntil:
             labels[refs[id(node)]] = Action(LOOP_TO_FOR)
-        elif kind is n.PERFORM_TIMES:
+        elif cls is n.PerformTimes:
             labels[refs[id(node)]] = Action(LOOP_TO_WHILE)
     for para in ast.program.paragraphs:
         if len(para.body) == _SPLIT_PARA_LEN:

@@ -203,18 +203,18 @@ class CobolProgram(Program):
         return until
 
     def _stmt(self, s: n.Stmt) -> Thunk:
-        kind = s.kind
+        cls = s.__class__
         budget = self.budget
         state = self._state
         inputs = self.inputs
-        if kind is n.MOVE:
+        if cls is n.Move:
             return self._assign_expr(s.dst, s.src)
-        if kind is n.COMPUTE:
+        if cls is n.Compute:
             return self._assign_expr(s.dst, s.expr)
-        if kind is n.ARITH:
+        if cls is n.Arith:
             value = binop(_ARITH_SYMBOL[s.op], self._expr(s.b), self._expr(s.a))
             return self._assign(s.giving if s.giving else s.b.name, value)
-        if kind is n.IF:
+        if cls is n.If:
             test = self._cond(s.cond)
             then_body, else_body = self._block(s.then_body), self._block(s.else_body)
 
@@ -225,7 +225,7 @@ class CobolProgram(Program):
                     else_body()
 
             return if_
-        if kind is n.EVALUATE:
+        if cls is n.Evaluate:
             subject = self._expr(s.subject)
             arms = tuple((arm.value.value, self._block(arm.body)) for arm in s.arms)
             other = self._block(s.other or ())
@@ -239,9 +239,9 @@ class CobolProgram(Program):
                 other()
 
             return evaluate
-        if kind is n.PERFORM_PARA:
+        if cls is n.PerformPara:
             return self._perform(s.target, self._level)
-        if kind is n.PERFORM_TIMES:
+        if cls is n.PerformTimes:
             count = self._expr(s.count)
             # A counted paragraph perform costs one extra step per pass: the
             # call itself, same as a loop around a call, which is also why
@@ -264,9 +264,9 @@ class CobolProgram(Program):
                     body()
 
             return times
-        if kind is n.PERFORM_UNTIL:
+        if cls is n.PerformUntil:
             return self._until(self._cond(s.cond), self._block(s.body))
-        if kind is n.PERFORM_VARYING:
+        if cls is n.PerformVarying:
             start = self._assign_expr(s.var, s.from_)
             step = self._assign(s.var, binop("+", self._expr(n.VarRef(s.var)),
                                              self._expr(s.by)))
@@ -283,7 +283,7 @@ class CobolProgram(Program):
                 loop()
 
             return varying
-        if kind is n.DISPLAY:
+        if cls is n.Display:
             args = tuple(self._expr(a) for a in s.args)
 
             def display():
@@ -291,9 +291,9 @@ class CobolProgram(Program):
                 state.trace.display_lines.append(line)
 
             return display
-        if kind is n.ACCEPT:
+        if cls is n.Accept:
             return self._assign(s.target, lambda: pop_input(inputs))
-        if kind is n.CALL:
+        if cls is n.Call:
             program = s.program
             using = tuple(self._expr(n.VarRef(name)) for name in s.using)
 
@@ -302,7 +302,7 @@ class CobolProgram(Program):
                 state.trace.call_events.append((program, values))
 
             return call
-        if kind is n.GOTO:
+        if cls is n.GoTo:
             index = self._index.get(s.target)
             if index is None:
                 return fail(f"unknown paragraph {s.target}")
@@ -311,7 +311,7 @@ class CobolProgram(Program):
                 raise _Goto(index)
 
             return goto
-        if kind is n.STOP_RUN:
+        if cls is n.StopRun:
             def stop():
                 raise Halt()
 

@@ -202,13 +202,13 @@ class JavaProgram(Program):
         return while_
 
     def _stmt(self, s) -> Thunk:
-        kind = s.kind
+        cls = s.__class__
         budget = self.budget
         state = self._state
         fields, inputs = self._cells, self.inputs
-        if kind is j.ASSIGN:
+        if cls is j.Assign:
             return self._assign(s)
-        if kind is j.IF_ELSE:
+        if cls is j.IfElse:
             test = self._cond(s.cond)
             then_body = self._block(s.then_body)
             else_body = self._block(s.else_body)
@@ -220,9 +220,9 @@ class JavaProgram(Program):
                     else_body()
 
             return if_else
-        if kind is j.WHILE:
+        if cls is j.While:
             return self._while(self._cond(s.cond), self._block(s.body))
-        if kind is j.DO_WHILE:
+        if cls is j.DoWhile:
             test, body = self._cond(s.cond), self._block(s.body)
 
             def do_while():
@@ -243,7 +243,7 @@ class JavaProgram(Program):
                         break
 
             return do_while
-        if kind is j.FOR:
+        if cls is j.For:
             test = self._cond(s.cond) if s.cond is not None else _always
             body = self._block(s.body)
             if s.update is not None:
@@ -264,7 +264,7 @@ class JavaProgram(Program):
                 loop()
 
             return for_
-        if kind is j.SWITCH:
+        if cls is j.Switch:
             subject = self._expr(s.subject)
             cases = tuple((case.value.value, self._block(case.body)) for case in s.cases)
             default = self._block(s.default or ())
@@ -282,9 +282,9 @@ class JavaProgram(Program):
                     pass
 
             return switch
-        if kind is j.METHOD_CALL:
+        if cls is j.MethodCall:
             return self._method_call(s)
-        if kind is j.PRINT:
+        if cls is j.Print:
             args = tuple(self._expr(a) for a in s.args)
 
             def print_():
@@ -292,12 +292,12 @@ class JavaProgram(Program):
                 state.trace.display_lines.append(line)
 
             return print_
-        if kind is j.RETURN:
+        if cls is j.Return:
             def return_():
                 raise Halt()
 
             return return_
-        if kind is j.BREAK:
+        if cls is j.Break:
             def break_():
                 raise _Break()
 

@@ -79,7 +79,7 @@ def traces_match(a: Trace, b: Trace) -> tuple[bool, str]:
 
 
 def has_goto(ast: n.CobolAst) -> bool:
-    return any(node.kind is n.GOTO for node in n.iter_preorder(ast.program))
+    return any(isinstance(node, n.GoTo) for node in n.iter_preorder(ast.program))
 
 
 def load_oracle_labels(path: Path | str) -> dict[int, Action]:
@@ -338,10 +338,10 @@ def build_training_set(root: Path | str, records,
                        config: CorpusConfig = CorpusConfig()) -> list:
     """TrainSamples for the given records: oracle labels where sidecars
     exist, default rule labels otherwise. A record whose source is
-    unreadable, has changed since curate or does not parse, or whose
-    sidecar is unreadable, gives no sample. `config` must be
-    the one the corpus was curated with, so each file is read in its
-    source format."""
+    unreadable, has changed since curate, does not parse or holds no
+    statement, or whose sidecar is unreadable, gives no sample. `config`
+    must be the one the corpus was curated with, so each file is read in
+    its source format."""
     root = Path(root)
     samples = (_train_sample(root, record, config) for record in records)
     return [sample for sample in samples if sample is not None]
@@ -355,8 +355,8 @@ def _train_sample(root: Path, record: Record, config: CorpusConfig):
         ast = load_ast(root, record, config)
     except SourceError:
         return None
-    if ast is None:
-        return None
+    if ast is None or not any(para.body for para in ast.paragraphs):
+        return None  # no statement, so no step to weigh
     labels = None
     if record.oracle_labels:
         try:

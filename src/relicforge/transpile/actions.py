@@ -1,7 +1,7 @@
 """Per-statement translation actions and their applicability rules.
 
 An action tells the rule engine how to render one COBOL statement in Java.
-`_ACTIONS` maps each statement kind to the action kinds it admits, its
+`_ACTIONS` maps each statement class to the action kinds it admits, its
 fixed default first; a model (or an oracle label file) may override the
 default with any other kind in that row, and IfChainToSwitch also needs
 an If whose ladder has a `chain_shape`. ExtractMethodAt is in no row: any
@@ -78,26 +78,26 @@ class Action:
         return cls(ActionKind(data["action"]), node_index)
 
 
-_ACTIONS: dict[n.NodeKind, tuple[ActionKind, ...]] = {
-    n.MOVE: (MOVE_TO_ASSIGN,),
-    n.COMPUTE: (COMPUTE_TO_EXPR,),
-    n.ARITH: (COMPUTE_TO_EXPR,),
-    n.IF: (IF_TO_IF, IF_CHAIN_TO_SWITCH),
-    n.EVALUATE: (EVALUATE_TO_SWITCH,),
-    n.PERFORM_PARA: (CALL_TO_METHOD_CALL,),
-    n.PERFORM_TIMES: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
-    n.PERFORM_UNTIL: (LOOP_TO_WHILE, LOOP_TO_FOR, LOOP_TO_DO_WHILE),
-    n.PERFORM_VARYING: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
-    n.DISPLAY: (DISPLAY_TO_PRINT,),
-    n.CALL: (CALL_TO_METHOD_CALL,),
-    n.ACCEPT: (PASS_THROUGH,),
-    n.GOTO: (PASS_THROUGH,),
-    n.STOP_RUN: (PASS_THROUGH,),
+_ACTIONS: dict[type, tuple[ActionKind, ...]] = {
+    n.Move: (MOVE_TO_ASSIGN,),
+    n.Compute: (COMPUTE_TO_EXPR,),
+    n.Arith: (COMPUTE_TO_EXPR,),
+    n.If: (IF_TO_IF, IF_CHAIN_TO_SWITCH),
+    n.Evaluate: (EVALUATE_TO_SWITCH,),
+    n.PerformPara: (CALL_TO_METHOD_CALL,),
+    n.PerformTimes: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
+    n.PerformUntil: (LOOP_TO_WHILE, LOOP_TO_FOR, LOOP_TO_DO_WHILE),
+    n.PerformVarying: (LOOP_TO_FOR, LOOP_TO_WHILE, LOOP_TO_DO_WHILE),
+    n.Display: (DISPLAY_TO_PRINT,),
+    n.Call: (CALL_TO_METHOD_CALL,),
+    n.Accept: (PASS_THROUGH,),
+    n.GoTo: (PASS_THROUGH,),
+    n.StopRun: (PASS_THROUGH,),
 }
 
 
 def default_action(stmt: n.Stmt) -> Action:
-    return Action(_ACTIONS[stmt.kind][0])
+    return Action(_ACTIONS[stmt.__class__][0])
 
 
 def default_actions(ast: n.CobolAst) -> list[tuple[int, Action]]:
@@ -144,7 +144,7 @@ def chain_shape(stmt: n.If) -> ChainShape | None:
             return ChainShape(subject, tuple(arms), (node,))
         arms.append((node, step[1], tuple(node.then_body)))
         tail = node.else_body
-        if len(tail) == 1 and tail[0].kind is n.IF:
+        if len(tail) == 1 and isinstance(tail[0], n.If):
             node = tail[0]
             continue
         return ChainShape(subject, tuple(arms), tuple(tail))
@@ -157,6 +157,6 @@ def applicable(stmt: n.Stmt, action: Action) -> bool:
         # validates them. Any statement may carry the label.
         return action.node_index is not None
     # Membership first: chain_shape reads `.cond`, which only an If has.
-    return kind in _ACTIONS.get(stmt.kind, ()) and (
+    return kind in _ACTIONS.get(stmt.__class__, ()) and (
         kind is not IF_CHAIN_TO_SWITCH or chain_shape(stmt) is not None
     )

@@ -50,37 +50,37 @@ def _field_line(field: j.JField) -> str:
 def _emit_body(lines: list[str], body, depth: int) -> None:
     pad = "    " * depth
     for stmt in body:
-        kind = stmt.kind
-        if kind is j.ASSIGN:
+        cls = stmt.__class__
+        if cls is j.Assign:
             lines.append(f"{pad}{stmt.target} = {j.jexpr_text(stmt.expr)};")
-        elif kind is j.METHOD_CALL:
+        elif cls is j.MethodCall:
             args = ", ".join(j.jexpr_text(a) for a in stmt.args)
             lines.append(f"{pad}{stmt.name}({args});")
-        elif kind is j.PRINT:
+        elif cls is j.Print:
             rendered = " + ".join(f"str({j.jexpr_text(a)})" for a in stmt.args)
             lines.append(f"{pad}System.out.println({rendered or j.java_quote('')});")
-        elif kind is j.IF_ELSE:
+        elif cls is j.IfElse:
             lines.append(f"{pad}if ({j.jcond_text(stmt.cond)}) {{")
             _emit_body(lines, stmt.then_body, depth + 1)
             if stmt.else_body:
                 lines.append(f"{pad}}} else {{")
                 _emit_body(lines, stmt.else_body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.WHILE:
+        elif cls is j.While:
             lines.append(f"{pad}while ({j.jcond_text(stmt.cond)}) {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.DO_WHILE:
+        elif cls is j.DoWhile:
             lines.append(f"{pad}do {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}} while ({j.jcond_text(stmt.cond)});")
-        elif kind is j.FOR:
+        elif cls is j.For:
             init, update = j.assign_text(stmt.init), j.assign_text(stmt.update)
             cond = j.jcond_text(stmt.cond) if stmt.cond else ""
             lines.append(f"{pad}for ({init}; {cond}; {update}) {{")
             _emit_body(lines, stmt.body, depth + 1)
             lines.append(f"{pad}}}")
-        elif kind is j.SWITCH:
+        elif cls is j.Switch:
             lines.append(f"{pad}switch ({j.jexpr_text(stmt.subject)}) {{")
             for case in stmt.cases:
                 lines.append(f"{pad}    case {j.jexpr_text(case.value)}: {{")
@@ -93,9 +93,9 @@ def _emit_body(lines: list[str], body, depth: int) -> None:
                 lines.append(f"{pad}        break;")
                 lines.append(f"{pad}    }}")
             lines.append(f"{pad}}}")
-        elif kind is j.RETURN:
+        elif cls is j.Return:
             lines.append(f"{pad}return;")
-        elif kind is j.BREAK:
+        elif cls is j.Break:
             lines.append(f"{pad}break;")
         else:
             raise TypeError(f"unknown statement {stmt!r}")

@@ -216,28 +216,28 @@ class _Translator:
 
     def stmt(self, stmt: n.Stmt) -> list:
         action = self._action_for(stmt)
-        kind = stmt.kind
-        if kind is n.MOVE:
+        cls = stmt.__class__
+        if cls is n.Move:
             return [self._store(stmt.dst, self.expr(stmt.src), self._is_stringy(stmt.src))]
-        if kind is n.COMPUTE:
+        if cls is n.Compute:
             return [self._store(stmt.dst, self.expr(stmt.expr), False)]
-        if kind is n.ARITH:
+        if cls is n.Arith:
             sym = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}[stmt.op]
             value = n.BinOp(sym, self.expr(stmt.b), self.expr(stmt.a))
             target = stmt.giving if stmt.giving else stmt.b.name
             return [self._store(target, value, False)]
-        if kind is n.IF:
+        if cls is n.If:
             if action.kind is IF_CHAIN_TO_SWITCH:
                 return [self._chain_switch(stmt)]
             return [j.IfElse(self.cond(stmt.cond), self.stmts(stmt.then_body),
                              self.stmts(stmt.else_body))]
-        if kind is n.EVALUATE:
+        if cls is n.Evaluate:
             return [self._switch(self.expr(stmt.subject),
                                  [(arm.value, list(arm.body)) for arm in stmt.arms],
                                  list(stmt.other) if stmt.other is not None else None)]
-        if kind is n.PERFORM_PARA:
+        if cls is n.PerformPara:
             return [j.MethodCall(self.para_methods[stmt.target], [])]
-        if kind is n.PERFORM_TIMES:
+        if cls is n.PerformTimes:
             if stmt.target is not None:
                 body = [j.MethodCall(self.para_methods[stmt.target], [])]
             else:
@@ -248,26 +248,26 @@ class _Translator:
             return self._loop(action.kind, j.Assign(t, count),
                               n.Comparison(">", n.VarRef(t), n.NumLit(0)),
                               j.Assign(t, n.BinOp("-", n.VarRef(t), n.NumLit(1))), body)
-        if kind is n.PERFORM_UNTIL:
+        if cls is n.PerformUntil:
             guard = n.NotCond(self.cond(stmt.cond))
             return self._loop(action.kind, None, guard, None, self.stmts(stmt.body))
-        if kind is n.PERFORM_VARYING:
+        if cls is n.PerformVarying:
             var = self._var(stmt.var).jname
             init = j.Assign(var, self.expr(stmt.from_))
             guard = n.NotCond(self.cond(stmt.until))
             step = j.Assign(var, n.BinOp("+", n.VarRef(var), self.expr(stmt.by)))
             return self._loop(action.kind, init, guard, step, self.stmts(stmt.body))
-        if kind is n.DISPLAY:
+        if cls is n.Display:
             return [j.Print([self.expr(a) for a in stmt.args])]
-        if kind is n.ACCEPT:
+        if cls is n.Accept:
             read = j.JCall("in", ())
             return [self._store(stmt.target, read, True)]
-        if kind is n.CALL:
+        if cls is n.Call:
             args = [n.VarRef(self._var(name).jname) for name in stmt.using]
             return [j.MethodCall(external_method_name(stmt.program), args, stmt.program)]
-        if kind is n.GOTO:
+        if cls is n.GoTo:
             return []
-        if kind is n.STOP_RUN:
+        if cls is n.StopRun:
             return [j.Return()]
         raise TypeError(f"unknown statement {stmt!r}")
 
@@ -371,12 +371,12 @@ class _Translator:
             followers = [
                 j.MethodCall(self.para_methods[p.name], []) for p in paragraphs[1:]
             ]
-            if not (run.body and run.body[-1].kind is j.RETURN):
+            if not (run.body and isinstance(run.body[-1], j.Return)):
                 run.body.extend(followers)
         # A trailing return in run() is implied by method end; dropping it
         # keeps the halt semantics and shrinks the tree.
         run = jast.methods[0]
-        if run.body and run.body[-1].kind is j.RETURN:
+        if run.body and isinstance(run.body[-1], j.Return):
             run.body.pop()
         return self.result
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from relicforge.transpile import jnodes as j
 
 # Statements whose Branch forks two ways.
-_DECISIONS = frozenset({j.IF_ELSE, j.WHILE, j.DO_WHILE, j.FOR})
+_DECISIONS = frozenset({j.IfElse, j.While, j.DoWhile, j.For})
 
 
 class JavaMetrics(NamedTuple):
@@ -38,11 +38,11 @@ def java_metrics(jast: j.JavaAst) -> JavaMetrics:
     cyclomatic = 1
     external: set[str] = set()
     for s in j.all_statements(jast):
-        kind = s.kind
-        if kind in _DECISIONS:
+        cls = s.__class__
+        if cls in _DECISIONS:
             cyclomatic += 1
-        elif kind is j.SWITCH:
+        elif cls is j.Switch:
             cyclomatic += len(s.cases)
-        elif kind is j.METHOD_CALL and s.name not in own:
+        elif cls is j.MethodCall and s.name not in own:
             external.add(s.name)
     return JavaMetrics(cyclomatic, len(external))

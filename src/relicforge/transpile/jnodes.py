@@ -2,12 +2,16 @@
 parameters.
 
 The AST holds only what the rule engine writes: a paragraph becomes a
-method that takes no arguments, and every statement is one of the `JKind`
-statement kinds below, each of which `parse_java` reads back. Expression
-and condition trees are shared with the COBOL side (NumLit, StrLit,
-VarRef, BinOp, Comparison, ...); JCall adds runtime-helper and input
-calls, and appears only inside an expression. Statements carry no line
-numbers; emission order is the only identity that matters on this side.
+method that takes no arguments, and every statement is an instance of one
+of the `JStmt` classes below, each of which `parse_java` reads back.
+Expression and condition trees are shared with the COBOL side (NumLit,
+StrLit, VarRef, BinOp, Comparison, ...); JCall adds runtime-helper and
+input calls, and appears only inside an expression. Statements carry no
+line numbers; emission order is the only identity that matters on this
+side.
+
+Code tells nodes apart by class (`stmt.__class__ is IfElse`). A node's
+`kind`, a `JKind` member, is its name in `to_json` and nothing more.
 """
 
 from __future__ import annotations
@@ -58,25 +62,6 @@ class JKind(enum.Enum):
     PRINT = "Print"
     RETURN = "Return"
     BREAK = "Break"
-
-
-# JKind's members as module constants, for function bodies (`j.ASSIGN`).
-# On Python 3.10 and 3.11 a `JKind.ASSIGN` read goes through EnumType's
-# `__getattr__` hook (about 140-230 ns against 15-50 ns for a global), and the
-# emitter, metrics and interpreter read them per node.
-CLASS = JKind.CLASS
-FIELD = JKind.FIELD
-METHOD = JKind.METHOD
-ASSIGN = JKind.ASSIGN
-IF_ELSE = JKind.IF_ELSE
-WHILE = JKind.WHILE
-DO_WHILE = JKind.DO_WHILE
-FOR = JKind.FOR
-SWITCH = JKind.SWITCH
-METHOD_CALL = JKind.METHOD_CALL
-PRINT = JKind.PRINT
-RETURN = JKind.RETURN
-BREAK = JKind.BREAK
 
 
 @dataclass
@@ -212,12 +197,12 @@ class JavaAst:
 
 def child_stmts(stmt: JStmt) -> list:
     """Nested statements of a statement, in emission order."""
-    kind = stmt.kind
-    if kind is IF_ELSE:
+    cls = stmt.__class__
+    if cls is IfElse:
         return [*stmt.then_body, *stmt.else_body]
-    if kind in (WHILE, DO_WHILE, FOR):
+    if cls is While or cls is DoWhile or cls is For:
         return list(stmt.body)
-    if kind is SWITCH:
+    if cls is Switch:
         out = []
         for case in stmt.cases:
             out.extend(case.body)
@@ -292,30 +277,26 @@ def jcond_text(c: Cond, parent: str = "") -> str:
 
 def _stmt_json(stmt: JStmt) -> dict:
     out: dict = {"kind": stmt.kind.value}
-    kind = stmt.kind
-    if kind is ASSIGN:
+    cls = stmt.__class__
+    if cls is Assign:
         out["target"] = stmt.target
         out["expr"] = jexpr_text(stmt.expr)
-    elif kind is IF_ELSE:
+    elif cls is IfElse or cls is While or cls is DoWhile:
         out["cond"] = jcond_text(stmt.cond)
-    elif kind is WHILE:
-        out["cond"] = jcond_text(stmt.cond)
-    elif kind is DO_WHILE:
-        out["cond"] = jcond_text(stmt.cond)
-    elif kind is FOR:
+    elif cls is For:
         out["init"] = assign_text(stmt.init)
         out["cond"] = jcond_text(stmt.cond) if stmt.cond else ""
         out["update"] = assign_text(stmt.update)
-    elif kind is SWITCH:
+    elif cls is Switch:
         out["subject"] = jexpr_text(stmt.subject)
         out["cases"] = [jexpr_text(c.value) for c in stmt.cases]
         out["has_default"] = stmt.default is not None
-    elif kind is METHOD_CALL:
+    elif cls is MethodCall:
         out["name"] = stmt.name
         out["args"] = [jexpr_text(a) for a in stmt.args]
         if stmt.external_name is not None:
             out["external"] = stmt.external_name
-    elif kind is PRINT:
+    elif cls is Print:
         out["args"] = [jexpr_text(a) for a in stmt.args]
     out["children"] = [_stmt_json(s) for s in child_stmts(stmt)]
     return out
@@ -332,7 +313,7 @@ def to_json(jast: JavaAst) -> dict:
     for f in jast.fields:
         children.append(
             {
-                "kind": FIELD.value,
+                "kind": JField.kind.value,
                 "name": f.name,
                 "jtype": f.jtype,
                 "initial": f.initial,
@@ -342,9 +323,9 @@ def to_json(jast: JavaAst) -> dict:
     for m in jast.methods:
         children.append(
             {
-                "kind": METHOD.value,
+                "kind": JMethod.kind.value,
                 "name": m.name,
                 "children": [_stmt_json(s) for s in m.body],
             }
         )
-    return {"kind": CLASS.value, "class_name": jast.class_name, "children": children}
+    return {"kind": JavaAst.kind.value, "class_name": jast.class_name, "children": children}

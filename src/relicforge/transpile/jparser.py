@@ -340,7 +340,7 @@ class _JParser:
 
     def case_body(self) -> list:
         body = self.block()
-        if body and body[-1].kind is j.BREAK:
+        if body and isinstance(body[-1], j.Break):
             body.pop()  # the uniform case-trailing break is emission detail
         return body
 

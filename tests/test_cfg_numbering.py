@@ -117,7 +117,7 @@ class _Builder:
             self.edge(branch, call, EdgeKind.TRUE)
             self.edge(call, branch, EdgeKind.LOOP_BACK)
             return branch, [_Out(branch, EdgeKind.FALSE)]
-        if kind in n.LOOP_KINDS:
+        if kind in _LOOP_KINDS:
             return self.loop(stmt.body)
         if kind is n.NodeKind.GOTO:
             node = self.add(CfgNodeKind.STMT)
@@ -174,6 +174,9 @@ def ref_build_cfg(ast: n.CobolAst) -> _Cfg:
                 pruned=len(b.nodes) - len(seen))
 
 
+_LOOP_KINDS = frozenset(
+    {n.NodeKind.PERFORM_TIMES, n.NodeKind.PERFORM_UNTIL, n.NodeKind.PERFORM_VARYING}
+)
 _STRUCTURAL = (n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH)
 _PERFORM_KINDS = (
     n.NodeKind.PERFORM_PARA,

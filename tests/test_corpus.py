@@ -258,8 +258,11 @@ def _record_json(**changes) -> str:
         (_record_json(status="Kept-ish"), "ValueError: 'Kept-ish' is not a valid Status"),
         (_record_json(split="Validation"), "ValueError: 'Validation' is not a valid Split"),
         ('["b.cbl"]', "TypeError"),
+        (_record_json(fold="2"), "TypeError: fold is a str, not an int"),
+        (_record_json(fold=True), "TypeError: fold is a bool, not an int"),
     ],
-    ids=["bad_json", "missing_key", "unknown_status", "unknown_split", "not_an_object"],
+    ids=["bad_json", "missing_key", "unknown_status", "unknown_split", "not_an_object",
+         "str_fold", "bool_fold"],
 )
 def test_read_jsonl_names_file_and_line(tmp_path, bad_line, cause):
     path = _broken_manifest(tmp_path, bad_line)

@@ -61,6 +61,10 @@ _LOOP_ACTIONS = frozenset(
     {ActionKind.LOOP_TO_FOR, ActionKind.LOOP_TO_WHILE, ActionKind.LOOP_TO_DO_WHILE}
 )
 
+_LOOP_KINDS = frozenset(
+    {n.NodeKind.PERFORM_TIMES, n.NodeKind.PERFORM_UNTIL, n.NodeKind.PERFORM_VARYING}
+)
+
 _DEFAULTS = {
     n.NodeKind.MOVE: ActionKind.MOVE_TO_ASSIGN,
     n.NodeKind.COMPUTE: ActionKind.COMPUTE_TO_EXPR,
@@ -90,23 +94,23 @@ def applicable(stmt: n.Stmt, action: Action) -> bool:
         # validates them. Any statement may carry the label.
         return action.node_index is not None
     if kind is PASS_THROUGH:
-        return stmt.kind in (n.ACCEPT, n.GOTO, n.STOP_RUN)
+        return stmt.kind in (n.NodeKind.ACCEPT, n.NodeKind.GOTO, n.NodeKind.STOP_RUN)
     if kind in _LOOP_ACTIONS:
-        return stmt.kind in n.LOOP_KINDS
+        return stmt.kind in _LOOP_KINDS
     if kind is IF_TO_IF:
-        return stmt.kind is n.IF
+        return stmt.kind is n.NodeKind.IF
     if kind is IF_CHAIN_TO_SWITCH:
-        return stmt.kind is n.IF and chain_shape(stmt) is not None
+        return stmt.kind is n.NodeKind.IF and chain_shape(stmt) is not None
     if kind is EVALUATE_TO_SWITCH:
-        return stmt.kind is n.EVALUATE
+        return stmt.kind is n.NodeKind.EVALUATE
     if kind is MOVE_TO_ASSIGN:
-        return stmt.kind is n.MOVE
+        return stmt.kind is n.NodeKind.MOVE
     if kind is COMPUTE_TO_EXPR:
-        return stmt.kind in (n.COMPUTE, n.ARITH)
+        return stmt.kind in (n.NodeKind.COMPUTE, n.NodeKind.ARITH)
     if kind is CALL_TO_METHOD_CALL:
-        return stmt.kind in (n.CALL, n.PERFORM_PARA)
+        return stmt.kind in (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
     if kind is DISPLAY_TO_PRINT:
-        return stmt.kind is n.DISPLAY
+        return stmt.kind is n.NodeKind.DISPLAY
     return False
 
 
@@ -243,48 +247,48 @@ class _Translator:
     def stmt(self, stmt: n.Stmt) -> list:
         action = self._action_for(stmt)
         kind = stmt.kind
-        if kind is n.MOVE:
+        if kind is n.NodeKind.MOVE:
             return [self._store(stmt.dst, self.expr(stmt.src), self._is_stringy(stmt.src))]
-        if kind is n.COMPUTE:
+        if kind is n.NodeKind.COMPUTE:
             return [self._store(stmt.dst, self.expr(stmt.expr), False)]
-        if kind is n.ARITH:
+        if kind is n.NodeKind.ARITH:
             sym = {"ADD": "+", "SUBTRACT": "-", "MULTIPLY": "*", "DIVIDE": "/"}[stmt.op]
             value = n.BinOp(sym, self.expr(stmt.b), self.expr(stmt.a))
             target = stmt.giving if stmt.giving else stmt.b.name
             return [self._store(target, value, False)]
-        if kind is n.IF:
+        if kind is n.NodeKind.IF:
             if action.kind is IF_CHAIN_TO_SWITCH:
                 return [self._chain_switch(stmt)]
             return [j.IfElse(self.cond(stmt.cond), self.stmts(stmt.then_body),
                              self.stmts(stmt.else_body))]
-        if kind is n.EVALUATE:
+        if kind is n.NodeKind.EVALUATE:
             return [self._switch(self.expr(stmt.subject),
                                  [(arm.value, list(arm.body)) for arm in stmt.arms],
                                  list(stmt.other) if stmt.other is not None else None)]
-        if kind is n.PERFORM_PARA:
+        if kind is n.NodeKind.PERFORM_PARA:
             return [j.MethodCall(self.para_methods[stmt.target], [])]
-        if kind is n.PERFORM_TIMES:
+        if kind is n.NodeKind.PERFORM_TIMES:
             if stmt.target is not None:
                 body = [j.MethodCall(self.para_methods[stmt.target], [])]
             else:
                 body = self.stmts(stmt.body)
             return self._counted_loop(action.kind, self.expr(stmt.count), body)
-        if kind is n.PERFORM_UNTIL:
+        if kind is n.NodeKind.PERFORM_UNTIL:
             return self._until_loop(action.kind, n.NotCond(self.cond(stmt.cond)),
                                     self.stmts(stmt.body))
-        if kind is n.PERFORM_VARYING:
+        if kind is n.NodeKind.PERFORM_VARYING:
             return self._varying_loop(action, stmt)
-        if kind is n.DISPLAY:
+        if kind is n.NodeKind.DISPLAY:
             return [j.Print([self.expr(a) for a in stmt.args])]
-        if kind is n.ACCEPT:
+        if kind is n.NodeKind.ACCEPT:
             read = j.JCall("in", ())
             return [self._store(stmt.target, read, True)]
-        if kind is n.CALL:
+        if kind is n.NodeKind.CALL:
             args = [n.VarRef(self._var(name).jname) for name in stmt.using]
             return [j.MethodCall(external_method_name(stmt.program), args, stmt.program)]
-        if kind is n.GOTO:
+        if kind is n.NodeKind.GOTO:
             return []
-        if kind is n.STOP_RUN:
+        if kind is n.NodeKind.STOP_RUN:
             return [j.Return()]
         raise TypeError(f"unknown statement {stmt!r}")
 
@@ -421,12 +425,12 @@ class _Translator:
             followers = [
                 j.MethodCall(self.para_methods[p.name], []) for p in paragraphs[1:]
             ]
-            if not (run.body and run.body[-1].kind is j.RETURN):
+            if not (run.body and run.body[-1].kind is j.JKind.RETURN):
                 run.body.extend(followers)
         # A trailing return in run() is implied by method end; dropping it
         # keeps the halt semantics and shrinks the tree.
         run = jast.methods[0]
-        if run.body and run.body[-1].kind is j.RETURN:
+        if run.body and run.body[-1].kind is j.JKind.RETURN:
             run.body.pop()
         return self.result
 

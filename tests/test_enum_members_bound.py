@@ -2,10 +2,11 @@
 
 On Python 3.10 and 3.11 `EnumType` defines a Python-level `__getattr__`,
 so `NodeKind.MOVE` takes the slow attribute path (about 140-230 ns a read,
-against 15-50 ns for a module global). Each module that defines an enum
-binds its members once as module constants, and function bodies read
-those. Module-level and class-level reads run once at import and stay
-allowed.
+against 15-50 ns for a module global). A module whose function bodies
+need an enum's members binds them once as module constants, and the
+bodies read those. AST nodes need none: code tells them apart by class
+(`tests/test_node_class_dispatch.py`). Module-level and class-level reads
+run once at import and stay allowed.
 """
 
 import ast

@@ -6,13 +6,15 @@ summaries, while the new one loads each Train record at most twice: once
 to featurize it, once to score it in its own fold.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
-from relicforge.corpus import Split, curate, ingest
+from relicforge.cobol import pretty_print
+from relicforge.corpus import CorpusConfig, Split, curate, ingest
 from relicforge.corpus import split as split_corpus
-from relicforge.datagen import acceptance_corpus
+from relicforge.datagen import acceptance_corpus, random_program
 from relicforge.evaluate import build_training_set, run_evaluation, scoring
 from relicforge.evaluate.scoring import EvalSummary, _score_records
 from relicforge.model import ModelConfig, train
@@ -86,3 +88,31 @@ def test_each_train_record_is_loaded_at_most_twice(corpus, monkeypatch):
     test_ids = {r.id for r in manifest.records if r.split is Split.TEST}
     assert {loads[i] for i in train_ids} == {2}
     assert {loads[i] for i in test_ids} == {1}
+
+
+# Kept by curate under `min_statements=0`: one program without paragraphs,
+# one whose only paragraph is empty.
+_NO_STATEMENT = {
+    "bare.cbl": "IDENTIFICATION DIVISION.\nPROGRAM-ID. BARE.\nPROCEDURE DIVISION.\n",
+    "empty_para.cbl": "IDENTIFICATION DIVISION.\nPROGRAM-ID. EMPTY.\nPROCEDURE DIVISION.\nMAIN.\n",
+}
+
+
+def test_a_program_with_no_statement_gives_no_sample(tmp_path):
+    for seed in range(5):
+        ast = random_program(random.Random(seed), program_id=f"P{seed}")
+        (tmp_path / f"p{seed}.cbl").write_text(pretty_print(ast), encoding="utf-8")
+    for name, text in _NO_STATEMENT.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = CorpusConfig(min_statements=0)
+    manifest = curate(ingest(tmp_path), tmp_path, config)
+    split_corpus(manifest, seed=1)
+    assert {r.id for r in manifest.eligible()} >= set(_NO_STATEMENT)
+    train_records = [r for r in manifest.records if r.split is Split.TRAIN]
+    assert set(_NO_STATEMENT) & {r.id for r in train_records}
+
+    assert len(build_training_set(tmp_path, manifest.eligible(), config)) == 5
+    ckpt = train(build_training_set(tmp_path, train_records, config), CONFIG)
+    summary, _rows, _pairs = run_evaluation(manifest, "ai", ckpt, root=tmp_path,
+                                            per_fold=True, config=config)
+    assert summary.per_fold

@@ -33,7 +33,7 @@ def test_curate_split_and_evaluate_build_no_graph(tmp_path, no_graph):
     gotos = 0
     for seed in range(12):
         ast = random_program(random.Random(seed), allow_goto=True, program_id=f"G{seed}")
-        gotos += any(v.kind is n.GOTO for v in n.iter_preorder(ast.program))
+        gotos += any(v.kind is n.NodeKind.GOTO for v in n.iter_preorder(ast.program))
         (tmp_path / f"g{seed:02d}.cbl").write_text(pretty_print(ast))
     assert gotos > 0
     manifest = curate(ingest(tmp_path), tmp_path)

@@ -26,7 +26,7 @@ def statement_nodes(ast: n.CobolAst) -> list[n.Stmt]:
 
 def coupling(ast: n.CobolAst) -> int:
     """Distinct CALL target program names (fan-out)."""
-    return len({v.program for v in statement_nodes(ast) if v.kind is n.CALL})
+    return len({v.program for v in statement_nodes(ast) if v.kind is n.NodeKind.CALL})
 
 
 def decision_complexity(ast: n.CobolAst) -> int:
@@ -35,9 +35,10 @@ def decision_complexity(ast: n.CobolAst) -> int:
     total = 1
     for node in statement_nodes(ast):
         kind = node.kind
-        if kind in (n.IF, n.PERFORM_UNTIL, n.PERFORM_VARYING, n.PERFORM_TIMES):
+        if kind in (n.NodeKind.IF, n.NodeKind.PERFORM_UNTIL, n.NodeKind.PERFORM_VARYING,
+                    n.NodeKind.PERFORM_TIMES):
             total += 1
-        elif kind is n.EVALUATE:
+        elif kind is n.NodeKind.EVALUATE:
             total += len(node.arms)
     return total
 

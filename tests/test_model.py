@@ -741,9 +741,9 @@ def test_sample_defaults_follow_rules():
     # Weight 1.0 exactly at the statement steps, 0.0 at every structure step.
     assert sample.weight.tolist() == [1.0 if ref in expected else 0.0 for ref in range(10)]
     order = list(n.iter_preorder(ast.program))
-    structure = [ref for ref, v in enumerate(order)
-                 if v.kind in (n.PROGRAM, n.DATA_ITEM, n.PARAGRAPH)]
-    assert {order[ref].kind for ref in structure} == {n.PROGRAM, n.DATA_ITEM, n.PARAGRAPH}
+    structural = {n.NodeKind.PROGRAM, n.NodeKind.DATA_ITEM, n.NodeKind.PARAGRAPH}
+    structure = [ref for ref, v in enumerate(order) if v.kind in structural]
+    assert {order[ref].kind for ref in structure} == structural
     assert sorted(structure + list(expected)) == list(range(10))
     for ref in range(10):
         kind = expected.get(ref, ActionKind.PASS_THROUGH)

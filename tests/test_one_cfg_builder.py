@@ -33,6 +33,10 @@ from relicforge.transpile import jnodes as j
 
 # --- the reference: the two builders as they were ---------------------------
 
+_LOOP_KINDS = frozenset(
+    {n.NodeKind.PERFORM_TIMES, n.NodeKind.PERFORM_UNTIL, n.NodeKind.PERFORM_VARYING}
+)
+
 
 # A dangling chain exit waiting to be wired to whatever comes next.
 @dataclass(frozen=True)
@@ -267,7 +271,7 @@ def ref_java_coupling(jast: j.JavaAst) -> int:
         {
             s.name
             for s in j.all_statements(jast)
-            if s.kind is j.METHOD_CALL and s.name not in own
+            if s.kind is j.JKind.METHOD_CALL and s.name not in own
         }
     )
 
@@ -281,7 +285,7 @@ def translations(ast: n.CobolAst) -> list[j.JavaAst]:
     """The rules translation, then every loop forced to each loop action,
     then every IF ladder that allows it forced to a switch."""
     order = list(n.iter_preorder(ast.program))
-    loops = [ref for ref, v in enumerate(order) if v.kind in n.LOOP_KINDS]
+    loops = [ref for ref, v in enumerate(order) if v.kind in _LOOP_KINDS]
     ladders = [
         ref for ref, v in enumerate(order)
         if v.kind is n.NodeKind.IF and chain_shape(v) is not None

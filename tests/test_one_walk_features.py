@@ -23,6 +23,10 @@ from relicforge.datagen import acceptance_corpus, random_program, sample_program
 from tests.test_front_end_equivalence import ref_children, ref_iter_preorder
 from tests.test_metrics import coupling
 
+_LOOP_KINDS = frozenset(
+    {n.NodeKind.PERFORM_TIMES, n.NodeKind.PERFORM_UNTIL, n.NodeKind.PERFORM_VARYING}
+)
+_BRANCH_KINDS = frozenset({n.NodeKind.IF, n.NodeKind.EVALUATE})
 _CALL_KINDS = (n.NodeKind.CALL, n.NodeKind.PERFORM_PARA)
 _PERFORM_KINDS = (
     n.NodeKind.PERFORM_PARA,
@@ -316,8 +320,8 @@ def ref_step_features(ast: n.CobolAst, cfg: Cfg) -> tuple[np.ndarray, np.ndarray
         node_feats[i, 3] = siblings[key]
         node_feats[i, 4] = sizes[key]
         node_feats[i, 5] = nesting.get(i, 0)
-        node_feats[i, 6] = 1.0 if kind in n.LOOP_KINDS else 0.0
-        node_feats[i, 7] = 1.0 if kind in n.BRANCH_KINDS else 0.0
+        node_feats[i, 6] = 1.0 if kind in _LOOP_KINDS else 0.0
+        node_feats[i, 7] = 1.0 if kind in _BRANCH_KINDS else 0.0
         node_feats[i, 8] = 1.0 if kind in _CALL_KINDS else 0.0
         node_feats[i, 9] = subtree_literals(node)
         if key in para_of and para_count:

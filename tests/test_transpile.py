@@ -681,7 +681,7 @@ def test_every_java_statement_kind_round_trips():
     ]
     fields = [j.JField("i", "long", 0), j.JField("s", "String", "abc", 3)]
     jast = j.JavaAst("Kinds", fields, [j.JMethod("run", body), j.JMethod("sub", [])])
-    statement_kinds = set(j.JKind) - {j.CLASS, j.FIELD, j.METHOD}
+    statement_kinds = set(j.JKind) - {j.JKind.CLASS, j.JKind.FIELD, j.JKind.METHOD}
     assert {s.kind for s in j.all_statements(jast)} == statement_kinds
     text = emit_java(jast)
     reparsed = parse_java(text)
