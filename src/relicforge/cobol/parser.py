@@ -80,6 +80,27 @@ MAX_NESTING = 100
 MAX_PIC_DIGITS = 18
 MAX_PIC_CHARS = 65_535
 
+# Largest integer literal the parsers accept. Both interpreters run on
+# 64-bit values and the translation writes a literal as a Java `long`, so a
+# larger one is a ParseError, as a too-wide picture is. A COBOL minus sign
+# is an operator, not part of the literal.
+MAX_INT_LITERAL = (1 << 63) - 1
+
+
+def int_value(digits: str, negated: bool = False) -> int | None:
+    """The value of a run of decimal digits, or None when it is past
+    MAX_INT_LITERAL (past 2**63 when the literal is `negated`).
+
+    Past 19 significant digits a literal is out of range whatever they are.
+    Leading zeros go first, so `int` is never handed more digits than
+    Python converts."""
+    if len(digits) > 19:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 19:
+            return None
+    value = int(digits)
+    return value if value <= MAX_INT_LITERAL + negated else None
+
 
 class _Issue(Exception):
     def __init__(self, line: int, expected: str, found: str, col: int = 0):
@@ -147,6 +168,17 @@ class _Parser:
             line = self.tokens[-1].line if self.tokens else 1
             raise _Issue(line, expected, "end of file")
         raise _Issue(tok.line, expected, tok.text, tok.col)
+
+    def int_literal(self) -> int:
+        """The value of the integer literal under the cursor, which it
+        consumes; one past MAX_INT_LITERAL is an issue. `parse_atom` and
+        the level number, the literals parsed most often, convert one of at
+        most 18 digits directly: none is past the bound."""
+        value = int_value(self.tok.text)
+        if value is None:
+            self._fail(f"integer literal at most {MAX_INT_LITERAL}")
+        self.advance()
+        return value
 
     def nest(self) -> None:
         """Open one nesting level; the caller closes it with `depth -= 1`
@@ -226,8 +258,8 @@ class _Parser:
 
     def parse_data_item(self) -> n.DataItem:
         tok = self.eat(INT_LITERAL, "level number")
-        level = int(tok.text)
-        if not (1 <= level <= 49 or level == 77):
+        level = int(tok.text) if len(tok.text) <= 18 else int_value(tok.text)
+        if level is None or not (1 <= level <= 49 or level == 77):
             raise _Issue(tok.line, "level in 01-49 or 77", tok.text)
         name = self.eat(IDENTIFIER, "data item name").text
         picture = None
@@ -246,7 +278,7 @@ class _Parser:
             self.advance()
             vt = self.tok
             if vt.kind is INT_LITERAL:
-                value = int(self.advance().text)
+                value = self.int_literal()
             elif vt.kind is STRING_LITERAL:
                 value = self.advance().text
             else:
@@ -435,7 +467,7 @@ class _Parser:
                 break
             vt = self.tok
             if vt.kind is INT_LITERAL:
-                value: n.NumLit | n.StrLit = n.NumLit(int(self.advance().text))
+                value: n.NumLit | n.StrLit = n.NumLit(self.int_literal())
             elif vt.kind is STRING_LITERAL:
                 value = n.StrLit(self.advance().text)
             else:
@@ -559,7 +591,10 @@ class _Parser:
     def parse_atom(self) -> n.Expr:
         tok = self.tok
         if tok.kind is INT_LITERAL:
-            return n.NumLit(int(self.advance().text))
+            if len(tok.text) > 18:
+                return n.NumLit(self.int_literal())
+            self.advance()
+            return n.NumLit(int(tok.text))
         if tok.kind is STRING_LITERAL:
             return n.StrLit(self.advance().text)
         if tok.kind is IDENTIFIER:

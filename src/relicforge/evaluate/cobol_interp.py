@@ -1,11 +1,14 @@
 """Reference interpreter for the COBOL subset, compiled to closures.
 
-`compile_cobol` turns a program into Python closures once (closure
+`compile_cobol` turns a program into Python closures (closure
 compilation, Feeley & Lapalme 1987): each statement, expression and
-condition picks its dispatch at compile time, and each data name resolves
-to its cell. The compiled program then runs once per input vector, and
-every run starts from a fresh state: initial cell values, a full step
-budget, call depth 0, a new input queue and a new trace.
+condition picks its dispatch when it compiles, and each data name resolves
+to its cell. A statement list (a paragraph, an IF or EVALUATE arm, a loop
+body) compiles on its first entry and keeps its closures (see
+`values.Program`), so a statement no run reaches is never compiled. The
+compiled program runs once per input vector, and every run starts from a
+fresh state: initial cell values, a full step budget, call depth 0, a new
+input queue and a new trace.
 
 Paragraphs run in declaration order starting from the first; GO TO resets
 the sequential cursor (abandoning any in-flight PERFORM frames, which is
@@ -97,7 +100,7 @@ def build_environment(items: Iterable[n.DataItem]) -> dict[str, Cell]:
 
 
 class CobolProgram(Program):
-    """A COBOL program compiled once; `run` executes it on one input vector."""
+    """A compiled COBOL program; `run` executes it on one input vector."""
 
     def __init__(self, ast: n.CobolAst):
         super().__init__(build_environment(ast.data_items))
@@ -243,11 +246,11 @@ class CobolProgram(Program):
             return self._perform(s.target, self._level)
         if cls is n.PerformTimes:
             count = self._expr(s.count)
-            # A counted paragraph perform costs one extra step per pass: the
-            # call itself, same as a loop around a call, which is also why
-            # the call weighs one level more.
-            body = (self._sequence([self._perform(s.target, self._level + 1)])
-                    if s.target is not None else self._block(s.body))
+            # A counted paragraph perform runs as the body `PERFORM target`:
+            # one extra step per pass for the call itself, same as a loop
+            # around a call, which is also why the call weighs one level more.
+            body = self._block([n.PerformPara(s.line, s.target)]
+                               if s.target is not None else s.body)
 
             def times():
                 # Counted loops behave like a countdown for-loop, so the exit
@@ -320,7 +323,11 @@ class CobolProgram(Program):
 
 
 def compile_cobol(ast: n.CobolAst) -> CobolProgram:
-    """Compile once; run the result on as many input vectors as needed."""
+    """Compile once; run the result on as many input vectors as needed.
+
+    Each statement list compiles on its first entry, so a malformed tree
+    (a statement of no known class) raises its `TypeError` out of the run
+    that first enters the list, not here."""
     return CobolProgram(ast)
 
 

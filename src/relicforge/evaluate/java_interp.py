@@ -1,21 +1,26 @@
 """Interpreter for the emitted Java subset, compiled to closures.
 
-`compile_java` turns a class into Python closures once (closure
-compilation, Feeley & Lapalme 1987): each statement, expression and
-condition picks its dispatch at compile time, each name resolves to a
-field cell, and each call to a method of the class resolves to that
-method. Methods take no parameters, so every closure takes no argument,
-as the COBOL interpreter's thunks do. The compiled class then runs once
-per input vector, and every run starts from a fresh state: initial field
-values, a full step budget, call depth 0, a new input queue and a new
-trace.
+`compile_java` turns a class into Python closures (closure compilation,
+Feeley & Lapalme 1987): each statement, expression and condition picks its
+dispatch when it compiles, each name resolves to a field cell, and each
+call to a method of the class resolves to that method. Methods take no
+parameters, so every closure takes no argument, as the COBOL interpreter's
+thunks do. A statement list (a method body, an if/else arm, a switch case,
+a loop body) compiles on its first entry and keeps its closures (see
+`values.Program`), so a statement no run reaches is never compiled. The
+compiled class runs once per input vector, and every run starts from a
+fresh state: initial field values, a full step budget, call depth 0, a new
+input queue and a new trace.
 
 Executes run() with the same value semantics as the COBOL interpreter.
 `return` halts the whole program (it stands for STOP RUN in translated
 code; paragraph fall-through is modeled by explicit calls, so a plain
 method-end return never appears). External stub calls are recorded as
 events under their original program names; builtins in/num/fit/str carry
-the width and parse rules that the emitter baked into the source.
+the width and parse rules that the emitter baked into the source. `fit`
+ends the run on a negative width, where the emitted helper throws, and on
+one past `MAX_PIC_CHARS`, the widest field a translation declares: a
+resource bound, as `MAX_STEPS` is.
 
 Errors stay lazy: an undefined name, an unknown method, a call with
 arguments to a method of the class or a builtin call with the wrong number
@@ -37,6 +42,7 @@ target fails before the value).
 from __future__ import annotations
 
 from relicforge.cobol import nodes as n
+from relicforge.cobol.parser import MAX_PIC_CHARS
 from relicforge.evaluate.values import (
     COMPLEMENT,
     CYCLE_WARMUP,
@@ -82,7 +88,7 @@ def _always() -> bool:
 
 
 class JavaProgram(Program):
-    """A Java class compiled once; `run` executes its run() on one input vector."""
+    """A compiled Java class; `run` executes its run() on one input vector."""
 
     def __init__(self, jast: j.JavaAst):
         super().__init__({f.name: _field_cell(f) for f in jast.fields})
@@ -129,7 +135,15 @@ class JavaProgram(Program):
             return lambda: to_num(value())
         if name == "fit":
             value, width = args
-            return lambda: fit(to_str(value()), to_num(width()))
+
+            def fit_():
+                text = to_str(value())
+                chars = to_num(width())
+                if not 0 <= chars <= MAX_PIC_CHARS:
+                    raise ExecError(f"fit width out of range: {chars}")
+                return fit(text, chars)
+
+            return fit_
         (value,) = args
         return lambda: to_str(value())
 
@@ -326,7 +340,11 @@ class JavaProgram(Program):
 
 
 def compile_java(jast: j.JavaAst) -> JavaProgram:
-    """Compile once; run the result on as many input vectors as needed."""
+    """Compile once; run the result on as many input vectors as needed.
+
+    Each statement list compiles on its first entry, so a malformed tree
+    (a statement or expression of no known class) raises its `TypeError`
+    out of the run that first enters the list, not here."""
     return JavaProgram(jast)
 
 

@@ -143,14 +143,16 @@ def score_file(
 ) -> dict:
     """{correct, reason} for one source/translation pair.
 
-    Each side is compiled once and checked on every vector of the input
-    battery, but runs only once per distinct input prefix it reads: a
-    vector that starts with the values an earlier run of the same side
-    read reuses that run's trace (see `_run_once`). The compiled programs
-    and the traces are dropped when this call returns. Files containing
-    GO TO are judged on behavior alone: the structure already diverged by
-    construction, so label agreement is waived when the traces still line
-    up.
+    Each side is built once and checked on every vector of the input
+    battery. A statement list compiles when a run first enters it, so the
+    statements no vector reaches are never compiled, and a list compiled
+    by one vector's run serves the later ones. Each side runs only once per
+    distinct input prefix it reads: a vector that starts with the values an
+    earlier run of the same side read reuses that run's trace (see
+    `_run_once`). The programs and the traces are dropped when this call
+    returns. Files containing GO TO are judged on behavior alone: the
+    structure already diverged by construction, so label agreement is
+    waived when the traces still line up.
     """
     fid = file_id if file_id is not None else ast.program_id
     cobol, java = compile_cobol(ast), compile_java(jast)

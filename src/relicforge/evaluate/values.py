@@ -15,9 +15,9 @@ interpreter implementations:
 - the input protocol and the loop watch;
 - the run protocol (`Program`): the cells and their initial values, the
   step budget, the input queue, the call depth and the call that counts
-  it, the trace, the statement sequence that ticks one step per
-  statement, and the mapping of `Halt`, `StepLimitExceeded` and
-  `ExecError` to the run's outcome.
+  it, the trace, the statement list that compiles on its first entry and
+  ticks one step per statement, and the mapping of `Halt`,
+  `StepLimitExceeded` and `ExecError` to the run's outcome.
 
 Each interpreter compiles its own statements, expressions and conditions,
 its loop shapes, jumps and call sites, and the order in which its
@@ -31,6 +31,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
+
+from relicforge.cobol.parser import int_value
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -77,17 +79,20 @@ def wrap64(value: int) -> int:
 
 
 def to_num(value: Value) -> int:
-    """Numeric coercion: identity on ints, strict decimal parse on strings."""
+    """Numeric coercion: identity on ints, strict decimal parse on strings.
+    A string past the 64-bit range, however long, is a "numeric overflow"
+    (see `cobol.parser.int_value`)."""
     if isinstance(value, int):
         return value
     text = value.strip()
-    body = text[1:] if text.startswith("-") else text
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
     if not body or not (body.isascii() and body.isdigit()):
         raise ExecError(f"not numeric: {value!r}")
-    got = int(text)
-    if not I64_MIN <= got <= I64_MAX:
+    got = int_value(body, negative)
+    if got is None:
         raise ExecError(f"numeric overflow: {value!r}")
-    return got
+    return -got if negative else got
 
 
 def to_str(value: Value) -> str:
@@ -387,25 +392,33 @@ class LoopWatch:
 
 class _State:
     """What the closures change during a run. The table of paragraphs or
-    methods is set only while a run is in progress, so a program at rest
+    methods, and the program that compiles a statement list on its first
+    entry, are set only while a run is in progress, so a program at rest
     holds no reference cycle and is freed as soon as its last reference
     goes."""
 
-    __slots__ = ("depth", "trace", "table")
+    __slots__ = ("depth", "trace", "table", "program")
 
 
 class Program:
-    """A program compiled once to closures; `run` executes it on one input
+    """A program compiled to closures; `run` executes it on one input
     vector.
 
-    A subclass compiles its statements with `_stmt`, sets `_table` to its
-    compiled paragraphs or methods, and runs them from `_main`. Its closures
-    read the cells, `budget`, `inputs` and `_state`, never the program
-    itself, so a program at rest holds no reference cycle.
+    A subclass builds each statement list with `_block`, sets `_table` to
+    its paragraphs or methods, and runs them from `_main`. A list compiles
+    its statements with the subclass's `_stmt` on its first entry in a run
+    (compilation on first use, Deutsch & Schiffman, POPL 1984) and keeps the
+    closures for later entries and runs, so a list that no run enters is
+    never compiled. A malformed statement (a `TypeError` from `_stmt`)
+    therefore surfaces when its list is first entered, out of `run`, not
+    when the program is built. The closures read the cells, `budget`,
+    `inputs` and `_state`, never the program itself, so a program at rest
+    holds no reference cycle.
 
     While it compiles, `_level` counts the statement lists open around the
     statement being compiled: 1 in a paragraph's or method's own body, one
-    more inside each IF, loop, EVALUATE or switch.
+    more inside each IF, loop, EVALUATE or switch. A list compiles at the
+    level it was created at, whenever it is first entered.
     """
 
     def __init__(self, cells: dict[str, Cell]):
@@ -437,6 +450,7 @@ class Program:
         state.depth = 0
         trace = state.trace = Trace()
         state.table = self._table
+        state.program = self
         try:
             self._main()
             trace.outcome = HALTED
@@ -447,14 +461,46 @@ class Program:
         except ExecError as exc:
             trace.outcome = runtime_error(exc.reason)
         finally:
-            state.table = state.trace = None
+            state.table = state.trace = state.program = None
         return trace
 
     def _block(self, stmts: Iterable) -> Thunk:
-        self._level += 1
-        block = self._sequence([self._stmt(s) for s in stmts])
-        self._level -= 1
-        return block
+        """Run the statements in order, one step each; compile them with
+        `_stmt` the first time the list is entered.
+
+        The list compiles at the `_level` it was created at, one more than
+        the level around it, and then keeps its closures in place of the
+        statements. It reaches the program through `_state`, which holds it
+        only while a run is in progress.
+        """
+        stmts = tuple(stmts)
+        if not stmts:
+            return nothing
+        budget, state = self.budget, self._state
+        level = self._level + 1
+        steps = None
+
+        def sequence():
+            nonlocal steps, stmts
+            if steps is None:
+                steps = state.program._compile(stmts, level)
+                stmts = None
+            for step in steps:
+                budget.left -= 1
+                if budget.left < 0:
+                    raise StepLimitExceeded()
+                step()
+
+        return sequence
+
+    def _compile(self, stmts: tuple, level: int) -> tuple[Thunk, ...]:
+        """`_stmt` of each statement, with `_level` at `level`; the level
+        around it comes back afterwards, also when `_stmt` raises."""
+        outer, self._level = self._level, level
+        try:
+            return tuple([self._stmt(s) for s in stmts])
+        finally:
+            self._level = outer
 
     def _call(self, key, weight: int) -> Thunk:
         """Run `_table[key]` as a call of `weight`: the run ends with "call
@@ -482,19 +528,3 @@ class Program:
                 state.depth -= weight
 
         return call
-
-    def _sequence(self, steps: list[Thunk]) -> Thunk:
-        """Run the statements in order, one step each."""
-        if not steps:
-            return nothing
-        budget = self.budget
-        steps = tuple(steps)
-
-        def sequence():
-            for step in steps:
-                budget.left -= 1
-                if budget.left < 0:
-                    raise StepLimitExceeded()
-                step()
-
-        return sequence

@@ -92,6 +92,15 @@ class _JParser:
             [ParseError(self.line(), expected, found if found is not None else "end of file")]
         )
 
+    def long_literal(self, digits: str, neg: bool) -> int:
+        """The value of the literal `digits`, negated when `neg`; a value
+        outside a Java `long` is a ParseFailure (see
+        `cobol.parser.int_value`)."""
+        value = cobol_parser.int_value(digits, neg)
+        if value is None:
+            raise ParseFailure([ParseError(self.line(), "long literal", digits)])
+        return -value if neg else value
+
     def advance(self) -> str:
         if self.i >= len(self.toks):
             raise self.fail("more input")
@@ -188,7 +197,7 @@ class _JParser:
             tok = self.advance()
             if not tok.isdigit():
                 raise self.fail("integer literal")
-            initial: int | str = -int(tok) if neg else int(tok)
+            initial: int | str = self.long_literal(tok, neg)
             width = 0
         else:
             tok = self.advance()
@@ -333,7 +342,7 @@ class _JParser:
         neg = self.accept("-")
         tok = self.advance()
         if tok.isdigit():
-            return NumLit(-int(tok) if neg else int(tok))
+            return NumLit(self.long_literal(tok, neg))
         if not neg and tok.startswith('"'):
             return StrLit(_unquote(tok))
         raise self.fail("case literal")
@@ -416,10 +425,10 @@ class _JParser:
             num = self.advance()
             if not num.isdigit():
                 raise self.fail("integer literal")
-            return NumLit(-int(num))
+            return NumLit(self.long_literal(num, True))
         if tok.isdigit():
             self.advance()
-            return NumLit(int(tok))
+            return NumLit(self.long_literal(tok, False))
         if tok.startswith('"'):
             self.advance()
             return StrLit(_unquote(tok))

@@ -686,7 +686,10 @@ def test_java_loop_bodies_break_and_update_as_the_walker_did(name):
 
 def test_compiled_programs_leave_no_reference_cycles():
     # The sequence program ends every way a run can end; GO TO programs
-    # add jumps that unwind PERFORM frames.
+    # add jumps that unwind PERFORM frames. Statement lists compile on their
+    # first entry, so each program is also compiled and never run, and runs
+    # such as the sequence program's `halts` leave lists uncompiled (DEEP
+    # and three of the four WHEN arms).
     seq = parse_source(SourceFile("seq", SEQUENCE_SOURCE))
     runs = [(seq, translate_rules(seq).jast, v) for v in SEQUENCE_VECTORS.values()]
     for seed in range(8):
@@ -696,6 +699,8 @@ def test_compiled_programs_leave_no_reference_cycles():
     gc.disable()
     try:
         for ast, jast, vector in runs:
+            compile_cobol(ast)
+            compile_java(jast)
             interpret_cobol(compile_cobol(ast), vector)
             interpret_java(compile_java(jast), vector)
         assert gc.collect() == 0

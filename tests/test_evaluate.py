@@ -973,6 +973,9 @@ OUTSIDE_THE_SUBSET = {
     **{f"chain_{kind}": java_chain(kind, 10_000) for kind in JAVA_CHAIN_OPERATORS},
     "parameter": ("public class T {\n    public void run() {\n        p(1);\n    }\n\n"
                   "    private void p(long i) {\n    }\n}\n"),
+    # Past Python's 4,300-digit limit on an int conversion, and any `long`.
+    "long_literal": ("public class T {\n    private long a = " + "9" * 5000 + ";\n\n"
+                     "    public void run() {\n    }\n}\n"),
 }
 
 
