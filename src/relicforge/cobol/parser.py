@@ -13,6 +13,8 @@ the order they are built in is their pre-order.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from relicforge.cobol import nodes as n
 from relicforge.cobol.tokens import (
     IDENTIFIER,
@@ -26,7 +28,6 @@ from relicforge.cobol.tokens import (
     STRING_LITERAL,
     SourceFile,
     Token,
-    TokenKind,
     normalize_source,
     tokenize,
 )
@@ -58,17 +59,8 @@ _STMT_STARTERS = frozenset(
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
-# Deepest nesting the parser accepts. A nested statement body, a
-# parenthesis, a NOT and a unary minus each open one level. The parser and
-# every later stage (measure, features, translation, both interpreters)
-# recurse once or a few times per level, so a deeper file is rejected with
-# a ParseError instead of exhausting Python's recursion limit downstream.
-# A chain of `+ -`, `* /`, AND or OR operators is parsed in a loop but
-# builds a left-deep tree, one level per operator, so every operator of a
-# chain after its first adds one level above the operands before it (see
-# `_Parser.chain`): what is bounded is the tree's depth. The first is left
-# free so that one binary operation inside each of MAX_NESTING parentheses
-# still parses.
+# Deepest nesting a COBOL tree may have (see `TokenParser`). A nested
+# statement body, a parenthesis, a NOT and a unary minus each open one level.
 MAX_NESTING = 100
 
 # Widest pictures the parser accepts, bounded by the Java the translation
@@ -108,26 +100,33 @@ class _Issue(Exception):
         self.error = ParseError(line=line, expected=expected, found=found, col=col)
 
 
-class _Parser:
-    """Recursive descent over a token list with a current-token cursor.
+class TokenParser:
+    """The token cursor and nesting guard of the COBOL grammar and the Java
+    one (`transpile.jparser`).
 
     `tok` is the token under the cursor, or `_EOF` once the tokens run out;
-    only `advance` moves it. Lookahead past it (`peek`) is needed only to
-    tell `PERFORM P n TIMES` from `PERFORM P TIMES`. `depth` counts the
-    nesting levels open at the cursor; `nest` opens one. `jumps` holds the
-    paragraph-targeting nodes of the statements kept so far, in pre-order.
+    only `advance` moves it. `_fail` raises `_Issue` at the cursor, which
+    each entry point turns into a ParseFailure.
+
+    Every stage after a parser recurses once or a few times per nesting
+    level, so a tree deeper than `max_nesting`, each grammar's own bound, is
+    a parse error, not a RecursionError downstream. `depth` counts the
+    levels open at the cursor; `nest` opens one and its caller closes it
+    with `depth -= 1`. An operator chain (`a + b - c`, `p AND q`) is read in
+    a loop but builds a left-deep tree, so `chain` bounds that tree: with
+    `k` operators its first operand sits `k - 1` levels down and its last
+    none. The first operator is free, so one binary operation inside each
+    of `max_nesting` parentheses still parses.
     """
+
+    max_nesting = MAX_NESTING
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.tok = tokens[0] if tokens else _EOF
-        self.errors: list[ParseError] = []
         self.depth = 0
         self.peak = 0
-        self.jumps: list[n.PerformPara | n.PerformTimes | n.GoTo] = []
-
-    # --- token helpers ---
 
     def peek(self, k: int) -> Token:
         i = self.pos + k
@@ -142,6 +141,68 @@ class _Parser:
             self.tok = _EOF
         return tok
 
+    def eat(self, kind, expected: str) -> Token:
+        if self.tok.kind is not kind:
+            self._fail(expected)
+        return self.advance()
+
+    def _fail(self, expected: str) -> NoReturn:
+        tok = self.tok
+        if tok is _EOF:
+            line = self.tokens[-1].line if self.tokens else 1
+            raise _Issue(line, expected, "end of file")
+        raise _Issue(tok.line, expected, tok.text, tok.col)
+
+    def nest(self) -> None:
+        """Open one nesting level. `peak` keeps the deepest level reached,
+        for `chain`, which resets it."""
+        self.depth += 1
+        if self.depth > self.max_nesting:
+            self._fail(f"nesting depth at most {self.max_nesting}")
+        if self.depth > self.peak:
+            self.peak = self.depth
+
+    def chain(self, kind, ops, operand, build):
+        """`operand (op operand)*` while the token is of `kind` with its text
+        in `ops`, built left-deep by `build(op_text, left, right)`.
+
+        Each operand is read at the chain's own depth and reports how deep it
+        went through `peak`. Every operator after the first puts one more
+        level above the operands before it; `height` is the deepest such
+        level plus the operand's own depth, checked at each operator.
+        """
+        start, outer_peak = self.depth, self.peak
+        self.peak = start
+        left = operand()
+        height = self.peak - start
+        chained = False
+        while self.tok.kind is kind and self.tok.text in ops:
+            if chained:
+                height += 1
+                if start + height > self.max_nesting:
+                    self._fail(f"nesting depth at most {self.max_nesting}")
+            chained = True
+            op = self.advance().text
+            self.peak = start
+            left = build(op, left, operand())
+            height = max(height, self.peak - start)
+        self.peak = max(outer_peak, start + height)
+        return left
+
+
+class _Parser(TokenParser):
+    """The COBOL grammar. Every `nest` is closed in a `finally`, so a
+    recovered statement error leaves `depth` right. `jumps` holds the
+    paragraph-targeting nodes of the statements kept so far, in pre-order.
+    """
+
+    def __init__(self, tokens: list[Token]):
+        super().__init__(tokens)
+        self.errors: list[ParseError] = []
+        self.jumps: list[n.PerformPara | n.PerformTimes | n.GoTo] = []
+
+    # --- token helpers ---
+
     def at_kw(self, *words: str) -> bool:
         tok = self.tok
         return tok.kind is KEYWORD and tok.text in words
@@ -152,22 +213,10 @@ class _Parser:
             self._fail(word)
         return self.advance()
 
-    def eat(self, kind: TokenKind, expected: str) -> Token:
-        if self.tok.kind is not kind:
-            self._fail(expected)
-        return self.advance()
-
     def eat_period(self) -> None:
         if self.tok.kind is not PERIOD:
             self._fail("'.'")
         self.advance()
-
-    def _fail(self, expected: str) -> None:
-        tok = self.tok
-        if tok is _EOF:
-            line = self.tokens[-1].line if self.tokens else 1
-            raise _Issue(line, expected, "end of file")
-        raise _Issue(tok.line, expected, tok.text, tok.col)
 
     def int_literal(self) -> int:
         """The value of the integer literal under the cursor, which it
@@ -179,16 +228,6 @@ class _Parser:
             self._fail(f"integer literal at most {MAX_INT_LITERAL}")
         self.advance()
         return value
-
-    def nest(self) -> None:
-        """Open one nesting level; the caller closes it with `depth -= 1`
-        in a `finally`, so a recovered error leaves the count right. `peak`
-        keeps the deepest level reached, for `chain`, which resets it."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self._fail(f"nesting depth at most {MAX_NESTING}")
-        if self.depth > self.peak:
-            self.peak = self.depth
 
     def jump(self, node):
         """Record a node that names a paragraph, for `_validate`."""
@@ -517,7 +556,6 @@ class _Parser:
             self.eat_kw("TIMES")
             return n.PerformTimes(line, count, self.parse_loop_body(line), None)
         self._fail("paragraph name, UNTIL, VARYING, or count")
-        raise AssertionError  # _fail always raises
 
     def parse_loop_body(self, line: int) -> list[n.Stmt]:
         """An inline PERFORM's body through END-PERFORM; an empty one is
@@ -600,46 +638,18 @@ class _Parser:
         if tok.kind is IDENTIFIER:
             return n.VarRef(self.advance().text)
         if tok.kind is OPERATOR and tok.text == "-":
+            # In an operand position a minus sign negates an integer literal
+            # only: a negated name would be `0 - X`, which prints as no operand.
             self.nest()
             try:
                 self.advance()
-                inner = self.parse_atom()
+                if self.tok.kind is IDENTIFIER or self.tok.kind is STRING_LITERAL:
+                    self._fail("integer literal")
+                value = self.parse_atom().value
             finally:
                 self.depth -= 1
-            if isinstance(inner, n.NumLit):
-                return n.NumLit(-inner.value)
-            return n.BinOp("-", n.NumLit(0), inner)
+            return n.NumLit(-value)
         self._fail("operand")
-        raise AssertionError
-
-    def chain(self, kind: TokenKind, ops, operand, build):
-        """`operand (op operand)*` while the token is of `kind` with its text
-        in `ops`, built left-deep by `build(op_text, left, right)`.
-
-        Each operand is read at the chain's own depth and reports how deep it
-        went through `peak`. In the left-deep tree every operator puts one
-        more level above the operands before it, so with `k` operators the
-        first operand sits `k - 1` levels down and the last none (the first
-        operator is free). `height` is the deepest such level plus the
-        operand's own depth, checked at each operator.
-        """
-        start, outer_peak = self.depth, self.peak
-        self.peak = start
-        left = operand()
-        height = self.peak - start
-        chained = False
-        while self.tok.kind is kind and self.tok.text in ops:
-            if chained:
-                height += 1
-                if start + height > MAX_NESTING:
-                    self._fail(f"nesting depth at most {MAX_NESTING}")
-            chained = True
-            op = self.advance().text
-            self.peak = start
-            left = build(op, left, operand())
-            height = max(height, self.peak - start)
-        self.peak = max(outer_peak, start + height)
-        return left
 
     def parse_expr(self) -> n.Expr:
         return self.chain(OPERATOR, "+-", self.parse_term, n.BinOp)
@@ -658,6 +668,20 @@ class _Parser:
             finally:
                 self.depth -= 1
             return inner
+        if tok.kind is OPERATOR and tok.text == "-":
+            # In an expression a minus sign also negates a name or a string
+            # (not a parenthesis), as `0 - X`, which prints as the same tree.
+            self.nest()
+            try:
+                self.advance()
+                if self.tok.kind is LPAREN:
+                    self._fail("operand")
+                inner = self.parse_factor()
+            finally:
+                self.depth -= 1
+            if isinstance(inner, n.NumLit):
+                return n.NumLit(-inner.value)
+            return n.BinOp("-", n.NumLit(0), inner)
         return self.parse_atom()
 
     def parse_cond(self) -> n.Cond:

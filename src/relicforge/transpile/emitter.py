@@ -41,6 +41,15 @@ RUNTIME_SUPPORT = """\
 """
 
 
+def main_wrapper(class_name: str) -> str:
+    """The static main() that runs the class, written after its fields."""
+    return (
+        "    public static void main(String[] args) {\n"
+        f"        new {class_name}().run();\n"
+        "    }"
+    )
+
+
 def _field_line(field: j.JField) -> str:
     if field.jtype == "long":
         return f"    private long {field.name} = {field.initial};"
@@ -107,9 +116,7 @@ def emit_java(jast: j.JavaAst) -> str:
         lines.append(_field_line(field))
     if jast.fields:
         lines.append("")
-    lines.append("    public static void main(String[] args) {")
-    lines.append(f"        new {jast.class_name}().run();")
-    lines.append("    }")
+    lines.append(main_wrapper(jast.class_name))
     for method in jast.methods:
         lines.append("")
         visibility = "public" if method.name == "run" else "private"

@@ -233,7 +233,8 @@ def node_count(jast: JavaAst) -> int:
     return 1 + len(jast.fields) + len(jast.methods) + len(all_statements(jast))
 
 
-_JAVA_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+# The Java spelling of each COBOL comparison; `jparser` reads it inverted.
+JAVA_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 def java_quote(value: str) -> str:
@@ -263,7 +264,7 @@ def jexpr_text(e: JExpr) -> str:
 
 def jcond_text(c: Cond, parent: str = "") -> str:
     if isinstance(c, Comparison):
-        return f"{jexpr_text(c.left)} {_JAVA_CMP[c.op]} {jexpr_text(c.right)}"
+        return f"{jexpr_text(c.left)} {JAVA_CMP[c.op]} {jexpr_text(c.right)}"
     if isinstance(c, NotCond):
         return f"!({jcond_text(c.inner)})"
     if isinstance(c, AndCond):

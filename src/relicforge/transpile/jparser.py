@@ -3,13 +3,23 @@
 Externally supplied translations (one class, long/String fields, void
 methods without parameters) are read back into a JavaAst so they can be
 interpreted and measured by the exact pipeline that scores generated
-translations. The grammar is the emitter's output language: the main()
-wrapper and the private static runtime helpers are recognized and
-skipped, and the uniform trailing break of each switch case is stripped.
+translations. The grammar is the emitter's output language; it runs on
+the COBOL parser's token cursor and nesting guard (`TokenParser`).
+
+The lexer tags every token as a word, an integer (ASCII digits only, as
+javac reads them), a string, a char literal, an operator or punctuation,
+and keeps its text as written, quotes included, so a literal's content
+never matches a keyword or punctuation test. A static member is skipped
+only when its tokens are those of one `emit_java` writes (this class's
+main() wrapper, the input scanner, the runtime helpers): the interpreter
+runs its own helpers and would not see a redefined one. The uniform
+trailing break of each switch case is stripped.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import re
 
 from relicforge.cobol import parser as cobol_parser
@@ -24,29 +34,48 @@ from relicforge.cobol.nodes import (
     StrLit,
     VarRef,
 )
-from relicforge.errors import ParseError, ParseFailure
+from relicforge.cobol.parser import _EOF, TokenParser, _Issue, int_value
+from relicforge.cobol.tokens import Token
+from relicforge.errors import ParseFailure
 from relicforge.transpile import jnodes as j
+from relicforge.transpile.emitter import RUNTIME_SUPPORT, main_wrapper
 
+
+class JTokenKind(enum.Enum):
+    WORD = "word"
+    INT = "integer"
+    STRING = "string"
+    CHAR = "char"
+    OPERATOR = "operator"
+    PUNCT = "punctuation"
+
+
+WORD = JTokenKind.WORD
+INT = JTokenKind.INT
+STRING = JTokenKind.STRING
+OPERATOR = JTokenKind.OPERATOR
+
+# One group per kind, named after it.
 _TOKEN_RE = re.compile(
-    r'"(?:\\.|[^"\\])*"'
-    r"|'(?:\\.|[^'\\])'"
-    r"|\d+"
-    r"|[A-Za-z_][A-Za-z0-9_]*"
-    r"|==|!=|<=|>=|&&|\|\|"
-    r"|[-+*/<>=!(){};:,.\[\]]"
+    r'(?P<STRING>"(?:\\.|[^"\\])*")'
+    r"|(?P<CHAR>'(?:\\.|[^'\\])')"
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<OPERATOR>==|!=|<=|>=|&&|\|\||[-+*/<>=!])"
+    r"|(?P<PUNCT>[(){};:,.\[\]])"
 )
 
-_CMP_FROM_JAVA = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+# Java's white space within a line (JLS 3.6); other Unicode spaces are no
+# separators to javac.
+_BLANKS = " \t\f\r"
 
-# Deepest nesting the parser accepts: a block, a parenthesis, a `!(` and a
-# call's argument list each open one level, and a chain counts the depth of
-# the tree it builds, as `cobol.parser` does (see `_JParser.chain`). Every
-# later stage recurses per level too, so a deeper file is a ParseFailure, not
-# a RecursionError. A translation nests at most three levels deeper than its
-# COBOL source (the method body; a store's `fit(str(...))` or `num(in())`; a
-# loop guard's `!(` and the parentheses around `&&` under `||`); the bound
-# leaves room for more. The parentheses the emitter drops add no depth: a
-# left operand's `(a + b) + c` and `a + b + c` build the same tree.
+_CMP_FROM_JAVA = {java: cobol for cobol, java in j.JAVA_CMP.items()}
+
+# A translation nests at most three levels deeper than its COBOL source
+# (the method body; a store's `fit(str(...))` or `num(in())`; a loop guard's
+# `!(` and the parentheses around `&&` under `||`), and the bound leaves room
+# for more. A block, a parenthesis, a `!(` and a call's arguments each open
+# one level; the parentheses the emitter drops add none.
 MAX_NESTING = cobol_parser.MAX_NESTING + 10
 
 
@@ -54,156 +83,122 @@ def _unquote(text: str) -> str:
     return re.sub(r"\\(.)", r"\1", text[1:-1])
 
 
-def _lex(text: str) -> list[tuple[str, int]]:
-    toks: list[tuple[str, int]] = []
+def _lex(text: str) -> list[Token]:
+    toks: list[Token] = []
+    kinds = JTokenKind.__members__
     for line_no, line in enumerate(text.split("\n"), start=1):
         pos = 0
         for m in _TOKEN_RE.finditer(line):
-            gap = line[pos : m.start()]
-            if gap.strip():
-                raise ParseFailure([ParseError(line_no, "Java token", gap.strip()[:1])])
-            toks.append((m.group(), line_no))
+            gap = line[pos : m.start()].strip(_BLANKS)
+            if gap:
+                raise _Issue(line_no, "Java token", gap[:1], pos + 1)
+            toks.append(Token(kinds[m.lastgroup], m.group(), line_no, m.start() + 1))
             pos = m.end()
-        if line[pos:].strip():
-            raise ParseFailure([ParseError(line_no, "Java token", line[pos:].strip()[:1])])
+        rest = line[pos:].strip(_BLANKS)
+        if rest:
+            raise _Issue(line_no, "Java token", rest[:1], pos + 1)
     return toks
 
 
-class _JParser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.i = 0
-        self.depth = 0
-        self.peak = 0
+@functools.cache
+def _runtime_members() -> frozenset[tuple[str, ...]]:
+    """The token texts of each static member in `RUNTIME_SUPPORT`."""
+    parser = _JParser(_lex(RUNTIME_SUPPORT))
+    members = set()
+    while parser.tok is not _EOF:
+        members.add(parser.skip_member())
+    return frozenset(members)
 
-    # -- token plumbing ------------------------------------------------------
 
-    def peek(self, k: int = 0) -> str | None:
-        at = self.i + k
-        return self.toks[at][0] if at < len(self.toks) else None
-
-    def line(self) -> int:
-        at = min(self.i, len(self.toks) - 1)
-        return self.toks[at][1] if self.toks else 0
-
-    def fail(self, expected: str) -> "ParseFailure":
-        found = self.peek()
-        return ParseFailure(
-            [ParseError(self.line(), expected, found if found is not None else "end of file")]
-        )
-
-    def long_literal(self, digits: str, neg: bool) -> int:
-        """The value of the literal `digits`, negated when `neg`; a value
-        outside a Java `long` is a ParseFailure (see
-        `cobol.parser.int_value`)."""
-        value = cobol_parser.int_value(digits, neg)
-        if value is None:
-            raise ParseFailure([ParseError(self.line(), "long literal", digits)])
-        return -value if neg else value
-
-    def advance(self) -> str:
-        if self.i >= len(self.toks):
-            raise self.fail("more input")
-        text = self.toks[self.i][0]
-        self.i += 1
-        return text
+class _JParser(TokenParser):
+    max_nesting = MAX_NESTING
 
     def accept(self, text: str) -> bool:
-        if self.peek() == text:
-            self.i += 1
+        if self.tok.text == text:
+            self.advance()
             return True
         return False
 
     def expect(self, text: str) -> None:
         if not self.accept(text):
-            raise self.fail(repr(text))
-
-    def nest(self) -> None:
-        """Open one nesting level; the caller closes it with `depth -= 1`.
-        `peak` keeps the deepest level reached, for `chain`. A backtrack
-        restores both along with the token position."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail(f"nesting depth at most {MAX_NESTING}")
-        if self.depth > self.peak:
-            self.peak = self.depth
+            self._fail(repr(text))
 
     def ident(self) -> str:
-        got = self.peek()
-        if got is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", got):
-            raise self.fail("identifier")
-        self.i += 1
-        return got
+        return self.eat(WORD, "identifier").text
 
-    # -- skipping wrapper members ---------------------------------------------
+    def long_literal(self) -> int:
+        """An integer literal under an optional minus sign; a value outside
+        a Java `long` is an issue (see `cobol.parser.int_value`)."""
+        neg = self.accept("-")
+        tok = self.eat(INT, "integer literal")
+        value = int_value(tok.text, neg)
+        if value is None:
+            raise _Issue(tok.line, "long literal", tok.text, tok.col)
+        return -value if neg else value
 
-    def skip_member(self) -> None:
-        """Skip one member given its header has begun: stop after a top-level
-        ';' (a field) or after the balanced '{...}' of a method body."""
-        while True:
-            tok = self.advance()
-            if tok == ";":
-                return
-            if tok == "{":
-                depth = 1
-                while depth:
-                    tok = self.advance()
-                    if tok == "{":
-                        depth += 1
-                    elif tok == "}":
-                        depth -= 1
-                return
+    def string_literal(self) -> str:
+        return _unquote(self.eat(STRING, "string literal").text)
 
     # -- class structure -------------------------------------------------------
+
+    def skip_member(self) -> tuple[str, ...]:
+        """Skip one member given its header has begun: stop after a top-level
+        ';' (a field) or after the balanced '{...}' of a method body. Returns
+        the member's token texts."""
+        start, depth = self.pos, 0
+        while True:
+            if self.tok is _EOF:
+                self._fail("more input")
+            text = self.advance().text
+            if text == "{":
+                depth += 1
+            elif text == "}" and depth:
+                depth -= 1
+            if not depth and text in (";", "}"):
+                return tuple(tok.text for tok in self.tokens[start : self.pos])
 
     def parse_class(self) -> j.JavaAst:
         self.expect("public")
         self.expect("class")
         jast = j.JavaAst(self.ident())
+        main = tuple(tok.text for tok in _lex(main_wrapper(jast.class_name)))
         self.expect("{")
         while not self.accept("}"):
-            if self.peek() is None:
-                raise self.fail("class member or '}'")
-            self.member(jast)
-        if self.peek() is not None:
-            raise self.fail("end of file")
+            if self.tok is _EOF:
+                self._fail("class member or '}'")
+            self.member(jast, main)
+        if self.tok is not _EOF:
+            self._fail("end of file")
         return jast
 
-    def member(self, jast: j.JavaAst) -> None:
-        if self.peek() == "public" and self.peek(1) == "static":
-            self.skip_member()  # main() wrapper
+    def member(self, jast: j.JavaAst, main: tuple[str, ...]) -> None:
+        vis = self.tok
+        if vis.text not in ("public", "private"):
+            self._fail("'public' or 'private'")
+        if self.peek(1).text == "static":
+            texts = self.skip_member()
+            if texts != main and texts not in _runtime_members():
+                name = next((a for a, b in zip(texts, texts[1:]) if b in "(=;"), texts[-1])
+                raise _Issue(vis.line, "static member as emit_java writes it", name, vis.col)
             return
-        if self.peek() == "private" and self.peek(1) == "static":
-            self.skip_member()  # runtime helpers and the input scanner
-            return
-        vis = self.peek()
-        if vis not in ("public", "private"):
-            raise self.fail("'public' or 'private'")
         self.advance()
-        if self.peek() == "void":
+        if self.tok.text == "void":
             jast.methods.append(self.method())
         else:
             jast.fields.append(self.field())
 
     def field(self) -> j.JField:
-        jtype = self.peek()
+        jtype = self.tok.text
         if jtype not in ("long", "String"):
-            raise self.fail("'long', 'String', or 'void'")
+            self._fail("'long', 'String', or 'void'")
         self.advance()
         name = self.ident()
         self.expect("=")
         if jtype == "long":
-            neg = self.accept("-")
-            tok = self.advance()
-            if not tok.isdigit():
-                raise self.fail("integer literal")
-            initial: int | str = self.long_literal(tok, neg)
+            initial: int | str = self.long_literal()
             width = 0
         else:
-            tok = self.advance()
-            if not tok.startswith('"'):
-                raise self.fail("string literal")
-            initial = _unquote(tok)
+            initial = self.string_literal()
             width = len(initial)
         self.expect(";")
         return j.JField(name, jtype, initial, width)
@@ -220,8 +215,8 @@ class _JParser:
         self.nest()
         out: list = []
         while not self.accept("}"):
-            if self.peek() is None:
-                raise self.fail("statement or '}'")
+            if self.tok is _EOF:
+                self._fail("statement or '}'")
             out.append(self.statement())
         self.depth -= 1
         return out
@@ -229,7 +224,7 @@ class _JParser:
     # -- statements -------------------------------------------------------------
 
     def statement(self) -> j.JStmt:
-        tok = self.peek()
+        tok = self.tok.text
         if tok == "if":
             return self.if_else()
         if tok == "while":
@@ -297,15 +292,15 @@ class _JParser:
         self.expect("for")
         self.expect("(")
         init = None
-        if self.peek() != ";":
+        if self.tok.text != ";":
             init = self.assign_clause()
         self.expect(";")
         cond = None
-        if self.peek() != ";":
+        if self.tok.text != ";":
             cond = self.cond()
         self.expect(";")
         update = None
-        if self.peek() != ")":
+        if self.tok.text != ")":
             update = self.assign_clause()
         self.expect(")")
         self.expect("{")
@@ -335,17 +330,16 @@ class _JParser:
                 self.expect("{")
                 default = self.case_body()
             else:
-                raise self.fail("'case', 'default', or '}'")
+                self._fail("'case', 'default', or '}'")
         return j.Switch(subject, cases, default)
 
     def case_value(self) -> NumLit | StrLit:
-        neg = self.accept("-")
-        tok = self.advance()
-        if tok.isdigit():
-            return NumLit(self.long_literal(tok, neg))
-        if not neg and tok.startswith('"'):
-            return StrLit(_unquote(tok))
-        raise self.fail("case literal")
+        tok = self.tok
+        if tok.kind is STRING:
+            return StrLit(self.string_literal())
+        if tok.kind is INT or tok.text == "-":
+            return NumLit(self.long_literal())
+        self._fail("case literal")
 
     def case_body(self) -> list:
         body = self.block()
@@ -375,63 +369,27 @@ class _JParser:
 
     # -- expressions and conditions ----------------------------------------------
 
-    def chain(self, ops: tuple[str, ...], operand, build):
-        """`operand (op operand)*`, built left-deep by `build(op, left, right)`.
-
-        Each operand is read at the chain's own depth and reports how deep it
-        went through `peak`. In the left-deep tree every operator puts one
-        more level above the operands before it, so with `k` operators the
-        first operand sits `k - 1` levels down and the last none (the first
-        operator is free, as in `cobol.parser`). `height` is the deepest such
-        level plus the operand's own depth, checked at each operator.
-        """
-        start, outer_peak = self.depth, self.peak
-        self.peak = start
-        left = operand()
-        height = self.peak - start
-        chained = False
-        while self.peek() in ops:
-            if chained:
-                height += 1
-                if start + height > MAX_NESTING:
-                    raise self.fail(f"nesting depth at most {MAX_NESTING}")
-            chained = True
-            op = self.advance()
-            self.peak = start
-            left = build(op, left, operand())
-            height = max(height, self.peak - start)
-        self.peak = max(outer_peak, start + height)
-        return left
-
     def expr(self) -> j.JExpr:
-        return self.chain(("+", "-"), self.term, BinOp)
+        return self.chain(OPERATOR, ("+", "-"), self.term, BinOp)
 
     def term(self) -> j.JExpr:
-        return self.chain(("*", "/"), self.factor, BinOp)
+        return self.chain(OPERATOR, ("*", "/"), self.factor, BinOp)
 
     def factor(self) -> j.JExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("expression")
-        if tok == "(":
+        tok = self.tok
+        if tok.text == "(":
             self.nest()
             self.advance()
             inner = self.expr()
             self.expect(")")
             self.depth -= 1
             return inner
-        if tok == "-":
-            self.advance()
-            num = self.advance()
-            if not num.isdigit():
-                raise self.fail("integer literal")
-            return NumLit(self.long_literal(num, True))
-        if tok.isdigit():
-            self.advance()
-            return NumLit(self.long_literal(tok, False))
-        if tok.startswith('"'):
-            self.advance()
-            return StrLit(_unquote(tok))
+        if tok.kind is INT or tok.text == "-":
+            return NumLit(self.long_literal())
+        if tok.kind is STRING:
+            return StrLit(self.string_literal())
+        if tok is _EOF:
+            self._fail("expression")
         name = self.ident()
         if self.accept("("):
             self.nest()
@@ -447,14 +405,15 @@ class _JParser:
         return VarRef(name)
 
     def cond(self) -> Cond:
-        return self.chain(("||",), self.and_cond, lambda _op, left, right: OrCond(left, right))
+        return self.chain(OPERATOR, ("||",), self.and_cond,
+                          lambda _op, left, right: OrCond(left, right))
 
     def and_cond(self) -> Cond:
-        return self.chain(("&&",), self.primary_cond,
+        return self.chain(OPERATOR, ("&&",), self.primary_cond,
                           lambda _op, left, right: AndCond(left, right))
 
     def primary_cond(self) -> Cond:
-        if self.peek() == "!" and self.peek(1) == "(":
+        if self.tok.text == "!" and self.peek(1).text == "(":
             self.nest()
             self.advance()
             self.advance()
@@ -462,10 +421,10 @@ class _JParser:
             self.expect(")")
             self.depth -= 1
             return NotCond(inner)
-        if self.peek() == "(":
+        if self.tok.text == "(":
             # Ambiguous: a condition group or a parenthesized arithmetic
             # operand. Try the group reading first and backtrack on failure.
-            mark, depth, peak = self.i, self.depth, self.peak
+            mark = self.pos, self.tok, self.depth, self.peak
             try:
                 self.nest()
                 self.advance()
@@ -473,15 +432,15 @@ class _JParser:
                 self.expect(")")
                 self.depth -= 1
                 return inner
-            except ParseFailure:
-                self.i, self.depth, self.peak = mark, depth, peak
+            except _Issue:
+                self.pos, self.tok, self.depth, self.peak = mark
         return self.comparison()
 
     def comparison(self) -> Comparison:
         left = self.expr()
-        op = self.peek()
+        op = self.tok.text
         if op not in _CMP_FROM_JAVA:
-            raise self.fail("comparison operator")
+            self._fail("comparison operator")
         self.advance()
         return Comparison(_CMP_FROM_JAVA[op], left, self.expr())
 
@@ -490,10 +449,11 @@ def parse_java(text: str) -> j.JavaAst:
     """Parse emitted-subset Java source into a JavaAst.
 
     A method is read as `void name()`: the subset has no parameters. A file
-    that nests past MAX_NESTING levels is outside the subset; a `+ -`,
-    `* /`, `&&` or `||` chain counts the levels of the left-deep tree it
-    builds, each operator after its first one level above the operands
-    before it. The `+` that joins a println's terms is no chain. Raises
-    ParseFailure on anything outside the subset.
+    that nests past MAX_NESTING levels is outside the subset, counted as
+    `TokenParser` counts; the `+` that joins a println's terms is no chain.
+    Raises ParseFailure on anything outside the subset.
     """
-    return _JParser(text).parse_class()
+    try:
+        return _JParser(_lex(text)).parse_class()
+    except _Issue as issue:
+        raise ParseFailure([issue.error]) from None

@@ -1234,3 +1234,21 @@ def test_random_programs_translate_faithfully():
 
 def test_step_budget_is_shared():
     assert MAX_STEPS == 100_000
+
+
+@pytest.mark.parametrize("old, new", [
+    ("{\n", "{\n    private long unused = ٣;\n"),
+    ("return v.substring(0, w);", 'return "HACKED";'),
+], ids=["unicode_digit", "redefined_fit"])
+def test_a_sidecar_javac_would_read_otherwise_is_unparseable(tmp_path, old, new):
+    # javac rejects the Arabic-Indic digit, and a JVM would run the sidecar's
+    # own `fit`, which the Java interpreter never does.
+    manifest = _build_corpus(tmp_path, with_java=True)
+    record = next(r for r in manifest.records if r.split is Split.TEST)
+    sidecar = tmp_path / record.oracle_java
+    text = sidecar.read_text(encoding="utf-8")
+    assert old in text
+    sidecar.write_text(text.replace(old, new, 1), encoding="utf-8")
+    _summary, rows, _ = run_evaluation(manifest, "external", root=tmp_path)
+    reasons = {r.id: r.reason for r in rows}
+    assert reasons[record.id] == "external translation unparseable"

@@ -1,6 +1,6 @@
 import pytest
 
-from relicforge.cobol import SourceFile, parse, parse_source, tokenize
+from relicforge.cobol import SourceFile, parse, parse_source, pretty_print, tokenize
 from relicforge.cobol import nodes as n
 from relicforge.errors import ParseFailure
 
@@ -223,3 +223,49 @@ def test_parse_totality_on_junk(subtests=None):
     for junk in ["", ".", "MOVE", "....", "IDENTIFICATION", "01 X"]:
         with pytest.raises(ParseFailure):
             parse(tokenize(SourceFile("j", junk)))
+
+
+NUMBERS = "IDENTIFICATION DIVISION. PROGRAM-ID. W. DATA DIVISION. WORKING-STORAGE SECTION. " \
+          "01 N0 PIC 9(3) VALUE 1. 01 N1 PIC 9(3). PROCEDURE DIVISION. MAIN. "
+
+
+@pytest.mark.parametrize("stmt", [
+    "MOVE -N0 TO N1.",
+    'MOVE -"A" TO N1.',
+    "ADD -N0 TO N1.",
+    "SUBTRACT 1 FROM -N0 GIVING N1.",
+    "DISPLAY -N0.",
+    "EVALUATE -N0 WHEN 1 DISPLAY 1 END-EVALUATE.",
+    "PERFORM VARYING N1 FROM -N0 BY 1 UNTIL N1 > 3 DISPLAY N1 END-PERFORM.",
+    "PERFORM VARYING N1 FROM 1 BY - - N0 UNTIL N1 > 3 DISPLAY N1 END-PERFORM.",
+])
+def test_an_operand_negates_only_an_integer_literal(stmt):
+    # `0 - N0`, the tree a negated name would be, prints as no operand, so
+    # the printout of `MOVE -N0 TO N1.` did not parse back.
+    with pytest.raises(ParseFailure) as exc:
+        parse_text(NUMBERS + stmt)
+    [error] = exc.value.errors
+    assert error.expected == "integer literal"
+    assert error.found in ("N0", "A")
+
+
+def test_a_negated_literal_is_still_an_operand():
+    ast = parse_text(NUMBERS + "MOVE -5 TO N1. MOVE - - 5 TO N1. DISPLAY -7 N0.")
+    moves = ast.paragraphs[0].body
+    assert [s.src for s in moves[:2]] == [n.NumLit(-5), n.NumLit(5)]
+    assert moves[2].args == [n.NumLit(-7), n.VarRef("N0")]
+
+
+@pytest.mark.parametrize("stmt, expr", [
+    ("COMPUTE N1 = -N0.", n.BinOp("-", n.NumLit(0), n.VarRef("N0"))),
+    ("COMPUTE N1 = 2 * -N0.", n.BinOp("*", n.NumLit(2), n.BinOp("-", n.NumLit(0), n.VarRef("N0")))),
+    ("COMPUTE N1 = - -N0.",
+     n.BinOp("-", n.NumLit(0), n.BinOp("-", n.NumLit(0), n.VarRef("N0")))),
+    ('COMPUTE N1 = -"A".', n.BinOp("-", n.NumLit(0), n.StrLit("A"))),
+    ("COMPUTE N1 = - - 5.", n.NumLit(5)),
+])
+def test_a_negated_name_in_an_expression_round_trips(stmt, expr):
+    ast = parse_text(NUMBERS + stmt)
+    assert ast.paragraphs[0].body[0].expr == expr
+    again = parse_text(pretty_print(ast))
+    assert again.paragraphs[0].body[0].expr == expr

@@ -705,3 +705,58 @@ def test_parsed_metrics_match_emitted_metrics():
         reparsed = parse_java(emit_java(jast))
         assert java_metrics(reparsed).cyclomatic == java_metrics(jast).cyclomatic
         assert java_metrics(reparsed).coupling == java_metrics(jast).coupling
+
+
+def _fit_class() -> str:
+    field = j.JField("s", "String", "abcd", 4)
+    fit = j.JCall("fit", (n.VarRef("s"), n.NumLit(4)))
+    return emit_java(j.JavaAst("Fit", [field], [j.JMethod("run", [j.Print([fit])])]))
+
+
+@pytest.mark.parametrize("literal", ["٣", "٤٢", "1٣", "３"])
+def test_parse_java_reads_only_ascii_digits(literal):
+    # javac reads a literal's digits as ASCII only; `int` converts any
+    # Unicode decimal digit.
+    for text in (_fit_class().replace('"abcd"', literal).replace("String s", "long s"),
+                 _fit_class().replace("str(fit(s, 4))", f"str({literal})")):
+        assert literal in text
+        with pytest.raises(ParseFailure) as exc:
+            parse_java(text)
+        assert exc.value.errors[0].expected == "Java token"
+
+
+@pytest.mark.parametrize("blank", ["\u00a0", "\u2003", "\v"], ids=["nbsp", "em_space", "vtab"])
+def test_parse_java_separates_tokens_only_by_java_white_space(blank):
+    # Java's white space is the space, tab, form feed and line terminators;
+    # `str.strip` takes any Unicode space.
+    text = _fit_class().replace("private String s", f"private String{blank}s")
+    with pytest.raises(ParseFailure) as exc:
+        parse_java(text)
+    assert exc.value.errors[0].expected == "Java token"
+
+
+def test_parse_java_skips_the_static_members_emit_java_writes():
+    text = _fit_class()
+    assert text.count(" static ") == 7  # main(), STDIN, in, num, fit and both str
+    jast = parse_java(text)
+    assert [m.name for m in jast.methods] == ["run"]
+    assert [f.name for f in jast.fields] == ["s"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("return v.substring(0, w);", 'return "HACKED";'),
+    ("private static long num(String v) {", "private static long num(String w) {"),
+    ("new Fit().run();", "new Other().run();"),
+    ("    private static String in() {",
+     "    private static long helper = 1;\n\n    private static String in() {"),
+    ("    private static String in() {",
+     "    public static void main() {\n    }\n\n    private static String in() {"),
+], ids=["fit_body", "num_parameter", "main_class", "extra_field", "second_main"])
+def test_parse_java_rejects_any_other_static_member(old, new):
+    # The interpreter runs its own helpers, so a redefined one would be
+    # scored by what the JVM would not run.
+    text = _fit_class()
+    assert old in text
+    with pytest.raises(ParseFailure) as exc:
+        parse_java(text.replace(old, new, 1))
+    assert exc.value.errors[0].expected == "static member as emit_java writes it"
