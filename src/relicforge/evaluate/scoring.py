@@ -13,6 +13,7 @@ again.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, fields
@@ -26,6 +27,8 @@ from relicforge.errors import EvalError, FormatError, ParseFailure, SourceError
 from relicforge.evaluate.cobol_interp import compile_cobol, interpret_cobol
 from relicforge.evaluate.java_interp import compile_java, interpret_java
 from relicforge.evaluate.values import Trace
+from relicforge.model import predict_many
+from relicforge.model.network import WIDE
 from relicforge.transpile import (
     Action,
     external_method_name,
@@ -252,12 +255,12 @@ def _summarize(approach: str, rows: list[FileScore], fallback_count: int) -> Eva
 # -- translation and scoring ---------------------------------------------------
 
 
-def _translate(kind: str, ast: n.CobolAst, record: Record, root: Path, ckpt):
+def _translate(kind: str, ast: n.CobolAst, record: Record, root: Path, predicted):
     """(jast, actions_used, fallback count, failure reason) for one record
     under one approach. `rules` applies the rule defaults, `ai` the
-    actions `ckpt` predicts, and `external` parses the record's
-    `<stem>.java` sidecar; a sidecar that cannot be read or parsed gives
-    no jast and the reason instead."""
+    `predicted` actions, and `external` parses the record's `<stem>.java`
+    sidecar; a sidecar that cannot be read or parsed gives no jast and the
+    reason instead."""
     if kind == "external":
         try:
             jast = parse_java((root / record.oracle_java).read_text(encoding="utf-8"))
@@ -267,13 +270,37 @@ def _translate(kind: str, ast: n.CobolAst, record: Record, root: Path, ckpt):
             return None, None, 0, "external translation unparseable"
         return jast, None, 0, ""
     if kind == "ai":
-        from relicforge.model import predict
-
-        actions = {ref: action for ref, action, _conf in predict(ast, ckpt)}
+        actions = {ref: action for ref, action, _conf in predicted}
         result = translate_with_fallbacks(ast, actions)
     else:
         result = translate_rules(ast)
     return result.jast, result.actions_used, len(result.fallbacks), ""
+
+
+def _load(root: Path, record: Record, config: CorpusConfig):
+    """(tree, "") for one record, or (None, the reason it has no tree)."""
+    try:
+        ast = load_ast(root, record, config)
+    except SourceError as exc:
+        return None, exc.reason
+    if ast is None:
+        return None, "source failed to parse"
+    return ast, ""
+
+
+def _trees(records, kind: str, ckpt, root: Path, config: CorpusConfig):
+    """(record, tree or None, failure reason, predicted actions) per record,
+    in record order. Records go WIDE at a time: each tree is loaded once,
+    and under `ai` the chunk's trees are predicted in one `predict_many`
+    call, so at most WIDE trees' predictions are held at once."""
+    for start in range(0, len(records), WIDE):
+        chunk = [(record, *_load(root, record, config))
+                 for record in records[start:start + WIDE]]
+        predicted = itertools.repeat(None)
+        if kind == "ai":
+            predicted = iter(predict_many([ast for _, ast, _ in chunk if ast is not None], ckpt))
+        for record, ast, failure in chunk:
+            yield record, ast, failure, None if ast is None else next(predicted)
 
 
 def _score_records(records, kind: str, ckpt, root: Path, seed: int, approach: str,
@@ -283,19 +310,14 @@ def _score_records(records, kind: str, ckpt, root: Path, seed: int, approach: st
     its report pair: id, complexity before and after, both trees as JSON."""
     rows: list[FileScore] = []
     fallback_count = 0
-    for record in records:
-        try:
-            ast = load_ast(root, record, config)
-        except SourceError as exc:
-            rows.append(FileScore(record.id, False, exc.reason))
-            continue
+    for record, ast, failure, predicted in _trees(records, kind, ckpt, root, config):
         if ast is None:
-            rows.append(FileScore(record.id, False, "source failed to parse"))
+            rows.append(FileScore(record.id, False, failure))
             continue
         # Curate measured this same tree; only a manifest without metrics
         # (one written by hand, say) needs it measured here.
         before = record.metrics or measure(ast)
-        jast, actions_used, fallbacks, failure = _translate(kind, ast, record, root, ckpt)
+        jast, actions_used, fallbacks, failure = _translate(kind, ast, record, root, predicted)
         fallback_count += fallbacks
         if jast is None:
             rows.append(FileScore(record.id, False, failure,

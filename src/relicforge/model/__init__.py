@@ -15,7 +15,7 @@ from relicforge.model.network import (
     softmax,
     tensor_shapes,
 )
-from relicforge.model.predict import predict
+from relicforge.model.predict import predict, predict_many
 from relicforge.model.training import (
     CLASS_INDEX,
     TrainSample,
@@ -42,6 +42,7 @@ __all__ = [
     "softmax",
     "tensor_shapes",
     "predict",
+    "predict_many",
     "CLASS_INDEX",
     "TrainSample",
     "dataset_metrics",

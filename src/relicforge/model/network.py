@@ -19,13 +19,16 @@ a batch sorted by length and right-padded; padded steps carry zero
 weight and move no loss or gradient. There are two kernels:
 
 - The traced kernel computes every step's input projection before its
-  time loop and keeps what the backward pass needs. `forward` is this
-  kernel at B = 1, and training runs it CHUNK samples at a time.
-- The metrics kernel runs the forward-only loss pass WIDE samples per
-  time loop, longest first. Its time loop runs outside the layer loop,
-  so each layer keeps only h and c, and each step projects only its own
-  inputs and runs only the samples still going. Projecting all steps up
-  front holds a (T, B, 4H) array: at B = 64 that pass peaked at 7.2 MB.
+  time loop and keeps what the backward pass needs. Training runs it
+  CHUNK samples at a time. `forward` is this kernel at B = 1: the tests
+  hold the batched kernels to it, and the traced benchmark wraps it.
+- The forward-only kernel (`_stream`) runs WIDE feature matrices per
+  time loop, longest first: the loss pass of `forward_metrics`, and
+  prediction (`predict.predict_many`). Its time loop runs outside the
+  layer loop, so each layer keeps only h and c, and each step projects
+  only its own inputs and runs only the sequences still going.
+  Projecting all steps up front holds a (T, B, 4H) array: at B = 64 that
+  pass peaked at 7.2 MB.
 
 At B = 4 to 8 a step's cost is mostly numpy call overhead, so wider
 calls are cheaper per sample; the limit is memory. Measured on a 2-vCPU
@@ -54,7 +57,7 @@ from relicforge.errors import ShapeError
 INIT_SCALE = 0.08
 FORGET_BIAS = 1.0
 
-# Samples per traced training kernel call and per forward-only metrics
+# Samples per traced training kernel call and sequences per forward-only
 # time loop; see the module docstring.
 CHUNK = 16
 WIDE = 64
@@ -367,19 +370,19 @@ def _totals(samples) -> tuple[float, float]:
             sum(float(s.offset_mask.sum()) for s in samples))
 
 
-def _stream(samples, group, ckpt: ModelCheckpoint):
-    """The stack and both heads, forward only, over one group sorted longest
-    first: (T, B, classes + 1) head outputs, the class logits then the
-    pre-sigmoid offset, without their biases and zero past each sample's
-    end. Each step runs only the samples still going, a prefix of the
+def _stream(mats: list[np.ndarray], ckpt: ModelCheckpoint):
+    """The stack and both heads, forward only, over one group of feature
+    matrices sorted longest first: the (T, B, classes) class logits and the
+    (T, B) sigmoid split offsets, which past a sequence's end read a zero
+    state. Each step runs only the sequences still going, a prefix of the
     group, and keeps only h and c per layer."""
     params = ckpt.params
-    lengths = [len(samples[k].steps) for k in group]
-    x = _pad([_matrix(samples[k].steps, ckpt.config) for k in group], lengths[0])
+    lengths = [len(mat) for mat in mats]
+    x = _pad([_matrix(mat, ckpt.config) for mat in mats], lengths[0])
     kernels = [_halved(_stacked(params, li), _stacked(params, li, "b"))
                for li in range(ckpt.config.layers)]
     hidden = ckpt.config.hidden
-    states = [(np.zeros((len(group), hidden)), np.zeros((len(group), hidden))) for _ in kernels]
+    states = [(np.zeros((len(mats), hidden)), np.zeros((len(mats), hidden))) for _ in kernels]
     heads_W = np.concatenate([params["W_y"], params["W_s"][None]]).T
     heads = np.zeros(x.shape[:2] + (ckpt.config.classes + 1,))
     going = np.count_nonzero(np.asarray(lengths)[:, None] > np.arange(lengths[0]), axis=0)
@@ -402,7 +405,7 @@ def _stream(samples, group, ckpt: ModelCheckpoint):
             h *= o
             out = h
         np.matmul(out, heads_W, out=heads[t, :live])
-    return heads
+    return heads[..., :-1] + params["b_y"], sigmoid(heads[..., -1] + params["b_s"][0])
 
 
 def forward_metrics(samples, ckpt: ModelCheckpoint) -> tuple[float, float]:
@@ -414,10 +417,7 @@ def forward_metrics(samples, ckpt: ModelCheckpoint) -> tuple[float, float]:
     loss = hits = 0.0
     for start in range(0, len(order), WIDE):
         group = order[start:start + WIDE]
-        heads = _stream(samples, group, ckpt)
-        logits = heads[..., :-1] + ckpt.params["b_y"]
-        offsets = sigmoid(heads[..., -1] + ckpt.params["b_s"][0])
-        del heads
+        logits, offsets = _stream([samples[k].steps for k in group], ckpt)
         part, part_hits, _ = _objective(samples, group, logits, offsets, total_w, total_ext)
         loss += part
         hits += part_hits

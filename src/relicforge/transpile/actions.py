@@ -70,12 +70,26 @@ class Action:
 
     @classmethod
     def from_json(cls, data: dict) -> "Action":
-        """Raises ValueError for an unknown action and TypeError for a
-        `node_index` that is neither absent, null nor an int (a bool is not)."""
+        """Raises KeyError without an `"action"`, ValueError for an unknown
+        one and TypeError for a `node_index` that is neither absent, null nor
+        an int (a bool is not). An action without a split point is its
+        kind's shared instance."""
         node_index = data.get("node_index")
-        if node_index is not None and type(node_index) is not int:
+        if node_index is None:
+            value = data["action"]
+            try:
+                return _PLAIN[value]
+            except (KeyError, TypeError):  # not a kind's JSON name, or unhashable
+                return _PLAIN[ActionKind(value).value]
+        if type(node_index) is not int:
             raise TypeError(f"node_index is a {type(node_index).__name__}, not an int")
         return cls(ActionKind(data["action"]), node_index)
+
+
+# One frozen instance per kind, by its JSON name, for every action without a
+# split point: labels are read by the thousand, and translation looks up a
+# default per statement.
+_PLAIN: dict[str, Action] = {kind.value: Action(kind) for kind in ActionKind}
 
 
 _ACTIONS: dict[type, tuple[ActionKind, ...]] = {
@@ -96,8 +110,13 @@ _ACTIONS: dict[type, tuple[ActionKind, ...]] = {
 }
 
 
+_DEFAULTS: dict[type, Action] = {
+    cls: _PLAIN[kinds[0].value] for cls, kinds in _ACTIONS.items()
+}
+
+
 def default_action(stmt: n.Stmt) -> Action:
-    return Action(_ACTIONS[stmt.__class__][0])
+    return _DEFAULTS[stmt.__class__]
 
 
 def default_actions(ast: n.CobolAst) -> list[tuple[int, Action]]:

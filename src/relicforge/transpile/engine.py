@@ -28,20 +28,7 @@ from relicforge.transpile.actions import (
     default_action,
 )
 
-_JAVA_RESERVED = frozenset(
-    {
-        "abstract", "assert", "boolean", "break", "byte", "case", "catch",
-        "char", "class", "const", "continue", "default", "do", "double",
-        "else", "enum", "extends", "final", "finally", "float", "for",
-        "goto", "if", "implements", "import", "instanceof", "int",
-        "interface", "long", "native", "new", "package", "private",
-        "protected", "public", "return", "short", "static", "strictfp",
-        "super", "switch", "synchronized", "this", "throw", "throws",
-        "transient", "try", "void", "volatile", "while",
-    }
-)
-
-_TAKEN_BASE = _JAVA_RESERVED | j.BUILTINS | {"main", "run", "args"}
+_TAKEN_BASE = j.JAVA_RESERVED | j.BUILTINS | {"main", "run", "args"}
 
 
 @dataclass(frozen=True)

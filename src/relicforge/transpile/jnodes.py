@@ -47,6 +47,19 @@ JExpr = Expr | JCall
 # `str` renders a value for printing.
 BUILTINS = frozenset({"in", "num", "fit", "str"})
 
+# Words that cannot name a class, field or method: the reserved keywords of
+# JLS 17 section 3.9, `_` among them, and the literals true, false and null.
+JAVA_RESERVED = frozenset({
+    "_", "abstract", "assert", "boolean", "break", "byte", "case", "catch",
+    "char", "class", "const", "continue", "default", "do", "double", "else",
+    "enum", "extends", "false", "final", "finally", "float", "for", "goto",
+    "if", "implements", "import", "instanceof", "int", "interface", "long",
+    "native", "new", "null", "package", "private", "protected", "public",
+    "return", "short", "static", "strictfp", "super", "switch",
+    "synchronized", "this", "throw", "throws", "transient", "true", "try",
+    "void", "volatile", "while",
+})
+
 
 class JKind(enum.Enum):
     CLASS = "Class"

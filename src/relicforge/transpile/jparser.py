@@ -79,8 +79,9 @@ _CMP_FROM_JAVA = {java: cobol for cobol, java in j.JAVA_CMP.items()}
 MAX_NESTING = cobol_parser.MAX_NESTING + 10
 
 
-def _unquote(text: str) -> str:
-    return re.sub(r"\\(.)", r"\1", text[1:-1])
+# A string literal's body: the subset escapes only what `jnodes.java_quote`
+# escapes, a backslash and a double quote.
+_STRING_BODY = re.compile(r'(?:[^"\\]|\\["\\])*')
 
 
 def _lex(text: str) -> list[Token]:
@@ -124,6 +125,8 @@ class _JParser(TokenParser):
             self._fail(repr(text))
 
     def ident(self) -> str:
+        if self.tok.text in j.JAVA_RESERVED:
+            self._fail("identifier")
         return self.eat(WORD, "identifier").text
 
     def long_literal(self) -> int:
@@ -137,7 +140,11 @@ class _JParser(TokenParser):
         return -value if neg else value
 
     def string_literal(self) -> str:
-        return _unquote(self.eat(STRING, "string literal").text)
+        tok = self.eat(STRING, "string literal")
+        body = tok.text[1:-1]
+        if not _STRING_BODY.fullmatch(body):
+            raise _Issue(tok.line, "escapes \\\\ and \\\" only", tok.text, tok.col)
+        return re.sub(r"\\(.)", r"\1", body)
 
     # -- class structure -------------------------------------------------------
 
@@ -451,7 +458,9 @@ def parse_java(text: str) -> j.JavaAst:
     A method is read as `void name()`: the subset has no parameters. A file
     that nests past MAX_NESTING levels is outside the subset, counted as
     `TokenParser` counts; the `+` that joins a println's terms is no chain.
-    Raises ParseFailure on anything outside the subset.
+    No name may be a word `jnodes.JAVA_RESERVED` holds, and a string may
+    escape only a backslash and a double quote, as `jnodes.java_quote`
+    does. Raises ParseFailure on anything outside the subset.
     """
     try:
         return _JParser(_lex(text)).parse_class()

@@ -165,6 +165,35 @@ def test_action_json_round_trip():
     assert Action(ActionKind.MOVE_TO_ASSIGN).to_json() == {"action": "MoveToAssign"}
 
 
+def test_an_action_without_a_split_point_is_its_kinds_shared_instance():
+    for kind in ActionKind:
+        shared = Action.from_json({"action": kind.value})
+        assert shared == Action(kind)
+        assert Action.from_json({"action": kind.value, "node_index": None}) is shared
+    ast = random_program(random.Random(3))
+    for node in n.iter_preorder(ast.program):
+        if n.is_statement(node):
+            action = default_action(node)
+            assert action is Action.from_json(action.to_json())
+
+
+@pytest.mark.parametrize("data, error", [
+    ({}, KeyError),
+    ({"node_index": None}, KeyError),
+    ({"action": "Bogus"}, ValueError),
+    ({"action": None}, ValueError),
+    ({"action": ["MoveToAssign"]}, ValueError),
+    ({"action": {"MoveToAssign": 1}}, ValueError),
+    ({"action": "ExtractMethodAt", "node_index": "3"}, TypeError),
+    ({"action": "ExtractMethodAt", "node_index": True}, TypeError),
+    ({"action": "ExtractMethodAt", "node_index": 2.0}, TypeError),
+], ids=["no_action", "no_action_null_index", "unknown", "null", "list", "dict",
+        "str_index", "bool_index", "float_index"])
+def test_action_from_json_errors(data, error):
+    with pytest.raises(error):
+        Action.from_json(data)
+
+
 # -- fallbacks -----------------------------------------------------------------
 
 
@@ -707,6 +736,32 @@ def test_parsed_metrics_match_emitted_metrics():
         assert java_metrics(reparsed).coupling == java_metrics(jast).coupling
 
 
+def test_cobol_names_java_reserves_are_renamed():
+    ast = parse_source(SourceFile("t", (
+        "IDENTIFICATION DIVISION. PROGRAM-ID. T. DATA DIVISION. WORKING-STORAGE SECTION. "
+        "01 TRUE PIC 9 VALUE 1. 01 NULL PIC 9 VALUE 2. "
+        "PROCEDURE DIVISION. MAIN. PERFORM FALSE. DISPLAY TRUE NULL. STOP RUN. "
+        "FALSE. DISPLAY 3."
+    )))
+    jast = translate_rules(ast).jast
+    assert [f.name for f in jast.fields] == ["true_2", "null_2"]
+    assert [m.name for m in jast.methods] == ["run", "false_2"]
+    assert all(name not in j.JAVA_RESERVED for name in ("true_2", "null_2", "false_2"))
+    assert j.to_json(parse_java(emit_java(jast))) == j.to_json(jast)
+
+
+def test_strings_holding_backslashes_and_quotes_round_trip():
+    ast = program(
+        r'''MOVE "A\B" TO S. DISPLAY S 'Q"T' "\". '''
+        r'''EVALUATE S WHEN '"' DISPLAY 1 WHEN "\\" DISPLAY 2 END-EVALUATE. STOP RUN.''',
+        data=r'''01 S PIC X(4) VALUE 'X"\'.''',
+    )
+    jast = translate_rules(ast).jast
+    text = emit_java(jast)
+    assert r'\"' in text and r'\\' in text
+    assert j.to_json(parse_java(text)) == j.to_json(jast)
+
+
 def _fit_class() -> str:
     field = j.JField("s", "String", "abcd", 4)
     fit = j.JCall("fit", (n.VarRef("s"), n.NumLit(4)))
@@ -760,3 +815,35 @@ def test_parse_java_rejects_any_other_static_member(old, new):
     with pytest.raises(ParseFailure) as exc:
         parse_java(text.replace(old, new, 1))
     assert exc.value.errors[0].expected == "static member as emit_java writes it"
+
+
+@pytest.mark.parametrize("old, new, word", [
+    ("String s =", "String class =", "class"),
+    ("String s =", "String true =", "true"),
+    ("String s =", "String _ =", "_"),
+    ("fit(s, 4)", "fit(null, 4)", "null"),
+    ("public void run()", "public void false()", "false"),
+    ("public class Fit", "public class goto", "goto"),
+], ids=["field_class", "field_true", "field_underscore", "name_null", "method_false",
+        "class_goto"])
+def test_parse_java_rejects_a_reserved_word_as_a_name(old, new, word):
+    # javac reads none of these words as an identifier.
+    text = _fit_class()
+    assert old in text
+    with pytest.raises(ParseFailure) as exc:
+        parse_java(text.replace(old, new, 1))
+    assert (exc.value.errors[0].expected, exc.value.errors[0].found) == ("identifier", word)
+
+
+@pytest.mark.parametrize("escape", [r"\n", r"\t", r"\b", r"\'", r"\101", r"\u0041"],
+                         ids=["newline", "tab", "backspace", "single_quote", "octal",
+                              "unicode"])
+def test_parse_java_reads_only_the_escapes_java_quote_writes(escape):
+    # `java_quote` escapes only a backslash and a double quote; any other
+    # escape would read as a character the JVM does not print.
+    literal = f'"a{escape}b"'
+    text = _fit_class().replace('"abcd"', literal)
+    assert literal in text
+    with pytest.raises(ParseFailure) as exc:
+        parse_java(text)
+    assert exc.value.errors[0].found == literal
